@@ -10,14 +10,18 @@ import (
 	"repro/internal/eval"
 )
 
-// Hand-rolled row encoding. The study service streams one DesignPoint per
-// NDJSON line; rendering those rows through reflective json.Marshal costs
-// dozens of allocations per row, which dominates the emit path of a warm
-// large-grid study. The appenders below produce output byte-identical to
+// Hand-rolled row encoding. Both JSON forms of a study render their rows
+// here: the NDJSON stream one compact DesignPoint per line, and the
+// buffered JSON body (WriteJSON) every row indented in place, in one pass
+// with no reflective encoding and no re-indenting of the finished body.
+// Rendering rows through reflective json.Marshal costs dozens of
+// allocations per row, which dominated the emit path of a warm large-grid
+// study. The appenders below produce output byte-identical to
 // encoding/json for the DesignPoint schema (same float shortening, the
-// same HTML-escaping rules, the same omitempty semantics — asserted
-// exhaustively by append_test.go) over a caller-owned buffer, so a
-// RowEncoder emits rows with zero steady-state allocations.
+// same HTML-escaping rules, the same omitempty semantics, the same
+// indentation — asserted by append_test.go and points_test.go) over a
+// caller-owned buffer, so a RowEncoder emits rows with zero steady-state
+// allocations.
 
 const hexDigits = "0123456789abcdef"
 
@@ -113,79 +117,113 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, "false"...)
 }
 
+// rowLayout places the whitespace of one rendered row. Compact rows (the
+// NDJSON lines) carry none; indented rows (the buffered JSON body) break
+// before every key and indent it to the row's depth in the study object,
+// exactly as encoding/json's Indent lays it out. The field list itself is
+// spelled out once, in appendRow.
+type rowLayout struct {
+	indent      string // line break and indent before a row key, and the fault block's closing brace
+	faultIndent string // the same before a fault-block key
+	close       string // the same before the row's closing brace
+}
+
+var (
+	compactRow = rowLayout{}
+	// indentedRow is a row at depth 2 of the study body: inside the
+	// top-level object's "points" array.
+	indentedRow = rowLayout{indent: "\n      ", faultIndent: "\n        ", close: "\n    "}
+)
+
+// appendKey appends one member's key. tok is its compact form with the
+// lead byte, quotes and colon (`{"cell":`, `,"technology":`); a non-empty
+// indent goes after the lead byte, and a space after the colon, as
+// encoding/json's Indent places them.
+func appendKey(b []byte, indent, tok string) []byte {
+	if indent == "" {
+		return append(b, tok...)
+	}
+	b = append(b, tok[0])
+	b = append(b, indent...)
+	b = append(b, tok[1:]...)
+	return append(b, ' ')
+}
+
 // AppendJSON appends the row's compact JSON object — byte-identical to
 // json.Marshal of the same value — and returns the extended buffer.
-func (p *DesignPoint) AppendJSON(b []byte) []byte {
-	b = append(b, `{"cell":`...)
+func (p *DesignPoint) AppendJSON(b []byte) []byte { return p.appendRow(b, &compactRow) }
+
+// appendRow appends the row as one JSON object laid out by l: the single
+// definition of the DesignPoint schema's key order, value encodings and
+// omitempty rules.
+func (p *DesignPoint) appendRow(b []byte, l *rowLayout) []byte {
+	b = appendKey(b, l.indent, `{"cell":`)
 	b = appendJSONString(b, p.Cell)
-	b = append(b, `,"technology":`...)
+	b = appendKey(b, l.indent, `,"technology":`)
 	b = appendJSONString(b, p.Technology)
-	b = append(b, `,"bits_per_cell":`...)
+	b = appendKey(b, l.indent, `,"bits_per_cell":`)
 	b = strconv.AppendInt(b, int64(p.BitsPerCell), 10)
-	b = append(b, `,"capacity_bytes":`...)
+	b = appendKey(b, l.indent, `,"capacity_bytes":`)
 	b = strconv.AppendInt(b, p.CapacityBytes, 10)
-	b = append(b, `,"opt_target":`...)
+	b = appendKey(b, l.indent, `,"opt_target":`)
 	b = appendJSONString(b, p.OptTarget)
-	b = append(b, `,"pattern":`...)
+	b = appendKey(b, l.indent, `,"pattern":`)
 	b = appendJSONString(b, p.Pattern)
-	b = append(b, `,"read_latency_ns":`...)
+	b = appendKey(b, l.indent, `,"read_latency_ns":`)
 	b = appendFloatField(b, p.ReadLatencyNS)
-	b = append(b, `,"write_latency_ns":`...)
+	b = appendKey(b, l.indent, `,"write_latency_ns":`)
 	b = appendFloatField(b, p.WriteLatencyNS)
-	b = append(b, `,"read_energy_pj":`...)
+	b = appendKey(b, l.indent, `,"read_energy_pj":`)
 	b = appendFloatField(b, p.ReadEnergyPJ)
-	b = append(b, `,"write_energy_pj":`...)
+	b = appendKey(b, l.indent, `,"write_energy_pj":`)
 	b = appendFloatField(b, p.WriteEnergyPJ)
-	b = append(b, `,"leakage_power_mw":`...)
+	b = appendKey(b, l.indent, `,"leakage_power_mw":`)
 	b = appendFloatField(b, p.LeakagePowerMW)
-	b = append(b, `,"area_mm2":`...)
+	b = appendKey(b, l.indent, `,"area_mm2":`)
 	b = appendFloatField(b, p.AreaMM2)
-	b = append(b, `,"area_efficiency":`...)
+	b = appendKey(b, l.indent, `,"area_efficiency":`)
 	b = appendFloatField(b, p.AreaEfficiency)
-	b = append(b, `,"density_mb_per_mm2":`...)
+	b = appendKey(b, l.indent, `,"density_mb_per_mm2":`)
 	b = appendFloatField(b, p.DensityMbPerMM2)
-	b = append(b, `,"total_power_mw":`...)
+	b = appendKey(b, l.indent, `,"total_power_mw":`)
 	b = appendFloatField(b, p.TotalPowerMW)
-	b = append(b, `,"dynamic_power_mw":`...)
+	b = appendKey(b, l.indent, `,"dynamic_power_mw":`)
 	b = appendFloatField(b, p.DynamicPowerMW)
-	b = append(b, `,"mem_time_per_sec":`...)
+	b = appendKey(b, l.indent, `,"mem_time_per_sec":`)
 	b = appendFloatField(b, p.MemTimePerSec)
-	b = append(b, `,"task_latency_s":`...)
+	b = appendKey(b, l.indent, `,"task_latency_s":`)
 	b = appendFloatField(b, p.TaskLatencyS)
-	b = append(b, `,"meets_task_rate":`...)
+	b = appendKey(b, l.indent, `,"meets_task_rate":`)
 	b = appendBool(b, p.MeetsTaskRate)
-	b = append(b, `,"lifetime_years":`...)
+	b = appendKey(b, l.indent, `,"lifetime_years":`)
 	b = appendFloatField(b, p.LifetimeYears)
 	if p.WordBits != 0 {
-		b = append(b, `,"word_bits":`...)
+		b = appendKey(b, l.indent, `,"word_bits":`)
 		b = strconv.AppendInt(b, int64(p.WordBits), 10)
 	}
 	if p.WriteBuffer != "" {
-		b = append(b, `,"write_buffer":`...)
+		b = appendKey(b, l.indent, `,"write_buffer":`)
 		b = appendJSONString(b, p.WriteBuffer)
 	}
 	if f := p.Fault; f != nil {
-		b = append(b, `,"fault":{"mode":`...)
+		b = appendKey(b, l.indent, `,"fault":`)
+		b = appendKey(b, l.faultIndent, `{"mode":`)
 		b = appendJSONString(b, f.Mode)
-		b = append(b, `,"seed":`...)
+		b = appendKey(b, l.faultIndent, `,"seed":`)
 		b = strconv.AppendInt(b, f.Seed, 10)
-		b = append(b, `,"raw_ber":`...)
+		b = appendKey(b, l.faultIndent, `,"raw_ber":`)
 		b = appendFloatField(b, f.RawBER)
-		b = append(b, `,"effective_ber":`...)
+		b = appendKey(b, l.faultIndent, `,"effective_ber":`)
 		b = appendFloatField(b, f.EffectiveBER)
+		b = append(b, l.indent...)
 		b = append(b, '}')
 	}
 	if p.Pareto {
-		b = append(b, `,"pareto":true`...)
+		b = appendKey(b, l.indent, `,"pareto":`)
+		b = append(b, "true"...)
 	}
+	b = append(b, l.close...)
 	return append(b, '}')
-}
-
-// MarshalJSON implements json.Marshaler over AppendJSON, so the buffered
-// JSON study body renders rows through the same single-pass encoder as the
-// NDJSON stream.
-func (p DesignPoint) MarshalJSON() ([]byte, error) {
-	return p.AppendJSON(make([]byte, 0, 512)), nil
 }
 
 // RowEncoder writes DesignPoint rows as NDJSON lines over one reused

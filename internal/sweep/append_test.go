@@ -138,13 +138,15 @@ func TestAppendJSONMatchesMarshalShape(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("corpus %d: AppendJSON diverges from reflective marshal\n got %s\nwant %s", i, got, want)
 		}
-		// MarshalJSON (the buffered JSON body path) must agree too.
-		viaMarshaler, err := json.Marshal(p)
+		// Reflective marshaling of DesignPoint itself — what the JSON body
+		// reference (referenceJSON) encodes rows with — must agree too, so
+		// the struct tags and the appenders describe one schema.
+		viaReflection, err := json.Marshal(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(viaMarshaler, want) {
-			t.Errorf("corpus %d: MarshalJSON diverges\n got %s\nwant %s", i, viaMarshaler, want)
+		if !bytes.Equal(viaReflection, want) {
+			t.Errorf("corpus %d: reflective DesignPoint encoding diverges\n got %s\nwant %s", i, viaReflection, want)
 		}
 	}
 }
@@ -218,6 +220,49 @@ func TestNDJSONRowAllocs(t *testing.T) {
 	}
 }
 
+// queryBenchGrid runs the query-bench grid: four cells at two capacities
+// and two targets under a 16×16 generic traffic sweep, 4,096 rows — the
+// largest study the warm-replay benchmark renders.
+func queryBenchGrid(tb testing.TB) *core.Results {
+	tb.Helper()
+	cfg, err := Parse(strings.NewReader(`{
+		"name": "query-bench",
+		"cells": [{"technology": "STT", "flavor": "Opt"}, {"technology": "RRAM", "flavor": "Opt"},
+			{"technology": "PCM", "flavor": "Opt"}, {"technology": "FeFET", "flavor": "Opt"}],
+		"capacities_bytes": [2097152, 4194304],
+		"opt_targets": ["ReadEDP", "Area"],
+		"traffic": {"generic": {"read_gbs_lo": 0.1, "read_gbs_hi": 10,
+			"write_gbs_lo": 0.001, "write_gbs_hi": 1, "points": 16}}
+	}`))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(res.Metrics) != 4096 {
+		tb.Fatalf("query-bench grid has %d rows, want 4096", len(res.Metrics))
+	}
+	return res
+}
+
+// TestWriteJSONAllocs is the buffered-body emit ratchet: rendering the
+// 4,096-row grid as JSON costs a fixed handful of allocations (the chunk
+// buffer and row-encoder scratch), not a number that grows with the rows.
+func TestWriteJSONAllocs(t *testing.T) {
+	res := queryBenchGrid(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := WriteJSON(io.Discard, res); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const maxAllocs = 8
+	if allocs > maxAllocs {
+		t.Errorf("WriteJSON of %d rows allocates %.0f times, want <= %d", len(res.Metrics), allocs, maxAllocs)
+	}
+}
+
 // TestWriteNDJSONStreamedParity re-checks batch-vs-streamed parity on the
 // RowEncoder path: WriteNDJSON output must equal concatenating RunStream
 // emissions through a RowEncoder (the study service's streaming shape).
@@ -284,3 +329,21 @@ func TestWriteCSVStableUnderBuilder(t *testing.T) {
 		t.Fatal("write-buffer label missing from CSV rows")
 	}
 }
+
+// The grid benchmarks report the emit cost of each study format over the
+// 4,096-row query-bench grid.
+
+func benchmarkWriteGrid(b *testing.B, write func(io.Writer, *core.Results) error) {
+	res := queryBenchGrid(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := write(io.Discard, res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWriteJSONGrid(b *testing.B)   { benchmarkWriteGrid(b, WriteJSON) }
+func BenchmarkWriteNDJSONGrid(b *testing.B) { benchmarkWriteGrid(b, WriteNDJSON) }
+func BenchmarkWriteCSVGrid(b *testing.B)    { benchmarkWriteGrid(b, WriteCombinedCSV) }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -70,9 +71,10 @@ var mediaTypes = map[string]Format{
 // header and explicit ?format= parameter. Precedence: a non-empty
 // queryParam always wins (an unknown name is ErrBadFormat, never a silent
 // default); otherwise the Accept header's media types are scanned in
-// order and the first one a writer can produce is chosen; an empty or
-// absent Accept means JSON. An Accept naming only unproducible types is
-// ErrNotAcceptable — the caller owes the client a 406, not a guess.
+// order and the first one a writer can produce is chosen, skipping ranges
+// refused with q=0; an empty or absent Accept means JSON. An Accept naming
+// only unproducible or refused types is ErrNotAcceptable — the caller owes
+// the client a 406, not a guess.
 func Negotiate(accept, queryParam string) (Format, error) {
 	if queryParam != "" {
 		return ParseFormat(queryParam)
@@ -82,11 +84,12 @@ func Negotiate(accept, queryParam string) (Format, error) {
 		return FormatJSON, nil
 	}
 	for _, part := range strings.Split(accept, ",") {
-		mt := part
-		// Strip quality values and other media-type parameters: the first
-		// producible type in declaration order wins.
-		if i := strings.IndexByte(mt, ';'); i >= 0 {
-			mt = mt[:i]
+		// Past the q=0 check, quality values and other media-type
+		// parameters are ignored: the first producible type in declaration
+		// order wins.
+		mt, params, _ := strings.Cut(part, ";")
+		if refused(params) {
+			continue
 		}
 		mt = strings.ToLower(strings.TrimSpace(mt))
 		if f, ok := mediaTypes[mt]; ok {
@@ -94,6 +97,18 @@ func Negotiate(accept, queryParam string) (Format, error) {
 		}
 	}
 	return "", fmt.Errorf("%w (accept %q)", ErrNotAcceptable, accept)
+}
+
+// refused reports whether a media range's parameters carry a quality value
+// of 0, which marks the range "not acceptable" (RFC 9110 §12.4.2).
+func refused(params string) bool {
+	for _, p := range strings.Split(params, ";") {
+		if k, v, ok := strings.Cut(p, "="); ok && strings.EqualFold(strings.TrimSpace(k), "q") {
+			q, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+			return err == nil && q == 0
+		}
+	}
+	return false
 }
 
 // ContentType returns the response media type of a format.

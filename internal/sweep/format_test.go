@@ -50,6 +50,11 @@ func TestNegotiate(t *testing.T) {
 		// Nothing producible: 406 material, not a silent JSON default.
 		{"accept only unknown", "text/plain", "", "", ErrNotAcceptable},
 		{"accept only unknown list", "image/png, application/xml", "", "", ErrNotAcceptable},
+
+		// q=0 refuses a range (RFC 9110 §12.4.2); it never counts as a match.
+		{"accept json refused", "application/json;q=0", "", "", ErrNotAcceptable},
+		{"accept star refused", "*/*;q=0", "", "", ErrNotAcceptable},
+		{"accept refused json then csv", "application/json;q=0, text/csv", "", FormatCSV, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -69,13 +69,10 @@ type FaultPoint struct {
 // rejects outright.
 type Float float64
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler with the row appenders' float
+// encoding (appendFloatField).
 func (f Float) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(v)
+	return appendFloatField(make([]byte, 0, 24), f), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler, mapping null back to +Inf.
@@ -187,6 +184,8 @@ type StudyResult struct {
 // Result converts a completed study into its JSON body form. When the
 // study declares a Pareto selection, call res.EnsureFrontier first (the
 // writers do); frontier rows are flagged and the frontier block attached.
+// WriteJSON renders this value's indented encoding without building it;
+// Result is the reference form that tests decode into and compare with.
 func Result(res *core.Results) StudyResult {
 	out := StudyResult{Name: res.Study.Name, Points: Points(res), Skipped: res.Skipped,
 		FailedPoints: res.FailedPoints, Exploration: res.Exploration}
@@ -199,16 +198,89 @@ func Result(res *core.Results) StudyResult {
 	return out
 }
 
-// WriteJSON writes the study's JSON body (indented, trailing newline) to w.
-// The encoding is deterministic, so any two runs of the same configuration
-// produce byte-identical output regardless of worker count or caching.
+// jsonChunk is the buffer size at which WriteJSON hands rendered bytes to
+// its writer.
+const jsonChunk = 32 << 10
+
+// WriteJSON writes the study's JSON body (indented, trailing newline) to w:
+// exactly the bytes encoding/json's Encoder with SetIndent("", "  ")
+// produces for Result(res). Rows render in one pass through the same
+// appenders as the NDJSON stream, straight from res.Metrics into a reused
+// scratch row and a buffer flushed to w about every 32 KB; only the rare
+// trailing blocks (skipped, failed points, frontier, exploration) go through
+// encoding/json. The encoding is deterministic, so any two runs of the same
+// configuration produce byte-identical output regardless of worker count or
+// caching.
 func WriteJSON(w io.Writer, res *core.Results) error {
 	if err := res.EnsureFrontier(); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Result(res))
+	withFrontier := len(res.Study.Pareto) > 0 && res.Frontier != nil
+	var onFrontier []uint64 // bitmap over row indices
+	if withFrontier {
+		onFrontier = make([]uint64, (len(res.Metrics)+63)/64)
+		for _, i := range res.Frontier {
+			onFrontier[i/64] |= 1 << (i % 64)
+		}
+	}
+
+	b := make([]byte, 0, jsonChunk+2048)
+	b = append(b, "{\n  \"name\": "...)
+	b = appendJSONString(b, res.Study.Name)
+	b = append(b, ",\n  \"points\": ["...)
+	var enc RowEncoder
+	for i := range res.Metrics {
+		enc.fill(&res.Metrics[i], res.Study)
+		enc.dp.Pareto = withFrontier && onFrontier[i/64]&(1<<(i%64)) != 0
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    "...)
+		b = enc.dp.appendRow(b, &indentedRow)
+		if len(b) >= jsonChunk {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
+	}
+	if len(res.Metrics) > 0 {
+		b = append(b, "\n  "...)
+	}
+	b = append(b, ']')
+
+	var err error
+	if len(res.Skipped) > 0 {
+		b, err = appendMember(b, "skipped", res.Skipped)
+	}
+	if err == nil && len(res.FailedPoints) > 0 {
+		b, err = appendMember(b, "failed_points", res.FailedPoints)
+	}
+	if err == nil && withFrontier {
+		b, err = appendMember(b, "frontier", Frontier{Metrics: res.Study.Pareto, Points: res.Frontier})
+	}
+	if err == nil && res.Exploration != nil {
+		b, err = appendMember(b, "exploration", res.Exploration)
+	}
+	if err != nil {
+		return err
+	}
+	b = append(b, "\n}\n"...)
+	_, err = w.Write(b)
+	return err
+}
+
+// appendMember appends one trailing member of the top-level study object,
+// indented by encoding/json as it would be at that depth.
+func appendMember(b []byte, name string, v any) ([]byte, error) {
+	js, err := json.MarshalIndent(v, "  ", "  ")
+	if err != nil {
+		return b, err
+	}
+	b = append(b, ",\n  \""...)
+	b = append(b, name...)
+	b = append(b, "\": "...)
+	return append(b, js...), nil
 }
 
 // ndjsonTrailer is the final NDJSON line of a Pareto-selected study. Rows
