@@ -138,10 +138,11 @@ func usageError() error {
                                              studies for -grace
   nvmexplorer exp <id> [-out dir]            regenerate a paper experiment
   nvmexplorer fsck <store-dir> [-repair]     verify a study store: checksum every
-                                             point file, the memo snapshot, and the
-                                             job journal; -repair quarantines corrupt
-                                             files into .corrupt/ and rewrites
-                                             legacy-format points
+                                             record (points, studies, job journal,
+                                             shard and sync records) and the memo
+                                             snapshot; -repair quarantines corrupt
+                                             files into .corrupt/ and upgrades v1
+                                             pre-checksum points
   nvmexplorer list                           list experiments
   nvmexplorer cells                          print the cell database
   nvmexplorer validate                       tentpole-vs-published-array validation`)
@@ -572,12 +573,12 @@ func runServe(args []string) error {
 
 // runFsck implements `nvmexplorer fsck`: verify every file of a study
 // store the way the live store would read it, report, and (with -repair)
-// quarantine corrupt files and upgrade legacy-format points. Exit status is
+// quarantine corrupt files and upgrade v1 pre-checksum points. Exit status is
 // nonzero when problems remain un-repaired.
 func runFsck(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("fsck", flag.ContinueOnError)
 	repair := fs.Bool("repair", false,
-		"quarantine corrupt files into .corrupt/, rewrite legacy-format point files, and remove orphan journal progress files")
+		"quarantine corrupt files into .corrupt/, upgrade v1 pre-checksum point files (the live store reads them as misses), and remove orphan journal progress and shard files; unknown-version records stay in place")
 	dir, err := parseMixed(fs, args)
 	if err != nil {
 		return fmt.Errorf("fsck needs exactly one store directory: %w", err)

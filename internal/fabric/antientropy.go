@@ -82,7 +82,7 @@ func (p *Pool) syncWorker(ctx context.Context, url string, st *store.Store) erro
 		// Pull: the record names its own key and ImportPoint verifies the
 		// envelope, key, and address binding — a torn or mislabeled body
 		// repairs nothing and stores nothing.
-		rec, err := p.fetchPoint(ctx, url, addrHex)
+		rec, err := p.pointRequest(ctx, http.MethodGet, url, addrHex, nil)
 		if err != nil {
 			log.Printf("fabric: anti-entropy pull %s from %s: %v", addrHex[:12], url, err)
 			continue
@@ -102,7 +102,7 @@ func (p *Pool) syncWorker(ctx context.Context, url string, st *store.Store) erro
 		if !ok {
 			continue
 		}
-		if err := p.putPoint(ctx, url, addrHex, rec); err != nil {
+		if _, err := p.pointRequest(ctx, http.MethodPut, url, addrHex, rec); err != nil {
 			log.Printf("fabric: anti-entropy push %s to %s: %v", addrHex[:12], url, err)
 			continue
 		}
@@ -128,38 +128,27 @@ func capAddrs(addrs []string) []string {
 	return addrs
 }
 
-// fetchPoint GETs one record's envelope bytes from a worker.
-func (p *Pool) fetchPoint(ctx context.Context, url, addrHex string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/store/points/"+addrHex, nil)
+// pointRequest GETs (rec == nil) or PUTs one record's envelope bytes at a
+// worker and returns the response body.
+func (p *Pool) pointRequest(ctx context.Context, method, url, addrHex string, rec []byte) ([]byte, error) {
+	var body io.Reader
+	if rec != nil {
+		body = bytes.NewReader(rec)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url+"/v1/store/points/"+addrHex, body)
 	if err != nil {
 		return nil, err
+	}
+	if rec != nil {
+		req.Header.Set("Content-Type", "application/octet-stream")
 	}
 	resp, err := p.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("get point: %s", resp.Status)
+	if resp.StatusCode/100 != 2 {
+		return nil, fmt.Errorf("%s point: %s", method, resp.Status)
 	}
 	return io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-}
-
-// putPoint PUTs one record's envelope bytes to a worker.
-func (p *Pool) putPoint(ctx context.Context, url, addrHex string, rec []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, url+"/v1/store/points/"+addrHex, bytes.NewReader(rec))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("put point: %s", resp.Status)
-	}
-	return nil
 }

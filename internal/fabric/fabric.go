@@ -139,27 +139,27 @@ func (o Options) withDefaults() Options {
 // Stats is the coordinator's counter snapshot, surfaced in the /v1/stats
 // fabric block.
 type Stats struct {
-	Workers     int // configured worker processes
-	Live        int // workers with a closed breaker
-	BreakerOpen int // workers with an open or half-open breaker (gauge)
+	Workers int `json:"workers"` // configured worker processes
+	Live    int `json:"live"`    // workers with a closed breaker
 
-	Shards        int64 // shard requests fanned out
-	RemoteHits    int64 // points computed by workers and merged
-	RemoteMisses  int64 // points that fell back to local execution
-	ResumedShards int64 // shard assignments re-fanned out after a resume
+	Shards        int64 `json:"shards"`         // shard requests fanned out
+	RemoteHits    int64 `json:"remote_hits"`    // points computed by workers and merged
+	RemoteMisses  int64 `json:"remote_misses"`  // points that fell back to local execution
+	ResumedShards int64 `json:"resumed_shards"` // shard assignments re-fanned out after a resume
 
-	BreakerTrips  int64 // breaker transitions to open
-	BreakerResets int64 // breaker transitions back to closed
-	ShardRetries  int64 // shard requests fanned out in reshard rounds
-	Resharded     int64 // points re-assigned to a surviving worker
+	BreakerOpen   int   `json:"breaker_open"`   // workers with an open or half-open breaker (gauge)
+	BreakerTrips  int64 `json:"breaker_trips"`  // breaker transitions to open
+	BreakerResets int64 `json:"breaker_resets"` // breaker transitions back to closed
+	ShardRetries  int64 `json:"shard_retries"`  // shard requests fanned out in reshard rounds
+	Resharded     int64 `json:"resharded"`      // points re-assigned to a surviving worker
 
-	Hedges     int64 // hedge requests launched
-	HedgesWon  int64 // shards resolved by the hedge copy
-	HedgesLost int64 // shards resolved by the primary after hedging
+	Hedges     int64 `json:"hedges"`      // hedge requests launched
+	HedgesWon  int64 `json:"hedges_won"`  // shards resolved by the hedge copy
+	HedgesLost int64 `json:"hedges_lost"` // shards resolved by the primary after hedging
 
-	AntiEntropyRuns   int64 // reconciliation passes completed
-	AntiEntropyPulled int64 // points pulled from workers
-	AntiEntropyPushed int64 // points pushed to workers
+	AntiEntropyRuns   int64 `json:"anti_entropy_runs"`   // reconciliation passes completed
+	AntiEntropyPulled int64 `json:"anti_entropy_pulled"` // points pulled from workers
+	AntiEntropyPushed int64 `json:"anti_entropy_pushed"` // points pushed to workers
 }
 
 // worker is one configured peer behind its circuit breaker.

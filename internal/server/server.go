@@ -258,13 +258,13 @@ func (s *Server) Handler() http.Handler {
 	// The store/worker wire protocol (see storeapi.go). GET registrations
 	// also answer HEAD, which is the protocol's "has" probe.
 	mux.HandleFunc("GET /v1/version", s.handleVersion)
-	mux.HandleFunc("GET /v1/store/points/{addr}", s.handleStorePointGet)
-	mux.HandleFunc("PUT /v1/store/points/{addr}", s.handleStorePointPut)
+	mux.HandleFunc("GET /v1/store/points/{addr}", s.recordGet("addr", "no point record at %s", (*store.Store).ExportPoint))
+	mux.HandleFunc("PUT /v1/store/points/{addr}", s.recordPut((*store.Store).ImportPoint))
 	mux.HandleFunc("GET /v1/store/memo", s.handleMemoGet)
-	mux.HandleFunc("PUT /v1/store/memo", s.handleMemoPut)
+	mux.HandleFunc("PUT /v1/store/memo", s.recordPut(importMemo))
 	mux.HandleFunc("GET /v1/store/studies", s.handleStoreStudies)
-	mux.HandleFunc("GET /v1/store/studies/{fingerprint}", s.handleStoreStudyGet)
-	mux.HandleFunc("PUT /v1/store/studies/{fingerprint}", s.handleStoreStudyPut)
+	mux.HandleFunc("GET /v1/store/studies/{fingerprint}", s.recordGet("fingerprint", "no study record %s", (*store.Store).ExportStudy))
+	mux.HandleFunc("PUT /v1/store/studies/{fingerprint}", s.recordPut((*store.Store).ImportStudy))
 	mux.HandleFunc("POST /v1/store/diff", s.handleStoreDiff)
 	mux.HandleFunc("GET /v1/store/digest", s.handleStoreDigest)
 	mux.HandleFunc("POST /v1/shard", s.handleShard)
@@ -880,9 +880,9 @@ type Stats struct {
 		// backends, a base URL for remote ones.
 		Backend string `json:"backend,omitempty"`
 		Target  string `json:"target,omitempty"`
-		// Dir is the legacy name for a local backend's directory.
-		// Deprecated: read Target (and Backend) instead; kept readable for
-		// one release.
+		// Dir is the legacy name for a local backend's directory, the
+		// same value as Target. Removing it changes the schema, so it stays
+		// until a stats schema v2.
 		Dir    string `json:"dir,omitempty"`
 		Hits   int64  `json:"hits"`
 		Misses int64  `json:"misses"`
@@ -890,46 +890,13 @@ type Stats struct {
 		// discarded at restore, disk operations failed past retries,
 		// individual retry attempts, and whether persistent failures demoted
 		// the store to memory-only.
-		Quarantined  int64 `json:"quarantined"`
-		MemoDiscards int64 `json:"memo_discards"`
-		IOErrors     int64 `json:"io_errors"`
-		Retries      int64 `json:"retries"`
-		Degraded     bool  `json:"degraded"`
+		store.HealthStats
 	} `json:"store"`
 	// Fabric reports the distributed-study fabric: the coordinator's view
-	// of its worker fleet (workers/live/shards/remote hits & misses/resumed
-	// shards) plus this process's worker role (shards served).
+	// of its worker fleet (fabric.Stats) plus this process's worker role.
 	Fabric struct {
 		Enabled bool `json:"enabled"`
-		Workers int  `json:"workers"`
-		Live    int  `json:"live"`
-		// Shards counts shard requests fanned out to workers; RemoteHits
-		// and RemoteMisses count grid points computed remotely vs. fallen
-		// back to local execution; ResumedShards counts shard assignments
-		// re-fanned out after a coordinator crash + resume.
-		Shards        int64 `json:"shards"`
-		RemoteHits    int64 `json:"remote_hits"`
-		RemoteMisses  int64 `json:"remote_misses"`
-		ResumedShards int64 `json:"resumed_shards"`
-		// Resilience telemetry (schema v1 additions): BreakerOpen is the
-		// current count of workers with an open or half-open breaker;
-		// BreakerTrips/BreakerResets count state transitions; ShardRetries
-		// and Resharded count shard requests and points re-assigned to
-		// survivors after a failure; Hedges/HedgesWon/HedgesLost count
-		// straggler hedging (launched / resolved by the hedge copy /
-		// resolved by the primary after hedging); the AntiEntropy trio
-		// counts reconciliation passes and the points they moved.
-		BreakerOpen       int   `json:"breaker_open"`
-		BreakerTrips      int64 `json:"breaker_trips"`
-		BreakerResets     int64 `json:"breaker_resets"`
-		ShardRetries      int64 `json:"shard_retries"`
-		Resharded         int64 `json:"resharded"`
-		Hedges            int64 `json:"hedges"`
-		HedgesWon         int64 `json:"hedges_won"`
-		HedgesLost        int64 `json:"hedges_lost"`
-		AntiEntropyRuns   int64 `json:"anti_entropy_runs"`
-		AntiEntropyPulled int64 `json:"anti_entropy_pulled"`
-		AntiEntropyPushed int64 `json:"anti_entropy_pushed"`
+		fabric.Stats
 		// ShardsServed counts POST /v1/shard requests this process answered
 		// as a worker.
 		ShardsServed int64 `json:"shards_served"`
@@ -947,12 +914,8 @@ type Stats struct {
 	// Query reports the read-side index over the stored studies, when a
 	// store is attached.
 	Query struct {
-		Enabled    bool  `json:"enabled"`
-		Studies    int   `json:"studies"`
-		Incomplete int   `json:"incomplete"`
-		Rows       int   `json:"rows"`
-		Generation int64 `json:"generation"`
-		Queries    int64 `json:"queries"`
+		Enabled bool `json:"enabled"`
+		query.Stats
 	} `json:"query"`
 	// Exploration reports the adaptive planner and the constraint
 	// pre-filter: configs proven infeasible before characterization,
@@ -981,35 +944,13 @@ func (s *Server) Snapshot() Stats {
 		b := s.opts.Store.Backend()
 		st.Store.Backend = b.Kind()
 		st.Store.Target = b.Target()
-		st.Store.Dir = s.opts.Store.Dir() // deprecated alias of Target
+		st.Store.Dir = s.opts.Store.Dir() // legacy alias of Target
 		st.Store.Hits, st.Store.Misses = s.opts.Store.Stats()
-		h := s.opts.Store.Health()
-		st.Store.Quarantined = h.Quarantined
-		st.Store.MemoDiscards = h.MemoDiscards
-		st.Store.IOErrors = h.IOErrors
-		st.Store.Retries = h.Retries
-		st.Store.Degraded = h.Degraded
+		st.Store.HealthStats = s.opts.Store.Health()
 	}
 	if s.fabric != nil {
-		f := s.fabric.Snapshot()
 		st.Fabric.Enabled = true
-		st.Fabric.Workers = f.Workers
-		st.Fabric.Live = f.Live
-		st.Fabric.Shards = f.Shards
-		st.Fabric.RemoteHits = f.RemoteHits
-		st.Fabric.RemoteMisses = f.RemoteMisses
-		st.Fabric.ResumedShards = f.ResumedShards
-		st.Fabric.BreakerOpen = f.BreakerOpen
-		st.Fabric.BreakerTrips = f.BreakerTrips
-		st.Fabric.BreakerResets = f.BreakerResets
-		st.Fabric.ShardRetries = f.ShardRetries
-		st.Fabric.Resharded = f.Resharded
-		st.Fabric.Hedges = f.Hedges
-		st.Fabric.HedgesWon = f.HedgesWon
-		st.Fabric.HedgesLost = f.HedgesLost
-		st.Fabric.AntiEntropyRuns = f.AntiEntropyRuns
-		st.Fabric.AntiEntropyPulled = f.AntiEntropyPulled
-		st.Fabric.AntiEntropyPushed = f.AntiEntropyPushed
+		st.Fabric.Stats = s.fabric.Snapshot()
 	}
 	st.Fabric.ShardsServed = s.shardsServed.Load()
 	st.Jobs.InFlight = s.inFlight.Load()
@@ -1020,13 +961,8 @@ func (s *Server) Snapshot() Stats {
 	st.Jobs.PointsServed = s.points.Load()
 	st.Jobs.Shed = s.shed.Load()
 	if s.idx != nil {
-		q := s.idx.Stats()
 		st.Query.Enabled = true
-		st.Query.Studies = q.Studies
-		st.Query.Incomplete = q.Incomplete
-		st.Query.Rows = q.Rows
-		st.Query.Generation = q.Generation
-		st.Query.Queries = q.Queries
+		st.Query.Stats = s.idx.Stats()
 	}
 	st.Exploration = core.ReadExplorationStats()
 	st.Async.Workers = s.opts.JobWorkers

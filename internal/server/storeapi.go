@@ -98,42 +98,47 @@ func (s *Server) storeFor503(w http.ResponseWriter) (*store.Store, bool) {
 	return st, true
 }
 
-// handleStorePointGet serves one point record's envelope bytes by content
-// address. Registered as GET, which also answers HEAD ("has") for free.
-func (s *Server) handleStorePointGet(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.storeFor503(w)
-	if !ok {
-		return
+// recordGet serves one record's envelope bytes, looked up by the path
+// value param (a point's content address, a manifest's fingerprint).
+// Registered as GET, which also answers HEAD ("has") for free.
+func (s *Server) recordGet(param, notFound string, export func(*store.Store, string) ([]byte, bool)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		st, ok := s.storeFor503(w)
+		if !ok {
+			return
+		}
+		id := r.PathValue(param)
+		data, ok := export(st, id)
+		if !ok {
+			apiError(w, http.StatusNotFound, codeNotFound, fmt.Errorf(notFound, id))
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		_, _ = w.Write(data)
 	}
-	addr := r.PathValue("addr")
-	data, ok := st.ExportPoint(addr)
-	if !ok {
-		apiError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("no point record at %s", addr))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
 }
 
-// handleStorePointPut verifies and stores one uploaded point record. The
-// record names its own key (and the key hashes to the address), so the
-// path's address is advisory: a mislabeled upload can only collide with
-// itself.
-func (s *Server) handleStorePointPut(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.storeFor503(w)
-	if !ok {
-		return
+// recordPut verifies and stores one uploaded body: a point record, a study
+// manifest, or a memo snapshot. A record names its own identity (a point's
+// key hashes to its address), so the path value is advisory: a mislabeled
+// upload can only collide with itself.
+func (s *Server) recordPut(importRecord func(*store.Store, []byte) (string, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		st, ok := s.storeFor503(w)
+		if !ok {
+			return
+		}
+		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRecordBytes))
+		if err != nil {
+			apiError(w, http.StatusBadRequest, codeStoreCorrupt, err)
+			return
+		}
+		if _, err := importRecord(st, data); err != nil {
+			s.importError(w, err)
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRecordBytes))
-	if err != nil {
-		apiError(w, http.StatusBadRequest, codeStoreCorrupt, err)
-		return
-	}
-	if _, err := st.ImportPoint(data); err != nil {
-		s.importError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // importError maps the store's typed import failures onto the envelope.
@@ -165,28 +170,16 @@ func (s *Server) handleMemoGet(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// handleMemoPut merges an uploaded memo snapshot into the live cache.
+// importMemo merges an uploaded memo snapshot into the live cache.
 // Merge, not replace: entries this process already computed keep their
 // live values, so concurrent peers can exchange snapshots in both
 // directions without losing work.
-func (s *Server) handleMemoPut(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.storeFor503(w); !ok {
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRecordBytes))
-	if err != nil {
-		apiError(w, http.StatusBadRequest, codeStoreCorrupt, err)
-		return
-	}
+func importMemo(_ *store.Store, data []byte) (string, error) {
 	if _, err := nvsim.CheckMemoSnapshot(bytes.NewReader(data)); err != nil {
-		apiError(w, http.StatusBadRequest, codeStoreCorrupt, err)
-		return
+		return "", err
 	}
-	if _, err := nvsim.RestoreMemo(bytes.NewReader(data)); err != nil {
-		apiError(w, http.StatusBadRequest, codeStoreCorrupt, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	_, err := nvsim.RestoreMemo(bytes.NewReader(data))
+	return "", err
 }
 
 // handleStoreStudies lists stored study fingerprints — the remote
@@ -197,40 +190,6 @@ func (s *Server) handleStoreStudies(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, map[string]any{"fingerprints": st.StudyFingerprints()})
-}
-
-// handleStoreStudyGet serves one study manifest's envelope bytes.
-func (s *Server) handleStoreStudyGet(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.storeFor503(w)
-	if !ok {
-		return
-	}
-	fp := r.PathValue("fingerprint")
-	data, ok := st.ExportStudy(fp)
-	if !ok {
-		apiError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("no study record %s", fp))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
-}
-
-// handleStoreStudyPut verifies and stores one uploaded study manifest.
-func (s *Server) handleStoreStudyPut(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.storeFor503(w)
-	if !ok {
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRecordBytes))
-	if err != nil {
-		apiError(w, http.StatusBadRequest, codeStoreCorrupt, err)
-		return
-	}
-	if _, err := st.ImportStudy(data); err != nil {
-		s.importError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // maxDiffAddrs bounds one diff request's address list: at 64 hex chars

@@ -29,7 +29,7 @@ func (s *Store) ExportPoint(addrHex string) ([]byte, bool) {
 	var cp = s.mem[key]
 	s.mu.Unlock()
 	if ok {
-		if data, err := encodePoint(key, cp); err == nil {
+		if data, err := pointKind.codec.encode(pointPayload{Key: key, Point: cp}); err == nil {
 			return data, true
 		}
 	}
@@ -54,13 +54,9 @@ func (s *Store) HasPoint(addrHex string) bool {
 // hashes to the address, so a mislabeled upload can only ever collide with
 // itself.
 func (s *Store) ImportPoint(data []byte) (string, error) {
-	p, status := decodePoint(data, "")
-	switch status {
-	case readOK, readLegacy:
-	case readMissing:
-		return "", ErrUnknownVersion
-	default:
-		return "", ErrCorruptRecord
+	p, status := pointKind.codec.decode(data, "")
+	if err := importError(status); err != nil {
+		return "", err
 	}
 	s.Put(p.Key, p.Point)
 	return p.Key, nil
@@ -72,7 +68,7 @@ func (s *Store) ExportStudy(fingerprint string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	data, err := encodeStudyRecord(rec)
+	data, err := studyKind.codec.encode(rec)
 	if err != nil {
 		return nil, false
 	}
@@ -82,18 +78,23 @@ func (s *Store) ExportStudy(fingerprint string) ([]byte, bool) {
 // ImportStudy verifies one manifest's envelope bytes and saves it,
 // returning its fingerprint.
 func (s *Store) ImportStudy(data []byte) (string, error) {
-	rec, status := decodeStudyRecord(data, "")
+	rec, status := studyKind.codec.decode(data, "")
+	if err := importError(status); err != nil {
+		return "", err
+	}
+	_ = s.SaveStudy(rec) // durability is best-effort, same as SaveStudy callers
+	return rec.Fingerprint, nil
+}
+
+// importError maps a decode status onto the import errors.
+func importError(status readStatus) error {
 	switch status {
 	case readOK:
+		return nil
 	case readMissing:
-		return "", ErrUnknownVersion
-	default:
-		return "", ErrCorruptRecord
+		return ErrUnknownVersion
 	}
-	if err := s.SaveStudy(rec); err != nil {
-		return rec.Fingerprint, nil // durability is best-effort, same as SaveStudy callers
-	}
-	return rec.Fingerprint, nil
+	return ErrCorruptRecord
 }
 
 // StudyFingerprints lists every stored study's fingerprint (mirror ∪

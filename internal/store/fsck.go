@@ -2,19 +2,21 @@ package store
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/nvsim"
 )
 
 // Offline store checking and repair, behind `nvmexplorer fsck`. Fsck walks
 // a store directory — point files, the memo snapshot, the job journal,
-// study manifests — verifying each file the same way the live store does
-// (version dispatch, checksum, address match), and in repair mode
+// study manifests, shard-assignment and sync records — verifying each file
+// through its kind's codec exactly as the live store does (version,
+// checksum, file name), and in repair mode
 // quarantines what is broken and rewrites what is merely stale (legacy
 // pre-checksum point files are upgraded to the current checksummed
 // format). It never touches the live nvsim memo: the memo snapshot is
@@ -37,11 +39,17 @@ type FsckReport struct {
 	// Job journal.
 	JobsIncomplete int `json:"jobs_incomplete"`
 	JobsCorrupt    int `json:"jobs_corrupt"`
+	JobsUnknown    int `json:"jobs_unknown"`    // newer schema than this binary
 	OrphanProgress int `json:"orphan_progress"` // progress files with no job record
 	// OrphanShards counts shard-assignment records with no job record —
 	// what a dead fabric coordinator leaves behind once its job journal is
 	// gone but the fan-out record is not.
 	OrphanShards int `json:"orphan_shards"`
+
+	// Shard-assignment records (DIR/jobs/<id>.shards).
+	ShardsOK      int `json:"shards_ok"`
+	ShardsCorrupt int `json:"shards_corrupt"`
+	ShardsUnknown int `json:"shards_unknown"`
 
 	// Study manifests.
 	StudiesOK      int `json:"studies_ok"`
@@ -51,6 +59,7 @@ type FsckReport struct {
 	// Anti-entropy sync records (DIR/sync/).
 	SyncOK      int `json:"sync_ok"`
 	SyncCorrupt int `json:"sync_corrupt"`
+	SyncUnknown int `json:"sync_unknown"`
 
 	// Repair actions taken (repair mode only).
 	Repaired    int `json:"repaired"`    // legacy points rewritten to the current format
@@ -62,17 +71,20 @@ type FsckReport struct {
 // are stale, not wrong).
 func (r *FsckReport) Clean() bool {
 	return r.PointsCorrupt == 0 && !r.MemoCorrupt && r.JobsCorrupt == 0 && r.OrphanProgress == 0 &&
-		r.OrphanShards == 0 && r.StudiesCorrupt == 0 && r.SyncCorrupt == 0
+		r.OrphanShards == 0 && r.ShardsCorrupt == 0 && r.StudiesCorrupt == 0 && r.SyncCorrupt == 0
 }
 
 // Summary renders the report for terminal output.
 func (r *FsckReport) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "points: %d ok, %d legacy, %d corrupt", r.PointsOK, r.PointsLegacy, r.PointsCorrupt)
-	if r.PointsUnknown > 0 {
-		fmt.Fprintf(&b, ", %d unknown-version (left in place)", r.PointsUnknown)
+	unknown := func(n int) {
+		if n > 0 {
+			fmt.Fprintf(&b, ", %d unknown-version (left in place)", n)
+		}
+		b.WriteString("\n")
 	}
-	b.WriteString("\n")
+	fmt.Fprintf(&b, "points: %d ok, %d legacy, %d corrupt", r.PointsOK, r.PointsLegacy, r.PointsCorrupt)
+	unknown(r.PointsUnknown)
 	switch {
 	case !r.MemoPresent:
 		b.WriteString("memo: no snapshot\n")
@@ -81,15 +93,18 @@ func (r *FsckReport) Summary() string {
 	default:
 		fmt.Fprintf(&b, "memo: snapshot ok (%d entries)\n", r.MemoEntries)
 	}
-	fmt.Fprintf(&b, "journal: %d incomplete job(s), %d corrupt, %d orphan progress file(s), %d orphan shard record(s)\n",
+	fmt.Fprintf(&b, "journal: %d incomplete job(s), %d corrupt, %d orphan progress file(s), %d orphan shard record(s)",
 		r.JobsIncomplete, r.JobsCorrupt, r.OrphanProgress, r.OrphanShards)
-	fmt.Fprintf(&b, "studies: %d ok, %d corrupt", r.StudiesOK, r.StudiesCorrupt)
-	if r.StudiesUnknown > 0 {
-		fmt.Fprintf(&b, ", %d unknown-version (left in place)", r.StudiesUnknown)
+	unknown(r.JobsUnknown)
+	if r.ShardsOK+r.ShardsCorrupt+r.ShardsUnknown > 0 {
+		fmt.Fprintf(&b, "shards: %d record(s), %d corrupt", r.ShardsOK, r.ShardsCorrupt)
+		unknown(r.ShardsUnknown)
 	}
-	b.WriteString("\n")
-	if r.SyncOK+r.SyncCorrupt > 0 {
-		fmt.Fprintf(&b, "sync: %d record(s), %d corrupt\n", r.SyncOK, r.SyncCorrupt)
+	fmt.Fprintf(&b, "studies: %d ok, %d corrupt", r.StudiesOK, r.StudiesCorrupt)
+	unknown(r.StudiesUnknown)
+	if r.SyncOK+r.SyncCorrupt+r.SyncUnknown > 0 {
+		fmt.Fprintf(&b, "sync: %d record(s), %d corrupt", r.SyncOK, r.SyncCorrupt)
+		unknown(r.SyncUnknown)
 	}
 	if r.Repaired+r.Quarantined+r.Removed > 0 {
 		fmt.Fprintf(&b, "repair: %d rewritten, %d quarantined, %d removed\n",
@@ -102,6 +117,18 @@ func (r *FsckReport) Summary() string {
 // filesystem.
 func Fsck(dir string, repair bool) (*FsckReport, error) {
 	return FsckFS(dir, DiskFS, repair)
+}
+
+// fsckKind is one registered record kind as fsck scans it: its files,
+// its checker, and the report counters it feeds. live, when set, collects
+// the names of records that are not corrupt (for the orphan pass); upgrade,
+// points only, turns a v1 pre-checksum file into current-format bytes.
+type fsckKind struct {
+	layout
+	check                func(data []byte, name string) readStatus
+	ok, corrupt, unknown *int
+	live                 map[string]bool
+	upgrade              func(data []byte, name string) ([]byte, readStatus)
 }
 
 // FsckFS is Fsck with an explicit filesystem (tests).
@@ -117,146 +144,94 @@ func FsckFS(dir string, fsys FS, repair bool) (*FsckReport, error) {
 	}
 	lb := newLocalBackend(dir, fsys)
 	rep := &FsckReport{}
-	if err := lb.fsckPoints(rep, repair); err != nil {
-		return nil, err
+	jobs, shards := map[string]bool{}, map[string]bool{}
+	for _, k := range []fsckKind{
+		{pointKind.layout, pointKind.check, &rep.PointsOK, &rep.PointsCorrupt, &rep.PointsUnknown, nil, upgradeV1Point},
+		{studyKind.layout, studyKind.check, &rep.StudiesOK, &rep.StudiesCorrupt, &rep.StudiesUnknown, nil, nil},
+		{jobKind.layout, jobKind.check, &rep.JobsIncomplete, &rep.JobsCorrupt, &rep.JobsUnknown, jobs, nil},
+		{shardKind.layout, shardKind.check, &rep.ShardsOK, &rep.ShardsCorrupt, &rep.ShardsUnknown, shards, nil},
+		{syncKind.layout, syncKind.check, &rep.SyncOK, &rep.SyncCorrupt, &rep.SyncUnknown, nil, nil},
+	} {
+		if err := lb.fsckScan(k, rep, repair); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
 	}
 	if err := lb.fsckMemo(rep, repair); err != nil {
 		return nil, err
 	}
-	if err := lb.fsckJobs(rep, repair); err != nil {
-		return nil, err
+	if err := lb.fsckOrphans(rep, jobs, shards, repair); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	if err := lb.fsckStudies(rep, repair); err != nil {
-		return nil, err
-	}
-	if err := lb.fsckSync(rep, repair); err != nil {
-		return nil, err
-	}
+	rep.Quarantined = int(lb.h.quarantined.Load())
 	return rep, nil
 }
 
-func (lb *localBackend) fsckSync(rep *FsckReport, repair bool) error {
-	ents, err := lb.fs.ReadDir(lb.syncDir())
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".gob") {
-			continue
-		}
-		path := filepath.Join(lb.syncDir(), name)
+// fsckScan checks every file of one kind: ok and unknown-version records
+// are counted and left alone, corrupt ones (torn, bit-flipped, or at the
+// wrong file name) are counted and, in repair mode, quarantined.
+func (lb *localBackend) fsckScan(k fsckKind, rep *FsckReport, repair bool) error {
+	var readErr error
+	err := lb.scanDir(k.layout, func(path, name string) {
 		data, err := lb.fs.ReadFile(path)
 		if err != nil {
-			return fmt.Errorf("store: %w", err)
+			readErr = errors.Join(readErr, err)
+			return
 		}
-		if _, status := decodeSyncRecord(data); status == readOK {
-			rep.SyncOK++
-		} else {
-			rep.SyncCorrupt++
-			if repair {
-				lb.quarantine(path)
+		status := k.check(data, name)
+		if status == readMissing && k.upgrade != nil {
+			out, st := k.upgrade(data, name)
+			if st == readOK {
+				rep.PointsLegacy++
+				if repair && lb.fs.WriteFileAtomic(path, out) == nil {
+					rep.Repaired++
+				}
+				return
 			}
-		}
-	}
-	rep.Quarantined = int(lb.h.quarantined.Load())
-	return nil
-}
-
-func (lb *localBackend) fsckStudies(rep *FsckReport, repair bool) error {
-	ents, err := lb.fs.ReadDir(lb.studiesDir())
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".gob") {
-			continue
-		}
-		path := filepath.Join(lb.studiesDir(), name)
-		data, err := lb.fs.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		rec, status := decodeStudyRecord(data, "")
-		// A manifest at the wrong filename (copied or renamed) would never
-		// load by its fingerprint: corrupt.
-		if status == readOK && name != rec.Fingerprint+".gob" {
-			status = readCorrupt
+			status = st
 		}
 		switch status {
-		case readOK:
-			rep.StudiesOK++
 		case readCorrupt:
-			rep.StudiesCorrupt++
+			*k.corrupt++
 			if repair {
 				lb.quarantine(path)
 			}
-		case readMissing:
-			rep.StudiesUnknown++
+			return
+		case readOK:
+			*k.ok++
+		default:
+			*k.unknown++
 		}
-	}
-	rep.Quarantined = int(lb.h.quarantined.Load())
-	return nil
+		if k.live != nil {
+			k.live[name] = true
+		}
+	})
+	return errors.Join(err, readErr)
 }
 
-func (lb *localBackend) fsckPoints(rep *FsckReport, repair bool) error {
-	root := filepath.Join(lb.dir, "points")
-	shards, err := lb.fs.ReadDir(root)
+// recordV1 is the legacy (pre-checksum) point file: the record gob-encoded
+// whole, key-verified but unsummed.
+type recordV1 struct {
+	Version string
+	Key     string
+	Point   core.CachedPoint
+}
+
+// upgradeV1Point re-encodes a v1 point file found at name in the current
+// format. A v1 record at the wrong address is corrupt; anything that is
+// not v1 stays an unknown version.
+func upgradeV1Point(data []byte, name string) ([]byte, readStatus) {
+	var rec recordV1
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil || rec.Version != recordVersionV1 {
+		return nil, readMissing
+	}
+	if addr(rec.Key) != name {
+		return nil, readCorrupt
+	}
+	out, err := pointKind.codec.encode(pointPayload{Key: rec.Key, Point: rec.Point})
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return nil, readCorrupt
 	}
-	for _, sh := range shards {
-		if !sh.IsDir() {
-			continue
-		}
-		shardDir := filepath.Join(root, sh.Name())
-		ents, err := lb.fs.ReadDir(shardDir)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		for _, ent := range ents {
-			name := ent.Name()
-			if ent.IsDir() || !strings.HasSuffix(name, ".gob") {
-				continue
-			}
-			path := filepath.Join(shardDir, name)
-			data, err := lb.fs.ReadFile(path)
-			if err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-			p, status := decodePoint(data, "")
-			// A record that decodes but sits at the wrong address (a copied
-			// or renamed file) would never verify on read: corrupt.
-			if status == readOK || status == readLegacy {
-				if name != addr(p.Key)+".gob" {
-					status = readCorrupt
-				}
-			}
-			switch status {
-			case readOK:
-				rep.PointsOK++
-			case readLegacy:
-				rep.PointsLegacy++
-				if repair {
-					if out, err := encodePoint(p.Key, p.Point); err == nil {
-						if err := lb.fs.WriteFileAtomic(path, out); err == nil {
-							rep.Repaired++
-						}
-					}
-				}
-			case readCorrupt:
-				rep.PointsCorrupt++
-				if repair {
-					lb.quarantine(path)
-				}
-			case readMissing:
-				rep.PointsUnknown++
-			}
-		}
-	}
-	rep.Quarantined = int(lb.h.quarantined.Load())
-	return nil
+	return out, readOK
 }
 
 func (lb *localBackend) fsckMemo(rep *FsckReport, repair bool) error {
@@ -277,71 +252,31 @@ func (lb *localBackend) fsckMemo(rep *FsckReport, repair bool) error {
 	} else {
 		rep.MemoEntries = n
 	}
-	rep.Quarantined = int(lb.h.quarantined.Load())
 	return nil
 }
 
-func (lb *localBackend) fsckJobs(rep *FsckReport, repair bool) error {
-	ents, err := lb.fs.ReadDir(lb.jobsDir())
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	jobs := map[string]bool{}
-	var progress, shards []string
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() {
-			continue
-		}
-		path := filepath.Join(lb.jobsDir(), name)
-		switch {
-		case strings.HasSuffix(name, ".job"):
-			data, err := lb.fs.ReadFile(path)
-			if err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-			rec, status := decodeJobRecord(data)
-			switch status {
-			case readOK:
-				rep.JobsIncomplete++
-				jobs[rec.ID] = true
-			case readCorrupt:
-				rep.JobsCorrupt++
-				if repair {
-					lb.quarantine(path)
-				}
-			}
-		case strings.HasSuffix(name, ".progress"):
-			progress = append(progress, strings.TrimSuffix(name, ".progress"))
-		case strings.HasSuffix(name, ".shards"):
-			shards = append(shards, strings.TrimSuffix(name, ".shards"))
-		}
-	}
-	for _, id := range progress {
-		if jobs[id] {
-			continue
-		}
-		rep.OrphanProgress++
-		if repair {
-			if err := lb.fs.Remove(lb.progressPath(id)); err == nil {
-				rep.Removed++
-			}
-		}
-	}
-	// A shard record whose job journal is gone belongs to a coordinator
-	// that died after its job reached a terminal state mid-cleanup (or to
-	// a journal quarantined above): nothing will ever resume it.
-	for _, id := range shards {
+// fsckOrphans finds the job-side files no job record owns: progress files
+// and (non-corrupt) shard-assignment records whose job is gone — what a
+// coordinator that died mid-cleanup leaves behind, or what a quarantined
+// job record strands. Nothing will ever resume them; repair removes them.
+// A job record of an unknown version still owns its files.
+func (lb *localBackend) fsckOrphans(rep *FsckReport, jobs, shards map[string]bool, repair bool) error {
+	for id := range shards {
 		if jobs[id] {
 			continue
 		}
 		rep.OrphanShards++
-		if repair {
-			if err := lb.fs.Remove(lb.shardsPath(id)); err == nil {
-				rep.Removed++
-			}
+		if repair && lb.fs.Remove(shardKind.path(lb.dir, id)) == nil {
+			rep.Removed++
 		}
 	}
-	rep.Quarantined = int(lb.h.quarantined.Load())
-	return nil
+	return lb.scanDir(progressFiles, func(path, name string) {
+		if jobs[name] {
+			return
+		}
+		rep.OrphanProgress++
+		if repair && lb.fs.Remove(path) == nil {
+			rep.Removed++
+		}
+	})
 }

@@ -1,11 +1,7 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"hash/crc32"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,45 +59,18 @@ type JobRecord struct {
 	Completed int
 }
 
-// encodeJobRecord builds the on-disk bytes for one job record.
-func encodeJobRecord(rec JobRecord) ([]byte, error) {
-	rec.Version = journalVersion
-	rec.Completed = 0
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&rec); err != nil {
-		return nil, err
+// jobKind registers job records: DIR/jobs/<id>.job. progressFiles is
+// where each job's completion records accumulate, next to it.
+var (
+	jobKind = &kind[JobRecord]{
+		layout: layout{dir: "jobs", suffix: ".job"},
+		codec:  codec[JobRecord]{version: journalVersion, id: jobID},
+		name:   jobID,
 	}
-	var out bytes.Buffer
-	env := envelope{Version: journalVersion, Sum: crc32.ChecksumIEEE(payload.Bytes()), Payload: payload.Bytes()}
-	if err := gob.NewEncoder(&out).Encode(&env); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}
+	progressFiles = layout{dir: "jobs", suffix: ".progress"}
+)
 
-// decodeJobRecord verifies and decodes one job file's bytes.
-func decodeJobRecord(data []byte) (JobRecord, readStatus) {
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
-		return JobRecord{}, readCorrupt
-	}
-	switch env.Version {
-	case journalVersion:
-		if crc32.ChecksumIEEE(env.Payload) != env.Sum {
-			return JobRecord{}, readCorrupt
-		}
-		var rec JobRecord
-		if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&rec); err != nil {
-			return JobRecord{}, readCorrupt
-		}
-		return rec, readOK
-	case "":
-		return JobRecord{}, readCorrupt
-	default:
-		// A schema this binary doesn't know: skip, don't destroy.
-		return JobRecord{}, readMissing
-	}
-}
+func jobID(rec *JobRecord) string { return rec.ID }
 
 // journalEnabled reports whether this store journals at all. The journal
 // is a coordinator-local crash-recovery concern, so only a healthy local
@@ -118,16 +87,9 @@ func (s *Store) JournalJob(rec JobRecord) error {
 	if !s.journalEnabled() {
 		return nil
 	}
-	lb := s.local
-	data, err := encodeJobRecord(rec)
-	if err != nil {
-		return err
-	}
-	if err := lb.fs.MkdirAll(lb.jobsDir()); err != nil {
-		lb.h.fail("disk", "mkdir "+lb.jobsDir(), err)
-		return err
-	}
-	return lb.writeFileRetry(lb.jobPath(rec.ID), data)
+	rec.Version = journalVersion
+	rec.Completed = 0
+	return writeRecord(s.local, jobKind, rec)
 }
 
 // JournalPoint appends one per-point completion record. Best-effort: a
@@ -156,46 +118,40 @@ func (s *Store) JournalDone(id string) {
 		return
 	}
 	lb := s.local
-	_ = lb.fs.Remove(lb.jobPath(id))
+	_ = lb.fs.Remove(jobKind.path(lb.dir, id))
 	_ = lb.fs.Remove(lb.progressPath(id))
-	_ = lb.fs.Remove(lb.shardsPath(id))
+	_ = lb.fs.Remove(shardKind.path(lb.dir, id))
 }
 
 // IncompleteJobs replays the journal: every job record left on disk, in
 // submission (ID-sequence) order, with Completed filled from its progress
-// file. Corrupt records are quarantined and skipped — a damaged journal
-// must never block startup.
+// file. Corrupt records — a job record copied to another job's file name
+// included — are quarantined and skipped, and unknown versions are
+// skipped and left in place: a damaged journal must never block startup,
+// nor replay one job twice.
 func (s *Store) IncompleteJobs() []JobRecord {
 	if !s.journalEnabled() {
 		return nil
 	}
 	lb := s.local
-	ents, err := lb.fs.ReadDir(lb.jobsDir())
+	var recs []JobRecord
+	err := lb.scanDir(jobKind.layout, func(path, name string) {
+		data, status := lb.readFileRetry(path)
+		if status != readOK {
+			return
+		}
+		rec, status := jobKind.read(data, name)
+		switch status {
+		case readOK:
+			rec.Completed = s.progressCount(rec.ID)
+			recs = append(recs, rec)
+		case readCorrupt:
+			lb.quarantine(path)
+		}
+	})
 	if err != nil {
 		lb.h.fail("disk", "readdir "+lb.jobsDir(), err)
 		return nil
-	}
-	var recs []JobRecord
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".job") {
-			continue
-		}
-		path := filepath.Join(lb.jobsDir(), name)
-		data, status := lb.readFileRetry(path)
-		if status != readOK {
-			continue
-		}
-		rec, status := decodeJobRecord(data)
-		if status == readCorrupt {
-			lb.quarantine(path)
-			continue
-		}
-		if status != readOK {
-			continue
-		}
-		rec.Completed = s.progressCount(rec.ID)
-		recs = append(recs, rec)
 	}
 	sort.Slice(recs, func(i, k int) bool {
 		return jobSeq(recs[i].ID) < jobSeq(recs[k].ID)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -37,29 +36,11 @@ func (lb *localBackend) memoPath() string { return filepath.Join(lb.dir, "memo.g
 
 // pointPath shards point files by the first hash byte to keep directory
 // listings manageable under large campaigns.
-func (lb *localBackend) pointPath(sum string) string {
-	return filepath.Join(lb.dir, "points", sum[:2], sum+".gob")
-}
-
-func (lb *localBackend) studiesDir() string { return filepath.Join(lb.dir, "studies") }
-
-func (lb *localBackend) studyPath(fingerprint string) string {
-	return filepath.Join(lb.studiesDir(), fingerprint+".gob")
-}
+func (lb *localBackend) pointPath(sum string) string { return pointKind.path(lb.dir, sum) }
 
 func (lb *localBackend) jobsDir() string { return filepath.Join(lb.dir, "jobs") }
 
-func (lb *localBackend) jobPath(id string) string {
-	return filepath.Join(lb.jobsDir(), id+".job")
-}
-
-func (lb *localBackend) progressPath(id string) string {
-	return filepath.Join(lb.jobsDir(), id+".progress")
-}
-
-func (lb *localBackend) shardsPath(id string) string {
-	return filepath.Join(lb.jobsDir(), id+".shards")
-}
+func (lb *localBackend) progressPath(id string) string { return progressFiles.path(lb.dir, id) }
 
 // quarantine moves a corrupt or foreign file into DIR/.corrupt/ so it can
 // never crash (or slow) another run, while staying available for forensics.
@@ -116,42 +97,17 @@ func (lb *localBackend) writeFileRetry(path string, data []byte) error {
 	return err
 }
 
-// ReadPoint loads and verifies one point file. Any failure is a miss:
-// absence silently, I/O errors after a retry (feeding the degradation
-// tracker), and corruption — torn write, checksum mismatch, schema drift,
-// hash collision — after quarantining the file so it never costs another
-// read.
+// ReadPoint loads and verifies one point file (see readRecord).
 func (lb *localBackend) ReadPoint(key string) (core.CachedPoint, bool) {
-	path := lb.pointPath(addr(key))
-	data, status := lb.readFileRetry(path)
-	if status != readOK {
-		return core.CachedPoint{}, false
-	}
-	p, status := decodePoint(data, key)
-	switch status {
-	case readOK, readLegacy:
-		lb.h.ok()
-		return p.Point, true
-	case readCorrupt:
-		lb.quarantine(path)
-	}
-	return core.CachedPoint{}, false
+	p, ok := readRecord(lb, pointKind, addr(key), key)
+	return p.Point, ok
 }
 
 func (lb *localBackend) WritePoint(key string, pt core.CachedPoint) error {
 	if !lb.enabled() {
 		return nil
 	}
-	path := lb.pointPath(addr(key))
-	data, err := encodePoint(key, pt)
-	if err != nil {
-		return err
-	}
-	if err := lb.fs.MkdirAll(filepath.Dir(path)); err != nil {
-		lb.h.fail("disk", "mkdir "+filepath.Dir(path), err)
-		return err
-	}
-	return lb.writeFileRetry(path, data)
+	return writeRecord(lb, pointKind, pointPayload{Key: key, Point: pt})
 }
 
 // ExportPoint returns the raw envelope bytes of one record by content
@@ -162,10 +118,7 @@ func (lb *localBackend) ExportPoint(addrHex string) ([]byte, bool) {
 		return nil, false
 	}
 	data, status := lb.readFileRetry(lb.pointPath(addrHex))
-	if status != readOK {
-		return nil, false
-	}
-	return data, true
+	return data, status == readOK
 }
 
 func (lb *localBackend) LoadMemo() ([]byte, bool) {
@@ -173,10 +126,7 @@ func (lb *localBackend) LoadMemo() ([]byte, bool) {
 		return nil, false
 	}
 	data, err := lb.fs.ReadFile(lb.memoPath())
-	if err != nil {
-		return nil, false
-	}
-	return data, true
+	return data, err == nil
 }
 
 func (lb *localBackend) DiscardMemo() {
@@ -192,27 +142,8 @@ func (lb *localBackend) PointAddrs() []string {
 	if !lb.enabled() {
 		return nil
 	}
-	shards, err := lb.fs.ReadDir(filepath.Join(lb.dir, "points"))
-	if err != nil {
-		return nil
-	}
 	var addrs []string
-	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
-		}
-		ents, err := lb.fs.ReadDir(filepath.Join(lb.dir, "points", shard.Name()))
-		if err != nil {
-			continue
-		}
-		for _, ent := range ents {
-			name := ent.Name()
-			if ent.IsDir() || !strings.HasSuffix(name, ".gob") {
-				continue
-			}
-			addrs = append(addrs, strings.TrimSuffix(name, ".gob"))
-		}
-	}
+	_ = lb.scanDir(pointKind.layout, func(_, name string) { addrs = append(addrs, name) }) // see above
 	return addrs
 }
 
@@ -227,53 +158,24 @@ func (lb *localBackend) WriteStudy(rec StudyRecord) error {
 	if !lb.enabled() {
 		return nil
 	}
-	data, err := encodeStudyRecord(rec)
-	if err != nil {
-		return err
-	}
-	if err := lb.fs.MkdirAll(lb.studiesDir()); err != nil {
-		lb.h.fail("disk", "mkdir "+lb.studiesDir(), err)
-		return err
-	}
-	return lb.writeFileRetry(lb.studyPath(rec.Fingerprint), data)
+	return writeRecord(lb, studyKind, rec)
 }
 
 func (lb *localBackend) ReadStudy(fingerprint string) (StudyRecord, bool) {
 	if !lb.enabled() {
 		return StudyRecord{}, false
 	}
-	path := lb.studyPath(fingerprint)
-	data, status := lb.readFileRetry(path)
-	if status != readOK {
-		return StudyRecord{}, false
-	}
-	rec, status := decodeStudyRecord(data, fingerprint)
-	switch status {
-	case readOK:
-		lb.h.ok()
-		return rec, true
-	case readCorrupt:
-		lb.quarantine(path)
-	}
-	return StudyRecord{}, false
+	return readRecord(lb, studyKind, fingerprint, fingerprint)
 }
 
 func (lb *localBackend) StudyFingerprints() []string {
 	if !lb.enabled() {
 		return nil
 	}
-	ents, err := lb.fs.ReadDir(lb.studiesDir())
-	if err != nil {
-		return nil
-	}
 	var fps []string
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".gob") {
-			continue
-		}
-		fps = append(fps, strings.TrimSuffix(name, ".gob"))
-	}
+	// An unreadable directory lists no manifests; the in-memory mirror
+	// still answers.
+	_ = lb.scanDir(studyKind.layout, func(_, name string) { fps = append(fps, name) })
 	return fps
 }
 

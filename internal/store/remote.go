@@ -159,62 +159,79 @@ func (rb *remoteBackend) do(method, path string, body []byte) ([]byte, readStatu
 	return nil, readIOError
 }
 
-// ReadPoint fetches and verifies one point record. The CRC + key check on
+// fetchRecord fetches and verifies one record. The CRC + identity check on
 // the response body is what catches torn or mangled HTTP responses — a
 // corrupt body is dropped (counted as quarantined) and reads as a miss,
 // exactly like a corrupt file.
-func (rb *remoteBackend) ReadPoint(key string) (core.CachedPoint, bool) {
-	if !rb.enabled() {
-		return core.CachedPoint{}, false
+func fetchRecord[T any](rb *remoteBackend, c codec[T], path, wantID string) (T, bool) {
+	var zero T
+	data, ok := rb.get(path)
+	if !ok {
+		return zero, false
 	}
-	data, status := rb.do(http.MethodGet, "/v1/store/points/"+addr(key), nil)
-	if status != readOK {
-		return core.CachedPoint{}, false
-	}
-	p, status := decodePoint(data, key)
+	rec, status := c.decode(data, wantID)
 	switch status {
-	case readOK, readLegacy:
+	case readOK:
 		rb.h.ok()
-		return p.Point, true
+		return rec, true
 	case readCorrupt:
 		rb.h.quarantined.Add(1)
 	}
-	return core.CachedPoint{}, false
+	return zero, false
 }
 
-func (rb *remoteBackend) WritePoint(key string, pt core.CachedPoint) error {
+// ReadPoint fetches and verifies one point record (see fetchRecord).
+func (rb *remoteBackend) ReadPoint(key string) (core.CachedPoint, bool) {
+	p, ok := fetchRecord(rb, pointKind.codec, "/v1/store/points/"+addr(key), key)
+	return p.Point, ok
+}
+
+// get fetches one body; false on a degraded backend, a miss, or a failure
+// (do already retried and fed the degradation tracker).
+func (rb *remoteBackend) get(path string) ([]byte, bool) {
+	if !rb.enabled() {
+		return nil, false
+	}
+	data, status := rb.do(http.MethodGet, path, nil)
+	return data, status == readOK
+}
+
+// putRecord encodes and uploads one record.
+func putRecord[T any](rb *remoteBackend, c codec[T], path string, rec T) error {
 	if !rb.enabled() {
 		return nil
 	}
-	data, err := encodePoint(key, pt)
+	data, err := c.encode(rec)
 	if err != nil {
 		return err
 	}
-	if _, status := rb.do(http.MethodPut, "/v1/store/points/"+addr(key), data); status != readOK {
-		return fmt.Errorf("store: remote put failed")
+	return rb.put(path, data)
+}
+
+// put uploads one body; do already retried and fed the degradation tracker.
+func (rb *remoteBackend) put(path string, data []byte) error {
+	if _, status := rb.do(http.MethodPut, path, data); status != readOK {
+		return fmt.Errorf("store: remote PUT %s failed", path)
 	}
 	rb.h.ok()
 	return nil
 }
 
+func (rb *remoteBackend) WritePoint(key string, pt core.CachedPoint) error {
+	return putRecord(rb, pointKind.codec, "/v1/store/points/"+addr(key), pointPayload{Key: key, Point: pt})
+}
+
 func (rb *remoteBackend) ExportPoint(addrHex string) ([]byte, bool) {
-	if !rb.enabled() {
-		return nil, false
+	data, ok := rb.get("/v1/store/points/" + addrHex)
+	if ok {
+		rb.h.ok()
 	}
-	data, status := rb.do(http.MethodGet, "/v1/store/points/"+addrHex, nil)
-	if status != readOK {
-		return nil, false
-	}
-	rb.h.ok()
-	return data, true
+	return data, ok
 }
 
 func (rb *remoteBackend) LoadMemo() ([]byte, bool) {
-	if !rb.enabled() {
-		return nil, false
-	}
-	data, status := rb.do(http.MethodGet, "/v1/store/memo", nil)
-	if status != readOK || len(data) == 0 {
+	data, ok := rb.get("/v1/store/memo")
+	if !ok || len(data) == 0 {
 		return nil, false
 	}
 	rb.h.ok()
@@ -233,51 +250,20 @@ func (rb *remoteBackend) SaveMemo(data []byte) error {
 	if !rb.enabled() {
 		return nil
 	}
-	if _, status := rb.do(http.MethodPut, "/v1/store/memo", data); status != readOK {
-		return fmt.Errorf("store: remote memo put failed")
-	}
-	rb.h.ok()
-	return nil
+	return rb.put("/v1/store/memo", data)
 }
 
 func (rb *remoteBackend) WriteStudy(rec StudyRecord) error {
-	if !rb.enabled() {
-		return nil
-	}
-	data, err := encodeStudyRecord(rec)
-	if err != nil {
-		return err
-	}
-	if _, status := rb.do(http.MethodPut, "/v1/store/studies/"+rec.Fingerprint, data); status != readOK {
-		return fmt.Errorf("store: remote study put failed")
-	}
-	rb.h.ok()
-	return nil
+	return putRecord(rb, studyKind.codec, "/v1/store/studies/"+rec.Fingerprint, rec)
 }
 
 func (rb *remoteBackend) ReadStudy(fingerprint string) (StudyRecord, bool) {
-	if !rb.enabled() {
-		return StudyRecord{}, false
-	}
-	data, status := rb.do(http.MethodGet, "/v1/store/studies/"+fingerprint, nil)
-	if status != readOK {
-		return StudyRecord{}, false
-	}
-	rec, st := decodeStudyRecord(data, fingerprint)
-	if st != readOK {
-		rb.h.quarantined.Add(1)
-		return StudyRecord{}, false
-	}
-	rb.h.ok()
-	return rec, true
+	return fetchRecord(rb, studyKind.codec, "/v1/store/studies/"+fingerprint, fingerprint)
 }
 
 func (rb *remoteBackend) StudyFingerprints() []string {
-	if !rb.enabled() {
-		return nil
-	}
-	data, status := rb.do(http.MethodGet, "/v1/store/studies", nil)
-	if status != readOK {
+	data, ok := rb.get("/v1/store/studies")
+	if !ok {
 		return nil
 	}
 	var body struct {

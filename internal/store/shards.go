@@ -1,10 +1,8 @@
 package store
 
 import (
-	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/core"
 )
@@ -44,39 +42,24 @@ type ShardPoint struct {
 	Point core.CachedPoint
 }
 
+// shardWire frames shard response payloads.
+var shardWire = codec[[]ShardPoint]{version: shardWireVersion}
+
 // EncodeShardPoints frames a shard response payload.
-func EncodeShardPoints(pts []ShardPoint) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(pts); err != nil {
-		return nil, err
-	}
-	var out bytes.Buffer
-	env := envelope{Version: shardWireVersion, Sum: crc32.ChecksumIEEE(payload.Bytes()), Payload: payload.Bytes()}
-	if err := gob.NewEncoder(&out).Encode(&env); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}
+func EncodeShardPoints(pts []ShardPoint) ([]byte, error) { return shardWire.encode(pts) }
 
 // DecodeShardPoints verifies and decodes a shard response payload. Any
 // corruption — torn body, checksum mismatch, wrong version — is an error;
 // the coordinator treats the whole shard as lost and computes it locally.
 func DecodeShardPoints(data []byte) ([]ShardPoint, error) {
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
-		return nil, fmt.Errorf("store: torn shard payload: %w", err)
+	pts, status := shardWire.decode(data, "")
+	switch status {
+	case readOK:
+		return pts, nil
+	case readMissing:
+		return nil, fmt.Errorf("store: shard payload version mismatch (want %q)", shardWireVersion)
 	}
-	if env.Version != shardWireVersion {
-		return nil, fmt.Errorf("store: shard payload version %q (want %q)", env.Version, shardWireVersion)
-	}
-	if crc32.ChecksumIEEE(env.Payload) != env.Sum {
-		return nil, fmt.Errorf("store: shard payload checksum mismatch")
-	}
-	var pts []ShardPoint
-	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&pts); err != nil {
-		return nil, fmt.Errorf("store: corrupt shard payload: %w", err)
-	}
-	return pts, nil
+	return nil, errors.New("store: corrupt shard payload")
 }
 
 // ShardAssign is one worker's slice of a sharded study.
@@ -93,55 +76,32 @@ type ShardRecord struct {
 	Assigns     []ShardAssign
 }
 
+// shardKind registers shard-assignment records: DIR/jobs/<id>.shards,
+// next to the job's own record.
+var shardKind = &kind[ShardRecord]{
+	layout: layout{dir: "jobs", suffix: ".shards"},
+	codec:  codec[ShardRecord]{version: shardJournalVersion, id: shardJobID},
+	name:   shardJobID,
+}
+
+func shardJobID(rec *ShardRecord) string { return rec.ID }
+
 // JournalShards durably records a job's shard assignment before fan-out.
 // Local-journaling stores only; elsewhere a no-op, like the job journal.
 func (s *Store) JournalShards(rec ShardRecord) error {
 	if !s.journalEnabled() {
 		return nil
 	}
-	lb := s.local
 	rec.Version = shardJournalVersion
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&rec); err != nil {
-		return err
-	}
-	var out bytes.Buffer
-	env := envelope{Version: shardJournalVersion, Sum: crc32.ChecksumIEEE(payload.Bytes()), Payload: payload.Bytes()}
-	if err := gob.NewEncoder(&out).Encode(&env); err != nil {
-		return err
-	}
-	if err := lb.fs.MkdirAll(lb.jobsDir()); err != nil {
-		lb.h.fail("disk", "mkdir "+lb.jobsDir(), err)
-		return err
-	}
-	return lb.writeFileRetry(lb.shardsPath(rec.ID), out.Bytes())
+	return writeRecord(s.local, shardKind, rec)
 }
 
 // LoadShards returns a job's journaled shard assignment, if one exists.
-// Corrupt records are quarantined and read as absent.
+// Corrupt records are quarantined and read as absent; unknown versions
+// read as absent and are left in place.
 func (s *Store) LoadShards(id string) (ShardRecord, bool) {
 	if !s.journalEnabled() {
 		return ShardRecord{}, false
 	}
-	lb := s.local
-	path := lb.shardsPath(id)
-	data, status := lb.readFileRetry(path)
-	if status != readOK {
-		return ShardRecord{}, false
-	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
-		lb.quarantine(path)
-		return ShardRecord{}, false
-	}
-	if env.Version != shardJournalVersion || crc32.ChecksumIEEE(env.Payload) != env.Sum {
-		lb.quarantine(path)
-		return ShardRecord{}, false
-	}
-	var rec ShardRecord
-	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&rec); err != nil {
-		lb.quarantine(path)
-		return ShardRecord{}, false
-	}
-	return rec, true
+	return readRecord(s.local, shardKind, id, id)
 }

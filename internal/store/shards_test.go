@@ -149,9 +149,9 @@ func TestShardJournalQuarantinesCorruptRecord(t *testing.T) {
 		t.Fatal("corrupt shard record left in place")
 	}
 
-	// A record with a valid envelope but a foreign version is also
-	// quarantined: the journal is this binary's private state, unlike
-	// point records which may be shared with newer binaries.
+	// A record with a valid envelope but a foreign version is not loaded
+	// either. Like every record kind, it is left in place rather than
+	// quarantined: a newer binary sharing the directory may own it.
 	rec := testShardRecord("job-vers")
 	if err := st.JournalShards(rec); err != nil {
 		t.Fatal(err)

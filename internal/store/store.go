@@ -37,10 +37,8 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"log"
 	"path/filepath"
 	"strings"
@@ -53,8 +51,9 @@ import (
 )
 
 // recordVersion stamps every point record (the checksummed envelope form).
-// Entries from other schema versions read as misses and are overwritten on
-// the next Put; recordVersionV1 files (pre-checksum) remain readable.
+// Entries from other schema versions — recordVersionV1 (pre-checksum)
+// included — read as misses and are overwritten on the next Put; only
+// fsck reads v1 files, to upgrade them (fsck.go).
 const (
 	recordVersion   = "nvmx-store/v2"
 	recordVersionV1 = "nvmx-store/v1"
@@ -82,17 +81,6 @@ const (
 // ioBackoff is a variable so fault-injection tests can shrink the waits.
 var ioBackoff = time.Millisecond
 
-// envelope is the frame of every v2 record, on disk and on the wire: a
-// version, a CRC-32 (IEEE) of Payload, and the gob-encoded payload itself.
-// The checksum turns silent bit flips (and torn HTTP bodies) into detected
-// corruption instead of gob decoding noise — or worse, silently wrong
-// physics.
-type envelope struct {
-	Version string
-	Sum     uint32
-	Payload []byte
-}
-
 // pointPayload is the inner form of one point. The full canonical key is
 // stored alongside the payload and verified on read, so a hash collision
 // or a foreign file in the directory reads as a miss, never a wrong result.
@@ -101,23 +89,13 @@ type pointPayload struct {
 	Point core.CachedPoint
 }
 
-// recordV1 is the legacy (pre-checksum) on-disk form, still readable.
-type recordV1 struct {
-	Version string
-	Key     string
-	Point   core.CachedPoint
+// pointKind registers point records: DIR/points/<2hex>/<addr>.gob,
+// identified by the canonical key and filed under its content address.
+var pointKind = &kind[pointPayload]{
+	layout: layout{dir: "points", suffix: ".gob", nested: true},
+	codec:  codec[pointPayload]{version: recordVersion, id: func(p *pointPayload) string { return p.Key }},
+	name:   func(p *pointPayload) string { return addr(p.Key) },
 }
-
-// readStatus classifies one record read (shared with fsck).
-type readStatus int
-
-const (
-	readOK readStatus = iota
-	readLegacy
-	readMissing
-	readCorrupt
-	readIOError
-)
 
 // Store is a persistent point cache. It implements core.PointCache and is
 // safe for concurrent use. The zero value is not usable; call Open.
@@ -223,7 +201,7 @@ func (s *Store) Dir() string {
 // stores.
 func (s *Store) pointPath(sum string) string         { return s.local.pointPath(sum) }
 func (s *Store) memoPath() string                    { return s.local.memoPath() }
-func (s *Store) studyPath(fingerprint string) string { return s.local.studyPath(fingerprint) }
+func (s *Store) studyPath(fingerprint string) string { return studyKind.path(s.local.dir, fingerprint) }
 func (s *Store) jobsDir() string                     { return s.local.jobsDir() }
 func (s *Store) progressPath(id string) string       { return s.local.progressPath(id) }
 
@@ -284,58 +262,6 @@ func (s *Store) Probe(key string) bool {
 	return ok
 }
 
-// decodePoint verifies and decodes one point record's bytes against the
-// key that addressed it. wantKey == "" skips key verification (fsck scans
-// files without knowing their keys and checks the address itself instead).
-func decodePoint(data []byte, wantKey string) (pointPayload, readStatus) {
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
-		return pointPayload{}, readCorrupt
-	}
-	switch env.Version {
-	case recordVersion:
-		if crc32.ChecksumIEEE(env.Payload) != env.Sum {
-			return pointPayload{}, readCorrupt
-		}
-		var p pointPayload
-		if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&p); err != nil {
-			return pointPayload{}, readCorrupt
-		}
-		if wantKey != "" && p.Key != wantKey {
-			return pointPayload{}, readCorrupt
-		}
-		return p, readOK
-	case recordVersionV1:
-		// Legacy pre-checksum file: decode whole, key-verified but unsummed.
-		var rec recordV1
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
-			return pointPayload{}, readCorrupt
-		}
-		if wantKey != "" && rec.Key != wantKey {
-			return pointPayload{}, readCorrupt
-		}
-		return pointPayload{Key: rec.Key, Point: rec.Point}, readLegacy
-	default:
-		// A version this binary doesn't know — plausibly written by a newer
-		// one sharing the directory. A miss, but not corruption: leave it.
-		return pointPayload{}, readMissing
-	}
-}
-
-// encodePoint builds the envelope bytes for one point.
-func encodePoint(key string, pt core.CachedPoint) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&pointPayload{Key: key, Point: pt}); err != nil {
-		return nil, err
-	}
-	var out bytes.Buffer
-	env := envelope{Version: recordVersion, Sum: crc32.ChecksumIEEE(payload.Bytes()), Payload: payload.Bytes()}
-	if err := gob.NewEncoder(&out).Encode(&env); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}
-
 // Put implements core.PointCache: write-through to memory and the backend.
 // Backend errors are retried, then swallowed — the store is an
 // accelerator, and a read-only volume or an unreachable peer must not fail
@@ -389,18 +315,18 @@ func (s *Store) Degraded() bool { return s.backend.Degraded() }
 type HealthStats struct {
 	// Quarantined counts corrupt or foreign records discarded (moved to
 	// DIR/.corrupt/ locally; dropped and counted remotely).
-	Quarantined int64
+	Quarantined int64 `json:"quarantined"`
 	// MemoDiscards counts memo snapshots that failed to restore and were
 	// disposed of. The local backend also quarantines the file (counted
 	// above); the remote backend only counts — the snapshot is the peer's
 	// to quarantine, so claiming one here would be dishonest.
-	MemoDiscards int64
+	MemoDiscards int64 `json:"memo_discards"`
 	// IOErrors counts backend operations that failed past their retries.
-	IOErrors int64
+	IOErrors int64 `json:"io_errors"`
 	// Retries counts individual retry attempts after transient failures.
-	Retries int64
+	Retries int64 `json:"retries"`
 	// Degraded reports memory-only fallback mode.
-	Degraded bool
+	Degraded bool `json:"degraded"`
 }
 
 // Health returns the current self-healing counters.

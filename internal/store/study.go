@@ -1,10 +1,7 @@
 package store
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"sort"
 
 	"repro/internal/core"
@@ -51,49 +48,14 @@ type StudyRecord struct {
 	Exploration *core.Exploration
 }
 
-// encodeStudyRecord builds the on-disk bytes for one manifest.
-func encodeStudyRecord(rec StudyRecord) ([]byte, error) {
-	rec.Version = studyVersion
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&rec); err != nil {
-		return nil, err
-	}
-	var out bytes.Buffer
-	env := envelope{Version: studyVersion, Sum: crc32.ChecksumIEEE(payload.Bytes()), Payload: payload.Bytes()}
-	if err := gob.NewEncoder(&out).Encode(&env); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
+// studyKind registers manifests: DIR/studies/<fingerprint>.gob.
+var studyKind = &kind[StudyRecord]{
+	layout: layout{dir: "studies", suffix: ".gob"},
+	codec:  codec[StudyRecord]{version: studyVersion, id: studyFingerprint},
+	name:   studyFingerprint,
 }
 
-// decodeStudyRecord verifies and decodes one manifest file's bytes.
-// wantFingerprint == "" skips the address check (directory scans check the
-// filename instead).
-func decodeStudyRecord(data []byte, wantFingerprint string) (StudyRecord, readStatus) {
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
-		return StudyRecord{}, readCorrupt
-	}
-	switch env.Version {
-	case studyVersion:
-		if crc32.ChecksumIEEE(env.Payload) != env.Sum {
-			return StudyRecord{}, readCorrupt
-		}
-		var rec StudyRecord
-		if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&rec); err != nil {
-			return StudyRecord{}, readCorrupt
-		}
-		if wantFingerprint != "" && rec.Fingerprint != wantFingerprint {
-			return StudyRecord{}, readCorrupt
-		}
-		return rec, readOK
-	case "":
-		return StudyRecord{}, readCorrupt
-	default:
-		// A schema this binary doesn't know: skip, don't destroy.
-		return StudyRecord{}, readMissing
-	}
-}
+func studyFingerprint(rec *StudyRecord) string { return rec.Fingerprint }
 
 // SaveStudy records a completed study's manifest, write-through to memory
 // and the backend. Saving the same fingerprint again overwrites an

@@ -1,15 +1,10 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
-	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // Anti-entropy support: the point-set digest protocol that lets two stores
@@ -64,12 +59,17 @@ func (s *Store) PointAddrs() []string {
 // sets — the anti-entropy convergence check.
 func (s *Store) Digest() (count int, digest string) {
 	addrs := s.PointAddrs()
+	return len(addrs), digestOf(addrs)
+}
+
+// digestOf hashes a sorted address set.
+func digestOf(addrs []string) string {
 	h := sha256.New()
 	for _, a := range addrs {
 		h.Write([]byte(a))
 		h.Write([]byte{'\n'})
 	}
-	return len(addrs), hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // DiffRequest is the POST /v1/store/diff body: the wire-protocol
@@ -114,12 +114,7 @@ func (s *Store) Diff(theirs []string) DiffResponse {
 		}
 	}
 	sort.Strings(resp.Missing)
-	h := sha256.New()
-	for _, a := range mine {
-		h.Write([]byte(a))
-		h.Write([]byte{'\n'})
-	}
-	resp.Points, resp.Digest = len(mine), hex.EncodeToString(h.Sum(nil))
+	resp.Points, resp.Digest = len(mine), digestOf(mine)
 	return resp
 }
 
@@ -137,14 +132,20 @@ type SyncRecord struct {
 	Unix    int64
 }
 
-func (lb *localBackend) syncDir() string { return filepath.Join(lb.dir, "sync") }
+// syncKind registers sync records: DIR/sync/<name>.gob, where syncName
+// derives the name from the record.
+var syncKind = &kind[SyncRecord]{
+	layout: layout{dir: "sync", suffix: ".gob"},
+	codec:  codec[SyncRecord]{version: syncRecordVersion, id: syncName},
+	name:   syncName,
+}
 
-// syncPath names one pass's record: timestamp first so a directory listing
+// syncName names one pass's record: timestamp first so a directory listing
 // sorts chronologically, peer hash second so concurrent passes against
 // different peers never collide.
-func (lb *localBackend) syncPath(rec SyncRecord) string {
+func syncName(rec *SyncRecord) string {
 	sum := sha256.Sum256([]byte(rec.Peer))
-	return filepath.Join(lb.syncDir(), fmt.Sprintf("%020d-%s.gob", rec.Unix, hex.EncodeToString(sum[:4])))
+	return fmt.Sprintf("%020d-%s", rec.Unix, hex.EncodeToString(sum[:4]))
 }
 
 // RecordSync durably appends one anti-entropy pass record. Local stores
@@ -157,66 +158,29 @@ func (s *Store) RecordSync(rec SyncRecord) error {
 		return nil
 	}
 	rec.Version = syncRecordVersion
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&rec); err != nil {
-		return err
-	}
-	var out bytes.Buffer
-	env := envelope{Version: syncRecordVersion, Sum: crc32.ChecksumIEEE(payload.Bytes()), Payload: payload.Bytes()}
-	if err := gob.NewEncoder(&out).Encode(&env); err != nil {
-		return err
-	}
-	if err := lb.fs.MkdirAll(lb.syncDir()); err != nil {
-		lb.h.fail("disk", "mkdir "+lb.syncDir(), err)
-		return err
-	}
-	return lb.writeFileRetry(lb.syncPath(rec), out.Bytes())
-}
-
-// decodeSyncRecord verifies one sync record's envelope bytes (shared with
-// fsck).
-func decodeSyncRecord(data []byte) (SyncRecord, readStatus) {
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
-		return SyncRecord{}, readCorrupt
-	}
-	if env.Version != syncRecordVersion {
-		return SyncRecord{}, readMissing
-	}
-	if crc32.ChecksumIEEE(env.Payload) != env.Sum {
-		return SyncRecord{}, readCorrupt
-	}
-	var rec SyncRecord
-	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&rec); err != nil {
-		return SyncRecord{}, readCorrupt
-	}
-	return rec, readOK
+	return writeRecord(lb, syncKind, rec)
 }
 
 // SyncRecords loads every readable anti-entropy record, oldest first.
-// Corrupt files are skipped (fsck reports and repairs them).
+// Corrupt, misnamed and unknown-version files are skipped, not
+// quarantined: fsck reports and repairs them.
 func (s *Store) SyncRecords() []SyncRecord {
 	lb := s.local
 	if lb == nil || !lb.enabled() {
 		return nil
 	}
-	ents, err := lb.fs.ReadDir(lb.syncDir())
-	if err != nil {
-		return nil
-	}
 	var recs []SyncRecord
-	for _, ent := range ents {
-		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".gob") {
-			continue
-		}
-		data, status := lb.readFileRetry(filepath.Join(lb.syncDir(), ent.Name()))
+	// An unreadable directory lists no records; the audit trail is
+	// best-effort, and fsck reports the failure.
+	_ = lb.scanDir(syncKind.layout, func(path, name string) {
+		data, status := lb.readFileRetry(path)
 		if status != readOK {
-			continue
+			return
 		}
-		if rec, st := decodeSyncRecord(data); st == readOK {
+		if rec, status := syncKind.read(data, name); status == readOK {
 			recs = append(recs, rec)
 		}
-	}
+	})
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Unix < recs[j].Unix })
 	return recs
 }
