@@ -34,6 +34,7 @@ import (
 	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/fabric"
 	"repro/internal/nvsim"
 	"repro/internal/query"
 	"repro/internal/server"
@@ -472,21 +473,18 @@ func runServe(args []string) error {
 		"max time a sync study request waits for a slot before a 429 with Retry-After (0 = wait as long as the client)")
 	studyTimeout := fs.Duration("study-timeout", 0,
 		"execution budget for one sync study; past it the run is canceled and answered 503 (0 = unlimited)")
-	hedgeAfter := fs.Duration("hedge-after", 0,
+	var fo fabric.Options
+	fs.DurationVar(&fo.HedgeAfter, "hedge-after", 0,
 		"coordinator only: launch a second copy of a still-running shard on the next ring owner after this long; the first result wins and the loser is cancelled (0 = no hedging)")
-	breakerThreshold := fs.Int("breaker-threshold", 0,
-		"coordinator only: consecutive failures that open a worker's circuit breaker (0 = default 1)")
-	breakerBackoff := fs.Duration("breaker-backoff", 0,
+	fs.DurationVar(&fo.BreakerBackoff, "breaker-backoff", 0,
 		"coordinator only: first open interval of a tripped worker breaker, grown exponentially with seeded jitter (0 = default 500ms)")
-	breakerMaxBackoff := fs.Duration("breaker-max-backoff", 0,
+	fs.DurationVar(&fo.BreakerMaxBackoff, "breaker-max-backoff", 0,
 		"coordinator only: ceiling on a worker breaker's open interval (0 = default 30s)")
-	breakerSeed := fs.Int64("breaker-seed", 0,
+	fs.Int64Var(&fo.BreakerSeed, "breaker-seed", 0,
 		"coordinator only: seed for the breaker backoff jitter (deterministic retry schedules)")
-	shardAttempts := fs.Int("shard-attempts", 0,
-		"coordinator only: assignment rounds per prefill — the first fan-out plus reshards of failed shards across surviving workers (0 = default 2)")
-	rehandshake := fs.Duration("rehandshake", 15*time.Second,
+	fs.DurationVar(&fo.Rehandshake, "rehandshake", 15*time.Second,
 		"coordinator only: background re-handshake interval, so revived workers rejoin the ring between studies (0 = only at each study)")
-	antiEntropy := fs.Duration("anti-entropy", 0,
+	fs.DurationVar(&fo.AntiEntropy, "anti-entropy", 0,
 		"coordinator only: background store-reconciliation interval against live workers (POST /v1/store/diff), so coordinator and worker stores converge after partitions (0 = disabled)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -512,14 +510,7 @@ func runServe(args []string) error {
 		SyncWait:             *syncWait,
 		StudyTimeout:         *studyTimeout,
 		Workers:              fleet,
-		HedgeAfter:           *hedgeAfter,
-		BreakerThreshold:     *breakerThreshold,
-		BreakerBackoff:       *breakerBackoff,
-		BreakerMaxBackoff:    *breakerMaxBackoff,
-		BreakerSeed:          *breakerSeed,
-		ShardAttempts:        *shardAttempts,
-		Rehandshake:          *rehandshake,
-		AntiEntropy:          *antiEntropy,
+		Fabric:               fo,
 	})
 	if len(fleet) > 0 {
 		fmt.Fprintf(os.Stderr, "nvmexplorer: fabric coordinator over %d worker(s)\n", len(fleet))

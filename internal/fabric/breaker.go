@@ -33,19 +33,17 @@ const (
 
 // breakerConfig is the tuning shared by every breaker in a pool.
 type breakerConfig struct {
-	threshold  int           // consecutive failures that trip a closed breaker
 	backoff    time.Duration // first open interval
 	maxBackoff time.Duration // backoff ceiling
 }
 
 type breaker struct {
-	mu       sync.Mutex
-	cfg      breakerConfig
-	rng      *rand.Rand // per-worker, deterministically seeded
-	state    breakerState
-	failures int           // consecutive failures while closed
-	next     time.Duration // the open interval the next trip will use
-	retryAt  time.Time     // when an open breaker accepts a probe
+	mu      sync.Mutex
+	cfg     breakerConfig
+	rng     *rand.Rand // per-worker, deterministically seeded
+	state   breakerState
+	next    time.Duration // the open interval the next trip will use
+	retryAt time.Time     // when an open breaker accepts a probe
 }
 
 func newBreaker(cfg breakerConfig, seed int64) *breaker {
@@ -81,48 +79,22 @@ func (b *breaker) onSuccess() (reset bool) {
 	defer b.mu.Unlock()
 	reset = b.state != bkClosed
 	b.state = bkClosed
-	b.failures = 0
 	b.next = b.cfg.backoff
 	return reset
 }
 
-// onFailure records a failed operation. A closed breaker trips once the
-// consecutive-failure count reaches the threshold; a half-open breaker
-// re-trips immediately with a doubled backoff. It reports whether the
-// breaker tripped (transitioned to open) on this call.
+// onFailure records a failed operation. Any failure trips a closed or
+// half-open breaker open: the retry window is the current backoff interval
+// with 50–100% seeded jitter, and the next interval doubles up to the
+// ceiling, so a failed half-open probe re-trips with a doubled backoff. It
+// reports whether the breaker tripped (transitioned to open) on this call.
 func (b *breaker) onFailure(now time.Time) (tripped bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case bkClosed:
-		b.failures++
-		if b.failures < b.cfg.threshold {
-			return false
-		}
-	case bkOpen:
+	if b.state == bkOpen {
 		return false // already open; concurrent failures don't extend the window
 	}
-	b.trip(now)
-	return true
-}
-
-// forceOpen trips the breaker with an immediate retry window — the old
-// markDead semantics: out of the ring now, revivable by the very next
-// handshake.
-func (b *breaker) forceOpen() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.state = bkOpen
-	b.failures = 0
-	b.retryAt = time.Time{}
-}
-
-// trip opens the breaker (mu held): the retry window is the current
-// backoff interval with 50–100% seeded jitter, and the next interval
-// doubles up to the ceiling.
-func (b *breaker) trip(now time.Time) {
-	b.state = bkOpen
-	b.failures = 0
 	d := b.next
 	if d > 0 {
 		d = time.Duration(float64(d) * (0.5 + 0.5*b.rng.Float64()))
@@ -132,4 +104,5 @@ func (b *breaker) trip(now time.Time) {
 	if b.next > b.cfg.maxBackoff {
 		b.next = b.cfg.maxBackoff
 	}
+	return true
 }

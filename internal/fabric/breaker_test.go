@@ -5,16 +5,15 @@ import (
 	"time"
 )
 
-func testBreaker(threshold int) *breaker {
+func testBreaker() *breaker {
 	return newBreaker(breakerConfig{
-		threshold:  threshold,
 		backoff:    100 * time.Millisecond,
 		maxBackoff: 400 * time.Millisecond,
 	}, 42)
 }
 
 func TestBreakerStartsUnprovenAndProbesImmediately(t *testing.T) {
-	b := testBreaker(1)
+	b := testBreaker()
 	now := time.Now()
 	if b.usable() {
 		t.Fatal("a fresh breaker must not be usable before its first handshake")
@@ -38,21 +37,18 @@ func TestBreakerStartsUnprovenAndProbesImmediately(t *testing.T) {
 	}
 }
 
-func TestBreakerTripsAtThresholdWithJitteredBackoff(t *testing.T) {
-	b := testBreaker(2)
+func TestBreakerTripsOnFirstFailureWithJitteredBackoff(t *testing.T) {
+	b := testBreaker()
 	b.onSuccess() // close it
 	now := time.Now()
-	if b.onFailure(now) {
-		t.Fatal("tripped below the failure threshold")
-	}
-	if !b.usable() {
-		t.Fatal("one failure below threshold must not open the breaker")
-	}
 	if !b.onFailure(now) {
-		t.Fatal("threshold failure did not trip")
+		t.Fatal("first failure of a closed breaker did not trip")
 	}
 	if b.usable() {
 		t.Fatal("tripped breaker still usable")
+	}
+	if b.onFailure(now) {
+		t.Fatal("a failure while already open tripped again")
 	}
 	// The retry window is the base backoff with 50–100% jitter.
 	wait := b.retryAt.Sub(now)
@@ -76,7 +72,7 @@ func TestBreakerTripsAtThresholdWithJitteredBackoff(t *testing.T) {
 }
 
 func TestBreakerBackoffIsCappedAndResetBySuccess(t *testing.T) {
-	b := testBreaker(1)
+	b := testBreaker()
 	b.onSuccess()
 	now := time.Now()
 	for i := 0; i < 10; i++ {
@@ -88,7 +84,7 @@ func TestBreakerBackoffIsCappedAndResetBySuccess(t *testing.T) {
 	}
 	b.allowProbe(b.retryAt.Add(time.Second))
 	b.onSuccess()
-	b.onFailure(now) // threshold 1: trips again
+	b.onFailure(now) // the first failure trips again
 	if wait := b.retryAt.Sub(now); wait > 100*time.Millisecond {
 		t.Fatalf("backoff not reset by success: first interval after reset is %v", wait)
 	}
@@ -96,7 +92,7 @@ func TestBreakerBackoffIsCappedAndResetBySuccess(t *testing.T) {
 
 func TestBreakerJitterIsDeterministicPerSeed(t *testing.T) {
 	sequence := func(seed int64) []time.Duration {
-		b := newBreaker(breakerConfig{threshold: 1, backoff: 100 * time.Millisecond, maxBackoff: time.Hour}, seed)
+		b := newBreaker(breakerConfig{backoff: 100 * time.Millisecond, maxBackoff: time.Hour}, seed)
 		b.onSuccess()
 		now := time.Now()
 		var waits []time.Duration
@@ -122,17 +118,5 @@ func TestBreakerJitterIsDeterministicPerSeed(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical jitter sequences")
-	}
-}
-
-func TestBreakerForceOpenIsImmediatelyProbeable(t *testing.T) {
-	b := testBreaker(1)
-	b.onSuccess()
-	b.forceOpen()
-	if b.usable() {
-		t.Fatal("force-opened breaker still usable")
-	}
-	if !b.allowProbe(time.Now()) {
-		t.Fatal("force-opened breaker must admit a probe immediately")
 	}
 }

@@ -17,17 +17,19 @@
 // Failure model: every worker sits behind a circuit breaker (breaker.go).
 // A worker that cannot be reached, answers non-200, or returns a torn
 // shard payload (CRC mismatch — see store.DecodeShardPoints) loses the
-// whole shard and trips its breaker; the shard's points are re-assigned
-// across the surviving ring for a bounded number of attempts
-// (Options.ShardAttempts) before falling back to coordinator-local
-// compute ("degrade to local") — so worker loss can slow a study down but
-// never change its bytes. A straggling shard is hedged (Options.
-// HedgeAfter): a second copy goes to the next ring owner, the first
-// result wins, and the loser is cancelled. Open breakers are re-probed by
-// the /v1/version re-handshake — at the next prefill, and between
-// prefills by the background ticker Start launches — with seeded-jitter
-// exponential backoff, so a revived worker rejoins the ring without
-// coordinator restarts and a flapping one is probed ever more lazily.
+// whole shard and trips its breaker. Each shard walks one owner list —
+// every live worker once, in ring order from the shard's first
+// characterization key — skipping open breakers and moving to the next
+// owner at each error; a shard that exhausts the list falls back to
+// coordinator-local compute ("degrade to local"), so worker loss can slow
+// a study down but never change its bytes. A straggling copy is hedged
+// (Options.HedgeAfter): once per shard the next owner starts early, the
+// first success wins, and the rest are cancelled. Open breakers are
+// re-probed by the /v1/version re-handshake — at the next prefill, and
+// between prefills by the background ticker Start launches — with
+// seeded-jitter exponential backoff, so a revived worker rejoins the ring
+// without coordinator restarts and a flapping one is probed ever more
+// lazily.
 //
 // Workers run with their own persistent stores drift from the
 // coordinator whenever a partition or crash eats a shard; the
@@ -46,6 +48,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -73,15 +76,11 @@ type ShardRequest struct {
 // computes the shard locally.
 var shardTimeout = 10 * time.Minute
 
-// Option defaults. Threshold 1 preserves the old pool's semantics — one
-// lost shard takes the worker out of the ring; the backoff pair governs
-// how lazily an open breaker is re-probed; two shard attempts mean one
-// reshard across the survivors before local fallback.
+// Option defaults: the backoff pair governs how lazily an open breaker is
+// re-probed.
 const (
-	DefaultBreakerThreshold  = 1
 	DefaultBreakerBackoff    = 500 * time.Millisecond
 	DefaultBreakerMaxBackoff = 30 * time.Second
-	DefaultShardAttempts     = 2
 )
 
 // Options tunes a Pool's resilience machinery. The zero value of every
@@ -95,9 +94,6 @@ type Options struct {
 	// HedgeAfter launches a second copy of a still-running shard on the
 	// next ring owner after this long. 0 disables hedging.
 	HedgeAfter time.Duration
-	// BreakerThreshold is the consecutive-failure count that trips a
-	// worker's breaker (default 1).
-	BreakerThreshold int
 	// BreakerBackoff and BreakerMaxBackoff bound the open interval's
 	// exponential growth.
 	BreakerBackoff    time.Duration
@@ -105,10 +101,6 @@ type Options struct {
 	// BreakerSeed seeds the per-worker jitter deterministically; the same
 	// seed and failure sequence replays the same retry schedule.
 	BreakerSeed int64
-	// ShardAttempts bounds how many rounds of assignment a prefill tries
-	// (first fan-out plus reshards across survivors) before leaving the
-	// remaining points to local compute (default 2).
-	ShardAttempts int
 	// Rehandshake, when positive, re-probes open breakers on a background
 	// ticker so revived workers rejoin between prefills.
 	Rehandshake time.Duration
@@ -121,17 +113,11 @@ func (o Options) withDefaults() Options {
 	if o.Client == nil {
 		o.Client = &http.Client{Timeout: shardTimeout}
 	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = DefaultBreakerThreshold
-	}
 	if o.BreakerBackoff <= 0 {
 		o.BreakerBackoff = DefaultBreakerBackoff
 	}
 	if o.BreakerMaxBackoff <= 0 {
 		o.BreakerMaxBackoff = DefaultBreakerMaxBackoff
-	}
-	if o.ShardAttempts <= 0 {
-		o.ShardAttempts = DefaultShardAttempts
 	}
 	return o
 }
@@ -150,12 +136,12 @@ type Stats struct {
 	BreakerOpen   int   `json:"breaker_open"`   // workers with an open or half-open breaker (gauge)
 	BreakerTrips  int64 `json:"breaker_trips"`  // breaker transitions to open
 	BreakerResets int64 `json:"breaker_resets"` // breaker transitions back to closed
-	ShardRetries  int64 `json:"shard_retries"`  // shard requests fanned out in reshard rounds
-	Resharded     int64 `json:"resharded"`      // points re-assigned to a surviving worker
+	ShardRetries  int64 `json:"shard_retries"`  // shard requests sent to a later owner after a failure
+	Resharded     int64 `json:"resharded"`      // points sent to a later owner after a failure
 
 	Hedges     int64 `json:"hedges"`      // hedge requests launched
 	HedgesWon  int64 `json:"hedges_won"`  // shards resolved by the hedge copy
-	HedgesLost int64 `json:"hedges_lost"` // shards resolved by the primary after hedging
+	HedgesLost int64 `json:"hedges_lost"` // shards resolved by another copy after hedging
 
 	AntiEntropyRuns   int64 `json:"anti_entropy_runs"`   // reconciliation passes completed
 	AntiEntropyPulled int64 `json:"anti_entropy_pulled"` // points pulled from workers
@@ -205,16 +191,20 @@ func NewPool(urls []string, client *http.Client) *Pool {
 
 // NewPoolOptions builds a coordinator over worker base URLs (e.g.
 // "http://w1:8080"). Workers start unproven — breaker open with an
-// immediate retry window — and are handshaken on first use.
+// immediate retry window — and are handshaken on first use. A URL listed
+// twice is one worker: a second entry would sit behind a breaker nothing
+// ever feeds.
 func NewPoolOptions(urls []string, opts Options) *Pool {
 	opts = opts.withDefaults()
 	p := &Pool{opts: opts, client: opts.Client, stop: make(chan struct{})}
 	cfg := breakerConfig{
-		threshold:  opts.BreakerThreshold,
 		backoff:    opts.BreakerBackoff,
 		maxBackoff: opts.BreakerMaxBackoff,
 	}
 	for _, u := range urls {
+		if p.find(u) != nil {
+			continue
+		}
 		// Each worker's jitter stream is seeded from the pool seed and its
 		// own URL, so schedules are deterministic yet decorrelated.
 		p.workers = append(p.workers, &worker{url: u, bk: newBreaker(cfg, opts.BreakerSeed^int64(fnv64a(u)))})
@@ -268,15 +258,7 @@ func (p *Pool) tick(d time.Duration, fn func(ctx context.Context)) {
 func (p *Pool) Workers() int { return len(p.workers) }
 
 // Live reports how many workers currently have a closed breaker.
-func (p *Pool) Live() int {
-	n := 0
-	for _, w := range p.workers {
-		if w.bk.usable() {
-			n++
-		}
-	}
-	return n
-}
+func (p *Pool) Live() int { return len(p.usable()) }
 
 // Snapshot returns the pool's counters.
 func (p *Pool) Snapshot() Stats {
@@ -358,16 +340,6 @@ func (p *Pool) handshake(ctx context.Context, url string) bool {
 	return true
 }
 
-// markDead force-opens a worker's breaker with an immediate retry window:
-// out of the ring now, revivable by the very next handshake.
-func (p *Pool) markDead(url string) {
-	for _, w := range p.workers {
-		if w.url == url {
-			w.bk.forceOpen()
-		}
-	}
-}
-
 // usable lists the workers whose breakers are closed right now.
 func (p *Pool) usable() []string {
 	var urls []string
@@ -397,10 +369,11 @@ func (p *Pool) find(url string) *worker {
 // under that async job's ID; a coordinator that died mid-fan-out finds the
 // record on resume and counts the re-fanned shards.
 //
-// A failed shard trips its worker's breaker and its points are re-hashed
-// across the surviving ring, up to Options.ShardAttempts rounds. Prefill
-// never fails a study: whatever is still unfilled when the rounds (or the
-// workers) run out is computed locally by the run itself.
+// Pending points are grouped into one shard per ring owner, and each shard
+// walks its owner list (see route): a failed copy trips its worker's
+// breaker and the shard moves to the next live owner. Prefill never fails
+// a study: a shard that runs out of owners is computed locally by the run
+// itself.
 func (p *Pool) Prefill(ctx context.Context, study *core.Study, cfg []byte, st *store.Store, jobID string) {
 	if st == nil || len(cfg) == 0 || len(p.workers) == 0 {
 		return
@@ -428,183 +401,157 @@ func (p *Pool) Prefill(ctx context.Context, study *core.Study, cfg []byte, st *s
 		return // fully warm: nothing to distribute
 	}
 	p.refresh(ctx)
-	candidates := p.usable()
-	for round := 0; round < p.opts.ShardAttempts && len(pending) > 0 && len(candidates) > 0; round++ {
-		ring := newRing(candidates)
-		assign := make(map[string][]int)
-		for _, i := range pending {
-			owner := ring.owner(study.CharacterizationKey(specs[i]))
-			assign[owner] = append(assign[owner], i)
-		}
-		if round == 0 && jobID != "" {
-			// A surviving .shards record means a previous incarnation of this
-			// coordinator already fanned this job out: these shards are resumed,
-			// not new. The fresh record then replaces the old one — the
-			// assignment is deterministic, so it differs only if the live worker
-			// set changed.
-			if _, ok := st.LoadShards(jobID); ok {
-				p.resumedShards.Add(int64(len(assign)))
-			}
-			rec := store.ShardRecord{ID: jobID, Fingerprint: fp}
-			for _, url := range sortedKeys(assign) {
-				rec.Assigns = append(rec.Assigns, store.ShardAssign{Worker: url, Indices: assign[url]})
-			}
-			if err := st.JournalShards(rec); err != nil {
-				log.Printf("fabric: journaling shards of %s: %v", jobID, err)
-			}
-		}
-		var (
-			mu     sync.Mutex
-			failed []int // indices whose whole shard was lost this round
-			down   = map[string]bool{}
-			wg     sync.WaitGroup
-		)
-		for url, indices := range assign {
-			wg.Add(1)
-			go func(url string, indices []int) {
-				defer wg.Done()
-				p.shards.Add(1)
-				if round > 0 {
-					p.shardRetries.Add(1)
-					p.resharded.Add(int64(len(indices)))
-				}
-				pts, err := p.runShardHedged(ctx, ring, study.CharacterizationKey(specs[indices[0]]), url, fp, cfg, indices)
-				if err != nil {
-					log.Printf("fabric: shard of %d point(s) lost on %s (%v)", len(indices), url, err)
-					mu.Lock()
-					failed = append(failed, indices...)
-					down[url] = true
-					mu.Unlock()
-					return
-				}
-				byIndex := make(map[int]store.ShardPoint, len(pts))
-				for _, sp := range pts {
-					byIndex[sp.Index] = sp
-				}
-				var got int64
-				for _, i := range indices {
-					sp, ok := byIndex[i]
-					// The key check pins each returned point to the exact spec
-					// this coordinator asked for: a worker disagreeing about a
-					// point's identity (schema drift the handshake missed, a
-					// mislabeled response) contributes nothing rather than
-					// something wrong. Absent points (the worker's engine failed
-					// that config) fall back to local execution the same way —
-					// deterministically failing configs would fail on every
-					// worker, so they are not worth a reshard round.
-					if !ok || sp.Key != study.PointKey(specs[i]) {
-						p.remoteMisses.Add(1)
-						continue
-					}
-					st.Put(sp.Key, sp.Point)
-					got++
-				}
-				p.remoteHits.Add(got)
-			}(url, indices)
-		}
-		wg.Wait()
-		sort.Ints(failed)
-		pending = failed
-		if len(pending) > 0 {
-			var next []string
-			for _, u := range candidates {
-				if !down[u] {
-					next = append(next, u)
-				}
-			}
-			candidates = next
-		}
-	}
-	if len(pending) > 0 {
-		log.Printf("fabric: %d point(s) unfilled after %d attempt round(s); computing locally",
-			len(pending), p.opts.ShardAttempts)
+	live := p.usable()
+	if len(live) == 0 {
+		log.Printf("fabric: no live worker for %d point(s); computing locally", len(pending))
 		p.remoteMisses.Add(int64(len(pending)))
+		return
 	}
+	ring := newRing(live)
+	assign := make(map[string][]int)
+	for _, i := range pending {
+		owner := ring.owner(study.CharacterizationKey(specs[i]))
+		assign[owner] = append(assign[owner], i)
+	}
+	if jobID != "" {
+		// A surviving .shards record means a previous incarnation of this
+		// coordinator already fanned this job out: these shards are resumed,
+		// not new. The fresh record then replaces the old one — the
+		// assignment is deterministic, so it differs only if the live worker
+		// set changed.
+		if _, ok := st.LoadShards(jobID); ok {
+			p.resumedShards.Add(int64(len(assign)))
+		}
+		rec := store.ShardRecord{ID: jobID, Fingerprint: fp}
+		for _, url := range sortedKeys(assign) {
+			rec.Assigns = append(rec.Assigns, store.ShardAssign{Worker: url, Indices: assign[url]})
+		}
+		if err := st.JournalShards(rec); err != nil {
+			log.Printf("fabric: journaling shards of %s: %v", jobID, err)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, indices := range assign {
+		wg.Add(1)
+		go func(indices []int) {
+			defer wg.Done()
+			pts, ok := p.route(ctx, ring.owners(study.CharacterizationKey(specs[indices[0]])), fp, cfg, indices)
+			if !ok {
+				log.Printf("fabric: shard of %d point(s) unfilled by every live worker; computing locally", len(indices))
+				p.remoteMisses.Add(int64(len(indices)))
+				return
+			}
+			byIndex := make(map[int]store.ShardPoint, len(pts))
+			for _, sp := range pts {
+				byIndex[sp.Index] = sp
+			}
+			var got int64
+			for _, i := range indices {
+				sp, ok := byIndex[i]
+				// The key check pins each returned point to the exact spec
+				// this coordinator asked for: a worker disagreeing about a
+				// point's identity (schema drift the handshake missed, a
+				// mislabeled response) contributes nothing rather than
+				// something wrong. Absent points (the worker's engine failed
+				// that config) fall back to local execution the same way —
+				// deterministically failing configs would fail on every
+				// worker, so they are not worth another owner.
+				if !ok || sp.Key != study.PointKey(specs[i]) {
+					p.remoteMisses.Add(1)
+					continue
+				}
+				st.Put(sp.Key, sp.Point)
+				got++
+			}
+			p.remoteHits.Add(got)
+		}(indices)
+	}
+	wg.Wait()
 }
 
-// shardResult is one runner's outcome in a hedged race.
+// shardResult is one copy's outcome in a shard's walk.
 type shardResult struct {
-	url string
+	w   *worker
 	pts []store.ShardPoint
 	err error
 }
 
-// runShardHedged executes one shard, hedging against stragglers: if the
-// primary hasn't answered within Options.HedgeAfter and the ring has a
-// distinct next owner for the shard's characterization key, a second copy
-// races it; the first success wins and the loser is cancelled. Breakers
-// are fed per runner — a genuine failure trips even when the other copy
-// won, but a cancelled loser never does.
-func (p *Pool) runShardHedged(ctx context.Context, r *ring, charKey, url, fp string, cfg []byte, indices []int) ([]store.ShardPoint, error) {
-	hedgeURL := ""
-	if p.opts.HedgeAfter > 0 {
-		hedgeURL = r.nextOwner(charKey, url)
-	}
-	if hedgeURL == "" {
-		pts, err := p.runShard(ctx, url, fp, cfg, indices)
-		p.feedBreaker(url, err)
-		return pts, err
-	}
-
+// route runs one shard down its owner list, the fabric's one routing
+// loop. Owners whose breaker is not closed are skipped; an error moves the
+// shard to the next owner; and at most once per shard, when the running
+// copy outlives Options.HedgeAfter, the next owner starts early without
+// cancelling the first. The first success wins and cancels the rest. The
+// ring size bounds the walk: ok is false once the list is exhausted.
+// Breakers are fed per copy — a genuine failure trips even when another
+// copy won, but a cancelled loser never does.
+func (p *Pool) route(ctx context.Context, owners []string, fp string, cfg []byte, indices []int) (pts []store.ShardPoint, ok bool) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// Buffered to the runner count: a loser can deposit its result after
-	// this function returned, so no goroutine ever blocks on the send.
-	results := make(chan shardResult, 2)
-	run := func(u string) {
-		pts, err := p.runShard(cctx, u, fp, cfg, indices)
-		results <- shardResult{url: u, pts: pts, err: err}
-	}
-	go run(url)
-	outstanding := 1
-
-	timer := time.NewTimer(p.opts.HedgeAfter)
-	defer timer.Stop()
-	var firstErr error
-	select {
-	case res := <-results:
-		outstanding--
-		p.feedBreaker(res.url, res.err)
-		if res.err == nil {
-			return res.pts, nil
-		}
-		// Primary failed before the hedge window closed: race the backup
-		// immediately rather than waiting out the timer.
-		firstErr = res.err
-	case <-timer.C:
-	}
-	p.hedges.Add(1)
-	p.shards.Add(1)
-	go run(hedgeURL)
-	outstanding++
-
-	for outstanding > 0 {
-		res := <-results
-		outstanding--
-		p.feedBreaker(res.url, res.err)
-		if res.err == nil {
-			if res.url == hedgeURL {
-				p.hedgesWon.Add(1)
-			} else {
-				p.hedgesLost.Add(1)
+	// Buffered to the list length: a loser can deposit its result after
+	// route returned, so no goroutine ever blocks on the send.
+	results := make(chan shardResult, len(owners))
+	var (
+		next, running int
+		failed        bool                // a copy failed: later launches are reshards
+		hedgeAfter    = p.opts.HedgeAfter // zeroed once the one hedge is spent
+		hedgeCopy     *worker             // the copy the hedge launched, if any
+		hedge         <-chan time.Time
+	)
+	launch := func() *worker {
+		for next < len(owners) && ctx.Err() == nil {
+			w := p.find(owners[next])
+			next++
+			if !w.bk.usable() {
+				continue
 			}
-			return res.pts, nil
+			p.shards.Add(1)
+			if failed {
+				p.shardRetries.Add(1)
+				p.resharded.Add(int64(len(indices)))
+			}
+			running++
+			go func() {
+				pts, err := p.runShard(cctx, w.url, fp, cfg, indices)
+				results <- shardResult{w: w, pts: pts, err: err}
+			}()
+			if hedgeAfter > 0 {
+				hedge = time.After(hedgeAfter)
+			}
+			return w
 		}
-		if firstErr == nil {
-			firstErr = res.err
+		return nil
+	}
+	launch()
+	for running > 0 {
+		select {
+		case <-hedge:
+			hedgeAfter = 0
+			if hedgeCopy = launch(); hedgeCopy != nil {
+				p.hedges.Add(1)
+			}
+		case res := <-results:
+			running--
+			p.feedBreaker(res.w, res.err)
+			if res.err == nil {
+				if hedgeCopy == res.w {
+					p.hedgesWon.Add(1)
+				} else if hedgeCopy != nil {
+					p.hedgesLost.Add(1)
+				}
+				return res.pts, true
+			}
+			log.Printf("fabric: shard of %d point(s) lost on %s (%v)", len(indices), res.w.url, res.err)
+			failed = true
+			launch()
 		}
 	}
-	return nil, firstErr
+	return nil, false
 }
 
-// feedBreaker routes one runner's outcome into its worker's breaker. A
-// cancelled request (the hedged race's loser) is neither success nor
-// failure: the coordinator killed it, the worker did nothing wrong.
-func (p *Pool) feedBreaker(url string, err error) {
-	w := p.find(url)
-	if w == nil {
-		return
-	}
+// feedBreaker routes one copy's outcome into its worker's breaker. A
+// cancelled request (a walk's loser) is neither success nor failure: the
+// coordinator killed it, the worker did nothing wrong.
+func (p *Pool) feedBreaker(w *worker, err error) {
 	switch {
 	case err == nil:
 		if w.bk.onSuccess() {
@@ -695,34 +642,32 @@ func newRing(urls []string) *ring {
 	return r
 }
 
-// owner returns the worker owning a key: the first ring point at or after
-// the key's hash, wrapping at the top of the circle.
-func (r *ring) owner(key string) string {
+// search returns the index of the first ring point at or after a key's
+// hash, wrapping at the top of the circle.
+func (r *ring) search(key string) int {
 	h := fnv64a(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
 	}
-	return r.points[i].url
+	return i
 }
 
-// nextOwner walks the ring forward from a key's position and returns the
-// first worker other than skip — the hedge target, and the worker the key
-// would re-hash to if skip left the ring. "" when the ring has no other
-// worker.
-func (r *ring) nextOwner(key, skip string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	h := fnv64a(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	for n := 0; n < len(r.points); n++ {
-		pt := r.points[(start+n)%len(r.points)]
-		if pt.url != skip {
-			return pt.url
+// owner returns the worker owning a key.
+func (r *ring) owner(key string) string { return r.points[r.search(key)].url }
+
+// owners lists every worker on the ring once, in ring order from a key's
+// position: the key's owner first, then the worker the key would re-hash
+// to if that one left the ring, and so on — a shard's routing walk.
+func (r *ring) owners(key string) []string {
+	n := len(r.points) / vnodes
+	out := make([]string, 0, n)
+	for i, start := 0, r.search(key); i < len(r.points) && len(out) < n; i++ {
+		if u := r.points[(start+i)%len(r.points)].url; !slices.Contains(out, u) {
+			out = append(out, u)
 		}
 	}
-	return ""
+	return out
 }
 
 // fnv64a is the 64-bit FNV-1a hash, inlined to keep ring lookups

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/store"
@@ -67,6 +68,27 @@ func TestFabricRingConsistentUnderWorkerLoss(t *testing.T) {
 	}
 }
 
+func TestFabricRingOwnersWalkTheSurvivorRings(t *testing.T) {
+	// A shard's owner list is every worker once, its owner first, and each
+	// later entry is where the key would re-hash if every worker before it
+	// left the ring — so walking the list reshards exactly as consistent
+	// hashing over the survivors would.
+	urls := []string{"http://w1", "http://w2", "http://w3", "http://w4"}
+	full := newRing(urls)
+	for _, k := range keys(200) {
+		owners := full.owners(k)
+		if len(owners) != len(urls) {
+			t.Fatalf("key %q: owners %v, want every worker once", k, owners)
+		}
+		for i, u := range owners {
+			survivors := newRing(owners[i:])
+			if got := survivors.owner(k); got != u {
+				t.Fatalf("key %q: owners[%d] = %s, but the ring without %v assigns %s", k, i, u, owners[:i], got)
+			}
+		}
+	}
+}
+
 func TestFabricFnv64aReferenceVectors(t *testing.T) {
 	// Published FNV-1a 64-bit test vectors.
 	cases := map[string]uint64{
@@ -117,10 +139,11 @@ func TestFabricPoolHandshakeGatesTheRing(t *testing.T) {
 		t.Fatalf("Live() = %d after refresh, want 1 (only the protocol-compatible worker)", p.Live())
 	}
 
-	// A marked-dead worker leaves the ring and rejoins on the next refresh.
-	p.markDead(good.URL)
+	// A tripped worker leaves the ring and, its retry window already past,
+	// rejoins on the next refresh.
+	p.find(good.URL).bk.onFailure(time.Time{})
 	if p.Live() != 0 {
-		t.Fatalf("Live() = %d after markDead, want 0", p.Live())
+		t.Fatalf("Live() = %d after a trip, want 0", p.Live())
 	}
 	p.refresh(context.Background())
 	if p.Live() != 1 {

@@ -5,13 +5,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/nvsim"
 	"repro/internal/store"
+	"repro/internal/traffic"
 )
 
 // localReference computes the prefill study single-process and returns the
@@ -109,7 +112,11 @@ func TestFabricHedgeBeatsSlowShardAndMergesIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewPoolOptions([]string{ts1.URL, ts2.URL}, Options{HedgeAfter: 15 * time.Millisecond})
+	start := time.Now()
 	p.Prefill(context.Background(), prefillStudy(), []byte(`{}`), st, "")
+	if d := time.Since(start); d >= 250*time.Millisecond {
+		t.Fatalf("Prefill took %v: the hedge did not beat the 250ms straggler", d)
+	}
 
 	s := p.Snapshot()
 	if s.Hedges == 0 {
@@ -161,7 +168,7 @@ func TestFabricReshardMovesFailedShardToSurvivor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool([]string{ts1.URL, ts2.URL}, nil) // default ShardAttempts: one reshard round
+	p := NewPool([]string{ts1.URL, ts2.URL}, nil)
 	p.Prefill(context.Background(), study, []byte(`{}`), st, "")
 
 	s := p.Snapshot()
@@ -175,6 +182,70 @@ func TestFabricReshardMovesFailedShardToSurvivor(t *testing.T) {
 		t.Fatalf("failing worker kept a closed breaker: %+v", s)
 	}
 	assertMatchesLocal(t, st, localReference(t))
+}
+
+// A one-shard study walks the whole ring: with the first two owners
+// failing, the shard reaches the third instead of falling back to local
+// compute.
+func TestFabricRouteWalksWholeRing(t *testing.T) {
+	nvsim.ResetMemo()
+	oneKey := func() *core.Study {
+		s := core.NewStudy("fabric-route-test")
+		s.AddTentpole(cell.STT, cell.Optimistic)
+		s.AddCapacity(1 << 20)
+		s.AddTarget(nvsim.OptReadEDP, nvsim.OptArea)
+		s.AddPattern(traffic.Pattern{Name: "p", ReadsPerSec: 1e7, WritesPerSec: 1e5})
+		return s
+	}
+	// The first two workers to receive a shard request fail every shard
+	// from then on, however the ring orders the owners.
+	var (
+		mu      sync.Mutex
+		failing = map[int]bool{}
+	)
+	wrap := func(id int, sw *shardWorker) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/shard" {
+				mu.Lock()
+				if len(failing) < 2 {
+					failing[id] = true
+				}
+				fail := failing[id]
+				mu.Unlock()
+				if fail {
+					http.Error(w, "induced shard failure", http.StatusInternalServerError)
+					return
+				}
+			}
+			sw.ServeHTTP(w, r)
+		})
+	}
+	var urls []string
+	for id := 1; id <= 3; id++ {
+		ts := httptest.NewServer(wrap(id, newShardWorkerFor(t, oneKey)))
+		defer ts.Close()
+		urls = append(urls, ts.URL)
+	}
+
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	study := oneKey()
+	specs, err := study.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(urls, nil)
+	p.Prefill(context.Background(), study, []byte(`{}`), st, "")
+
+	s := p.Snapshot()
+	if s.RemoteMisses != 0 || s.RemoteHits != int64(len(specs)) {
+		t.Fatalf("counters = %+v, want the whole grid (%d) remote after two failing owners", s, len(specs))
+	}
+	if s.ShardRetries != 2 {
+		t.Fatalf("ShardRetries = %d, want 2 (one per failed owner): %+v", s.ShardRetries, s)
+	}
 }
 
 // The Start ticker re-handshakes open breakers between prefills, so a

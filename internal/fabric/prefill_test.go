@@ -40,19 +40,22 @@ type shardWorker struct {
 	served atomic.Int64 // hedged shards hit one worker concurrently
 }
 
-func newShardWorker(t *testing.T) *shardWorker {
+func newShardWorker(t *testing.T) *shardWorker { return newShardWorkerFor(t, prefillStudy) }
+
+// newShardWorkerFor is newShardWorker serving the study build returns.
+func newShardWorkerFor(t *testing.T, build func() *core.Study) *shardWorker {
 	t.Helper()
 	st, err := store.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := prefillStudy()
+	s := build()
 	s.Cache = st
 	s.Workers = 1
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return &shardWorker{study: prefillStudy(), points: st}
+	return &shardWorker{study: build(), points: st}
 }
 
 func (sw *shardWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -211,6 +214,37 @@ func TestFabricPrefillShardFailureFallsBackToLocal(t *testing.T) {
 				t.Fatalf("failed worker still live: %+v", s)
 			}
 		})
+	}
+}
+
+// A URL listed twice is one worker. Two entries would carry two breakers,
+// and only the first is ever fed: the second would stay closed and keep a
+// dead worker in the ring for good.
+func TestFabricPoolDedupesWorkerURLs(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/version" {
+			json.NewEncoder(w).Encode(store.VersionInfo{
+				Protocol:  store.ProtocolVersion,
+				PointKey:  core.PointKeyVersion,
+				ShardWire: store.ShardWireVersion,
+			})
+			return
+		}
+		http.Error(w, "worker exploded", http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+
+	p := NewPool([]string{ts.URL, ts.URL}, nil)
+	if p.Workers() != 1 {
+		t.Fatalf("Workers() = %d, want 1 for one URL listed twice", p.Workers())
+	}
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Prefill(context.Background(), prefillStudy(), []byte(`{}`), st, "")
+	if p.Live() != 0 {
+		t.Fatalf("Live() = %d after a failed prefill, want 0: %+v", p.Live(), p.Snapshot())
 	}
 }
 

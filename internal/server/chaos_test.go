@@ -15,14 +15,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/store"
 )
 
 // The seeded chaos soak: a deterministic fault schedule — latency
 // injection, in-flight partitions, torn response bodies, and whole-host
 // kill/revive windows — driven into every coordinator→worker request by a
-// seeded RNG. Under every schedule the resilience layer (breakers,
-// reshard rounds, hedges, local fallback) must keep study output
+// seeded RNG. Under every schedule the resilience layer (breakers, the
+// owner walk with its hedges, local fallback) must keep study output
 // byte-identical to the sequential batch CLI, and once the chaos lifts,
 // anti-entropy must converge every store in the fleet to the same
 // point-key digest.
@@ -155,15 +156,15 @@ func TestChaosSoakByteIdenticalAndConvergent(t *testing.T) {
 				srv := New(Options{
 					MaxConcurrentStudies: 2, StudyWorkers: 2,
 					Store: cst, Workers: urls,
-					FabricClient:      &http.Client{Transport: chaos, Timeout: 30 * time.Second},
-					HedgeAfter:        20 * time.Millisecond,
-					BreakerThreshold:  1,
-					BreakerBackoff:    5 * time.Millisecond,
-					BreakerMaxBackoff: 50 * time.Millisecond,
-					BreakerSeed:       seed,
-					ShardAttempts:     3,
-					Rehandshake:       10 * time.Millisecond,
-					AntiEntropy:       15 * time.Millisecond,
+					Fabric: fabric.Options{
+						Client:            &http.Client{Transport: chaos, Timeout: 30 * time.Second},
+						HedgeAfter:        20 * time.Millisecond,
+						BreakerBackoff:    5 * time.Millisecond,
+						BreakerMaxBackoff: 50 * time.Millisecond,
+						BreakerSeed:       seed,
+						Rehandshake:       10 * time.Millisecond,
+						AntiEntropy:       15 * time.Millisecond,
+					},
 				})
 				ts := httptest.NewServer(srv.Handler())
 				t.Cleanup(func() { ts.Close(); srv.Close() })
@@ -241,11 +242,13 @@ func TestAntiEntropyConvergesAfterPartition(t *testing.T) {
 	srv := New(Options{
 		MaxConcurrentStudies: 2, StudyWorkers: 2,
 		Store: cst, Workers: []string{wts.URL},
-		FabricClient:      &http.Client{Transport: partitioned, Timeout: 30 * time.Second},
-		BreakerBackoff:    5 * time.Millisecond,
-		BreakerMaxBackoff: 50 * time.Millisecond,
-		Rehandshake:       10 * time.Millisecond,
-		AntiEntropy:       15 * time.Millisecond,
+		Fabric: fabric.Options{
+			Client:            &http.Client{Transport: partitioned, Timeout: 30 * time.Second},
+			BreakerBackoff:    5 * time.Millisecond,
+			BreakerMaxBackoff: 50 * time.Millisecond,
+			Rehandshake:       10 * time.Millisecond,
+			AntiEntropy:       15 * time.Millisecond,
+		},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })

@@ -122,32 +122,11 @@ type Options struct {
 	// without a Store gets an in-memory one (the prefill needs somewhere to
 	// land).
 	Workers []string
-	// FabricClient overrides the HTTP client the fabric pool uses for every
-	// worker request (handshakes, shards, anti-entropy). nil uses the pool's
-	// default; chaos tests inject fault-wrapped transports here.
-	FabricClient *http.Client
-	// HedgeAfter launches a second copy of a still-running shard on the
-	// next ring owner after this long; the first result wins and the loser
-	// is cancelled. 0 disables hedging.
-	HedgeAfter time.Duration
-	// BreakerThreshold, BreakerBackoff, BreakerMaxBackoff, and BreakerSeed
-	// tune the per-worker circuit breakers (see internal/fabric). Zero
-	// values select the fabric defaults.
-	BreakerThreshold  int
-	BreakerBackoff    time.Duration
-	BreakerMaxBackoff time.Duration
-	BreakerSeed       int64
-	// ShardAttempts bounds how many assignment rounds a prefill tries
-	// (first fan-out plus reshards across surviving workers) before leaving
-	// unfilled points to local compute. 0 selects the fabric default.
-	ShardAttempts int
-	// Rehandshake, when positive, re-probes open worker breakers on a
-	// background ticker so revived workers rejoin between prefills.
-	Rehandshake time.Duration
-	// AntiEntropy, when positive, runs a store reconciliation pass against
-	// every live worker on a background ticker (POST /v1/store/diff), so
-	// coordinator and worker stores converge after partitions and crashes.
-	AntiEntropy time.Duration
+	// Fabric tunes the coordinator's worker pool: its HTTP client (chaos
+	// tests inject fault-wrapped transports), hedging, breaker backoff, and
+	// the background re-handshake and anti-entropy tickers (see
+	// fabric.Options). Ignored without Workers.
+	Fabric fabric.Options
 }
 
 // Server is the study service. Create with New; it is safe for concurrent
@@ -197,17 +176,7 @@ func New(opts Options) *Server {
 	}
 	s := &Server{opts: opts, sem: make(chan struct{}, opts.MaxConcurrentStudies)}
 	if len(opts.Workers) > 0 {
-		s.fabric = fabric.NewPoolOptions(opts.Workers, fabric.Options{
-			Client:            opts.FabricClient,
-			HedgeAfter:        opts.HedgeAfter,
-			BreakerThreshold:  opts.BreakerThreshold,
-			BreakerBackoff:    opts.BreakerBackoff,
-			BreakerMaxBackoff: opts.BreakerMaxBackoff,
-			BreakerSeed:       opts.BreakerSeed,
-			ShardAttempts:     opts.ShardAttempts,
-			Rehandshake:       opts.Rehandshake,
-			AntiEntropy:       opts.AntiEntropy,
-		})
+		s.fabric = fabric.NewPoolOptions(opts.Workers, opts.Fabric)
 		s.fabric.Start(opts.Store)
 	}
 	if opts.Store != nil {
