@@ -18,8 +18,8 @@ import (
 // point cache, and characterizes each needed config exactly once per run —
 // in parallel across the study's workers — into a local plan table: the
 // global memo/singleflight mutex is touched once per unique config instead
-// of once per point, and selectBest runs once per (config, target) instead
-// of once per (point, target). The evaluation phase then walks the grid in
+// of once per point, and each target's winner is copied out once per
+// (config, target) instead of once per (point, target). The evaluation phase then walks the grid in
 // declaration order, replaying cached points and driving eval.EvaluateBatch
 // over the plan table into preallocated result buffers, emitting each point
 // as it completes. Output is byte-identical to the previous point-at-a-time

@@ -3,7 +3,7 @@ package nvsim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/cell"
 	"repro/internal/units"
@@ -209,25 +209,53 @@ func (cfg *Config) admissible(r Result) bool {
 
 // CharacterizeAll evaluates every admissible internal organization for the
 // configuration and returns them sorted by the configured target (best
-// first). Figure 12's area-efficiency exploration consumes the full set.
-// The evaluation itself comes from the shared engine (engine.go) through
-// the memo cache; only the sort runs per call.
+// first, ties in enumeration order). Figure 12's area-efficiency
+// exploration consumes the full set. It bypasses the memo cache, which
+// keeps only per-target winners, and walks the organization space afresh:
+// once to count it, once to stable-sort the admissible organizations by
+// their figure of merit, and a final re-score (the model is a pure function
+// of the organization) straight into an exact-size result slice.
 func CharacterizeAll(cfg Config) ([]Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	cands, err := memoizedCandidates(cfg)
-	if err != nil {
-		return nil, err
+	orgs := organizations(cfg.CapacityBytes*8, cfg.Cell.BitsPerCell, cfg.WordBits)
+	n := 0
+	for range orgs {
+		n++
 	}
-	results := make([]Result, len(cands))
-	copy(results, cands)
-	for i := range results {
+	if n == 0 {
+		return nil, errNoOrganization(&cfg)
+	}
+	type ranked struct {
+		v   float64
+		org Organization
+	}
+	order := make([]ranked, 0, n)
+	var m model
+	m.initCell(cfg.Cell, nodeAt(cfg.Cell.NodeNM), cfg.WordBits, &defaultCal)
+	for org := range orgs {
+		if r := m.score(&cfg, org); cfg.admissible(r) {
+			order = append(order, ranked{r.metric(cfg.Target), org})
+		}
+	}
+	if len(order) == 0 {
+		return nil, errConstraintsExclude(&cfg)
+	}
+	slices.SortStableFunc(order, func(a, b ranked) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case b.v < a.v:
+			return 1
+		}
+		return 0
+	})
+	results := make([]Result, len(order))
+	for i := range order {
+		results[i] = m.score(&cfg, order[i].org)
 		results[i].Target = cfg.Target
 	}
-	sort.SliceStable(results, func(i, j int) bool {
-		return results[i].metric(cfg.Target) < results[j].metric(cfg.Target)
-	})
 	return results, nil
 }
 

@@ -8,75 +8,84 @@ import (
 
 // This file is the shared characterization engine. The circuit model is
 // completely independent of the optimization target — the target only
-// decides which already-scored candidate wins — so the engine scores the
+// decides which already-scored organization wins — so the engine walks the
 // organization space exactly once per (cell, capacity, word width,
-// constraints) and answers any number of targets with O(n) min-selections
-// over the shared candidate set. Characterize and CharacterizeAll in
-// array.go are thin wrappers; Study.Run batches all of a study's targets
-// through CharacterizeTargets; and the memo cache (memo.go) reuses the
-// candidate sets across repeated studies.
+// constraints) and keeps every target's winner in the same pass.
+// Characterize in array.go is a thin wrapper; Study.Run batches all of a
+// study's targets through CharacterizeTargets; and the memo cache
+// (memo.go) keeps the per-target winners across repeated studies.
 
-// evaluateCandidates scores every organization for an already-normalized
-// configuration and returns the admissible ones in enumeration order, with
-// Result.Target left at its zero value (the caller stamps the target it
-// selects for). This is the single expensive step of characterization; its
-// output is what the memo cache stores.
-func evaluateCandidates(cfg Config) ([]Result, error) {
-	orgs := enumerate(cfg.CapacityBytes*8, cfg.Cell.BitsPerCell, cfg.WordBits)
-	if len(orgs) == 0 {
-		return nil, fmt.Errorf("nvsim: no feasible organization for %s at %s",
-			cfg.Cell.Name, units.Bytes(cfg.CapacityBytes))
-	}
-	node := nodeAt(cfg.Cell.NodeNM)
-	results := make([]Result, 0, len(orgs))
-	var m model
-	m.initCell(cfg.Cell, node, cfg.WordBits, &defaultCal)
-	for _, org := range orgs {
-		m.setOrg(org)
-		r := Result{
-			Cell:           cfg.Cell,
-			CapacityBytes:  cfg.CapacityBytes,
-			WordBits:       cfg.WordBits,
-			Org:            org,
-			ReadLatencyNS:  m.readLatencyNS(),
-			WriteLatencyNS: m.writeLatencyNS(),
-			ReadEnergyPJ:   m.readEnergyPJ(),
-			WriteEnergyPJ:  m.writeEnergyPJ(),
-			LeakagePowerMW: m.leakagePowerMW(),
-			AreaMM2:        m.totalMM2,
-			AreaEfficiency: m.areaEfficiency(),
-		}
-		if cfg.admissible(r) {
-			results = append(results, r)
-		}
-	}
-	if len(results) == 0 {
-		return nil, fmt.Errorf("nvsim: constraints exclude every organization for %s at %s",
-			cfg.Cell.Name, units.Bytes(cfg.CapacityBytes))
-	}
-	return results, nil
+// errNoOrganization and errConstraintsExclude are the engine's two
+// configuration-level failures; PrefilterTargets reproduces them byte for
+// byte.
+func errNoOrganization(cfg *Config) error {
+	return fmt.Errorf("nvsim: no feasible organization for %s at %s",
+		cfg.Cell.Name, units.Bytes(cfg.CapacityBytes))
 }
 
-// selectBest returns the candidate minimizing the target's figure of merit.
-// Ties keep the earliest candidate in enumeration order, matching what a
-// stable sort followed by taking element zero would select.
-func selectBest(cands []Result, t OptTarget) Result {
-	best := cands[0]
-	bestV := best.metric(t)
-	for i := 1; i < len(cands); i++ {
-		if v := cands[i].metric(t); v < bestV {
-			bestV = v
-			best = cands[i]
-		}
+func errConstraintsExclude(cfg *Config) error {
+	return fmt.Errorf("nvsim: constraints exclude every organization for %s at %s",
+		cfg.Cell.Name, units.Bytes(cfg.CapacityBytes))
+}
+
+// score runs the circuit model for one organization of a configuration
+// whose cell m was initialized with. Result.Target is left at its zero
+// value.
+func (m *model) score(cfg *Config, org Organization) Result {
+	m.setOrg(org)
+	return Result{
+		Cell:           cfg.Cell,
+		CapacityBytes:  cfg.CapacityBytes,
+		WordBits:       cfg.WordBits,
+		Org:            org,
+		ReadLatencyNS:  m.readLatencyNS(),
+		WriteLatencyNS: m.writeLatencyNS(),
+		ReadEnergyPJ:   m.readEnergyPJ(),
+		WriteEnergyPJ:  m.writeEnergyPJ(),
+		LeakagePowerMW: m.leakagePowerMW(),
+		AreaMM2:        m.totalMM2,
+		AreaEfficiency: m.areaEfficiency(),
 	}
-	best.Target = t
-	return best
+}
+
+// bestPerTarget scores every organization of an already-normalized
+// configuration once and keeps, for every target, the first admissible
+// organization minimizing its figure of merit: strict <, so ties keep the
+// earliest in enumeration order, which is what a stable sort followed by
+// taking element zero would select. This is the single expensive step of
+// characterization; best is what the memo cache stores.
+func bestPerTarget(cfg *Config, best *[numOptTargets]Result) error {
+	var m model
+	m.initCell(cfg.Cell, nodeAt(cfg.Cell.NodeNM), cfg.WordBits, &defaultCal)
+	var bestV [numOptTargets]float64
+	walked, admitted := false, false
+	for org := range organizations(cfg.CapacityBytes*8, cfg.Cell.BitsPerCell, cfg.WordBits) {
+		walked = true
+		r := m.score(cfg, org)
+		if !cfg.admissible(r) {
+			continue
+		}
+		for t := range numOptTargets {
+			if v := r.metric(t); !admitted || v < bestV[t] {
+				bestV[t], best[t] = v, r
+				best[t].Target = t
+			}
+		}
+		admitted = true
+	}
+	switch {
+	case !walked:
+		return errNoOrganization(cfg)
+	case !admitted:
+		return errConstraintsExclude(cfg)
+	}
+	return nil
 }
 
 // CharacterizeTargets characterizes one configuration under many
-// optimization targets at once: the organization space is enumerated and
-// scored a single time (cfg.Target is ignored), then each target picks its
-// winner with an O(n) scan. results and errs are parallel to targets;
+// optimization targets at once: the organization space is walked and
+// scored a single time (cfg.Target is ignored) and every target's winner
+// is kept along the way. results and errs are parallel to targets;
 // errs[i] is non-nil when that slot failed (a configuration-level error is
 // replicated into every slot, an invalid target fails only its own).
 func CharacterizeTargets(cfg Config, targets []OptTarget) (results []Result, errs []error) {
@@ -89,17 +98,16 @@ func CharacterizeTargets(cfg Config, targets []OptTarget) (results []Result, err
 		}
 		return results, errs
 	}
-	cands, candErr := memoizedCandidates(cfg)
+	e := memoized(cfg)
 	for i, t := range targets {
-		if t < 0 || t >= numOptTargets {
+		switch {
+		case t < 0 || t >= numOptTargets:
 			errs[i] = fmt.Errorf("nvsim: invalid optimization target %d", int(t))
-			continue
+		case e.err != nil:
+			errs[i] = e.err
+		default:
+			results[i] = e.best[t]
 		}
-		if candErr != nil {
-			errs[i] = candErr
-			continue
-		}
-		results[i] = selectBest(cands, t)
 	}
 	return results, errs
 }

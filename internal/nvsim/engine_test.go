@@ -1,6 +1,8 @@
 package nvsim
 
 import (
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -8,15 +10,16 @@ import (
 	"repro/internal/cell"
 )
 
-// seedCharacterize reimplements the pre-engine contract verbatim: score
-// every organization, stable-sort by the target's figure of merit, return
-// the head. The engine must reproduce it bit for bit.
-func seedCharacterize(t *testing.T, cfg Config) Result {
+// seedRank reimplements the pre-engine contract verbatim: score every
+// organization, keep the admissible ones, stable-sort them by the target's
+// figure of merit. seedCharacterize returns the head. The engine must
+// reproduce both bit for bit.
+func seedRank(t *testing.T, cfg Config) []Result {
 	t.Helper()
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	orgs := enumerate(cfg.CapacityBytes*8, cfg.Cell.BitsPerCell, cfg.WordBits)
+	orgs := slices.Collect(organizations(cfg.CapacityBytes*8, cfg.Cell.BitsPerCell, cfg.WordBits))
 	if len(orgs) == 0 {
 		t.Fatalf("no organizations for %s", cfg.Cell.Name)
 	}
@@ -41,37 +44,134 @@ func seedCharacterize(t *testing.T, cfg Config) Result {
 	sort.SliceStable(results, func(i, j int) bool {
 		return results[i].metric(cfg.Target) < results[j].metric(cfg.Target)
 	})
-	return results[0]
+	return results
 }
 
-// TestEngineMatchesSeedSelection asserts the evaluate-once engine selects
+func seedCharacterize(t *testing.T, cfg Config) Result {
+	t.Helper()
+	return seedRank(t, cfg)[0]
+}
+
+// matchSeed asserts the engine and the single-target wrapper select exactly
+// the array seedCharacterize selects for cfg, for every optimization
+// target, and returns the engine's per-target winners.
+func matchSeed(t *testing.T, cfg Config) []Result {
+	t.Helper()
+	targets := OptTargets()
+	rs, errs := CharacterizeTargets(cfg, targets)
+	for i, target := range targets {
+		if errs[i] != nil {
+			t.Fatalf("%s@%d/%s: %v", cfg.Cell.Name, cfg.CapacityBytes, target, errs[i])
+		}
+		one := cfg
+		one.Target = target
+		want := seedCharacterize(t, one)
+		if rs[i] != want {
+			t.Errorf("%s@%d/%s: engine selected %+v, seed selected %+v",
+				cfg.Cell.Name, cfg.CapacityBytes, target, rs[i], want)
+		}
+		got, err := Characterize(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s@%d/%s: Characterize diverges from seed", cfg.Cell.Name, cfg.CapacityBytes, target)
+		}
+	}
+	return rs
+}
+
+// TestEngineMatchesSeedSelection asserts the one-pass engine selects
 // exactly the array the sequential sort-based implementation selected, for
-// every case-study cell and every optimization target, at two capacities.
+// every optimization target: every case-study cell at three capacities, a
+// narrow 64-bit word, a 2-bit MLC cell, and each constraint set tight
+// enough to exclude the unconstrained winner.
 func TestEngineMatchesSeedSelection(t *testing.T) {
 	ResetMemo()
-	targets := OptTargets()
-	for _, capBytes := range []int64{1 << 20, 4 << 20} {
+	defer ResetMemo()
+	for _, capBytes := range []int64{1 << 20, 4 << 20, 8 << 20} {
 		for _, d := range cell.CaseStudyCells() {
-			rs, errs := CharacterizeTargets(Config{Cell: d, CapacityBytes: capBytes}, targets)
-			for i, target := range targets {
-				if errs[i] != nil {
-					t.Fatalf("%s/%s: %v", d.Name, target, errs[i])
-				}
-				want := seedCharacterize(t, Config{
-					Cell: d, CapacityBytes: capBytes, Target: target})
-				if rs[i] != want {
-					t.Errorf("%s@%d/%s: engine selected %+v, seed selected %+v",
-						d.Name, capBytes, target, rs[i], want)
-				}
-				// The single-target wrapper must agree as well.
-				got, err := Characterize(Config{
-					Cell: d, CapacityBytes: capBytes, Target: target})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Errorf("%s@%d/%s: Characterize diverges from seed", d.Name, capBytes, target)
-				}
+			matchSeed(t, Config{Cell: d, CapacityBytes: capBytes})
+		}
+	}
+	for _, d := range cell.CaseStudyCells() {
+		matchSeed(t, Config{Cell: d, CapacityBytes: 2 << 20, WordBits: 64})
+	}
+	mlc := cell.MustToMLC(cell.MustTentpole(cell.RRAM, cell.Optimistic), 2)
+	matchSeed(t, Config{Cell: mlc, CapacityBytes: 2 << 20})
+
+	// Each constraint sits halfway between the unconstrained optimum of its
+	// own metric and the value some other target's winner reaches, so that
+	// winner is excluded while the optimum stays admissible.
+	d := cell.MustTentpole(cell.STT, cell.Optimistic)
+	base := Config{Cell: d, CapacityBytes: 4 << 20}
+	free := matchSeed(t, base)
+	mid := func(lo, hi float64) float64 {
+		if !(lo < hi) {
+			t.Fatalf("no room for a bound between %g and %g", lo, hi)
+		}
+		return (lo + hi) / 2
+	}
+	area, lat, leak, banks := base, base, base, base
+	area.MaxAreaMM2 = mid(free[OptArea].AreaMM2, free[OptReadLatency].AreaMM2)
+	lat.MaxReadLatencyNS = mid(free[OptReadLatency].ReadLatencyNS, free[OptArea].ReadLatencyNS)
+	leak.MaxLeakageMW = mid(free[OptLeakage].LeakagePowerMW, free[OptReadLatency].LeakagePowerMW)
+	if banks.ForceBanks = free[OptReadEDP].Org.Banks / 2; banks.ForceBanks == 0 {
+		banks.ForceBanks = 2
+	}
+	for _, c := range []struct {
+		cfg      Config
+		excluded OptTarget
+	}{{area, OptReadLatency}, {lat, OptArea}, {leak, OptReadLatency}, {banks, OptReadEDP}} {
+		if got := matchSeed(t, c.cfg); got[c.excluded] == free[c.excluded] {
+			t.Errorf("constraints %+v kept the unconstrained %s winner", c.cfg, c.excluded)
+		}
+	}
+}
+
+// TestCharacterizeTargetsColdAllocs ratchets the cold path's garbage: one
+// engine pass answering every target keeps eight winners and builds no
+// candidate or organization slice.
+func TestCharacterizeTargetsColdAllocs(t *testing.T) {
+	defer ResetMemo()
+	cfg := Config{Cell: cell.MustTentpole(cell.STT, cell.Optimistic), CapacityBytes: 2 << 20}
+	targets := OptTargets()
+	cold := func() {
+		ResetMemo()
+		if _, errs := CharacterizeTargets(cfg, targets); errs[0] != nil {
+			t.Fatal(errs[0])
+		}
+	}
+	allocs := testing.AllocsPerRun(20, cold)
+	const n = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		cold()
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / n / 1024
+	if allocs > 8 || kb > 8 {
+		t.Errorf("cold CharacterizeTargets: %.0f allocs, %.1f KB per call; want <= 8 allocs, <= 8 KB", allocs, kb)
+	}
+}
+
+// TestCharacterizeAllMatchesSeedRanking asserts the memo-free full-set
+// entry point returns the seed's whole stable-sorted candidate list, ties
+// included, under an unconstrained and a constrained configuration.
+func TestCharacterizeAllMatchesSeedRanking(t *testing.T) {
+	for _, cfg := range []Config{
+		{Cell: cell.MustTentpole(cell.PCM, cell.Optimistic), CapacityBytes: 4 << 20},
+		{Cell: cell.MustTentpole(cell.STT, cell.Pessimistic), CapacityBytes: 2 << 20, WordBits: 64, ForceBanks: 4},
+	} {
+		for _, target := range OptTargets() {
+			cfg.Target = target
+			got, err := CharacterizeAll(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := seedRank(t, cfg); !slices.Equal(got, want) {
+				t.Errorf("%s/%s: CharacterizeAll ranking diverges from the seed's", cfg.Cell.Name, target)
 			}
 		}
 	}
@@ -170,7 +270,8 @@ func TestMemoHitsOnRepeat(t *testing.T) {
 	if hits != 0 || misses != 1 {
 		t.Fatalf("after first call: hits=%d misses=%d, want 0/1", hits, misses)
 	}
-	// Same key again, different target, and the full-set entry point: all hits.
+	// Same key again and a different target: hits. The full-set entry point
+	// bypasses the memo, so it neither hits nor misses.
 	if _, err := Characterize(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +283,8 @@ func TestMemoHitsOnRepeat(t *testing.T) {
 		t.Fatal(err)
 	}
 	hits, misses = MemoStats()
-	if hits != 3 || misses != 1 {
-		t.Fatalf("after repeats: hits=%d misses=%d, want 3/1", hits, misses)
+	if hits != 2 || misses != 1 {
+		t.Fatalf("after repeats: hits=%d misses=%d, want 2/1", hits, misses)
 	}
 }
 

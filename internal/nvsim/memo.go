@@ -3,57 +3,37 @@ package nvsim
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/cell"
 )
 
 // The memo cache. Experiments across a study session characterize the same
 // tentpole cells at the same handful of capacities dozens of times (Figs
 // 3/5/10 reuse the case-study cell set, Table II re-runs the same 2MB
-// arrays for every use case row). The evaluated candidate set depends only
-// on (cell, capacity, word width, constraints) — never on the optimization
-// target — so one cached evaluation serves every target and every repeat.
+// arrays for every use case row). The engine's pass depends only on (cell,
+// capacity, word width, constraints) — never on the optimization target —
+// and it keeps every target's winner, so one entry of eight winners serves
+// every target and every repeat.
 //
 // Entries are computed under a per-key sync.Once, so concurrent workers
 // asking for the same key (parallel Study.Run fans out a grid of them)
-// block on one computation instead of duplicating it. Cached slices are
-// shared read-only; selection copies the winning element and CharacterizeAll
-// sorts a copy.
+// block on one computation instead of duplicating it. Entries are shared
+// read-only; callers copy the winners out.
 
-// memoKey identifies one candidate-set evaluation. cell.Definition contains
-// only scalars and strings, so the whole configuration fingerprint is a
-// comparable value.
-type memoKey struct {
-	cell             cell.Definition
-	capacityBytes    int64
-	wordBits         int
-	maxAreaMM2       float64
-	maxReadLatencyNS float64
-	maxLeakageMW     float64
-	forceBanks       int
-}
-
-// memoKey fingerprints a normalized Config in exactly one place. Every
-// coordinate of a study's PointSpec that affects characterization (cell —
-// which carries bits-per-cell — capacity, word width, constraints) flows
-// through here; axes that only affect evaluation (write buffer, fault mode)
-// deliberately do not, so those sweep points share one characterization.
-func (cfg *Config) memoKey() memoKey {
-	return memoKey{
-		cell:             cfg.Cell,
-		capacityBytes:    cfg.CapacityBytes,
-		wordBits:         cfg.WordBits,
-		maxAreaMM2:       cfg.MaxAreaMM2,
-		maxReadLatencyNS: cfg.MaxReadLatencyNS,
-		maxLeakageMW:     cfg.MaxLeakageMW,
-		forceBanks:       cfg.ForceBanks,
-	}
+// memoKey fingerprints a normalized Config in exactly one place: the
+// Config with its target cleared. Every coordinate of a study's PointSpec
+// that affects characterization (cell — which carries bits-per-cell —
+// capacity, word width, constraints) is a Config field; axes that only
+// affect evaluation (write buffer, fault mode) deliberately are not, so
+// those sweep points share one characterization. cell.Definition contains
+// only scalars and strings, so the key is a comparable value.
+func (cfg Config) memoKey() Config {
+	cfg.Target = 0
+	return cfg
 }
 
 type memoEntry struct {
-	once  sync.Once
-	cands []Result
-	err   error
+	once sync.Once
+	best [numOptTargets]Result // indexed by OptTarget
+	err  error
 	// ready flips true once the once has completed, so the snapshot writer
 	// (snapshot.go) can tell a finished entry from one still computing
 	// without blocking on the once itself.
@@ -62,49 +42,45 @@ type memoEntry struct {
 
 var memo = struct {
 	mu sync.Mutex
-	m  map[memoKey]*memoEntry
-}{m: map[memoKey]*memoEntry{}}
+	m  map[Config]*memoEntry
+}{m: map[Config]*memoEntry{}}
 
 var memoHits, memoMisses atomic.Int64
 
-// memoMaxEntries bounds the cache. Candidate sets run to thousands of
-// Results per key, so an unbounded cache in a long-lived process sweeping
-// arbitrary custom cells would grow without limit; past the cap, new keys
-// are computed without being retained (existing entries keep hitting).
-// Studies of the paper's scale use a few dozen keys.
+// memoMaxEntries bounds the cache as a guard for a long-lived process
+// sweeping arbitrary custom cells. At eight winners (~2.3 KB) per key the
+// cap holds about 9 MB; past it, new keys are computed without being
+// retained (existing entries keep hitting). Studies of the paper's scale
+// use a few dozen keys.
 const memoMaxEntries = 4096
 
-// memoizedCandidates returns the admissible candidate set for a normalized
-// configuration, computing it at most once per key. The returned slice is
-// shared: callers must not mutate it.
-func memoizedCandidates(cfg Config) ([]Result, error) {
+// memoized returns the per-target winners for a normalized configuration,
+// computing them at most once per key. The entry is shared: callers must
+// not mutate it.
+func memoized(cfg Config) *memoEntry {
 	key := cfg.memoKey()
 	memo.mu.Lock()
 	e, ok := memo.m[key]
-	if !ok && len(memo.m) < memoMaxEntries {
+	if !ok {
 		e = &memoEntry{}
-		memo.m[key] = e
+		if len(memo.m) < memoMaxEntries { // else: compute without retaining
+			memo.m[key] = e
+		}
 	}
 	memo.mu.Unlock()
 	if ok {
 		memoHits.Add(1)
-		e.once.Do(func() { e.cands, e.err = evaluateCandidates(cfg) })
-		e.ready.Store(true)
-		return e.cands, e.err
+	} else {
+		memoMisses.Add(1)
 	}
-	memoMisses.Add(1)
-	if e == nil { // cache full: compute without retaining
-		return evaluateCandidates(cfg)
-	}
-	e.once.Do(func() { e.cands, e.err = evaluateCandidates(cfg) })
+	e.once.Do(func() { e.err = bestPerTarget(&cfg, &e.best) })
 	e.ready.Store(true)
-	return e.cands, e.err
+	return e
 }
 
 // MemoStats reports how often characterizations were served from the cache
-// versus computed. A hit means the candidate set for the requested
-// configuration already existed (or was being computed by another
-// goroutine).
+// versus computed. A hit means the winners for the requested configuration
+// already existed (or were being computed by another goroutine).
 func MemoStats() (hits, misses int64) {
 	return memoHits.Load(), memoMisses.Load()
 }
@@ -113,7 +89,7 @@ func MemoStats() (hits, misses int64) {
 // benchmarks that want to measure the cold path.
 func ResetMemo() {
 	memo.mu.Lock()
-	memo.m = map[memoKey]*memoEntry{}
+	memo.m = map[Config]*memoEntry{}
 	memo.mu.Unlock()
 	memoHits.Store(0)
 	memoMisses.Store(0)

@@ -2,6 +2,7 @@ package nvsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -44,7 +45,7 @@ func TestNodeMonotonicity(t *testing.T) {
 }
 
 func TestEnumerate(t *testing.T) {
-	orgs := enumerate(2<<20*8, 1, 512)
+	orgs := slices.Collect(organizations(2<<20*8, 1, 512))
 	if len(orgs) == 0 {
 		t.Fatal("no organizations for a 2MiB array")
 	}
@@ -60,8 +61,8 @@ func TestEnumerate(t *testing.T) {
 }
 
 func TestEnumerateMLCHalvesCells(t *testing.T) {
-	slc := enumerate(1<<20*8, 1, 512)
-	mlc := enumerate(1<<20*8, 2, 512)
+	slc := slices.Collect(organizations(1<<20*8, 1, 512))
+	mlc := slices.Collect(organizations(1<<20*8, 2, 512))
 	if len(slc) == 0 || len(mlc) == 0 {
 		t.Fatal("missing organizations")
 	}
@@ -74,7 +75,7 @@ func TestEnumerateMLCHalvesCells(t *testing.T) {
 func TestEnumerateRoundsUpNonPow2(t *testing.T) {
 	// The 3.6Mb validation macro is not a power of two.
 	bits := int64(3686400)
-	orgs := enumerate(bits, 1, 512)
+	orgs := slices.Collect(organizations(bits, 1, 512))
 	if len(orgs) == 0 {
 		t.Fatal("no organizations for non-power-of-two capacity")
 	}
@@ -84,10 +85,10 @@ func TestEnumerateRoundsUpNonPow2(t *testing.T) {
 }
 
 func TestEnumerateDegenerate(t *testing.T) {
-	if enumerate(0, 1, 512) != nil {
+	if slices.Collect(organizations(0, 1, 512)) != nil {
 		t.Error("zero capacity should enumerate nothing")
 	}
-	if enumerate(1<<23, 0, 512) != nil {
+	if slices.Collect(organizations(1<<23, 0, 512)) != nil {
 		t.Error("zero bits-per-cell should enumerate nothing")
 	}
 }

@@ -2,6 +2,7 @@ package nvsim
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 )
 
@@ -66,36 +67,33 @@ func nextPow2(n int64) int64 {
 	return 1 << bits.Len64(uint64(n-1))
 }
 
-// enumerate lists every organization able to hold capacityBits bits of data
-// (rounded up to the next power of two) with cells storing bitsPerCell bits,
-// and able to deliver wordBits per access. The list is deterministic.
-func enumerate(capacityBits int64, bitsPerCell, wordBits int) []Organization {
-	if capacityBits <= 0 || bitsPerCell <= 0 || wordBits <= 0 {
-		return nil
-	}
-	cells := nextPow2((capacityBits + int64(bitsPerCell) - 1) / int64(bitsPerCell))
-	var out []Organization
-	for banks := 1; banks <= maxBanks; banks *= 2 {
-		for subs := 1; subs <= maxSubarrays; subs *= 2 {
-			for rows := minRows; rows <= maxRows; rows *= 2 {
-				denom := int64(banks) * int64(subs) * int64(rows)
-				cols := cells / denom
-				if cols*denom != cells {
-					continue
-				}
-				if cols < minCols || cols > maxCols {
-					continue
-				}
-				for mux := 1; mux <= maxMuxDegree; mux *= 2 {
-					o := Organization{Banks: banks, Subarrays: subs,
-						Rows: rows, Cols: int(cols), MuxDegree: mux}
-					if o.ActiveSubarrays(wordBits, bitsPerCell) == 0 {
+// organizations walks every organization able to hold capacityBits bits of
+// data (rounded up to the next power of two) with cells storing bitsPerCell
+// bits, and able to deliver wordBits per access. The order is
+// deterministic; selection ties resolve to the earliest organization in it.
+func organizations(capacityBits int64, bitsPerCell, wordBits int) iter.Seq[Organization] {
+	return func(yield func(Organization) bool) {
+		if capacityBits <= 0 || bitsPerCell <= 0 || wordBits <= 0 {
+			return
+		}
+		cells := nextPow2((capacityBits + int64(bitsPerCell) - 1) / int64(bitsPerCell))
+		for banks := 1; banks <= maxBanks; banks *= 2 {
+			for subs := 1; subs <= maxSubarrays; subs *= 2 {
+				for rows := minRows; rows <= maxRows; rows *= 2 {
+					denom := int64(banks) * int64(subs) * int64(rows)
+					cols := cells / denom
+					if cols*denom != cells || cols < minCols || cols > maxCols {
 						continue
 					}
-					out = append(out, o)
+					for mux := 1; mux <= maxMuxDegree; mux *= 2 {
+						o := Organization{Banks: banks, Subarrays: subs,
+							Rows: rows, Cols: int(cols), MuxDegree: mux}
+						if o.ActiveSubarrays(wordBits, bitsPerCell) != 0 && !yield(o) {
+							return
+						}
+					}
 				}
 			}
 		}
 	}
-	return out
 }

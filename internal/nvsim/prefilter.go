@@ -1,10 +1,6 @@
 package nvsim
 
-import (
-	"fmt"
-
-	"repro/internal/units"
-)
+import "fmt"
 
 // Cheap constraint pre-filtering. The full characterization pipeline scores
 // every enumerated organization through the circuit model before applying
@@ -30,35 +26,6 @@ func cellMatrixAreaMM2(cfg *Config) float64 {
 	return float64(cells) * cfg.Cell.AreaF2 * fUM * fUM * 1e-6
 }
 
-// hasOrganizations reports whether enumerate would return at least one
-// organization, without allocating the candidate list. It re-walks the same
-// power-of-two sweep and stops at the first viable floorplan.
-func hasOrganizations(capacityBits int64, bitsPerCell, wordBits int) bool {
-	if capacityBits <= 0 || bitsPerCell <= 0 || wordBits <= 0 {
-		return false
-	}
-	cells := nextPow2((capacityBits + int64(bitsPerCell) - 1) / int64(bitsPerCell))
-	for banks := 1; banks <= maxBanks; banks *= 2 {
-		for subs := 1; subs <= maxSubarrays; subs *= 2 {
-			for rows := minRows; rows <= maxRows; rows *= 2 {
-				denom := int64(banks) * int64(subs) * int64(rows)
-				cols := cells / denom
-				if cols*denom != cells || cols < minCols || cols > maxCols {
-					continue
-				}
-				for mux := 1; mux <= maxMuxDegree; mux *= 2 {
-					o := Organization{Banks: banks, Subarrays: subs,
-						Rows: rows, Cols: int(cols), MuxDegree: mux}
-					if o.ActiveSubarrays(wordBits, bitsPerCell) != 0 {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
-}
-
 // PrefilterTargets decides, from constraint bounds alone, whether this
 // configuration cannot produce a single admissible organization. When it
 // can prove that, it returns the exact (results, errs) CharacterizeTargets
@@ -79,14 +46,11 @@ func PrefilterTargets(cfg Config, targets []OptTarget) (results []Result, errs [
 	// inadmissible. Distinguish the engine's two failure messages — an empty
 	// enumeration reports "no feasible organization", a non-empty one whose
 	// candidates are all excluded reports "constraints exclude".
-	var err error
-	if hasOrganizations(cfg.CapacityBytes*8, cfg.Cell.BitsPerCell, cfg.WordBits) {
-		err = fmt.Errorf("nvsim: constraints exclude every organization for %s at %s",
-			cfg.Cell.Name, units.Bytes(cfg.CapacityBytes))
-	} else {
-		err = fmt.Errorf("nvsim: no feasible organization for %s at %s",
-			cfg.Cell.Name, units.Bytes(cfg.CapacityBytes))
-	}
+	err := errNoOrganization(&cfg)
+	organizations(cfg.CapacityBytes*8, cfg.Cell.BitsPerCell, cfg.WordBits)(func(Organization) bool {
+		err = errConstraintsExclude(&cfg)
+		return false // one organization is enough
+	})
 	results = make([]Result, len(targets))
 	errs = make([]error, len(targets))
 	for i, t := range targets {

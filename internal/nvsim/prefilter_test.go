@@ -10,30 +10,35 @@ import (
 // planner's engine-skip: whenever the pre-filter prunes a configuration, its
 // per-target errors must be exactly what CharacterizeTargets would have
 // reported. The SRAM reference cell at 4 MB occupies well over 1 mm² of
-// bare cell matrix, so a sub-mm² budget is provably unsatisfiable.
+// bare cell matrix, so a sub-mm² budget is provably unsatisfiable; a
+// 1-byte array has no organization at all, which the engine reports with
+// its other message.
 func TestPrefilterMatchesEngineErrors(t *testing.T) {
 	d := cell.MustTentpole(cell.SRAM, cell.Reference)
-	cfg := Config{Cell: d, CapacityBytes: 4 << 20, MaxAreaMM2: 0.9}
 	targets := []OptTarget{OptReadEDP, OptArea, OptTarget(99)}
-
-	pr, perrs, pruned := PrefilterTargets(cfg, targets)
-	if !pruned {
-		t.Fatalf("pre-filter did not prune %s at 4MB under 0.9mm² (bound %.3f)",
-			d.Name, cellMatrixAreaMM2(&cfg))
-	}
-	er, eerrs := CharacterizeTargets(cfg, targets)
-	if len(pr) != len(er) || len(perrs) != len(eerrs) {
-		t.Fatalf("shape mismatch: prefilter %d/%d, engine %d/%d",
-			len(pr), len(perrs), len(er), len(eerrs))
-	}
-	for i := range eerrs {
-		if eerrs[i] == nil || perrs[i] == nil {
-			t.Fatalf("slot %d: expected errors on both paths, got prefilter=%v engine=%v",
-				i, perrs[i], eerrs[i])
+	for _, cfg := range []Config{
+		{Cell: d, CapacityBytes: 4 << 20, MaxAreaMM2: 0.9},
+		{Cell: d, CapacityBytes: 1, MaxAreaMM2: 1e-12},
+	} {
+		pr, perrs, pruned := PrefilterTargets(cfg, targets)
+		if !pruned {
+			t.Fatalf("pre-filter did not prune %s at %dB under %gmm² (bound %.3g)",
+				d.Name, cfg.CapacityBytes, cfg.MaxAreaMM2, cellMatrixAreaMM2(&cfg))
 		}
-		if perrs[i].Error() != eerrs[i].Error() {
-			t.Errorf("slot %d error drifted:\nprefilter: %s\nengine:    %s",
-				i, perrs[i], eerrs[i])
+		er, eerrs := CharacterizeTargets(cfg, targets)
+		if len(pr) != len(er) || len(perrs) != len(eerrs) {
+			t.Fatalf("shape mismatch: prefilter %d/%d, engine %d/%d",
+				len(pr), len(perrs), len(er), len(eerrs))
+		}
+		for i := range eerrs {
+			if eerrs[i] == nil || perrs[i] == nil {
+				t.Fatalf("slot %d: expected errors on both paths, got prefilter=%v engine=%v",
+					i, perrs[i], eerrs[i])
+			}
+			if perrs[i].Error() != eerrs[i].Error() {
+				t.Errorf("slot %d error drifted:\nprefilter: %s\nengine:    %s",
+					i, perrs[i], eerrs[i])
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package nvsim
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -9,22 +10,30 @@ import (
 // Memo-cache snapshots. The persistent study store (internal/store)
 // snapshots the memo cache to disk on shutdown and reloads it on startup,
 // so a restarted process answers *partially overlapping* studies — new
-// traffic over already-characterized arrays, a new optimization target over
-// a cached candidate set — without re-running the engine. (Fully repeated
-// points never reach the memo at all: the per-point store serves them.)
+// traffic over already-characterized arrays, another optimization target
+// of a cached configuration — without re-running the engine. (Fully
+// repeated points never reach the memo at all: the per-point store serves
+// them.)
 //
 // The wire format is gob with an explicit version string. gob tolerates
 // schema drift by silently zero-filling, which here would mean silently
 // wrong physics — so SnapshotVersion must be bumped whenever Config,
-// Result, Organization, or cell.Definition change shape, and RestoreMemo
-// rejects any snapshot that doesn't match exactly.
+// Result, Organization, or cell.Definition change shape, a snapshot of any
+// other version is refused whole with ErrSnapshotVersion, and RestoreMemo
+// additionally skips every entry whose winners do not belong to its key.
 
-// SnapshotVersion identifies the memo snapshot schema.
-const SnapshotVersion = "nvmx-memo/v1"
+// SnapshotVersion identifies the memo snapshot schema. v1 held every
+// admissible candidate per key; v2 holds the eight per-target winners.
+const SnapshotVersion = "nvmx-memo/v2"
+
+// ErrSnapshotVersion reports a well-formed snapshot of a schema version
+// this binary does not speak: not corruption, just unusable. Stores leave
+// such a file in place; the next SaveMemo overwrites it.
+var ErrSnapshotVersion = errors.New("nvsim: unknown memo snapshot version")
 
 // memoSnapshot is the on-disk form: each entry carries the normalized
-// Config the candidates were evaluated for (the memo key is re-derived from
-// it on restore) and the admissible candidate set itself.
+// Config it was characterized for (the memo key) and the winner of every
+// optimization target, indexed by OptTarget.
 type memoSnapshot struct {
 	Version string
 	Entries []memoSnapshotEntry
@@ -32,74 +41,80 @@ type memoSnapshot struct {
 
 type memoSnapshotEntry struct {
 	Config Config
-	Cands  []Result
+	Best   [numOptTargets]Result
 }
 
 // SnapshotMemo writes every completed, successful memo entry to w. Entries
 // still being computed by another goroutine and entries that failed are
 // skipped — they re-compute (or re-fail) naturally after a restore.
 func SnapshotMemo(w io.Writer) error {
-	type kv struct {
-		key memoKey
-		e   *memoEntry
-	}
+	snap := memoSnapshot{Version: SnapshotVersion}
 	memo.mu.Lock()
-	all := make([]kv, 0, len(memo.m))
-	for k, e := range memo.m {
-		all = append(all, kv{k, e})
+	for key, e := range memo.m {
+		if e.ready.Load() && e.err == nil {
+			snap.Entries = append(snap.Entries, memoSnapshotEntry{Config: key, Best: e.best})
+		}
 	}
 	memo.mu.Unlock()
-
-	snap := memoSnapshot{Version: SnapshotVersion}
-	for _, it := range all {
-		if !it.e.ready.Load() || it.e.err != nil {
-			continue
-		}
-		snap.Entries = append(snap.Entries, memoSnapshotEntry{
-			Config: Config{
-				Cell:             it.key.cell,
-				CapacityBytes:    it.key.capacityBytes,
-				WordBits:         it.key.wordBits,
-				MaxAreaMM2:       it.key.maxAreaMM2,
-				MaxReadLatencyNS: it.key.maxReadLatencyNS,
-				MaxLeakageMW:     it.key.maxLeakageMW,
-				ForceBanks:       it.key.forceBanks,
-			},
-			Cands: it.e.cands,
-		})
-	}
 	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
 		return fmt.Errorf("nvsim: encoding memo snapshot: %w", err)
 	}
 	return nil
 }
 
-// RestoreMemo merges a snapshot written by SnapshotMemo into the memo
-// cache, returning how many entries were inserted. Keys already present
-// keep their live value; the cache capacity still applies. A snapshot from
-// a different schema version is rejected whole.
-func RestoreMemo(r io.Reader) (int, error) {
+// decodeSnapshot reads one snapshot of the current version.
+func decodeSnapshot(r io.Reader) (*memoSnapshot, error) {
 	var snap memoSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return 0, fmt.Errorf("nvsim: decoding memo snapshot: %w", err)
+		return nil, fmt.Errorf("nvsim: decoding memo snapshot: %w", err)
 	}
 	if snap.Version != SnapshotVersion {
-		return 0, fmt.Errorf("nvsim: memo snapshot version %q, want %q",
-			snap.Version, SnapshotVersion)
+		return nil, fmt.Errorf("%w %q, want %q", ErrSnapshotVersion, snap.Version, SnapshotVersion)
+	}
+	return &snap, nil
+}
+
+// valid reports whether an entry is one bestPerTarget could have produced:
+// its Config is a normalized memo key, and every Best[t] is target t's
+// result for exactly that cell, capacity and word width, admitted by the
+// key's constraints. A zero-filled or foreign entry fails.
+func (se *memoSnapshotEntry) valid() bool {
+	cfg := se.Config
+	if cfg.normalize() != nil || cfg != se.Config.memoKey() {
+		return false
+	}
+	for t := range numOptTargets {
+		r := &se.Best[t]
+		if r.Target != t || r.Cell != cfg.Cell || r.CapacityBytes != cfg.CapacityBytes ||
+			r.WordBits != cfg.WordBits || !cfg.admissible(*r) {
+			return false
+		}
+	}
+	return true
+}
+
+// RestoreMemo merges a snapshot written by SnapshotMemo into the memo
+// cache, returning how many entries were inserted. Invalid entries are
+// skipped; keys already present keep their live value; the cache capacity
+// still applies. A snapshot of another schema version is refused whole
+// with an error wrapping ErrSnapshotVersion.
+func RestoreMemo(r io.Reader) (int, error) {
+	snap, err := decodeSnapshot(r)
+	if err != nil {
+		return 0, err
 	}
 	n := 0
 	for i := range snap.Entries {
-		cands := snap.Entries[i].Cands
-		if len(cands) == 0 {
+		se := &snap.Entries[i]
+		if !se.valid() {
 			continue
 		}
-		key := snap.Entries[i].Config.memoKey()
-		e := &memoEntry{}
-		e.once.Do(func() { e.cands = cands })
+		e := &memoEntry{best: se.Best}
+		e.once.Do(func() {})
 		e.ready.Store(true)
 		memo.mu.Lock()
-		if _, ok := memo.m[key]; !ok && len(memo.m) < memoMaxEntries {
-			memo.m[key] = e
+		if _, ok := memo.m[se.Config]; !ok && len(memo.m) < memoMaxEntries {
+			memo.m[se.Config] = e
 			n++
 		}
 		memo.mu.Unlock()
@@ -107,23 +122,25 @@ func RestoreMemo(r io.Reader) (int, error) {
 	return n, nil
 }
 
-// CheckMemoSnapshot validates a snapshot structurally — decodable, right
-// schema version — without touching the live memo, returning how many
-// entries it holds. Offline verification (`nvmexplorer fsck`) uses this so
-// a scan never mutates engine state.
+// CheckMemoSnapshot validates a snapshot — decodable, right schema version
+// — without touching the live memo, returning how many of its entries are
+// valid (RestoreMemo inserts at most that many). Offline verification
+// (`nvmexplorer fsck`) uses this so a scan never mutates engine state.
 func CheckMemoSnapshot(r io.Reader) (int, error) {
-	var snap memoSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return 0, fmt.Errorf("nvsim: decoding memo snapshot: %w", err)
+	snap, err := decodeSnapshot(r)
+	if err != nil {
+		return 0, err
 	}
-	if snap.Version != SnapshotVersion {
-		return 0, fmt.Errorf("nvsim: memo snapshot version %q, want %q",
-			snap.Version, SnapshotVersion)
+	n := 0
+	for i := range snap.Entries {
+		if snap.Entries[i].valid() {
+			n++
+		}
 	}
-	return len(snap.Entries), nil
+	return n, nil
 }
 
-// MemoLen reports how many candidate sets the cache currently holds.
+// MemoLen reports how many configurations the cache currently holds.
 func MemoLen() int {
 	memo.mu.Lock()
 	defer memo.mu.Unlock()

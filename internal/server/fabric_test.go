@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/nvsim"
@@ -259,6 +261,51 @@ func TestStoreAPIRecordRoundTrip(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("memo PUT: status %d, want 204", resp.StatusCode)
+	}
+}
+
+// TestMemoPutRefusesOtherSnapshotVersions: a memo snapshot of another
+// schema version (here v1's shape: every candidate per key) is refused
+// with version_mismatch, undecodable bytes with store_corrupt, and
+// neither touches the live memo.
+func TestMemoPutRefusesOtherSnapshotVersions(t *testing.T) {
+	nvsim.ResetMemo()
+	defer nvsim.ResetMemo()
+	_, ts := newStoreServer(t, t.TempDir())
+	type entryV1 struct {
+		Config nvsim.Config
+		Cands  []nvsim.Result
+	}
+	cfg := nvsim.Config{Cell: cell.MustTentpole(cell.STT, cell.Optimistic),
+		CapacityBytes: 1 << 20, WordBits: nvsim.DefaultWordBits}
+	cands, err := nvsim.CharacterizeAll(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v1 bytes.Buffer
+	if err := gob.NewEncoder(&v1).Encode(&struct {
+		Version string
+		Entries []entryV1
+	}{"nvmx-memo/v1", []entryV1{{cfg, cands}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		body []byte
+		code string
+	}{{v1.Bytes(), "version_mismatch"}, {[]byte("not gob"), "store_corrupt"}} {
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/store/memo", bytes.NewReader(c.body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || errCode(t, body) != c.code {
+			t.Fatalf("memo PUT: status %d code %q, want 400 %s", resp.StatusCode, errCode(t, body), c.code)
+		}
+	}
+	if nvsim.MemoLen() != 0 {
+		t.Fatal("a refused snapshot populated the memo")
 	}
 }
 

@@ -338,7 +338,7 @@ func buildOpenAPI() []byte {
 			},
 			"/v1/store/memo": map[string]any{
 				"get": map[string]any{"summary": "Snapshot of the live engine memo cache", "description": "404 while empty."},
-				"put": map[string]any{"summary": "Merge a memo snapshot into the live cache", "description": "Merge, not replace: entries this process computed keep their live values, so peers exchange snapshots in both directions safely."},
+				"put": map[string]any{"summary": "Merge a memo snapshot into the live cache", "description": "Merge, not replace: entries this process computed keep their live values, so peers exchange snapshots in both directions safely. 400 version_mismatch on another snapshot schema version, 400 store_corrupt on undecodable bytes."},
 			},
 			"/v1/store/studies": map[string]any{
 				"get": map[string]any{"summary": "Stored study fingerprints", "description": "{\"fingerprints\": [...]} — the remote backend's manifest index."},

@@ -141,9 +141,10 @@ func (s *Server) recordPut(importRecord func(*store.Store, []byte) (string, erro
 	}
 }
 
-// importError maps the store's typed import failures onto the envelope.
+// importError maps the store's and the memo snapshot's typed import
+// failures onto the envelope.
 func (s *Server) importError(w http.ResponseWriter, err error) {
-	if errors.Is(err, store.ErrUnknownVersion) {
+	if errors.Is(err, store.ErrUnknownVersion) || errors.Is(err, nvsim.ErrSnapshotVersion) {
 		apiError(w, http.StatusBadRequest, codeVersionMismatch, err)
 		return
 	}
@@ -173,11 +174,9 @@ func (s *Server) handleMemoGet(w http.ResponseWriter, _ *http.Request) {
 // importMemo merges an uploaded memo snapshot into the live cache.
 // Merge, not replace: entries this process already computed keep their
 // live values, so concurrent peers can exchange snapshots in both
-// directions without losing work.
+// directions without losing work. RestoreMemo refuses a snapshot whole
+// (undecodable, or another schema version) before inserting anything.
 func importMemo(_ *store.Store, data []byte) (string, error) {
-	if _, err := nvsim.CheckMemoSnapshot(bytes.NewReader(data)); err != nil {
-		return "", err
-	}
 	_, err := nvsim.RestoreMemo(bytes.NewReader(data))
 	return "", err
 }

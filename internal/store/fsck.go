@@ -34,6 +34,7 @@ type FsckReport struct {
 	// Memo snapshot.
 	MemoPresent bool `json:"memo_present"`
 	MemoCorrupt bool `json:"memo_corrupt"`
+	MemoUnknown bool `json:"memo_unknown"` // another schema version than this binary's
 	MemoEntries int  `json:"memo_entries"`
 
 	// Job journal.
@@ -90,6 +91,8 @@ func (r *FsckReport) Summary() string {
 		b.WriteString("memo: no snapshot\n")
 	case r.MemoCorrupt:
 		b.WriteString("memo: snapshot CORRUPT\n")
+	case r.MemoUnknown:
+		b.WriteString("memo: snapshot unknown-version (left in place)\n")
 	default:
 		fmt.Fprintf(&b, "memo: snapshot ok (%d entries)\n", r.MemoEntries)
 	}
@@ -244,12 +247,15 @@ func (lb *localBackend) fsckMemo(rep *FsckReport, repair bool) error {
 	}
 	rep.MemoPresent = true
 	n, err := nvsim.CheckMemoSnapshot(bytes.NewReader(data))
-	if err != nil {
+	switch {
+	case errors.Is(err, nvsim.ErrSnapshotVersion):
+		rep.MemoUnknown = true // the next SaveMemo overwrites it
+	case err != nil:
 		rep.MemoCorrupt = true
 		if repair {
 			lb.quarantine(lb.memoPath())
 		}
-	} else {
+	default:
 		rep.MemoEntries = n
 	}
 	return nil

@@ -5,10 +5,40 @@ import (
 	"encoding/gob"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/cell"
 	"repro/internal/core"
+	"repro/internal/nvsim"
 )
+
+// v1MemoSnapshot is a memo.gob as the v1 engine wrote it — every
+// admissible candidate per key under the old version string — that this
+// binary must read as an unknown version, not as corruption.
+func v1MemoSnapshot(t *testing.T) []byte {
+	t.Helper()
+	type entryV1 struct {
+		Config nvsim.Config
+		Cands  []nvsim.Result
+	}
+	type snapshotV1 struct {
+		Version string
+		Entries []entryV1
+	}
+	cfg := nvsim.Config{Cell: cell.MustTentpole(cell.STT, cell.Optimistic),
+		CapacityBytes: 1 << 20, WordBits: nvsim.DefaultWordBits}
+	cands, err := nvsim.CharacterizeAll(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	snap := snapshotV1{Version: "nvmx-memo/v1", Entries: []entryV1{{cfg, cands}}}
+	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 // dirtyStore builds a store directory with one of everything fsck knows
 // about: a good v2 point, a legacy v1 point, a corrupt point, a misplaced
@@ -148,6 +178,35 @@ func TestFsckRepairHealsTheStore(t *testing.T) {
 	// The live journal survived repair untouched.
 	if jobs := st.IncompleteJobs(); len(jobs) != 1 || jobs[0].ID != "job-1" || jobs[0].Completed != 1 {
 		t.Fatalf("journal after repair: %+v", jobs)
+	}
+}
+
+// TestFsckLeavesUnknownVersionMemo: an upgraded store's v1 memo snapshot
+// is reported as unknown-version, keeps the store clean, and survives
+// repair (the next SaveMemo overwrites it).
+func TestFsckLeavesUnknownVersionMemo(t *testing.T) {
+	dir := t.TempDir()
+	memoPath := filepath.Join(dir, "memo.gob")
+	if err := os.WriteFile(memoPath, v1MemoSnapshot(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, repair := range []bool{false, true} {
+		rep, err := Fsck(dir, repair)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.MemoPresent || !rep.MemoUnknown || rep.MemoCorrupt || !rep.Clean() {
+			t.Fatalf("repair=%v: %+v, want a clean report with an unknown-version memo", repair, rep)
+		}
+		if rep.Quarantined != 0 {
+			t.Fatalf("repair=%v quarantined %d file(s)", repair, rep.Quarantined)
+		}
+		if !strings.Contains(rep.Summary(), "memo: snapshot unknown-version (left in place)") {
+			t.Fatalf("summary:\n%s", rep.Summary())
+		}
+	}
+	if _, err := os.Stat(memoPath); err != nil {
+		t.Fatalf("unknown-version memo snapshot moved: %v", err)
 	}
 }
 

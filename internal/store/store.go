@@ -38,6 +38,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"log"
 	"path/filepath"
@@ -141,9 +142,9 @@ func IsRemoteTarget(target string) bool {
 // tests use to exercise the store's corruption and I/O-error handling
 // deterministically. The directory is created as needed and a memo
 // snapshot left by SaveMemo is reloaded into the characterization engine;
-// a missing snapshot only costs recomputation, and a corrupt one is
-// quarantined and logged, never fatal (a bad snapshot must not block
-// startup).
+// a missing snapshot only costs recomputation, one of an unknown schema
+// version is logged and left in place, and a corrupt one is quarantined
+// and logged, never fatal (a bad snapshot must not block startup).
 func OpenFS(dir string, fsys FS) (*Store, error) {
 	if dir == "" {
 		return newStore(memBackend{}), nil
@@ -170,15 +171,20 @@ func newStore(b Backend) *Store {
 }
 
 // restoreMemo loads the backend's memo snapshot into the characterization
-// engine. Corruption is logged and the snapshot discarded, never fatal.
+// engine. Neither failure is fatal — the snapshot is an accelerator — and
+// both start the memo cold: a snapshot of an unknown schema version is
+// left in place for the next SaveMemo to overwrite, a corrupt one is
+// discarded.
 func (s *Store) restoreMemo() {
 	data, ok := s.backend.LoadMemo()
 	if !ok {
 		return
 	}
-	if _, err := nvsim.RestoreMemo(bytes.NewReader(data)); err != nil {
-		// Log-and-continue with a fresh memo: the snapshot is an
-		// accelerator, and a corrupt one must never block startup.
+	_, err := nvsim.RestoreMemo(bytes.NewReader(data))
+	switch {
+	case errors.Is(err, nvsim.ErrSnapshotVersion):
+		log.Printf("store: memo snapshot left in place, starting cold: %v", err)
+	case err != nil:
 		s.backend.DiscardMemo()
 		log.Printf("store: corrupt memo snapshot discarded, starting cold: %v", err)
 	}

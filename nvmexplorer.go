@@ -118,7 +118,8 @@ const (
 // Characterize runs the array engine for one configuration.
 func Characterize(cfg ArrayConfig) (ArrayResult, error) { return nvsim.Characterize(cfg) }
 
-// CharacterizeAll returns every admissible internal organization.
+// CharacterizeAll returns every admissible internal organization, ranked
+// by cfg.Target. It bypasses the memo cache and walks afresh on every call.
 func CharacterizeAll(cfg ArrayConfig) ([]ArrayResult, error) { return nvsim.CharacterizeAll(cfg) }
 
 // CharacterizeTargets scores the organization space once and selects the
@@ -129,7 +130,8 @@ func CharacterizeTargets(cfg ArrayConfig, targets []OptTarget) ([]ArrayResult, [
 }
 
 // CharacterizationCacheStats reports hits and misses of the engine's memo
-// cache, which reuses evaluated candidate sets across repeated studies.
+// cache, which reuses each configuration's per-target winners across
+// repeated studies.
 // The cache is process-global and bounded; entries live until
 // ResetCharacterizationCache is called.
 func CharacterizationCacheStats() (hits, misses int64) { return nvsim.MemoStats() }
