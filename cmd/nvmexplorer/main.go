@@ -17,7 +17,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -32,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/cell"
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/fabric"
 	"repro/internal/nvsim"
@@ -184,57 +182,46 @@ func runSweepTo(w io.Writer, args []string) error {
 	out := fs.String("out", "output/results", "directory for per-technology CSV results (format table)")
 	format := fs.String("format", "table",
 		"output format: table (result tables + CSV files), json, ndjson, csv, or html (stdout)")
-	pareto := fs.String("pareto", "",
+	// The override flags (-pareto, -mode, -budget, -seed) are read back by
+	// name through fs.Visit: an absent flag never clobbers the config.
+	fs.String("pareto", "",
 		"comma-separated metrics for Pareto-frontier selection (e.g. total_power_mw,mem_time_per_sec); overrides the config's pareto block")
 	storeDir := fs.String("store", "",
 		"persistent study-store directory: evaluated design points are reused from (and saved to) it, so re-runs and overlapping studies skip characterization")
-	mode := fs.String("mode", "",
+	fs.String("mode", "",
 		"exploration mode: exhaustive (default) or adaptive (Pareto-guided refinement; requires a pareto selection); overrides the config's mode")
-	budget := fs.Int("budget", 0,
+	fs.Int("budget", 0,
 		"adaptive point budget, spent deterministically by successive halving (0 = unlimited); overrides the config's budget")
-	seed := fs.Int64("seed", 0,
+	fs.Int64("seed", 0,
 		"adaptive halving tie-break seed: the same (config, seed, budget) produces byte-identical output; overrides the config's seed")
 	cfgPath, err := parseMixed(fs, args)
 	if err != nil {
 		return fmt.Errorf("run needs exactly one config file: %w", err)
 	}
-	switch *format {
-	case "table", "json", "ndjson", "csv", "html":
-	default:
+	if _, err := sweep.ParseFormat(*format); err != nil && *format != "table" {
 		return fmt.Errorf("run: unknown format %q (want table, json, ndjson, csv, or html)", *format)
 	}
-	f, err := os.Open(cfgPath)
+	raw, err := os.ReadFile(cfgPath)
 	if err != nil {
 		return fmt.Errorf("run: %w", err)
 	}
-	cfg, err := sweep.Parse(f)
-	f.Close()
+	given := map[string]string{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = f.Value.String() })
+	ov, err := sweep.ParseOverrides(func(name string) string { return given[name] })
 	if err != nil {
-		return err
+		return fmt.Errorf("run: %w", err)
 	}
-	if p := sweep.ParseParetoList(*pareto); p != nil {
-		cfg.Pareto = p
-	}
-	// Exploration overrides apply only when their flag was actually given,
-	// so an absent flag never clobbers the config file's own value.
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "mode":
-			cfg.Mode = *mode
-		case "budget":
-			cfg.Budget = *budget
-		case "seed":
-			cfg.Seed = *seed
-		}
-	})
 	var st *store.Store
 	if *storeDir != "" {
 		if st, err = store.Open(*storeDir); err != nil {
 			return err
 		}
-		cfg.Cache = st
 	}
-	res, err := sweep.Run(cfg)
+	x, err := sweep.Expand(raw, ov, st)
+	if err != nil {
+		return err
+	}
+	res, err := x.Study.Run()
 	if err != nil {
 		return err
 	}
@@ -248,23 +235,15 @@ func runSweepTo(w io.Writer, args []string) error {
 		}
 		// Record the study manifest so `nvmexplorer query` (and the
 		// service's GET /v1/studies/{fp}) can replay this study from the
-		// store. A study with failed points is not fully stored, so it is
-		// not recorded.
-		if len(res.FailedPoints) == 0 {
-			if merr := saveStudyManifest(st, cfg, res); merr != nil {
-				fmt.Fprintln(os.Stderr, "nvmexplorer: warning: recording study manifest:", merr)
+		// store.
+		if rec, ok := x.Manifest(res); ok {
+			if err := st.SaveStudy(rec); err != nil {
+				fmt.Fprintln(os.Stderr, "nvmexplorer: warning: recording study manifest:", err)
 			}
 		}
 	}
-	switch *format {
-	case "json":
-		return sweep.WriteJSON(w, res)
-	case "ndjson":
-		return sweep.WriteNDJSON(w, res)
-	case "csv":
-		return sweep.WriteCombinedCSV(w, res)
-	case "html":
-		return sweep.WriteDashboardHTML(w, res)
+	if *format != "table" {
+		return sweep.Format(*format).Write(w, res)
 	}
 	paths, err := sweep.WriteCSVs(res, *out)
 	if err != nil {
@@ -295,29 +274,6 @@ func runSweepTo(w io.Writer, args []string) error {
 		fmt.Fprintln(w, "wrote", p)
 	}
 	return nil
-}
-
-// saveStudyManifest records a completed CLI run in the store's manifest
-// set: the effective configuration (request-level -pareto override already
-// applied), the expanded study's fingerprint, and its grid size. That makes
-// the run addressable by `nvmexplorer query` and GET /v1/studies/{fp}.
-func saveStudyManifest(st *store.Store, cfg *sweep.Config, res *core.Results) error {
-	eff, err := json.Marshal(cfg)
-	if err != nil {
-		return err
-	}
-	fp, err := res.Study.Fingerprint()
-	if err != nil {
-		return err
-	}
-	specs, err := res.Study.Space()
-	if err != nil {
-		return err
-	}
-	return st.SaveStudy(store.StudyRecord{
-		Fingerprint: fp, Name: res.Study.Name, Config: eff, Points: len(specs),
-		Exploration: res.Exploration,
-	})
 }
 
 // parseBounds parses a comma-separated metric=value list (the -min/-max

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -139,6 +140,64 @@ func TestCLIMatchesStudyService(t *testing.T) {
 			t.Errorf("%s: CLI output (%d bytes) != service response (%d bytes)",
 				format, cli.Len(), len(srvBody))
 		}
+	}
+}
+
+// TestCLIAndServiceWriteOneManifest: `run -store` and POST /v1/studies,
+// given the same configuration and the same overrides, record equal study
+// manifests — config bytes, grid size and exploration — because both build
+// them from one expansion.
+func TestCLIAndServiceWriteOneManifest(t *testing.T) {
+	cfgJSON := `{
+	  "name": "one_manifest",
+	  "cells": [{"technology": "STT", "flavor": "Opt"}, {"technology": "RRAM", "flavor": "Opt"}],
+	  "capacities_bytes": [65536, 131072, 262144, 524288, 1048576],
+	  "traffic": {"fixed": [{"name": "t", "reads_per_sec": 1e6, "writes_per_sec": 1e4}]}
+	}`
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "study.json")
+	if err := os.WriteFile(cfgPath, []byte(cfgJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cliDir, srvDir := filepath.Join(dir, "cli-store"), filepath.Join(dir, "srv-store")
+	var out bytes.Buffer
+	if err := runSweepTo(&out, []string{cfgPath, "-format", "json", "-store", cliDir,
+		"-pareto", "read_latency_ns,read_energy_pj", "-mode", "adaptive", "-budget", "4", "-seed", "3"}); err != nil {
+		t.Fatalf("CLI run: %v", err)
+	}
+	st, err := store.Open(srvDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Options{MaxConcurrentStudies: 2, Store: st})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+	resp, err := http.Post(ts.URL+"/v1/studies?format=json&pareto=read_latency_ns,read_energy_pj&mode=adaptive&budget=4&seed=3",
+		"application/json", strings.NewReader(cfgJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, out.Bytes()) {
+		t.Fatalf("service: status %d, bytes match CLI: %v", resp.StatusCode, bytes.Equal(body, out.Bytes()))
+	}
+
+	cliSt, err := store.Open(cliDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliRecs, srvRecs := cliSt.ListStudies(), st.ListStudies()
+	if len(cliRecs) != 1 || len(srvRecs) != 1 {
+		t.Fatalf("manifests: CLI %d, service %d, want 1 each", len(cliRecs), len(srvRecs))
+	}
+	c, v := cliRecs[0], srvRecs[0]
+	if c.Fingerprint != v.Fingerprint || !bytes.Equal(c.Config, v.Config) || c.Points != v.Points {
+		t.Fatalf("manifests differ:\n CLI     %s %d %s\n service %s %d %s",
+			c.Fingerprint, c.Points, c.Config, v.Fingerprint, v.Points, v.Config)
+	}
+	if c.Exploration == nil || !reflect.DeepEqual(c.Exploration, v.Exploration) {
+		t.Fatalf("exploration differs or is missing:\n CLI     %+v\n service %+v", c.Exploration, v.Exploration)
 	}
 }
 

@@ -24,7 +24,6 @@
 package query
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -190,22 +189,14 @@ func (ix *Index) Refresh() int64 {
 // run — the study object exists only to enumerate point keys and carry
 // axis declarations into rendering.
 func (ix *Index) load(rec store.StudyRecord) (*entry, error) {
-	cfg, err := sweep.Parse(bytes.NewReader(rec.Config))
+	x, err := sweep.Expand(rec.Config, sweep.Overrides{}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("manifest %s: %w", rec.Fingerprint, err)
 	}
-	s, err := cfg.Study()
-	if err != nil {
-		return nil, fmt.Errorf("manifest %s: %w", rec.Fingerprint, err)
+	if x.Fingerprint != rec.Fingerprint {
+		return nil, fmt.Errorf("manifest %s: config re-expands to fingerprint %s", rec.Fingerprint, x.Fingerprint)
 	}
-	fp, err := s.Fingerprint()
-	if err != nil {
-		return nil, fmt.Errorf("manifest %s: %w", rec.Fingerprint, err)
-	}
-	if fp != rec.Fingerprint {
-		return nil, fmt.Errorf("manifest %s: config re-expands to fingerprint %s", rec.Fingerprint, fp)
-	}
-	specs, err := s.Space()
+	specs, err := x.Study.Space()
 	if err != nil {
 		return nil, err
 	}
@@ -213,8 +204,8 @@ func (ix *Index) load(rec store.StudyRecord) (*entry, error) {
 	// replay exactly the recorded indices. Exhaustive manifests (Exploration
 	// nil) replay the full space, as before.
 	indices := make([]int, 0, len(specs))
-	if x := rec.Exploration; x != nil && x.Indices != nil {
-		for _, idx := range x.Indices {
+	if xp := rec.Exploration; xp != nil && xp.Indices != nil {
+		for _, idx := range xp.Indices {
 			if idx < 0 || idx >= len(specs) {
 				return nil, fmt.Errorf("manifest %s: evaluated index %d outside the %d-point grid",
 					rec.Fingerprint, idx, len(specs))
@@ -226,9 +217,9 @@ func (ix *Index) load(rec store.StudyRecord) (*entry, error) {
 			indices = append(indices, i)
 		}
 	}
-	e := &entry{rec: rec, study: s}
+	e := &entry{rec: rec, study: x.Study}
 	for n, i := range indices {
-		cp, ok := ix.st.Get(s.PointKey(specs[i]))
+		cp, ok := ix.st.Get(x.Study.PointKey(specs[i]))
 		if !ok {
 			return nil, fmt.Errorf("%w: %s missing point %d/%d", ErrIncomplete, rec.Fingerprint, n, len(indices))
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strconv"
 
 	"repro/internal/sweep"
 )
@@ -102,17 +101,6 @@ func apiError(w http.ResponseWriter, status int, code string, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(errorBody{Error: errorDetail{Code: code, Message: err.Error()}})
-}
-
-// apiErrorRetry writes the envelope plus a Retry-After header, keeping the
-// header and the retry_after field in lockstep.
-func apiErrorRetry(w http.ResponseWriter, status int, code string, err error, retryAfterSecs int) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorBody{Error: errorDetail{
-		Code: code, Message: err.Error(), RetryAfter: retryAfterSecs,
-	}})
 }
 
 // formatError maps a sweep.Negotiate failure to its response: an explicit

@@ -20,10 +20,11 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/nvsim"
 	"repro/internal/store"
+	"repro/internal/sweep"
 )
 
 // newWorker builds a store-less worker server: it answers /v1/version and
-// POST /v1/shard, characterizing into a throwaway per-shard store.
+// POST /v1/shard, shipping the points each shard's run emits.
 func newWorker(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(Options{MaxConcurrentStudies: 2, StudyWorkers: 2})
@@ -606,6 +607,43 @@ func TestShardsServedCounter(t *testing.T) {
 	}
 	if stats.Fabric.ShardsServed == 0 {
 		t.Fatalf("worker served no shards: %+v", stats.Fabric)
+	}
+}
+
+// TestColdShardCountsNoStoreHits: a shard ships the points its run
+// emitted rather than re-reading them from the worker's store, so a cold
+// shard on a worker with a store costs one miss per point and no hits.
+func TestColdShardCountsNoStoreHits(t *testing.T) {
+	nvsim.ResetMemo()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Options{MaxConcurrentStudies: 2, StudyWorkers: 2, Store: st})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	cfg := testConfig("shard-cold", "PCM", 1<<20)
+	x, err := sweep.Expand([]byte(cfg), sweep.Overrides{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(fabric.ShardRequest{Protocol: store.ProtocolVersion,
+		Fingerprint: x.Fingerprint, Config: json.RawMessage(cfg), Indices: []int{0, 1}})
+	resp, err := http.Post(ts.URL+"/v1/shard", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("shard: status %d: %s", resp.StatusCode, data)
+	}
+	pts, err := store.DecodeShardPoints(data)
+	if err != nil || len(pts) != 2 || pts[0].Index != 0 || pts[1].Index != 1 {
+		t.Fatalf("shard payload: %d point(s), err %v", len(pts), err)
+	}
+	if hits, misses := st.Stats(); hits != 0 || misses != 2 {
+		t.Fatalf("cold shard store stats: hits=%d misses=%d, want 0/2", hits, misses)
 	}
 }
 

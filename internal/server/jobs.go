@@ -1,12 +1,11 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
+	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -35,12 +34,25 @@ var testHookJobRunning func(*job)
 // the process can be "killed" with the journal in a known state.
 var testHookJobPoint func(j *job, completed int)
 
-// pointDelay stretches every async grid point by NVMX_POINT_DELAY. The
-// analytical model evaluates a whole study in milliseconds, far too fast
-// for an external harness to interrupt one mid-flight; end-to-end crash
-// tests set the variable so a kill lands with the job provably in
-// progress. Unset (the default) it costs one nil check per point.
+// pointDelay stretches every async and shard grid point by
+// NVMX_POINT_DELAY. The analytical model evaluates a whole study in
+// milliseconds, far too fast for an external harness to interrupt one
+// mid-flight; end-to-end crash tests set the variable so a kill lands with
+// the job provably in progress. Unset (the default) it costs one nil check per point.
 var pointDelay, _ = time.ParseDuration(os.Getenv("NVMX_POINT_DELAY"))
+
+// delayPoint sleeps one pointDelay, or until ctx ends.
+func delayPoint(ctx context.Context) error {
+	if pointDelay <= 0 {
+		return nil
+	}
+	select {
+	case <-time.After(pointDelay):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
 
 // maxFinishedJobs bounds how many terminal jobs (and their retained
 // Results) the registry keeps: past the cap, the oldest terminal jobs are
@@ -75,16 +87,19 @@ const (
 	JobCanceled JobState = "canceled"
 )
 
+// terminal reports whether a job in this state is finished for good.
+func (st JobState) terminal() bool {
+	return st == JobDone || st == JobFailed || st == JobCanceled
+}
+
 // job is one async study.
 type job struct {
-	id          string
-	study       *core.Study
-	studyName   string
-	fingerprint string
-	format      string // format requested at submission; result default
-	eff         []byte // effective config JSON, for the study manifest
-	total       int    // grid points in the study's design space
-	completed   atomic.Int64
+	id        string
+	x         *sweep.Expansion
+	studyName string
+	format    string // format requested at submission; result default
+	total     int    // grid points in the study's design space
+	completed atomic.Int64
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -100,13 +115,11 @@ type job struct {
 func (j *job) setState(st JobState, res *core.Results, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state == JobDone || j.state == JobFailed || j.state == JobCanceled {
+	if j.state.terminal() {
 		return
 	}
-	j.state = st
-	j.res = res
-	j.err = err
-	if st == JobDone || st == JobFailed || st == JobCanceled {
+	j.state, j.res, j.err = st, res, err
+	if st.terminal() {
 		close(j.done)
 	}
 }
@@ -159,74 +172,67 @@ func newJobManager(srv *Server, workers, queueDepth int) *jobManager {
 	return m
 }
 
-// submit registers a study as a job, deduplicating against identical
-// in-flight configurations. The returned bool reports whether an existing
-// job was reused. The raw config and pareto override are journaled
-// write-ahead (before the job can run) so a crashed process can rebuild the
-// identical study on restart. Errors: a full queue (callers answer 503).
-func (m *jobManager) submit(b builtStudy, pareto *sweep.ParetoConfig) (*job, bool, error) {
-	study, format, rawCfg := b.study, string(b.format), b.raw
-	fp, err := study.Fingerprint()
-	if err != nil {
-		return nil, false, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if j, ok := m.inflight[fp]; ok {
-		m.deduplicated.Add(1)
-		return j, true, nil
-	}
-	specs, err := study.Space()
-	if err != nil {
-		return nil, false, err
-	}
-	m.seq++
+// newJob constructs a queued job over an expanded study.
+func newJob(id string, x *sweep.Expansion, format string) *job {
 	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		id:          fmt.Sprintf("job-%d", m.seq),
-		study:       study,
-		studyName:   study.Name,
-		fingerprint: fp,
-		format:      format,
-		eff:         b.eff,
-		total:       len(specs),
-		ctx:         ctx,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		state:       JobQueued,
+	return &job{
+		id: id, x: x, studyName: x.Study.Name, format: format, total: x.Points,
+		ctx: ctx, cancel: cancel, done: make(chan struct{}), state: JobQueued,
 	}
-	// Write-ahead journal: the record must be durable before the job can
-	// start, so a crash at any later moment finds it on replay. A journal
-	// write failure downgrades durability, never availability.
-	if st := m.srv.opts.Store; st != nil {
-		rec := store.JobRecord{
-			ID: j.id, Fingerprint: fp, Name: study.Name, Format: format,
-			Config: rawCfg, Total: j.total,
-		}
-		if pareto != nil {
-			rec.ParetoSet = true
-			rec.Pareto = pareto.Metrics
-		}
-		rec.ModeSet, rec.Mode = b.expl.ModeSet, b.expl.Mode
-		rec.BudgetSet, rec.Budget = b.expl.BudgetSet, b.expl.Budget
-		rec.SeedSet, rec.Seed = b.expl.SeedSet, b.expl.Seed
-		if err := st.JournalJob(rec); err != nil {
-			log.Printf("server: journaling %s: %v (job will not survive a restart)", j.id, err)
-		}
-	}
+}
+
+// enqueueLocked queues a job and registers it; false (and the job
+// canceled) when the queue is full. Caller holds m.mu.
+func (m *jobManager) enqueueLocked(j *job) bool {
 	select {
 	case m.queue <- j:
 	default:
+		j.cancel()
+		return false
+	}
+	m.jobs[j.id] = j
+	m.order = append(m.order, j)
+	m.inflight[j.x.Fingerprint] = j
+	return true
+}
+
+// submit registers a study as a job, deduplicating against identical
+// in-flight configurations. The returned bool reports whether an existing
+// job was reused. The raw config and overrides are journaled write-ahead
+// (before the job can run) so a crashed process can re-expand the
+// identical study on restart. The only error is a full queue (callers
+// answer 503).
+func (m *jobManager) submit(req studyRequest) (*job, bool, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if j, ok := m.inflight[req.x.Fingerprint]; ok {
+		m.deduplicated.Add(1)
+		return j, true, nil
+	}
+	m.seq++
+	j := newJob(fmt.Sprintf("job-%d", m.seq), req.x, string(req.format))
+	// Write-ahead journal: the record must be durable before the job can
+	// start, so a crash at any later moment finds it on replay. A journal
+	// write failure downgrades durability, never availability.
+	st := m.srv.opts.Store
+	if st != nil {
+		ov := req.ov
+		if err := st.JournalJob(store.JobRecord{
+			ID: j.id, Fingerprint: j.x.Fingerprint, Name: j.studyName, Format: j.format,
+			Config: req.raw, Total: j.total,
+			ParetoSet: ov.ParetoSet, Pareto: ov.Pareto, ModeSet: ov.ModeSet, Mode: ov.Mode,
+			BudgetSet: ov.BudgetSet, Budget: ov.Budget, SeedSet: ov.SeedSet, Seed: ov.Seed,
+		}); err != nil {
+			log.Printf("server: journaling %s: %v (job will not survive a restart)", j.id, err)
+		}
+	}
+	if !m.enqueueLocked(j) {
 		m.seq--
-		cancel()
-		if st := m.srv.opts.Store; st != nil {
+		if st != nil {
 			st.JournalDone(j.id)
 		}
 		return nil, false, fmt.Errorf("%w (%d queued)", errQueueFull, cap(m.queue))
 	}
-	m.jobs[j.id] = j
-	m.order = append(m.order, j)
-	m.inflight[fp] = j
 	m.submitted.Add(1)
 	m.pruneLocked()
 	return j, false, nil
@@ -258,85 +264,32 @@ func (m *jobManager) resume() {
 	}
 }
 
-// adopt rebuilds one journaled job and queues it under its original ID.
-// Returns (nil, nil) when the queue is full — leave the journal, retry on
-// the next boot.
+// adopt re-expands one journaled job, its overrides re-applied (so a
+// resumed adaptive job rebuilds the identical study: same fingerprint, same
+// evaluated subset), and queues it under its original ID. Returns
+// (nil, nil) when the queue is full — leave the journal, retry on the next
+// boot.
 func (m *jobManager) adopt(rec store.JobRecord) (*job, error) {
-	cfg, err := sweep.Parse(bytes.NewReader(rec.Config))
+	x, err := sweep.Expand(rec.Config, sweep.Overrides{
+		ParetoSet: rec.ParetoSet, Pareto: rec.Pareto, ModeSet: rec.ModeSet, Mode: rec.Mode,
+		BudgetSet: rec.BudgetSet, Budget: rec.Budget, SeedSet: rec.SeedSet, Seed: rec.Seed,
+	}, m.srv.opts.Store)
 	if err != nil {
 		return nil, err
 	}
-	if rec.ParetoSet {
-		cfg.Pareto = &sweep.ParetoConfig{Metrics: rec.Pareto}
-	}
-	// Re-apply the request-level exploration overrides, so a resumed
-	// adaptive job rebuilds the identical study (same fingerprint, same
-	// evaluated subset).
-	if rec.ModeSet {
-		cfg.Mode = rec.Mode
-	}
-	if rec.BudgetSet {
-		cfg.Budget = rec.Budget
-	}
-	if rec.SeedSet {
-		cfg.Seed = rec.Seed
-	}
-	cfg.Cache = m.srv.opts.Store
-	study, err := cfg.Study()
+	format, err := sweep.ParseFormat(rec.Format)
 	if err != nil {
-		return nil, err
-	}
-	if study.Workers == 0 {
-		study.Workers = m.srv.opts.StudyWorkers
-	}
-	fp, err := study.Fingerprint()
-	if err != nil {
-		return nil, err
-	}
-	specs, err := study.Space()
-	if err != nil {
-		return nil, err
-	}
-	format := rec.Format
-	switch format {
-	case "json", "ndjson", "csv", "html":
-	default:
-		format = "json"
-	}
-	// Re-marshal the effective config (pareto override applied) so the
-	// resumed job still records a manifest when it completes.
-	eff, err := json.Marshal(cfg)
-	if err != nil {
-		eff = nil
+		format = sweep.FormatJSON
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if seq := jobIDSeq(rec.ID); seq > m.seq {
 		m.seq = seq // new submissions must not collide with resumed IDs
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		id:          rec.ID,
-		study:       study,
-		studyName:   study.Name,
-		fingerprint: fp,
-		format:      format,
-		eff:         eff,
-		total:       len(specs),
-		ctx:         ctx,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		state:       JobQueued,
-	}
-	select {
-	case m.queue <- j:
-	default:
-		cancel()
+	j := newJob(rec.ID, x, string(format))
+	if !m.enqueueLocked(j) {
 		return nil, nil
 	}
-	m.jobs[j.id] = j
-	m.order = append(m.order, j)
-	m.inflight[fp] = j
 	return j, nil
 }
 
@@ -354,11 +307,8 @@ func jobIDSeq(id string) int {
 // Caller holds m.mu.
 func (m *jobManager) pruneLocked() {
 	terminal := func(j *job) bool {
-		switch st, _, _ := j.snapshot(); st {
-		case JobDone, JobFailed, JobCanceled:
-			return true
-		}
-		return false
+		st, _, _ := j.snapshot()
+		return st.terminal()
 	}
 	finished := 0
 	for _, j := range m.order {
@@ -381,11 +331,15 @@ func (m *jobManager) pruneLocked() {
 	m.order = kept
 }
 
-// get looks a job up by ID.
-func (m *jobManager) get(id string) (*job, bool) {
+// get looks up the job a /v1/jobs/{id} request names, answering 404 when
+// there is none.
+func (m *jobManager) get(w http.ResponseWriter, r *http.Request) (*job, bool) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
+	j, ok := m.jobs[r.PathValue("id")]
+	m.mu.Unlock()
+	if !ok {
+		apiError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+	}
 	return j, ok
 }
 
@@ -401,15 +355,12 @@ func (m *jobManager) list() []*job {
 // graceful shutdown, in which case the journal survives so the next boot
 // resumes the job.
 func (m *jobManager) settle(j *job) {
-	if st := m.srv.opts.Store; st != nil && !m.closing.Load() {
-		switch state, _, _ := j.snapshot(); state {
-		case JobDone, JobFailed, JobCanceled:
-			st.JournalDone(j.id)
-		}
+	if state, _, _ := j.snapshot(); m.srv.opts.Store != nil && !m.closing.Load() && state.terminal() {
+		m.srv.opts.Store.JournalDone(j.id)
 	}
 	m.mu.Lock()
-	if m.inflight[j.fingerprint] == j {
-		delete(m.inflight, j.fingerprint)
+	if m.inflight[j.x.Fingerprint] == j {
+		delete(m.inflight, j.x.Fingerprint)
 	}
 	m.mu.Unlock()
 }
@@ -417,11 +368,10 @@ func (m *jobManager) settle(j *job) {
 // counts reports (queued+running, finished) job totals.
 func (m *jobManager) counts() (active, finished int64) {
 	for _, j := range m.list() {
-		switch st, _, _ := j.snapshot(); st {
-		case JobQueued, JobRunning:
-			active++
-		default:
+		if st, _, _ := j.snapshot(); st.terminal() {
 			finished++
+		} else {
+			active++
 		}
 	}
 	return active, finished
@@ -441,7 +391,10 @@ func (m *jobManager) worker() {
 	}
 }
 
-// run executes one job to a terminal state.
+// run executes one job to a terminal state through the study lifecycle
+// (see execute): it shares the sync path's concurrency budget, and a
+// cancellation (or manager shutdown, which cancels every job) unblocks the
+// wait for a slot.
 func (m *jobManager) run(j *job) {
 	defer m.settle(j)
 	// Per-point panics are already isolated inside RunStream; this blanket
@@ -453,71 +406,45 @@ func (m *jobManager) run(j *job) {
 			j.setState(JobFailed, nil, fmt.Errorf("job panic: %v", r))
 		}
 	}()
-	if j.ctx.Err() != nil { // canceled while queued
-		j.setState(JobCanceled, nil, j.ctx.Err())
-		return
-	}
-	// Share the sync path's concurrency budget; a cancellation (or manager
-	// shutdown, which cancels every job) unblocks the wait.
-	select {
-	case m.srv.sem <- struct{}{}:
-	case <-j.ctx.Done():
-		j.setState(JobCanceled, nil, j.ctx.Err())
-		return
-	}
-	defer func() { <-m.srv.sem }()
-	m.srv.inFlight.Add(1)
-	defer m.srv.inFlight.Add(-1)
-
-	j.setState(JobRunning, nil, nil)
-	if h := testHookJobRunning; h != nil {
-		h(j)
-	}
-	// Coordinator role: fan the job's cold grid points out to the worker
-	// fleet before the run, journaling the shard assignment under the job's
-	// ID — a coordinator killed mid-fan-out re-journals the same assignment
-	// on resume (the hash ring is deterministic) and counts it as resumed.
-	if p := m.srv.fabric; p != nil {
-		p.Prefill(j.ctx, j.study, j.eff, m.srv.opts.Store, j.id)
-	}
-	res, err := j.study.RunStream(j.ctx, func(pr core.PointResult) error {
-		if pointDelay > 0 {
-			select {
-			case <-time.After(pointDelay):
-			case <-j.ctx.Done():
-				return j.ctx.Err()
+	res, f := m.srv.execute(j.ctx, execution{
+		x: j.x,
+		// The fabric prefill journals its shard assignment under the job's
+		// ID: a coordinator killed mid-fan-out re-journals the same
+		// assignment on resume (the hash ring is deterministic) and counts
+		// it as resumed.
+		jobID: j.id,
+		start: func() {
+			j.setState(JobRunning, nil, nil)
+			if h := testHookJobRunning; h != nil {
+				h(j)
 			}
-		}
-		n := j.completed.Add(1)
-		// Journal the completion after the point's rows exist: replay treats
-		// journaled points as "safe to serve from the store".
-		if st := m.srv.opts.Store; st != nil {
-			st.JournalPoint(j.id, pr.Spec.Index)
-		}
-		if h := testHookJobPoint; h != nil {
-			h(j, int(n))
-		}
-		return nil
+		},
+		emit: func(pr core.PointResult) error {
+			if err := delayPoint(j.ctx); err != nil {
+				return err
+			}
+			n := j.completed.Add(1)
+			// Journal the completion after the point's rows exist: replay
+			// treats journaled points as "safe to serve from the store".
+			if st := m.srv.opts.Store; st != nil {
+				st.JournalPoint(j.id, pr.Spec.Index)
+			}
+			if h := testHookJobPoint; h != nil {
+				h(j, int(n))
+			}
+			return nil
+		},
 	})
-	// Materialize any Pareto frontier now, while this worker is the only
-	// owner: once the job is done, concurrent result renders share res and
-	// must find it read-only.
-	if err == nil {
-		err = res.EnsureFrontier()
-	}
 	switch {
-	case j.ctx.Err() != nil:
-		// Deliberate cancellation is neither a completion nor a failure.
-		j.setState(JobCanceled, nil, j.ctx.Err())
-	case err != nil:
-		m.srv.failed.Add(1)
-		j.setState(JobFailed, nil, err)
-	default:
+	case f == nil:
 		// points_served counts rendered responses; it accrues when the
 		// result is actually fetched (handleJobResult), not here.
-		m.srv.completed.Add(1)
-		m.srv.saveManifest(j.fingerprint, j.study, j.eff, res)
 		j.setState(JobDone, res, nil)
+	case f.status == 0:
+		// Deliberate cancellation is neither a completion nor a failure.
+		j.setState(JobCanceled, nil, j.ctx.Err())
+	default:
+		j.setState(JobFailed, nil, f.err)
 	}
 }
 

@@ -66,16 +66,8 @@ func (s *Server) handleStudyGet(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusConflict, codeStudyIncomplete, err)
 		return
 	}
-	etag := etagFor(fp, string(format))
-	if inm := r.Header.Get("If-None-Match"); inm != "" && ifNoneMatchHits(inm, etag) {
-		w.Header().Set("ETag", etag)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Content-Type", format.ContentType())
-	if err := format.Write(w, res); err == nil {
-		s.points.Add(int64(len(res.Metrics)))
+	if etag := etagFor(fp, string(format)); !notModified(w, r, etag) {
+		_ = s.writeResult(w, etag, format, res)
 	}
 }
 
@@ -191,9 +183,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	gen := s.idx.Refresh()
 	// url.Values.Encode sorts keys, so equivalent requests share an ETag.
 	etag := etagFor(fmt.Sprintf("query\x00%d\x00%s", gen, q.Encode()), string(format))
-	if inm := r.Header.Get("If-None-Match"); inm != "" && ifNoneMatchHits(inm, etag) {
-		w.Header().Set("ETag", etag)
-		w.WriteHeader(http.StatusNotModified)
+	if notModified(w, r, etag) {
 		return
 	}
 	resp, err := s.idx.Query(req)
@@ -201,14 +191,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.queryError(w, err)
 		return
 	}
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Content-Type", format.ContentType())
 	w.Header().Set("X-Query-Rows", strconv.Itoa(resp.Rows))
 	w.Header().Set("X-Query-Generation", strconv.FormatInt(resp.Generation, 10))
 	w.Header().Set("X-Query-Studies", strings.Join(resp.Studies, ","))
-	if err := format.Write(w, resp.Results); err == nil {
-		s.points.Add(int64(len(resp.Results.Metrics)))
-	}
+	_ = s.writeResult(w, etag, format, resp.Results)
 }
 
 // queryError maps internal/query's typed errors onto the envelope.

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/nvsim"
 	"repro/internal/store"
+	"repro/internal/sweep"
 )
 
 // TestCrashRecoveryResumesJournaledJob is the tentpole's acceptance gate: a
@@ -293,6 +294,142 @@ func TestStudyTimeout(t *testing.T) {
 	}
 	if !bytes.Contains(body, []byte("execution budget")) {
 		t.Fatalf("503 body %s should name the execution budget", body)
+	}
+
+	// NDJSON commits to 200 before the run, so the budget failure arrives as
+	// the stream's trailing error row — with the same code as the 503.
+	resp, err = http.Post(ts.URL+"/v1/studies?format=ndjson", "application/json",
+		strings.NewReader(testConfig("budget", "STT", 1<<21)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+	var row errorBody
+	if err := json.Unmarshal(lines[len(lines)-1], &row); err != nil {
+		t.Fatalf("ndjson trailing row %q: %v", lines[len(lines)-1], err)
+	}
+	if resp.StatusCode != http.StatusOK || row.Error.Code != codeStudyTimeout ||
+		!strings.Contains(row.Error.Message, "execution budget") {
+		t.Fatalf("over-budget ndjson study: status %d, trailing row %+v; want 200 and %s naming the execution budget",
+			resp.StatusCode, row.Error, codeStudyTimeout)
+	}
+}
+
+// TestResumedJobReplaysOverrides: an async job submitted with every
+// request-level override (?pareto=, ?mode=, ?budget=, ?seed=) and killed
+// mid-run is resumed from its journal on a fresh server over the same
+// store, and finishes as the identical study — same fingerprint, ETag, and
+// body bytes as the sync POST of the same request.
+func TestResumedJobReplaysOverrides(t *testing.T) {
+	nvsim.ResetMemo()
+	dir := t.TempDir()
+	cfg := `{"name": "resume-overrides",
+	  "cells": [{"technology": "STT", "flavor": "Opt"}, {"technology": "SRAM", "flavor": "Ref"},
+	            {"technology": "RRAM", "flavor": "Opt"}],
+	  "capacities_bytes": [65536, 131072, 262144, 524288, 1048576, 2097152],
+	  "traffic": {"fixed": [{"name": "p", "reads_per_sec": 1e6, "writes_per_sec": 1e5}]}}`
+	const query = "format=json&pareto=read_latency_ns,read_energy_pj&mode=adaptive&budget=5&seed=7"
+
+	// Server A's worker parks after the first evaluated point, so the
+	// "kill" lands with the job provably mid-run.
+	park := make(chan struct{})
+	parked := make(chan struct{})
+	var once sync.Once
+	testHookJobPoint = func(j *job, completed int) {
+		if completed == 1 {
+			once.Do(func() { close(parked) })
+			<-park
+		}
+	}
+	t.Cleanup(func() { testHookJobPoint = nil })
+	stA, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvA := New(Options{MaxConcurrentStudies: 2, StudyWorkers: 2,
+		JobWorkers: 1, JobQueueDepth: 4, Store: stA})
+	defer func() {
+		once.Do(func() { close(parked) })
+		close(park)
+		srvA.Close()
+	}()
+	tsA := httptest.NewServer(srvA.Handler())
+	resp, err := http.Post(tsA.URL+"/v1/studies?async=1&"+query, "application/json", strings.NewReader(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acc asyncAccepted
+	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+	}
+	resp.Body.Close()
+	<-parked
+	tsA.Close() // the "kill": srvA is abandoned mid-job, its journal left as is
+	jobs := stA.IncompleteJobs()
+	if len(jobs) != 1 || !jobs[0].ParetoSet || !jobs[0].ModeSet || !jobs[0].BudgetSet || !jobs[0].SeedSet {
+		t.Fatalf("journal after the kill does not carry every override: %+v", jobs)
+	}
+
+	testHookJobPoint = nil
+	nvsim.ResetMemo()
+	srvB, tsB := newStoreServer(t, dir)
+	if n := srvB.ResumedJobs(); n != 1 {
+		t.Fatalf("ResumedJobs = %d, want 1", n)
+	}
+	if st := waitState(t, tsB, acc.JobID, JobDone); st.State != JobDone {
+		t.Fatalf("resumed job finished %s (%s), want done", st.State, st.Error)
+	}
+	resp, err = http.Get(tsB.URL + "/v1/jobs/" + acc.JobID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBody, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	gotETag := resp.Header.Get("ETag")
+
+	// The reference: the sync POST of the same request on a fresh server.
+	srvC := New(Options{MaxConcurrentStudies: 2, StudyWorkers: 2})
+	tsC := httptest.NewServer(srvC.Handler())
+	t.Cleanup(func() { tsC.Close(); srvC.Close() })
+	resp, err = http.Post(tsC.URL+"/v1/studies?"+query, "application/json", strings.NewReader(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBody, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sync POST: status %d: %s", resp.StatusCode, wantBody)
+	}
+	if !bytes.Contains(wantBody, []byte(`"exploration"`)) {
+		t.Fatalf("the reference study is not adaptive: %s", wantBody)
+	}
+	if wantETag := resp.Header.Get("ETag"); gotETag != wantETag || !bytes.Equal(gotBody, wantBody) {
+		t.Fatalf("resumed job: ETag %s, want %s; bytes match: %v", gotETag, wantETag, bytes.Equal(gotBody, wantBody))
+	}
+	// Same fingerprint: the resumed job recorded the manifest the request
+	// expands to.
+	ov, err := sweep.ParseOverrides(func(name string) string {
+		return map[string]string{"pareto": "read_latency_ns,read_energy_pj", "mode": "adaptive",
+			"budget": "5", "seed": "7"}[name]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := sweep.Expand([]byte(cfg), ov, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := etagFor(x.Fingerprint, "json"); gotETag != want {
+		t.Fatalf("resumed job ETag %s, want %s for fingerprint %s", gotETag, want, x.Fingerprint)
+	}
+	stD, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := stD.LoadStudy(x.Fingerprint); !ok {
+		t.Fatalf("no manifest for fingerprint %s after the resumed job", x.Fingerprint)
 	}
 }
 

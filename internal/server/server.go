@@ -45,6 +45,15 @@
 // per-study worker pools, and Options.Store plugs the persistent
 // point-level study store (internal/store) under every run.
 //
+// Every study runs one lifecycle (Server.execute, exec.go): expand
+// (sweep.Expand, shared with the CLI and the query index) → slot →
+// prefill → run → manifest → render. Sync JSON/CSV/HTML and NDJSON
+// requests, async jobs (fresh or resumed from the journal), and fabric
+// shards differ only in their callbacks. A failure is classified once:
+// client gone (nothing written), over budget (503 study_timeout; an NDJSON
+// stream already answering 200 ends with a study_timeout error row), or
+// failed (422 study_failed).
+//
 // Output format selection is shared across every rendering endpoint
 // (sweep.Negotiate): an explicit ?format= always wins (400 bad_format on an
 // unknown name), otherwise the Accept header is honored (406 not_acceptable
@@ -53,7 +62,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -61,10 +69,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -271,106 +277,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// acquire claims a job slot, waiting until one frees, the request dies, or
-// (when Options.SyncWait is set) the load-shedding deadline passes. shed
-// reports the latter; callers answer 429 with Retry-After. Release an
-// obtained slot with <-s.sem.
-func (s *Server) acquire(r *http.Request) (ok, shed bool) {
-	var deadline <-chan time.Time
-	if s.opts.SyncWait > 0 {
-		t := time.NewTimer(s.opts.SyncWait)
-		defer t.Stop()
-		deadline = t.C
-	}
-	select {
-	case s.sem <- struct{}{}:
-		return true, false
-	case <-r.Context().Done():
-		return false, false
-	case <-deadline:
-		s.shed.Add(1)
-		return false, true
-	}
-}
-
-// shedRequest answers a load-shed request: 429 with a Retry-After hint (in
-// the header and the envelope), the contract that lets clients and load
-// balancers back off instead of piling onto a saturated study semaphore.
-func shedRequest(w http.ResponseWriter, wait time.Duration) {
-	secs := int(wait / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	apiErrorRetry(w, http.StatusTooManyRequests, codeSaturated,
-		fmt.Errorf("server saturated; retry in %ds", secs), secs)
-}
-
 // handleNotFound is the catch-all: unknown paths (and method mismatches the
 // mux routes here) answer the API's 404 envelope.
 func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
 	apiError(w, http.StatusNotFound, codeNotFound,
 		fmt.Errorf("no such endpoint: %s %s", r.Method, r.URL.Path))
-}
-
-// studyPareto resolves the ?pareto= query option — a comma-separated
-// metric list that overrides the configuration's own pareto block.
-func studyPareto(r *http.Request, cfg *sweep.Config) {
-	if p := sweep.ParseParetoList(r.URL.Query().Get("pareto")); p != nil {
-		cfg.Pareto = p
-	}
-}
-
-// explorationOverrides carries the request-level ?mode=, ?budget=, and
-// ?seed= options. Each value has a Set flag so journal replay can
-// distinguish "absent" from an explicit zero, mirroring the pareto
-// override's ParetoSet.
-type explorationOverrides struct {
-	ModeSet   bool
-	Mode      string
-	BudgetSet bool
-	Budget    int
-	SeedSet   bool
-	Seed      int64
-}
-
-// parseExploration reads the exploration override options off a request.
-// Only syntax is checked here; semantic validation (unknown mode, budget
-// without a pareto block) happens in sweep.Config.Study so the CLI and the
-// API reject identically.
-func parseExploration(r *http.Request) (explorationOverrides, error) {
-	var o explorationOverrides
-	q := r.URL.Query()
-	if v := q.Get("mode"); v != "" {
-		o.ModeSet, o.Mode = true, v
-	}
-	if v := q.Get("budget"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return o, fmt.Errorf("invalid budget %q: %v", v, err)
-		}
-		o.BudgetSet, o.Budget = true, n
-	}
-	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return o, fmt.Errorf("invalid seed %q: %v", v, err)
-		}
-		o.SeedSet, o.Seed = true, n
-	}
-	return o, nil
-}
-
-// apply writes the set overrides onto a parsed configuration.
-func (o explorationOverrides) apply(cfg *sweep.Config) {
-	if o.ModeSet {
-		cfg.Mode = o.Mode
-	}
-	if o.BudgetSet {
-		cfg.Budget = o.Budget
-	}
-	if o.SeedSet {
-		cfg.Seed = o.Seed
-	}
 }
 
 // etagFor derives the strong ETag of a study response: study responses are
@@ -381,98 +292,70 @@ func etagFor(fingerprint, format string) string {
 	return `"` + hex.EncodeToString(sum[:16]) + `"`
 }
 
-// ifNoneMatchHits reports whether an If-None-Match header value matches the
-// ETag (RFC 9110 §13.1.2: a comma-separated list or "*"; weak-compare).
-func ifNoneMatchHits(header, etag string) bool {
-	for _, v := range strings.Split(header, ",") {
-		v = strings.TrimSpace(v)
-		v = strings.TrimPrefix(v, "W/")
+// notModified answers 304 when the request's If-None-Match matches etag
+// (RFC 9110 §13.1.2: a comma-separated list or "*"; weak-compare).
+func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
+	for _, v := range strings.Split(r.Header.Get("If-None-Match"), ",") {
+		v = strings.TrimPrefix(strings.TrimSpace(v), "W/")
 		if v == etag || v == "*" {
+			w.Header().Set("ETag", etag)
+			w.WriteHeader(http.StatusNotModified)
 			return true
 		}
 	}
 	return false
 }
 
-// builtStudy is one expanded POST /v1/studies request.
-type builtStudy struct {
-	study  *core.Study
-	format sweep.Format
-	// raw is the request body as received: async submissions journal it, so
-	// a resumed job can rebuild the identical study after a restart.
-	raw []byte
-	// eff is the effective configuration (request-level overrides applied)
-	// re-marshaled as JSON — what a study manifest records so the query
-	// index can re-expand the identical study later. nil if marshaling
-	// failed (the study still runs; it just isn't recorded).
-	eff []byte
-	// expl preserves the request's ?mode/?budget/?seed overrides for the
-	// async journal, so a resumed job re-applies them on replay.
-	expl explorationOverrides
+// writeResult renders a study body under its ETag, counting the points
+// served. Once it runs the response has started, so a caller can only
+// count a write error, not answer it.
+func (s *Server) writeResult(w http.ResponseWriter, etag string, format sweep.Format, res *core.Results) error {
+	w.Header().Set("ETag", etag)
+	w.Header().Set("Content-Type", format.ContentType())
+	if err := format.Write(w, res); err != nil {
+		return err
+	}
+	s.points.Add(int64(len(res.Metrics)))
+	return nil
 }
 
-// buildStudy expands a request body into a runnable study with the server's
-// store attached and the default worker-pool size applied.
-func (s *Server) buildStudy(w http.ResponseWriter, r *http.Request) (builtStudy, bool) {
+// studyRequest is one expanded POST /v1/studies request.
+type studyRequest struct {
+	x      *sweep.Expansion
+	format sweep.Format
+	// raw and ov are the request as received: async submissions journal
+	// them, so a resumed job re-expands the identical study after a restart.
+	raw []byte
+	ov  sweep.Overrides
+}
+
+// readStudy expands a request body and its ?pareto=, ?mode=, ?budget= and
+// ?seed= overrides into a runnable study and negotiates its format.
+func (s *Server) readStudy(w http.ResponseWriter, r *http.Request) (studyRequest, bool) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxConfigBytes))
 	if err != nil {
 		apiError(w, http.StatusBadRequest, codeInvalidConfig, err)
-		return builtStudy{}, false
+		return studyRequest{}, false
 	}
-	cfg, err := sweep.Parse(bytes.NewReader(raw))
+	q := r.URL.Query()
+	ov, err := sweep.ParseOverrides(q.Get)
 	if err != nil {
 		apiError(w, http.StatusBadRequest, codeInvalidConfig, err)
-		return builtStudy{}, false
+		return studyRequest{}, false
 	}
-	studyPareto(r, cfg)
-	expl, err := parseExploration(r)
-	if err != nil {
-		apiError(w, http.StatusBadRequest, codeInvalidConfig, err)
-		return builtStudy{}, false
+	x, err := sweep.Expand(raw, ov, s.opts.Store)
+	format, ferr := sweep.Negotiate(r.Header.Get("Accept"), q.Get("format"))
+	switch {
+	case err != nil && !errors.As(err, new(*sweep.SpaceError)):
+		configError(w, err)
+	case ferr != nil: // a format error answers before a design-space 422
+		formatError(w, ferr)
+	case err != nil:
+		configError(w, err)
+	default:
+		return studyRequest{x: x, format: format, raw: raw, ov: ov}, true
 	}
-	expl.apply(cfg)
-	eff, err := json.Marshal(cfg)
-	if err != nil {
-		eff = nil
-	}
-	if s.opts.Store != nil {
-		cfg.Cache = s.opts.Store
-	}
-	study, err := cfg.Study()
-	if err != nil {
-		apiError(w, http.StatusBadRequest, codeInvalidConfig, err)
-		return builtStudy{}, false
-	}
-	format, err := sweep.Negotiate(r.Header.Get("Accept"), r.URL.Query().Get("format"))
-	if err != nil {
-		formatError(w, err)
-		return builtStudy{}, false
-	}
-	if study.Workers == 0 {
-		study.Workers = s.opts.StudyWorkers
-	}
-	return builtStudy{study: study, format: format, raw: raw, eff: eff, expl: expl}, true
-}
-
-// saveManifest records a completed study in the store's manifest set,
-// making it addressable by GET /v1/studies/{fingerprint} and the query
-// index. A study with failed points is not fully stored, so it is not
-// recorded; a manifest write failure degrades queryability, never the
-// response.
-func (s *Server) saveManifest(fingerprint string, study *core.Study, eff []byte, res *core.Results) {
-	if s.opts.Store == nil || eff == nil || fingerprint == "" || len(res.FailedPoints) > 0 {
-		return
-	}
-	specs, err := study.Space()
-	if err != nil {
-		return
-	}
-	if err := s.opts.Store.SaveStudy(store.StudyRecord{
-		Fingerprint: fingerprint, Name: study.Name, Config: eff, Points: len(specs),
-		Exploration: res.Exploration,
-	}); err != nil {
-		log.Printf("server: saving study manifest %s: %v", fingerprint, err)
-	}
+	return studyRequest{}, false
 }
 
 // handleStudies runs one sweep configuration. JSON and CSV responses are
@@ -482,125 +365,68 @@ func (s *Server) saveManifest(fingerprint string, study *core.Study, eff []byte,
 // batch writer's output). ?async=1 queues the study as a job and answers
 // 202 immediately; a matching If-None-Match answers 304 without running.
 func (s *Server) handleStudies(w http.ResponseWriter, r *http.Request) {
-	b, ok := s.buildStudy(w, r)
+	req, ok := s.readStudy(w, r)
 	if !ok {
 		return
 	}
-	study, format := b.study, b.format
 	switch r.URL.Query().Get("async") {
 	case "", "0", "false":
 	default:
-		s.submitAsync(w, r, b)
+		s.submitAsync(w, req)
 		return
 	}
 	// Deterministic responses make request-identity ETags exact: compute it
 	// before running so a revalidation never costs a study.
-	fp, err := study.Fingerprint()
-	if err != nil {
-		apiError(w, http.StatusUnprocessableEntity, codeInvalidConfig, err)
+	etag := etagFor(req.x.Fingerprint, string(req.format))
+	if notModified(w, r, etag) {
 		return
 	}
-	etag := etagFor(fp, string(format))
-	if inm := r.Header.Get("If-None-Match"); inm != "" && ifNoneMatchHits(inm, etag) {
-		w.Header().Set("ETag", etag)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	ok, shed := s.acquire(r)
-	if shed {
-		shedRequest(w, time.Second)
-		return
-	}
-	if !ok {
-		return // client gone while queued
-	}
-	defer func() { <-s.sem }()
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-
-	// A per-request execution budget: a study that outlives it is canceled
-	// and answered 503, so one pathological configuration can't pin a slot
-	// forever. r.Context() still distinguishes "client gone" (write nothing).
-	ctx := r.Context()
-	if s.opts.StudyTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.StudyTimeout)
-		defer cancel()
-	}
-	// Coordinator role: compute the study's cold grid points on the worker
-	// fleet first, so the run below replays every point from the store —
-	// which is what keeps the response byte-identical at any worker count.
-	if s.fabric != nil {
-		s.fabric.Prefill(ctx, study, b.eff, s.opts.Store, "")
-	}
-	if format != sweep.FormatNDJSON {
-		res, err := study.RunStream(ctx, nil)
-		if err != nil {
-			s.failed.Add(1)
-			switch {
-			case r.Context().Err() != nil: // client gone
-			case ctx.Err() != nil: // study timeout
-				apiError(w, http.StatusServiceUnavailable, codeStudyTimeout,
-					fmt.Errorf("study exceeded the %s execution budget", s.opts.StudyTimeout))
-			default:
-				apiError(w, http.StatusUnprocessableEntity, codeStudyFailed, err)
-			}
-			return
-		}
-		s.saveManifest(fp, study, b.eff, res)
-		w.Header().Set("ETag", etag)
-		w.Header().Set("Content-Type", format.ContentType())
-		if err := format.Write(w, res); err == nil {
-			s.completed.Add(1)
-			s.points.Add(int64(len(res.Metrics)))
-		} else {
-			s.failed.Add(1)
+	e := execution{x: req.x, sync: true}
+	if req.format != sweep.FormatNDJSON {
+		e.render = func(res *core.Results) error { return s.writeResult(w, etag, req.format, res) }
+		if _, f := s.execute(r.Context(), e); f != nil {
+			writeFailure(w, f, false)
 		}
 		return
 	}
 
-	// NDJSON: commit to 200 and stream rows as the run's evaluation pass
-	// emits grid points (characterization happens up front in the plan
-	// pass, so rows arrive after it completes — see core.Study.RunStream).
-	// Rows render through a reused sweep.RowEncoder — the same zero-alloc
-	// emit path as the batch writer, so the streamed bytes stay identical
-	// to it.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("ETag", etag)
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	// NDJSON: commit to 200 once the slot is held and stream rows as the
+	// run's evaluation pass emits grid points (characterization happens up
+	// front in the plan pass, so rows arrive after it completes — see
+	// core.Study.RunStream). Rows render through a reused sweep.RowEncoder —
+	// the same zero-alloc emit path as the batch writer, so the streamed
+	// bytes stay identical to it.
+	streaming := false
+	rc := http.NewResponseController(w)
 	var enc sweep.RowEncoder
-	res, err := study.RunStream(ctx, func(pt core.PointResult) error {
+	e.start = func() {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Header().Set("ETag", etag)
+		w.WriteHeader(http.StatusOK)
+		streaming = true
+	}
+	e.emit = func(pt core.PointResult) error {
 		for i := range pt.Metrics {
-			if err := enc.Encode(w, &pt.Metrics[i], study); err != nil {
+			if err := enc.Encode(w, &pt.Metrics[i], req.x.Study); err != nil {
 				return err
 			}
 			s.points.Add(1)
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return ctx.Err()
-	})
-	if err == nil {
-		// Trailers need the full result set, so they follow the rows — the
-		// same failed-points and frontier lines sweep.WriteNDJSON emits in
-		// batch mode.
-		err = sweep.WriteNDJSONTrailers(w, res)
+		_ = rc.Flush() // a failed flush fails the next row's write
+		return nil
 	}
-	if err != nil {
-		s.failed.Add(1)
-		if r.Context().Err() == nil {
-			// Headers are gone; surface the failure as a trailing error row
-			// in the same envelope shape as a pre-stream failure.
-			_ = json.NewEncoder(w).Encode(errorBody{Error: errorDetail{
-				Code: codeStudyFailed, Message: err.Error(),
-			}})
+	// Trailers need the full result set, so they follow the rows — the same
+	// failed-points and frontier lines sweep.WriteNDJSON emits in batch mode.
+	e.render = func(res *core.Results) error {
+		err := sweep.WriteNDJSONTrailers(w, res)
+		if err != nil && r.Context().Err() == nil {
+			writeFailure(w, &failure{http.StatusUnprocessableEntity, codeStudyFailed, err}, true)
 		}
-		return
+		return err
 	}
-	s.saveManifest(fp, study, b.eff, res)
-	s.completed.Add(1)
+	if _, f := s.execute(r.Context(), e); f != nil {
+		writeFailure(w, f, streaming)
+	}
 }
 
 // asyncAccepted is the 202 body of an async submission.
@@ -615,20 +441,16 @@ type asyncAccepted struct {
 
 // submitAsync queues a study as a background job and answers 202 with the
 // job's ID — or the ID of an identical in-flight job (singleflight dedup).
-// The raw config bytes (plus any request-level Pareto override) are
-// journaled write-ahead, so the job survives a crash.
-func (s *Server) submitAsync(w http.ResponseWriter, r *http.Request, b builtStudy) {
+// The raw config bytes and overrides are journaled write-ahead, so the job
+// survives a crash.
+func (s *Server) submitAsync(w http.ResponseWriter, req studyRequest) {
 	if s.draining.Load() {
 		apiError(w, http.StatusServiceUnavailable, codeDraining, fmt.Errorf("draining"))
 		return
 	}
-	j, dedup, err := s.jobs.submit(b, sweep.ParseParetoList(r.URL.Query().Get("pareto")))
+	j, dedup, err := s.jobs.submit(req)
 	if err != nil {
-		if errors.Is(err, errQueueFull) {
-			apiError(w, http.StatusServiceUnavailable, codeQueueFull, err)
-			return
-		}
-		apiError(w, http.StatusUnprocessableEntity, codeInvalidConfig, err)
+		apiError(w, http.StatusServiceUnavailable, codeQueueFull, err)
 		return
 	}
 	st, _, _ := j.snapshot()
@@ -654,9 +476,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
 
 // handleJob reports one job's state and grid-point progress.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
+	j, ok := s.jobs.get(w, r)
 	if !ok {
-		apiError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, j.status())
@@ -667,9 +488,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // bytes are identical to the sync response and the batch CLI for the same
 // configuration, and carry the same ETag.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
+	j, ok := s.jobs.get(w, r)
 	if !ok {
-		apiError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	st, res, jerr := j.snapshot()
@@ -694,25 +514,16 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	etag := etagFor(j.fingerprint, string(format))
-	if inm := r.Header.Get("If-None-Match"); inm != "" && ifNoneMatchHits(inm, etag) {
-		w.Header().Set("ETag", etag)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Content-Type", format.ContentType())
-	if err := format.Write(w, res); err == nil {
-		s.points.Add(int64(len(res.Metrics)))
+	if etag := etagFor(j.x.Fingerprint, string(format)); !notModified(w, r, etag) {
+		_ = s.writeResult(w, etag, format, res)
 	}
 }
 
 // handleJobCancel cancels a queued or running job. Terminal jobs are left
 // as they are; either way the job's current status is returned.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
+	j, ok := s.jobs.get(w, r)
 	if !ok {
-		apiError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	j.cancel()
@@ -791,23 +602,14 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusNotFound, codeNotFound, err)
 		return
 	}
-	ok, shed := s.acquire(r)
-	if shed {
-		shedRequest(w, time.Second)
-		return
-	}
-	if !ok {
-		return
-	}
-	defer func() { <-s.sem }()
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
 	// Experiment generators have no cancellation path, so a render that has
-	// started runs to completion even if the client leaves; at least skip
-	// the work when the client is already gone by the time a slot frees.
-	if r.Context().Err() != nil {
+	// started runs to completion even if the client leaves; acquire at
+	// least skips the work when the client is gone by the time a slot frees.
+	if f := s.acquire(r.Context(), true); f != nil {
+		writeFailure(w, f, false)
 		return
 	}
+	defer s.release()
 	res, err := e.Run()
 	if err != nil {
 		s.failed.Add(1)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"time"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -245,15 +244,16 @@ func (s *Server) handleStoreDigest(w http.ResponseWriter, _ *http.Request) {
 
 // handleShard computes one slice of a study's design space — the worker
 // half of the fabric protocol. The request carries the effective sweep
-// configuration; this worker rebuilds the study from it and must arrive at
-// the coordinator's fingerprint, or the two processes disagree about what
-// the work is (409 shard_conflict). Computed points flow through this
-// worker's own store/memo (so a warm worker serves its shard without
-// touching the engine) and return as one CRC-enveloped payload.
+// configuration; this worker re-expands the study from it and must arrive
+// at the coordinator's fingerprint, or the two processes disagree about
+// what the work is (409 shard_conflict). Shards are studies: they run
+// through the study lifecycle (execute) with the sync path's concurrency
+// budget, load shedding, and execution timeout. Computed points flow
+// through this worker's own store/memo, so a warm worker serves its shard
+// without touching the engine, and return as one CRC-enveloped payload.
 //
-// Failed grid points are simply absent from the response: a config the
-// engine rejects never reaches the cache, and the coordinator computes the
-// point locally to produce the identical failure row.
+// Failed grid points are simply absent from the response: the coordinator
+// computes the point locally to produce the identical failure row.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 2*maxConfigBytes))
 	if err != nil {
@@ -270,112 +270,50 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("shard speaks protocol %q, this worker speaks %q", req.Protocol, store.ProtocolVersion))
 		return
 	}
-	cfg, err := sweep.Parse(bytes.NewReader(req.Config))
+	x, err := sweep.Expand(req.Config, sweep.Overrides{}, s.opts.Store)
 	if err != nil {
-		apiError(w, http.StatusBadRequest, codeInvalidConfig, err)
+		configError(w, err)
 		return
 	}
-	// The worker's own store backs the shard, so repeated shards replay
-	// stored points; a storeless worker still needs a cache to collect the
-	// results, so it gets a throwaway in-memory one.
-	cache := s.opts.Store
-	if cache == nil {
-		if cache, err = store.Open(""); err != nil {
-			apiError(w, http.StatusInternalServerError, codeInternal, err)
-			return
-		}
-	}
-	cfg.Cache = cache
-	study, err := cfg.Study()
-	if err != nil {
-		apiError(w, http.StatusBadRequest, codeInvalidConfig, err)
-		return
-	}
-	if study.Workers == 0 {
-		study.Workers = s.opts.StudyWorkers
-	}
-	fp, err := study.Fingerprint()
-	if err != nil {
-		apiError(w, http.StatusUnprocessableEntity, codeInvalidConfig, err)
-		return
-	}
-	if fp != req.Fingerprint {
+	if x.Fingerprint != req.Fingerprint {
 		apiError(w, http.StatusConflict, codeShardConflict,
-			fmt.Errorf("config rebuilds to study %s, coordinator expects %s", fp, req.Fingerprint))
-		return
-	}
-	specs, err := study.Space()
-	if err != nil {
-		apiError(w, http.StatusUnprocessableEntity, codeInvalidConfig, err)
+			fmt.Errorf("config rebuilds to study %s, coordinator expects %s", x.Fingerprint, req.Fingerprint))
 		return
 	}
 	for _, i := range req.Indices {
-		if i < 0 || i >= len(specs) {
+		if i < 0 || i >= x.Points {
 			apiError(w, http.StatusConflict, codeShardConflict,
-				fmt.Errorf("shard index %d outside the %d-point design space", i, len(specs)))
+				fmt.Errorf("shard index %d outside the %d-point design space", i, x.Points))
 			return
 		}
 	}
-
-	// Shards are studies: they share the sync path's concurrency budget,
-	// load shedding, and execution timeout.
-	ok, shed := s.acquire(r)
-	if shed {
-		shedRequest(w, time.Second)
-		return
-	}
-	if !ok {
-		return // coordinator gone while queued
-	}
-	defer func() { <-s.sem }()
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	ctx := r.Context()
-	if s.opts.StudyTimeout > 0 {
-		var cancel func()
-		ctx, cancel = context.WithTimeout(ctx, s.opts.StudyTimeout)
-		defer cancel()
-	}
-	if _, err := study.RunPoints(ctx, req.Indices, func(core.PointResult) error {
-		if pointDelay > 0 {
-			select {
-			case <-time.After(pointDelay):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		return nil
-	}); err != nil {
-		s.failed.Add(1)
-		switch {
-		case r.Context().Err() != nil: // coordinator gone
-		case ctx.Err() != nil:
-			apiError(w, http.StatusServiceUnavailable, codeStudyTimeout,
-				fmt.Errorf("shard exceeded the %s execution budget", s.opts.StudyTimeout))
-		default:
-			apiError(w, http.StatusUnprocessableEntity, codeStudyFailed, err)
-		}
-		return
-	}
-	// Collect through the cache rather than the emit stream: the cache holds
-	// exactly the points that completed (failed configs never get a put), in
-	// their canonical stored form.
+	// The shard ships the points its run emits, in their canonical stored
+	// form, so it never re-reads (or depends on) the cache.
 	pts := make([]store.ShardPoint, 0, len(req.Indices))
-	for _, i := range req.Indices {
-		key := study.PointKey(specs[i])
-		if cp, ok := cache.Get(key); ok {
-			pts = append(pts, store.ShardPoint{Index: i, Key: key, Point: cp})
-		}
+	_, f := s.execute(r.Context(), execution{
+		x: x, sync: true, shard: true, indices: req.Indices,
+		emit: func(pr core.PointResult) error {
+			pts = append(pts, store.ShardPoint{Index: pr.Spec.Index, Key: x.Study.PointKey(pr.Spec),
+				Point: core.CachedPoint{Arrays: pr.Arrays, Metrics: pr.Metrics, Skipped: pr.Skipped}})
+			return delayPoint(r.Context())
+		},
+		render: func(res *core.Results) error {
+			for _, lost := range res.FailedPoints {
+				pts = slices.DeleteFunc(pts, func(p store.ShardPoint) bool { return p.Index == lost.Index })
+			}
+			data, err := store.EncodeShardPoints(pts)
+			if err != nil {
+				apiError(w, http.StatusInternalServerError, codeInternal, err)
+				return err
+			}
+			s.shardsServed.Add(1)
+			s.points.Add(int64(len(pts)))
+			w.Header().Set("Content-Type", "application/octet-stream")
+			_, _ = w.Write(data)
+			return nil
+		},
+	})
+	if f != nil {
+		writeFailure(w, f, false)
 	}
-	data, err := store.EncodeShardPoints(pts)
-	if err != nil {
-		s.failed.Add(1)
-		apiError(w, http.StatusInternalServerError, codeInternal, err)
-		return
-	}
-	s.completed.Add(1)
-	s.shardsServed.Add(1)
-	s.points.Add(int64(len(pts)))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
 }

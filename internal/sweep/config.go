@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/cell"
 	"repro/internal/core"
@@ -89,23 +88,6 @@ type FaultConfig struct {
 // lifetime/density, maximizes).
 type ParetoConfig struct {
 	Metrics []string `json:"metrics"`
-}
-
-// ParseParetoList parses the comma-separated metric-list syntax shared by
-// the CLI's -pareto flag and the study service's ?pareto= query option
-// (e.g. "total_power_mw, mem_time_per_sec"). Empty input yields nil — no
-// selection; metric names are validated later, at Study expansion.
-func ParseParetoList(list string) *ParetoConfig {
-	var metrics []string
-	for _, m := range strings.Split(list, ",") {
-		if m = strings.TrimSpace(m); m != "" {
-			metrics = append(metrics, m)
-		}
-	}
-	if metrics == nil && list == "" {
-		return nil
-	}
-	return &ParetoConfig{Metrics: metrics}
 }
 
 // CellRef names a canonical tentpole cell.
