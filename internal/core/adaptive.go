@@ -124,18 +124,12 @@ func (s *Study) runAdaptive(ctx context.Context, emit func(PointResult) error) (
 	pruned := make([]bool, len(specs))
 	prunedCount := 0
 	{
-		infeasible := make(map[charKey]bool)
+		infeasible := make(map[nvsim.Config]bool)
 		for i := range specs {
-			k := charKey{specs[i].Cell, specs[i].CapacityBytes, specs[i].WordBits}
+			k := s.charConfig(&specs[i])
 			inf, seen := infeasible[k]
 			if !seen {
-				_, _, inf = nvsim.PrefilterTargets(nvsim.Config{
-					Cell:             specs[i].Cell,
-					CapacityBytes:    specs[i].CapacityBytes,
-					WordBits:         specs[i].WordBits,
-					MaxAreaMM2:       s.MaxAreaMM2,
-					MaxReadLatencyNS: s.MaxReadLatencyNS,
-				}, s.Targets)
+				_, _, inf = nvsim.PrefilterTargets(k, s.Targets)
 				infeasible[k] = inf
 				if inf {
 					prefilteredConfigs.Add(1)

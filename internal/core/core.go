@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 
@@ -84,6 +83,9 @@ type Study struct {
 	// cache hit replays the stored point verbatim, so cached and computed
 	// runs are byte-identical. Implementations must be concurrency-safe.
 	Cache PointCache
+
+	// shipped is the winners table Adopt fills from fabric workers.
+	shipped map[nvsim.Config][]nvsim.Result
 }
 
 // NewStudy creates an empty study.
@@ -217,9 +219,7 @@ func (s *Study) Run() (*Results, error) {
 // point-evaluation error, or ctx cancellation stops the remaining work
 // promptly and is returned (wrapped in ctx.Err()'s case).
 func (s *Study) RunStream(ctx context.Context, emit func(PointResult) error) (*Results, error) {
-	if len(s.Targets) == 0 {
-		s.Targets = []nvsim.OptTarget{nvsim.OptReadEDP}
-	}
+	s.Targets = s.targets()
 	if err := ValidateParetoMetrics(s.Pareto); err != nil {
 		return nil, err
 	}
@@ -247,41 +247,12 @@ func (s *Study) RunStream(ctx context.Context, emit func(PointResult) error) (*R
 	return res, nil
 }
 
-// RunPoints executes exactly the named subset of the study's design space
-// — the fabric's shard entry point. A worker process receives a shard
-// request naming spec indices, runs them through the same two-phase plan
-// as a full run (so deduped characterization, the point cache, the
-// constraint prefilter, and per-point panic isolation all apply), and
-// ships the cached results back. Specs keep their original enumeration
-// Index, so fault seeds, point keys, and emitted coordinates are identical
-// to a single-process run over the full grid.
-//
-// Unlike RunStream, an all-skipped shard is not an error: a shard is a
-// fragment, and "every point here was infeasible" is a legitimate result
-// the coordinator merges like any other.
-func (s *Study) RunPoints(ctx context.Context, indices []int, emit func(PointResult) error) (*Results, error) {
+// targets is the study's target list, read EDP when none is set.
+func (s *Study) targets() []nvsim.OptTarget {
 	if len(s.Targets) == 0 {
-		s.Targets = []nvsim.OptTarget{nvsim.OptReadEDP}
+		return []nvsim.OptTarget{nvsim.OptReadEDP}
 	}
-	specs, err := s.Space()
-	if err != nil {
-		return nil, err
-	}
-	sub := make([]PointSpec, len(indices))
-	for i, idx := range indices {
-		if idx < 0 || idx >= len(specs) {
-			return nil, fmt.Errorf("core: study %q: shard index %d outside design space [0,%d)",
-				s.Name, idx, len(specs))
-		}
-		sub[i] = specs[idx]
-	}
-	res := &Results{Study: s}
-	putter := startCachePutter(s.Cache)
-	defer putter.wait()
-	if _, err := s.runSpecs(ctx, sub, res, putter, emit); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return s.Targets
 }
 
 // noArraysError is the shared "nothing characterized" failure for a run
@@ -310,14 +281,9 @@ type runStats struct {
 // selected specs. Specs keep their original enumeration Index, so emitted
 // coordinates, fault seeds, and cache keys are identical either way.
 func (s *Study) runSpecs(ctx context.Context, specs []PointSpec, res *Results, putter *cachePutter, emit func(PointResult) error) (runStats, error) {
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	// Phase 1: the plan pass. All engine work happens here, deduped to one
 	// characterization per unique config; only cancellation can fail it.
-	plan, err := s.plan(ctx, specs, workers)
+	plan, err := s.plan(ctx, specs, s.Cache)
 	if err != nil {
 		return runStats{}, err
 	}

@@ -69,13 +69,9 @@ func (s *Study) PointKey(spec PointSpec) string {
 	b = append(b, ',')
 	b = strconv.AppendInt(b, int64(spec.WordBits), 10)
 	b = append(b, '\n')
-	// RunStream defaults an empty target list to ReadEDP; key the effective
-	// list so a pre-run Fingerprint matches the points the run will store.
-	targets := s.Targets
-	if len(targets) == 0 {
-		targets = []nvsim.OptTarget{nvsim.OptReadEDP}
-	}
-	for _, t := range targets {
+	// Key the effective target list, so a pre-run Fingerprint matches the
+	// points the run will store.
+	for _, t := range s.targets() {
 		b = strconv.AppendInt(b, int64(t), 10)
 		b = append(b, ',')
 	}

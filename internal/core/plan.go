@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cell"
 	"repro/internal/nvsim"
 )
 
@@ -31,15 +31,6 @@ import (
 // config (set before the run starts, so the write happens-before every
 // worker read).
 var testHookCharacterize func(cfg nvsim.Config)
-
-// charKey identifies one unique characterization within a study: every
-// PointSpec coordinate the engine sees. Constraints are study-wide, so they
-// need no per-config key fields.
-type charKey struct {
-	cell          cell.Definition
-	capacityBytes int64
-	wordBits      int
-}
 
 // planConfig is one unique characterization in the plan table.
 type planConfig struct {
@@ -177,14 +168,19 @@ func parallelIndex(ctx context.Context, workers, n int, f func(i int)) {
 }
 
 // plan builds the execution plan for one run: dedupe unique configs, probe
-// the point cache, and characterize every needed config once. Only context
-// cancellation fails the plan — characterization errors become per-point
-// skips, exactly as the point-at-a-time path reported them.
-func (s *Study) plan(ctx context.Context, specs []PointSpec, workers int) (*execPlan, error) {
+// cache (nil probes nothing), and characterize every needed config once,
+// across the study's Workers. Only context cancellation fails the plan —
+// characterization errors become per-point skips, exactly as the
+// point-at-a-time path reported them.
+func (s *Study) plan(ctx context.Context, specs []PointSpec, cache PointCache) (*execPlan, error) {
+	workers := s.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	p := &execPlan{specs: specs, cfgOf: make([]int, len(specs))}
-	idx := make(map[charKey]int, len(specs))
+	idx := make(map[nvsim.Config]int, len(specs))
 	for i := range specs {
-		k := charKey{specs[i].Cell, specs[i].CapacityBytes, specs[i].WordBits}
+		k := s.charConfig(&specs[i])
 		ci, ok := idx[k]
 		if !ok {
 			ci = len(p.reps)
@@ -195,13 +191,13 @@ func (s *Study) plan(ctx context.Context, specs []PointSpec, workers int) (*exec
 	}
 	p.configs = make([]planConfig, len(p.reps))
 
-	if s.Cache != nil {
+	if cache != nil {
 		p.keys = make([]string, len(specs))
 		p.cached = make([]CachedPoint, len(specs))
 		p.hit = make([]bool, len(specs))
 		parallelIndex(ctx, workers, len(specs), func(i int) {
 			p.keys[i] = s.PointKey(specs[i])
-			p.cached[i], p.hit[i] = s.Cache.Get(p.keys[i])
+			p.cached[i], p.hit[i] = cache.Get(p.keys[i])
 		})
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: study %q canceled: %w", s.Name, err)
@@ -232,15 +228,14 @@ func (s *Study) plan(ctx context.Context, specs []PointSpec, workers int) (*exec
 					pc.failed = fmt.Errorf("characterization panic: %v", r)
 				}
 			}()
-			cfg := nvsim.Config{
-				Cell:             spec.Cell,
-				CapacityBytes:    spec.CapacityBytes,
-				WordBits:         spec.WordBits,
-				MaxAreaMM2:       s.MaxAreaMM2,
-				MaxReadLatencyNS: s.MaxReadLatencyNS,
-			}
+			cfg := s.charConfig(spec)
 			if h := testHookCharacterize; h != nil {
 				h(cfg)
+			}
+			// Winners a fabric worker shipped (see Adopt) need no engine.
+			if arrays, ok := s.shipped[cfg]; ok {
+				pc.arrays, pc.errs = arrays, make([]error, len(arrays))
+				return
 			}
 			// The cheap constraint bound first: a config whose bare cell
 			// matrix already exceeds the area budget is provably infeasible,
@@ -270,4 +265,71 @@ func (s *Study) plan(ctx context.Context, specs []PointSpec, workers int) (*exec
 		return nil, fmt.Errorf("core: study %q canceled: %w", s.Name, err)
 	}
 	return p, nil
+}
+
+// charConfig is a grid point's engine configuration (cell, capacity, word
+// width, study-wide constraints): points sharing one share the engine pass.
+func (s *Study) charConfig(spec *PointSpec) nvsim.Config {
+	return nvsim.Config{Cell: spec.Cell, CapacityBytes: spec.CapacityBytes, WordBits: spec.WordBits,
+		MaxAreaMM2: s.MaxAreaMM2, MaxReadLatencyNS: s.MaxReadLatencyNS}
+}
+
+// Characterization is one config's per-target winners, in the study's
+// target order: what a fabric worker ships for each config of its shard.
+type Characterization struct {
+	Config nvsim.Config
+	Arrays []nvsim.Result
+}
+
+// Characterize runs the plan phase's characterization step over the
+// distinct configs of the named grid points (a fabric worker's shard),
+// without the point cache; every index must lie in the design space. It
+// returns, in first-use order, the configs that succeeded for every
+// target; the coordinator characterizes the rest itself, so their skip
+// lines and failure rows are a local run's.
+func (s *Study) Characterize(ctx context.Context, indices []int) ([]Characterization, error) {
+	s.Targets = s.targets()
+	specs, err := s.Space()
+	if err != nil {
+		return nil, err
+	}
+	sub := make([]PointSpec, len(indices))
+	for i, idx := range indices {
+		sub[i] = specs[idx]
+	}
+	p, err := s.plan(ctx, sub, nil)
+	if err != nil {
+		return nil, err
+	}
+	var out []Characterization
+	for ci, pc := range p.configs {
+		if pc.failed == nil && pc.ok == len(s.Targets) {
+			out = append(out, Characterization{s.charConfig(&sub[p.reps[ci]]), pc.arrays})
+		}
+	}
+	return out, nil
+}
+
+// Adopt keeps each shipped characterization that a named grid point needs
+// and nvsim.ValidWinners accepts in the study's winners table, which later
+// runs read in place of the engine. It reports how many named points the
+// kept entries cover. Adopt must not run concurrently with itself or with
+// a run of the study.
+func (s *Study) Adopt(specs []PointSpec, indices []int, cs []Characterization) int {
+	want := make(map[nvsim.Config]int)
+	for _, i := range indices {
+		want[s.charConfig(&specs[i])]++
+	}
+	covered := 0
+	for _, c := range cs {
+		if n := want[c.Config]; n > 0 && nvsim.ValidWinners(c.Config, s.targets(), c.Arrays) {
+			if s.shipped == nil {
+				s.shipped = make(map[nvsim.Config][]nvsim.Result)
+			}
+			s.shipped[c.Config] = c.Arrays
+			covered += n
+			delete(want, c.Config)
+		}
+	}
+	return covered
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -163,5 +164,71 @@ func TestPlanSharedSkips(t *testing.T) {
 	}
 	if _, misses := nvsim.MemoStats(); misses != 1 {
 		t.Errorf("memo misses = %d, want 1: the pre-filtered SRAM config must not reach the engine", misses)
+	}
+}
+
+// TestCharacterizeShipsOnlyCleanConfigs: a shard ships only configs that
+// succeeded for every target — a prefiltered config and a panicking one
+// are left out — and a study that adopts the shipped winners evaluates
+// the same rows as a local run, characterizing only what was left out.
+func TestCharacterizeShipsOnlyCleanConfigs(t *testing.T) {
+	build := func() *Study {
+		s := NewStudy("shard-clean")
+		s.AddTentpole(cell.SRAM, cell.Reference) // excluded by the area budget
+		s.AddTentpole(cell.STT, cell.Optimistic)
+		s.AddTentpole(cell.FeFET, cell.Optimistic) // panics on the worker
+		s.AddCapacity(4 << 20)
+		s.AddTarget(nvsim.OptReadEDP, nvsim.OptArea)
+		s.AddPattern(traffic.Pattern{Name: "p", ReadsPerSec: 1e6})
+		s.WriteBuffers = []*eval.WriteBufferConfig{nil, {TrafficReduction: 0.25}}
+		s.MaxAreaMM2 = 0.9
+		s.Workers = 2
+		return s
+	}
+	want, err := build().Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	worker := build()
+	specs, err := worker.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, len(specs))
+	for i := range all {
+		all[i] = i
+	}
+	testHookCharacterize = panicOnTech(cell.FeFET)
+	cs, err := worker.Characterize(context.Background(), all)
+	testHookCharacterize = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cs) != 1 || cs[0].Config.Cell.Tech != cell.STT || len(cs[0].Arrays) != 2 {
+		t.Fatalf("shipped %d config(s), want the STT config alone with 2 winners: %+v", len(cs), cs)
+	}
+
+	coord := build()
+	// An entry for a config no named point needs is not adopted.
+	foreign := cs[0]
+	foreign.Config.CapacityBytes *= 2
+	if n := coord.Adopt(specs, all, []Characterization{foreign}); n != 0 {
+		t.Fatalf("adopted a config no point needs (covers %d)", n)
+	}
+	if n := coord.Adopt(specs, all, cs); n != 2 {
+		t.Fatalf("adopted entry covers %d point(s), want the 2 STT points", n)
+	}
+	nvsim.ResetMemo()
+	got, err := coord.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := nvsim.MemoStats(); misses != 1 {
+		t.Errorf("memo misses = %d, want 1: only the FeFET config left to characterize", misses)
+	}
+	if !reflect.DeepEqual(got.Arrays, want.Arrays) || !reflect.DeepEqual(got.Metrics, want.Metrics) ||
+		!reflect.DeepEqual(got.Skipped, want.Skipped) {
+		t.Fatal("a run over adopted winners differs from a local run")
 	}
 }

@@ -83,6 +83,14 @@ func (b *breaker) onSuccess() (reset bool) {
 	return reset
 }
 
+// onAbandon returns a breaker whose probe was abandoned, not failed, from
+// half-open to open, with its retry window and backoff unchanged.
+func (b *breaker) onAbandon() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.state = bkOpen
+}
+
 // onFailure records a failed operation. Any failure trips a closed or
 // half-open breaker open: the retry window is the current backoff interval
 // with 50–100% seeded jitter, and the next interval doubles up to the

@@ -1,9 +1,9 @@
-// Package fabric is the distributed-study coordinator: it fans the cold
-// grid points of a study out across a fleet of worker `nvmexplorer serve`
-// processes and collects the computed points into the coordinator's store
-// before the study runs — so the run itself replays entirely from the
-// store and stays byte-identical to a single-process execution at any
-// worker count.
+// Package fabric is the distributed-study coordinator: it fans the
+// characterization configs of a study's cold grid points out across a
+// fleet of worker `nvmexplorer serve` processes, which ship back per-target
+// winners, not points. The coordinator checks them and hands them to the
+// study, whose one run evaluates and stores every point as a local run
+// does — so the bytes match a single-process run at any worker count.
 //
 // The unit of distribution is the characterization config, not the grid
 // point: points are consistent-hashed by core.Study.CharacterizationKey
@@ -16,7 +16,7 @@
 //
 // Failure model: every worker sits behind a circuit breaker (breaker.go).
 // A worker that cannot be reached, answers non-200, or returns a torn
-// shard payload (CRC mismatch — see store.DecodeShardPoints) loses the
+// shard payload (CRC mismatch — see store.DecodeShard) loses the
 // whole shard and trips its breaker. Each shard walks one owner list —
 // every live worker once, in ring order from the shard's first
 // characterization key — skipping open breakers and moving to the next
@@ -31,19 +31,18 @@
 // without coordinator restarts and a flapping one is probed ever more
 // lazily.
 //
-// Workers run with their own persistent stores drift from the
-// coordinator whenever a partition or crash eats a shard; the
-// anti-entropy pass (AntiEntropy, also on a Start ticker) exchanges
-// point-key digests over POST /v1/store/diff and ships the differing
-// records both ways until coordinator and workers converge to identical
-// point-key sets.
+// A shard writes no points to a worker's store, so workers running with
+// their own persistent stores hold only what they computed for studies of
+// their own; the anti-entropy pass (AntiEntropy, also on a Start ticker)
+// exchanges point-key digests over POST /v1/store/diff and ships the
+// differing records both ways until coordinator and workers converge to
+// identical point-key sets.
 package fabric
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -129,7 +128,7 @@ type Stats struct {
 	Live    int `json:"live"`    // workers with a closed breaker
 
 	Shards        int64 `json:"shards"`         // shard requests fanned out
-	RemoteHits    int64 `json:"remote_hits"`    // points computed by workers and merged
+	RemoteHits    int64 `json:"remote_hits"`    // points whose configs workers characterized
 	RemoteMisses  int64 `json:"remote_misses"`  // points that fell back to local execution
 	ResumedShards int64 `json:"resumed_shards"` // shard assignments re-fanned out after a resume
 
@@ -297,11 +296,14 @@ func (p *Pool) refresh(ctx context.Context) {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			if p.handshake(ctx, w.url) {
+			switch {
+			case p.handshake(ctx, w.url):
 				if w.bk.onSuccess() {
 					p.breakerResets.Add(1)
 				}
-			} else if w.bk.onFailure(time.Now()) {
+			case ctx.Err() != nil: // the coordinator gave up, not the worker
+				w.bk.onAbandon()
+			case w.bk.onFailure(time.Now()):
 				p.breakerTrips.Add(1)
 			}
 		}(w)
@@ -361,19 +363,20 @@ func (p *Pool) find(url string) *worker {
 	return nil
 }
 
-// Prefill computes a study's cold grid points on the worker fleet and
-// stores the results in st, so the study's subsequent run replays every
-// point from the store. cfg is the study's effective sweep configuration
-// (JSON) — what workers rebuild the study from. jobID, when non-empty,
-// journals the shard assignment through the store's crash-safe journal
-// under that async job's ID; a coordinator that died mid-fan-out finds the
-// record on resume and counts the re-fanned shards.
+// Prefill characterizes the configs of a study's cold grid points (those
+// st lacks) on the worker fleet and hands the checked winners to the study
+// (core.Study.Adopt), so its run evaluates and stores every point itself.
+// cfg is the study's effective sweep configuration (JSON) — what workers
+// rebuild the study from. jobID, when non-empty, journals the shard
+// assignment through the store's crash-safe journal under that async
+// job's ID; a coordinator that died mid-fan-out finds the record on resume
+// and counts the re-fanned shards.
 //
 // Pending points are grouped into one shard per ring owner, and each shard
-// walks its owner list (see route): a failed copy trips its worker's
-// breaker and the shard moves to the next live owner. Prefill never fails
-// a study: a shard that runs out of owners is computed locally by the run
-// itself.
+// walks its owner list (see route). Prefill never fails a study: whatever
+// no worker served is characterized by the run itself. Once ctx ends the
+// coordinator gave up, not the workers: nothing more feeds a breaker,
+// counts a miss, or logs.
 func (p *Pool) Prefill(ctx context.Context, study *core.Study, cfg []byte, st *store.Store, jobID string) {
 	if st == nil || len(cfg) == 0 || len(p.workers) == 0 {
 		return
@@ -402,9 +405,15 @@ func (p *Pool) Prefill(ctx context.Context, study *core.Study, cfg []byte, st *s
 	}
 	p.refresh(ctx)
 	live := p.usable()
+	// local leaves n points to the run, unless the coordinator gave up.
+	local := func(n int, why string) {
+		if ctx.Err() == nil {
+			log.Printf("fabric: %d point(s) %s; computing locally", n, why)
+			p.remoteMisses.Add(int64(n))
+		}
+	}
 	if len(live) == 0 {
-		log.Printf("fabric: no live worker for %d point(s); computing locally", len(pending))
-		p.remoteMisses.Add(int64(len(pending)))
+		local(len(pending), "without a live worker")
 		return
 	}
 	ring := newRing(live)
@@ -430,50 +439,37 @@ func (p *Pool) Prefill(ctx context.Context, study *core.Study, cfg []byte, st *s
 			log.Printf("fabric: journaling shards of %s: %v", jobID, err)
 		}
 	}
-	var wg sync.WaitGroup
+	var (
+		wg sync.WaitGroup
+		mu sync.Mutex // Adopt must not run concurrently with itself
+	)
 	for _, indices := range assign {
 		wg.Add(1)
-		go func(indices []int) {
+		go func() {
 			defer wg.Done()
-			pts, ok := p.route(ctx, ring.owners(study.CharacterizationKey(specs[indices[0]])), fp, cfg, indices)
+			chars, ok := p.route(ctx, ring.owners(study.CharacterizationKey(specs[indices[0]])), fp, cfg, indices)
 			if !ok {
-				log.Printf("fabric: shard of %d point(s) unfilled by every live worker; computing locally", len(indices))
-				p.remoteMisses.Add(int64(len(indices)))
+				local(len(indices), "unfilled by every live worker")
 				return
 			}
-			byIndex := make(map[int]store.ShardPoint, len(pts))
-			for _, sp := range pts {
-				byIndex[sp.Index] = sp
-			}
-			var got int64
-			for _, i := range indices {
-				sp, ok := byIndex[i]
-				// The key check pins each returned point to the exact spec
-				// this coordinator asked for: a worker disagreeing about a
-				// point's identity (schema drift the handshake missed, a
-				// mislabeled response) contributes nothing rather than
-				// something wrong. Absent points (the worker's engine failed
-				// that config) fall back to local execution the same way —
-				// deterministically failing configs would fail on every
-				// worker, so they are not worth another owner.
-				if !ok || sp.Key != study.PointKey(specs[i]) {
-					p.remoteMisses.Add(1)
-					continue
-				}
-				st.Put(sp.Key, sp.Point)
-				got++
-			}
-			p.remoteHits.Add(got)
-		}(indices)
+			// Adopt keeps only entries for configs asked for, with checked
+			// winners; the rest (mislabeled, or failed on the worker — a
+			// deterministic failure, not worth another owner) run locally.
+			mu.Lock()
+			hits := study.Adopt(specs, indices, chars)
+			mu.Unlock()
+			p.remoteHits.Add(int64(hits))
+			p.remoteMisses.Add(int64(len(indices) - hits))
+		}()
 	}
 	wg.Wait()
 }
 
 // shardResult is one copy's outcome in a shard's walk.
 type shardResult struct {
-	w   *worker
-	pts []store.ShardPoint
-	err error
+	w     *worker
+	chars []core.Characterization
+	err   error
 }
 
 // route runs one shard down its owner list, the fabric's one routing
@@ -481,10 +477,11 @@ type shardResult struct {
 // shard to the next owner; and at most once per shard, when the running
 // copy outlives Options.HedgeAfter, the next owner starts early without
 // cancelling the first. The first success wins and cancels the rest. The
-// ring size bounds the walk: ok is false once the list is exhausted.
-// Breakers are fed per copy — a genuine failure trips even when another
-// copy won, but a cancelled loser never does.
-func (p *Pool) route(ctx context.Context, owners []string, fp string, cfg []byte, indices []int) (pts []store.ShardPoint, ok bool) {
+// ring size bounds the walk: ok is false once the list is exhausted, or
+// once ctx ends. Breakers are fed per copy as results arrive — a failure
+// trips its worker's breaker — but never for a cancelled loser, nor after
+// ctx ended.
+func (p *Pool) route(ctx context.Context, owners []string, fp string, cfg []byte, indices []int) (chars []core.Characterization, ok bool) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	// Buffered to the list length: a loser can deposit its result after
@@ -511,8 +508,8 @@ func (p *Pool) route(ctx context.Context, owners []string, fp string, cfg []byte
 			}
 			running++
 			go func() {
-				pts, err := p.runShard(cctx, w.url, fp, cfg, indices)
-				results <- shardResult{w: w, pts: pts, err: err}
+				chars, err := p.runShard(cctx, w.url, fp, cfg, indices)
+				results <- shardResult{w: w, chars: chars, err: err}
 			}()
 			if hedgeAfter > 0 {
 				hedge = time.After(hedgeAfter)
@@ -531,14 +528,22 @@ func (p *Pool) route(ctx context.Context, owners []string, fp string, cfg []byte
 			}
 		case res := <-results:
 			running--
-			p.feedBreaker(res.w, res.err)
 			if res.err == nil {
+				if res.w.bk.onSuccess() {
+					p.breakerResets.Add(1)
+				}
 				if hedgeCopy == res.w {
 					p.hedgesWon.Add(1)
 				} else if hedgeCopy != nil {
 					p.hedgesLost.Add(1)
 				}
-				return res.pts, true
+				return res.chars, true
+			}
+			if ctx.Err() != nil {
+				return nil, false // the coordinator gave up; the worker did nothing wrong
+			}
+			if res.w.bk.onFailure(time.Now()) {
+				p.breakerTrips.Add(1)
 			}
 			log.Printf("fabric: shard of %d point(s) lost on %s (%v)", len(indices), res.w.url, res.err)
 			failed = true
@@ -548,26 +553,9 @@ func (p *Pool) route(ctx context.Context, owners []string, fp string, cfg []byte
 	return nil, false
 }
 
-// feedBreaker routes one copy's outcome into its worker's breaker. A
-// cancelled request (a walk's loser) is neither success nor failure: the
-// coordinator killed it, the worker did nothing wrong.
-func (p *Pool) feedBreaker(w *worker, err error) {
-	switch {
-	case err == nil:
-		if w.bk.onSuccess() {
-			p.breakerResets.Add(1)
-		}
-	case errors.Is(err, context.Canceled):
-	default:
-		if w.bk.onFailure(time.Now()) {
-			p.breakerTrips.Add(1)
-		}
-	}
-}
-
 // runShard executes one worker's slice: POST /v1/shard, decode and
 // CRC-verify the response. Any failure loses the whole shard.
-func (p *Pool) runShard(ctx context.Context, url, fp string, cfg []byte, indices []int) ([]store.ShardPoint, error) {
+func (p *Pool) runShard(ctx context.Context, url, fp string, cfg []byte, indices []int) ([]core.Characterization, error) {
 	body, err := json.Marshal(ShardRequest{
 		Protocol: store.ProtocolVersion, Fingerprint: fp,
 		Config: json.RawMessage(cfg), Indices: indices,
@@ -596,7 +584,7 @@ func (p *Pool) runShard(ctx context.Context, url, fp string, cfg []byte, indices
 		}
 		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
-	return store.DecodeShardPoints(data)
+	return store.DecodeShard(data)
 }
 
 // sortedKeys returns a map's keys in sorted order, for deterministic

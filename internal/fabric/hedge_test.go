@@ -35,9 +35,19 @@ func localReference(t *testing.T) *store.Store {
 	return local
 }
 
+// assertMatchesLocal checks a prefill's coordinator store against the
+// local reference: the prefill itself stores nothing, and the study's run
+// over that store then writes every point equal to the reference's.
 func assertMatchesLocal(t *testing.T, st *store.Store, local *store.Store) {
 	t.Helper()
+	if st.Len() != 0 {
+		t.Fatalf("prefill stored %d point(s), want 0: the run stores each point", st.Len())
+	}
 	study := prefillStudy()
+	study.Cache = st
+	if _, err := study.Run(); err != nil {
+		t.Fatal(err)
+	}
 	specs, err := study.Space()
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +60,7 @@ func assertMatchesLocal(t *testing.T, st *store.Store, local *store.Store) {
 		}
 		got, ok := st.Get(key)
 		if !ok {
-			t.Fatalf("point %d missing after prefill", i)
+			t.Fatalf("point %d missing after the run", i)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("point %d differs between fabric and local computation", i)

@@ -1,19 +1,23 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/nvsim"
 	"repro/internal/store"
+	"repro/internal/sweep"
 	"repro/internal/traffic"
 )
 
@@ -31,13 +35,15 @@ func prefillStudy() *core.Study {
 }
 
 // shardWorker is an in-test worker process: it answers the /v1/version
-// handshake with this binary's versions and serves /v1/shard from a
-// pre-computed point store — the same contract as a real worker, without
+// handshake with this binary's versions and serves /v1/shard from
+// characterizations computed up front, so serving a shard touches neither
+// the engine nor the memo — the same contract as a real worker, without
 // routing through the HTTP server package (which would be an import cycle).
 type shardWorker struct {
-	study  *core.Study
-	points *store.Store
-	served atomic.Int64 // hedged shards hit one worker concurrently
+	byIndex [][]core.Characterization // each grid point's config, if it succeeded
+	served  atomic.Int64              // hedged shards hit one worker concurrently
+	// mangle, when set, rewrites each shipped entry: a worker that lies.
+	mangle func(*core.Characterization)
 }
 
 func newShardWorker(t *testing.T) *shardWorker { return newShardWorkerFor(t, prefillStudy) }
@@ -45,17 +51,19 @@ func newShardWorker(t *testing.T) *shardWorker { return newShardWorkerFor(t, pre
 // newShardWorkerFor is newShardWorker serving the study build returns.
 func newShardWorkerFor(t *testing.T, build func() *core.Study) *shardWorker {
 	t.Helper()
-	st, err := store.Open("")
+	s := build()
+	s.Workers = 1
+	specs, err := s.Space()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := build()
-	s.Cache = st
-	s.Workers = 1
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
+	sw := &shardWorker{byIndex: make([][]core.Characterization, len(specs))}
+	for i := range specs {
+		if sw.byIndex[i], err = s.Characterize(context.Background(), []int{i}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return &shardWorker{study: build(), points: st}
+	return sw
 }
 
 func (sw *shardWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -73,19 +81,22 @@ func (sw *shardWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		specs, err := sw.study.Space()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		var pts []store.ShardPoint
+		var cs []core.Characterization
+		seen := map[nvsim.Config]bool{}
 		for _, i := range req.Indices {
-			key := sw.study.PointKey(specs[i])
-			if pt, ok := sw.points.Get(key); ok {
-				pts = append(pts, store.ShardPoint{Index: i, Key: key, Point: pt})
+			for _, c := range sw.byIndex[i] {
+				if seen[c.Config] {
+					continue
+				}
+				seen[c.Config] = true
+				c.Arrays = slices.Clone(c.Arrays)
+				if sw.mangle != nil {
+					sw.mangle(&c)
+				}
+				cs = append(cs, c)
 			}
 		}
-		data, err := store.EncodeShardPoints(pts)
+		data, err := store.EncodeShard(cs)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -95,6 +106,29 @@ func (sw *shardWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.NotFound(w, r)
 	}
+}
+
+// runJSON runs a study single-threaded over st (a fresh memory store when
+// nil) and returns its JSON bytes and the store.
+func runJSON(t *testing.T, s *core.Study, st *store.Store) ([]byte, *store.Store) {
+	t.Helper()
+	if st == nil {
+		var err error
+		if st, err = store.Open(""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Cache = st
+	s.Workers = 1
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sweep.WriteJSON(&buf, res); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), st
 }
 
 func TestFabricPrefillFansOutAndMerges(t *testing.T) {
@@ -119,10 +153,10 @@ func TestFabricPrefillFansOutAndMerges(t *testing.T) {
 	p := NewPool([]string{ts1.URL, ts2.URL}, nil)
 	p.Prefill(context.Background(), study, []byte(`{"synthetic":"cfg"}`), st, "")
 
-	for i := range specs {
-		if !st.Probe(study.PointKey(specs[i])) {
-			t.Fatalf("point %d missing from the coordinator store after prefill", i)
-		}
+	// The prefill hands winners to the study and stores nothing: the
+	// study's run writes each point, once.
+	if st.Len() != 0 {
+		t.Fatalf("prefill stored %d point(s), want 0", st.Len())
 	}
 	s := p.Snapshot()
 	if s.RemoteHits != int64(len(specs)) || s.RemoteMisses != 0 {
@@ -132,24 +166,26 @@ func TestFabricPrefillFansOutAndMerges(t *testing.T) {
 		t.Fatalf("counters after full fan-out: %+v, want >0 shards and 2 live", s)
 	}
 
-	// Points from a filled store must deep-equal a local computation: the
-	// fabric's whole promise is that distribution never changes results.
+	// The run over the shipped winners does no engine work and must equal
+	// a local computation byte for byte: the fabric's whole promise is that
+	// distribution never changes results.
 	nvsim.ResetMemo()
-	local, err := store.Open("")
-	if err != nil {
-		t.Fatal(err)
+	got, _ := runJSON(t, study, st)
+	if hits, misses := nvsim.MemoStats(); hits != 0 || misses != 0 {
+		t.Fatalf("run over shipped winners touched the memo: %d hits / %d misses", hits, misses)
 	}
-	ref := prefillStudy()
-	ref.Cache = local
-	ref.Workers = 1
-	if _, err := ref.Run(); err != nil {
-		t.Fatal(err)
+	if st.Len() != len(specs) {
+		t.Fatalf("run stored %d point(s), want %d", st.Len(), len(specs))
+	}
+	want, local := runJSON(t, prefillStudy(), nil)
+	if !bytes.Equal(got, want) {
+		t.Fatal("study over shipped winners differs from a local run")
 	}
 	for i := range specs {
 		key := study.PointKey(specs[i])
-		want, _ := local.Get(key)
-		got, _ := st.Get(key)
-		if !reflect.DeepEqual(got, want) {
+		w, _ := local.Get(key)
+		g, _ := st.Get(key)
+		if !reflect.DeepEqual(g, w) {
 			t.Fatalf("point %d differs between fabric and local computation", i)
 		}
 	}
@@ -248,48 +284,70 @@ func TestFabricPoolDedupesWorkerURLs(t *testing.T) {
 	}
 }
 
+// TestFabricPrefillRejectsMislabeledPoints: shipped winners are checked,
+// not trusted. A worker whose entries name another cell or capacity, list
+// the targets out of order, come up short, or break the study's area
+// budget contributes nothing: every entry is ignored, counted as a remote
+// miss, and characterized locally, and the study's bytes equal a local
+// run's.
 func TestFabricPrefillRejectsMislabeledPoints(t *testing.T) {
-	// A worker that returns syntactically valid points under the wrong
-	// keys must contribute nothing: the coordinator pins every returned
-	// point to the exact key it asked for.
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/version" {
-			json.NewEncoder(w).Encode(store.VersionInfo{
-				Protocol:  store.ProtocolVersion,
-				PointKey:  core.PointKeyVersion,
-				ShardWire: store.ShardWireVersion,
-			})
-			return
-		}
-		var req ShardRequest
-		json.NewDecoder(r.Body).Decode(&req)
-		var pts []store.ShardPoint
-		for _, i := range req.Indices {
-			pts = append(pts, store.ShardPoint{Index: i, Key: "not-the-key-you-asked-for"})
-		}
-		data, _ := store.EncodeShardPoints(pts)
-		w.Write(data)
-	}))
-	defer ts.Close()
+	// An area budget every real winner meets, so a mangled one can break it.
+	build := func() *core.Study {
+		s := prefillStudy()
+		s.MaxAreaMM2 = 1e3
+		return s
+	}
+	other := cell.MustTentpole(cell.PCM, cell.Optimistic)
+	cases := map[string]func(c *core.Characterization){
+		"another cell": func(c *core.Characterization) { c.Arrays[0].Cell = other },
+		"another capacity": func(c *core.Characterization) {
+			for i := range c.Arrays {
+				c.Arrays[i].CapacityBytes *= 2
+			}
+		},
+		"targets out of order": func(c *core.Characterization) { c.Arrays[0], c.Arrays[1] = c.Arrays[1], c.Arrays[0] },
+		"short slice":          func(c *core.Characterization) { c.Arrays = c.Arrays[:1] },
+		"over the area budget": func(c *core.Characterization) { c.Arrays[1].AreaMM2 = 2e3 },
+	}
+	want, _ := runJSON(t, build(), nil)
+	for name, mangle := range cases {
+		t.Run(name, func(t *testing.T) {
+			sw := newShardWorkerFor(t, build)
+			sw.mangle = mangle
+			ts := httptest.NewServer(sw)
+			defer ts.Close()
 
-	st, err := store.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	study := prefillStudy()
-	specs, err := study.Space()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPool([]string{ts.URL}, nil)
-	p.Prefill(context.Background(), study, []byte(`{}`), st, "")
-
-	if st.Len() != 0 {
-		t.Fatal("a mislabeled point was stored")
-	}
-	s := p.Snapshot()
-	if s.RemoteHits != 0 || s.RemoteMisses != int64(len(specs)) {
-		t.Fatalf("counters = %+v, want 0 hits / %d misses", s, len(specs))
+			st, err := store.Open("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			study := build()
+			specs, err := study.Space()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := NewPool([]string{ts.URL}, nil)
+			p.Prefill(context.Background(), study, []byte(`{}`), st, "")
+			if sw.served.Load() == 0 {
+				t.Fatal("the worker never served a shard")
+			}
+			s := p.Snapshot()
+			if s.RemoteHits != 0 || s.RemoteMisses != int64(len(specs)) {
+				t.Fatalf("counters = %+v, want 0 hits / %d misses", s, len(specs))
+			}
+			if s.Live != 1 {
+				t.Fatalf("a worker that answered was ejected: %+v", s)
+			}
+			// Every config was characterized locally: each one is a memo miss.
+			nvsim.ResetMemo()
+			got, _ := runJSON(t, study, nil)
+			if _, misses := nvsim.MemoStats(); misses != int64(len(specs)) {
+				t.Fatalf("local characterizations = %d, want %d", misses, len(specs))
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("study bytes differ from a local run")
+			}
+		})
 	}
 }
 
@@ -345,5 +403,55 @@ func TestFabricPrefillJournalsShardsAndCountsResume(t *testing.T) {
 	}
 	if s.RemoteHits == 0 {
 		t.Fatalf("resumed fan-out merged nothing: %+v", s)
+	}
+}
+
+// TestFabricPrefillDeadlineSparesWorkers: the coordinator's own deadline
+// or cancellation is not a worker failure. A prefill that gives up before
+// its handshake or while its shards are in flight trips no breaker,
+// counts no miss, and leaves the fleet serving the next study.
+func TestFabricPrefillDeadlineSparesWorkers(t *testing.T) {
+	nvsim.ResetMemo()
+	sw := newShardWorker(t)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/shard" {
+			time.Sleep(200 * time.Millisecond)
+		}
+		sw.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool([]string{ts.URL}, nil)
+	spared := func(when string) {
+		t.Helper()
+		if s := p.Snapshot(); s.BreakerTrips != 0 || s.RemoteMisses != 0 || s.RemoteHits != 0 {
+			t.Fatalf("%s: %+v, want no trips, misses or hits", when, s)
+		}
+	}
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	p.Prefill(canceled, prefillStudy(), []byte(`{}`), st, "")
+	spared("canceled before the handshake")
+
+	short, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	p.Prefill(short, prefillStudy(), []byte(`{}`), st, "")
+	cancel()
+	spared("deadline while the shard ran")
+	if p.Live() != 1 {
+		t.Fatalf("Live() = %d after the coordinator's deadline, want 1", p.Live())
+	}
+
+	study := prefillStudy()
+	specs, err := study.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Prefill(context.Background(), study, []byte(`{}`), st, "")
+	if s := p.Snapshot(); s.RemoteHits != int64(len(specs)) || s.BreakerTrips != 0 {
+		t.Fatalf("next study: %+v, want %d hits and no trips", s, len(specs))
 	}
 }

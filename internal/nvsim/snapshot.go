@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Memo-cache snapshots. The persistent study store (internal/store)
@@ -62,7 +63,8 @@ func SnapshotMemo(w io.Writer) error {
 	return nil
 }
 
-// decodeSnapshot reads one snapshot of the current version.
+// decodeSnapshot reads one snapshot of the current version, dropping
+// every invalid entry.
 func decodeSnapshot(r io.Reader) (*memoSnapshot, error) {
 	var snap memoSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -71,22 +73,35 @@ func decodeSnapshot(r io.Reader) (*memoSnapshot, error) {
 	if snap.Version != SnapshotVersion {
 		return nil, fmt.Errorf("%w %q, want %q", ErrSnapshotVersion, snap.Version, SnapshotVersion)
 	}
+	snap.Entries = slices.DeleteFunc(snap.Entries, func(se memoSnapshotEntry) bool { return !se.valid() })
 	return &snap, nil
 }
 
 // valid reports whether an entry is one bestPerTarget could have produced:
-// its Config is a normalized memo key, and every Best[t] is target t's
-// result for exactly that cell, capacity and word width, admitted by the
-// key's constraints. A zero-filled or foreign entry fails.
+// a normalized memo key whose winners pass ValidWinners for every target.
 func (se *memoSnapshotEntry) valid() bool {
 	cfg := se.Config
-	if cfg.normalize() != nil || cfg != se.Config.memoKey() {
+	return cfg.normalize() == nil && cfg == se.Config.memoKey() &&
+		ValidWinners(cfg, allTargets, se.Best[:])
+}
+
+// allTargets is every optimization target, the order Best is indexed in.
+var allTargets = OptTargets()
+
+// ValidWinners reports whether winners could be CharacterizeTargets(cfg,
+// targets)'s all-successful answer: one result per target, in order, each
+// for cfg's cell, capacity and normalized word width, admitted by cfg's
+// constraints. It checks winners computed elsewhere (a memo snapshot, a
+// fabric shard).
+func ValidWinners(cfg Config, targets []OptTarget, winners []Result) bool {
+	cfg.Target = 0
+	if cfg.normalize() != nil || len(winners) != len(targets) {
 		return false
 	}
-	for t := range numOptTargets {
-		r := &se.Best[t]
-		if r.Target != t || r.Cell != cfg.Cell || r.CapacityBytes != cfg.CapacityBytes ||
-			r.WordBits != cfg.WordBits || !cfg.admissible(*r) {
+	for i, t := range targets {
+		r := &winners[i]
+		if r.Target != t || t < 0 || t >= numOptTargets || r.Cell != cfg.Cell ||
+			r.CapacityBytes != cfg.CapacityBytes || r.WordBits != cfg.WordBits || !cfg.admissible(*r) {
 			return false
 		}
 	}
@@ -104,11 +119,7 @@ func RestoreMemo(r io.Reader) (int, error) {
 		return 0, err
 	}
 	n := 0
-	for i := range snap.Entries {
-		se := &snap.Entries[i]
-		if !se.valid() {
-			continue
-		}
+	for _, se := range snap.Entries {
 		e := &memoEntry{best: se.Best}
 		e.once.Do(func() {})
 		e.ready.Store(true)
@@ -131,13 +142,7 @@ func CheckMemoSnapshot(r io.Reader) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n := 0
-	for i := range snap.Entries {
-		if snap.Entries[i].valid() {
-			n++
-		}
-	}
-	return n, nil
+	return len(snap.Entries), nil
 }
 
 // MemoLen reports how many configurations the cache currently holds.

@@ -95,10 +95,9 @@ type execution struct {
 	// sync marks work a client waits on: it is shed past Options.SyncWait
 	// and runs under Options.StudyTimeout. Async jobs are neither.
 	sync bool
-	// shard runs only indices (core.Study.RunPoints): the fabric worker's
-	// slice of a study, with no prefill, frontier, or manifest.
-	shard   bool
-	indices []int
+	// shard, when set, runs instead of the study: the fabric worker's
+	// slice, with no prefill, frontier, or manifest, and an empty result.
+	shard func(ctx context.Context, study *core.Study) error
 	// jobID journals the fabric prefill's shard assignment under an async
 	// job, so a resumed coordinator recognizes its own fan-out.
 	jobID string
@@ -138,13 +137,13 @@ func (s *Server) execute(ctx context.Context, e execution) (*core.Results, *fail
 	}
 	var res *core.Results
 	var err error
-	if e.shard {
+	if e.shard != nil {
 		what = "shard"
-		res, err = study.RunPoints(runCtx, e.indices, e.emit)
+		res, err = &core.Results{Study: study}, e.shard(runCtx, study)
 	} else {
-		// Coordinator role: compute the study's cold grid points on the
-		// worker fleet first, so the run replays every point from the store —
-		// which is what keeps the result byte-identical at any worker count.
+		// Coordinator role: characterize the study's cold configs on the
+		// worker fleet first; the run then evaluates and stores every point
+		// like a local run, so the bytes match at any worker count.
 		if s.fabric != nil {
 			s.fabric.Prefill(runCtx, study, e.x.Config, s.opts.Store, e.jobID)
 		}
@@ -170,7 +169,7 @@ func (s *Server) execute(ctx context.Context, e execution) (*core.Results, *fail
 	// Record the study in the store's manifest set, making it addressable
 	// by GET /v1/studies/{fingerprint} and the query index. A manifest
 	// write failure degrades queryability, never the response.
-	if rec, ok := e.x.Manifest(res); ok && !e.shard && s.opts.Store != nil {
+	if rec, ok := e.x.Manifest(res); ok && e.shard == nil && s.opts.Store != nil {
 		if err := s.opts.Store.SaveStudy(rec); err != nil {
 			log.Printf("server: saving study manifest %s: %v", rec.Fingerprint, err)
 		}

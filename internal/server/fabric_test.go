@@ -610,40 +610,65 @@ func TestShardsServedCounter(t *testing.T) {
 	}
 }
 
-// TestColdShardCountsNoStoreHits: a shard ships the points its run
-// emitted rather than re-reading them from the worker's store, so a cold
-// shard on a worker with a store costs one miss per point and no hits.
+// TestColdShardCountsNoStoreHits: each point is written once, by the
+// coordinator. A cold 2-worker study, with the coordinator and one worker
+// on store directories, leaves one record per grid point in the
+// coordinator's store, while the worker's store holds no points and was
+// never probed. The coordinator's run characterizes nothing the workers
+// served: the memo (shared in-process by all three servers) records one
+// miss per config, the workers', and no hit.
 func TestColdShardCountsNoStoreHits(t *testing.T) {
-	nvsim.ResetMemo()
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Options{MaxConcurrentStudies: 2, StudyWorkers: 2, Store: st})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { ts.Close(); srv.Close() })
-	cfg := testConfig("shard-cold", "PCM", 1<<20)
+	cfg := `{
+	  "name": "shard-cold",
+	  "cells": [{"technology": "STT", "flavor": "Opt"}, {"technology": "FeFET", "flavor": "Opt"},
+	            {"technology": "PCM", "flavor": "Opt"}, {"technology": "RRAM", "flavor": "Opt"}],
+	  "capacities_bytes": [1048576, 4194304],
+	  "opt_targets": ["ReadEDP", "Area"],
+	  "traffic": {"generic": {"read_gbs_lo": 1, "read_gbs_hi": 10,
+	               "write_gbs_lo": 0.01, "write_gbs_hi": 0.1, "points": 2}}
+	}`
+	want := batchOutput(t, cfg, "json")
 	x, err := sweep.Expand([]byte(cfg), sweep.Overrides{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := json.Marshal(fabric.ShardRequest{Protocol: store.ProtocolVersion,
-		Fingerprint: x.Fingerprint, Config: json.RawMessage(cfg), Indices: []int{0, 1}})
-	resp, err := http.Post(ts.URL+"/v1/shard", "application/json", bytes.NewReader(body))
+	const configs = 8 // 4 cells × 2 capacities, one point each
+
+	wst, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("shard: status %d: %s", resp.StatusCode, data)
+	wsrv := New(Options{MaxConcurrentStudies: 2, StudyWorkers: 2, Store: wst})
+	wts := httptest.NewServer(wsrv.Handler())
+	t.Cleanup(func() { wts.Close(); wsrv.Close() })
+	_, tsW2 := newWorker(t)
+	cdir := t.TempDir()
+	cst, err := store.Open(cdir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pts, err := store.DecodeShardPoints(data)
-	if err != nil || len(pts) != 2 || pts[0].Index != 0 || pts[1].Index != 1 {
-		t.Fatalf("shard payload: %d point(s), err %v", len(pts), err)
+	srv, ts := newCoordinator(t, []string{wts.URL, tsW2.URL}, cst)
+
+	nvsim.ResetMemo()
+	code, body := post(t, ts, cfg, "json")
+	if code != http.StatusOK || !bytes.Equal(body, want) {
+		t.Fatalf("cold fabric study: status %d, matches batch: %v", code, bytes.Equal(body, want))
 	}
-	if hits, misses := st.Stats(); hits != 0 || misses != 2 {
-		t.Fatalf("cold shard store stats: hits=%d misses=%d, want 0/2", hits, misses)
+	if f := srv.Snapshot().Fabric; f.RemoteHits != int64(x.Points) || f.RemoteMisses != 0 {
+		t.Fatalf("fabric stats %+v, want %d remote hits and no miss", f, x.Points)
+	}
+	files, err := filepath.Glob(filepath.Join(cdir, "points", "*", "*.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != x.Points || cst.Len() != x.Points {
+		t.Fatalf("coordinator store: %d file(s), %d point(s), want %d of each", len(files), cst.Len(), x.Points)
+	}
+	if hits, misses := wst.Stats(); wst.Len() != 0 || hits != 0 || misses != 0 {
+		t.Fatalf("worker store: %d point(s), hits=%d misses=%d, want 0/0/0", wst.Len(), hits, misses)
+	}
+	if hits, misses := nvsim.MemoStats(); hits != 0 || misses != configs {
+		t.Fatalf("memo: hits=%d misses=%d, want 0 hits and %d misses (the workers')", hits, misses, configs)
 	}
 }
 
@@ -670,4 +695,59 @@ func TestOpenAPIAdvertisesFabricProtocol(t *testing.T) {
 			t.Errorf("openapi.json does not mention %q", needle)
 		}
 	}
+}
+
+// FuzzShardRequest feeds arbitrary POST /v1/shard bodies through the
+// worker's request handling — JSON parse, protocol check, expansion,
+// fingerprint and index checks, and the shard itself. It must never panic,
+// and it answers either 200 with an nvmx-shard/v2 payload that decodes or
+// an error envelope with a stable code. Seeds are the test config fixtures
+// as well-formed, refused and malformed shard requests, plus a config whose
+// generic traffic would expand quadratically without the points bound.
+func FuzzShardRequest(f *testing.F) {
+	for _, tech := range []string{"STT", "RRAM"} {
+		cfg := testConfig("fuzz-shard-"+tech, tech, 1<<20)
+		x, err := sweep.Expand([]byte(cfg), sweep.Overrides{}, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, req := range []fabric.ShardRequest{
+			{Protocol: store.ProtocolVersion, Fingerprint: x.Fingerprint, Indices: []int{0, 1}},
+			{Protocol: "v0", Fingerprint: x.Fingerprint, Indices: []int{0}},
+			{Protocol: store.ProtocolVersion, Fingerprint: "not-the-fingerprint", Indices: []int{0}},
+			{Protocol: store.ProtocolVersion, Fingerprint: x.Fingerprint, Indices: []int{-1, x.Points}},
+		} {
+			req.Config = json.RawMessage(cfg)
+			body, err := json.Marshal(req)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(body)
+		}
+	}
+	f.Add([]byte(`{"protocol":"v1","fingerprint":"x","config":{"name":"q","cells":[{"technology":"STT","flavor":"Opt"}],` +
+		`"capacities_bytes":[1048576],"traffic":{"generic":{"read_gbs_lo":1,"read_gbs_hi":10,` +
+		`"write_gbs_lo":0.01,"write_gbs_hi":0.1,"points":1000000}}},"indices":[0]}`))
+	f.Add([]byte(`{"protocol":`))
+	f.Add([]byte("not json"))
+
+	srv := New(Options{MaxConcurrentStudies: 1, StudyWorkers: 1, StudyTimeout: 5 * time.Second})
+	f.Cleanup(srv.Close)
+	h := srv.Handler()
+	codes := map[string]bool{"invalid_config": true, "version_mismatch": true, "shard_conflict": true,
+		"study_failed": true, "study_timeout": true, "saturated": true}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/shard", bytes.NewReader(body)))
+		if rec.Code == http.StatusOK {
+			if _, err := store.DecodeShard(rec.Body.Bytes()); err != nil {
+				t.Fatalf("200 with an undecodable shard payload: %v", err)
+			}
+			return
+		}
+		var e errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !codes[e.Error.Code] {
+			t.Fatalf("status %d: body %q is not an error envelope with a stable code", rec.Code, rec.Body.Bytes())
+		}
+	})
 }

@@ -41,13 +41,13 @@ var testHookJobPoint func(j *job, completed int)
 // the job provably in progress. Unset (the default) it costs one nil check per point.
 var pointDelay, _ = time.ParseDuration(os.Getenv("NVMX_POINT_DELAY"))
 
-// delayPoint sleeps one pointDelay, or until ctx ends.
-func delayPoint(ctx context.Context) error {
+// delayPoints sleeps n pointDelays, or until ctx ends.
+func delayPoints(ctx context.Context, n int) error {
 	if pointDelay <= 0 {
 		return nil
 	}
 	select {
-	case <-time.After(pointDelay):
+	case <-time.After(time.Duration(n) * pointDelay):
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -420,7 +420,7 @@ func (m *jobManager) run(j *job) {
 			}
 		},
 		emit: func(pr core.PointResult) error {
-			if err := delayPoint(j.ctx); err != nil {
+			if err := delayPoints(j.ctx, 1); err != nil {
 				return err
 			}
 			n := j.completed.Add(1)

@@ -31,8 +31,8 @@
 //	POST /v1/store/diff                     anti-entropy reconciliation: diff a peer's
 //	                                        point-address set against this store's
 //	GET  /v1/store/digest                   point count + digest of this store's point-key set
-//	POST /v1/shard                          compute a slice of a study's design space (the
-//	                                        fabric worker protocol — see internal/fabric)
+//	POST /v1/shard                          characterize a slice of a study's design space
+//	                                        (the fabric worker protocol — see internal/fabric)
 //
 // Responses for a given configuration are byte-identical to the batch CLI
 // (`nvmexplorer run -format json|ndjson|csv`): both sides render through
@@ -120,13 +120,13 @@ type Options struct {
 	// (their budget is the job queue's).
 	StudyTimeout time.Duration
 	// Workers lists fabric worker base URLs (e.g. "http://w1:8080"). When
-	// non-empty the server becomes a coordinator: before a study runs, its
-	// cold grid points are consistent-hashed across the live workers (by
-	// characterization config), computed remotely via POST /v1/shard, and
-	// merged into the store — so the run itself replays from the store and
-	// stays byte-identical to a single-process execution. A coordinator
-	// without a Store gets an in-memory one (the prefill needs somewhere to
-	// land).
+	// non-empty the server becomes a coordinator: before a study runs, the
+	// characterization configs of its cold grid points are consistent-hashed
+	// across the live workers and characterized remotely via POST
+	// /v1/shard; the run then evaluates and stores every point itself, so
+	// it stays byte-identical to a single-process execution. A coordinator
+	// without a Store gets an in-memory one (the prefill probes it for
+	// points already stored).
 	Workers []string
 	// Fabric tunes the coordinator's worker pool: its HTTP client (chaos
 	// tests inject fault-wrapped transports), hedging, breaker backoff, and
@@ -151,7 +151,7 @@ type Server struct {
 	inFlight     atomic.Int64
 	completed    atomic.Int64
 	failed       atomic.Int64
-	points       atomic.Int64 // design points served across all formats
+	points       atomic.Int64 // study rows rendered across all formats; shards add none
 	shed         atomic.Int64 // sync requests bounced with 429 under overload
 	shardsServed atomic.Int64 // POST /v1/shard requests answered (worker role)
 	draining     atomic.Bool  // set by Drain; flips /v1/healthz to 503
@@ -175,9 +175,9 @@ func New(opts Options) *Server {
 		opts.JobQueueDepth = 16
 	}
 	if len(opts.Workers) > 0 && opts.Store == nil {
-		// A coordinator merges worker-computed points into its store before
-		// each run; without a configured one, an in-memory store keeps the
-		// fabric functional (just not durable across restarts).
+		// A coordinator fans out only the points its store lacks; without a
+		// configured store, an in-memory one keeps warm re-runs off the
+		// fleet (just not across restarts).
 		opts.Store, _ = store.Open("")
 	}
 	s := &Server{opts: opts, sem: make(chan struct{}, opts.MaxConcurrentStudies)}
@@ -779,7 +779,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
   GET  /v1/store/studies[/{fp}]             stored study records (PUT /{fp} to store)
   POST /v1/store/diff                       anti-entropy: diff a peer's point-address set against ours
   GET  /v1/store/digest                     point count + SHA-256 digest of the store's point-key set
-  POST /v1/shard                            compute a slice of a study's design space (fabric worker)
+  POST /v1/shard                            characterize a slice of a study's design space (fabric worker)
 `)
 }
 

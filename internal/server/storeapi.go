@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -35,7 +35,7 @@ import (
 //	PUT  /v1/store/studies/{fp}         store one study manifest record
 //	POST /v1/store/diff                 anti-entropy: diff a peer's point-address set against ours
 //	GET  /v1/store/digest               point count + digest of the store's point-key set
-//	POST /v1/shard                      compute a slice of a study's design space
+//	POST /v1/shard                      characterize a slice of a study's design space
 //
 // Failure semantics mirror the local backend's, mapped onto status codes:
 // a missing record is 404 (a clean miss), an unusable upload is 400 with
@@ -242,18 +242,15 @@ func (s *Server) handleStoreDigest(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, map[string]any{"points": count, "digest": digest})
 }
 
-// handleShard computes one slice of a study's design space — the worker
-// half of the fabric protocol. The request carries the effective sweep
-// configuration; this worker re-expands the study from it and must arrive
-// at the coordinator's fingerprint, or the two processes disagree about
-// what the work is (409 shard_conflict). Shards are studies: they run
-// through the study lifecycle (execute) with the sync path's concurrency
-// budget, load shedding, and execution timeout. Computed points flow
-// through this worker's own store/memo, so a warm worker serves its shard
-// without touching the engine, and return as one CRC-enveloped payload.
-//
-// Failed grid points are simply absent from the response: the coordinator
-// computes the point locally to produce the identical failure row.
+// handleShard characterizes one slice of a study's design space — the
+// worker half of the fabric protocol. The request carries the effective
+// sweep configuration; this worker re-expands the study from it and must
+// arrive at the coordinator's fingerprint, or the two processes disagree
+// about what the work is (409 shard_conflict). Shards run through the
+// study lifecycle (execute) with the sync path's concurrency budget, load
+// shedding, and execution timeout. Their configs go through this worker's
+// memo, never its store, and the winners return as one CRC-enveloped
+// payload (core.Study.Characterize says which configs ship).
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 2*maxConfigBytes))
 	if err != nil {
@@ -270,7 +267,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("shard speaks protocol %q, this worker speaks %q", req.Protocol, store.ProtocolVersion))
 		return
 	}
-	x, err := sweep.Expand(req.Config, sweep.Overrides{}, s.opts.Store)
+	x, err := sweep.Expand(req.Config, sweep.Overrides{}, nil)
 	if err != nil {
 		configError(w, err)
 		return
@@ -287,27 +284,23 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// The shard ships the points its run emits, in their canonical stored
-	// form, so it never re-reads (or depends on) the cache.
-	pts := make([]store.ShardPoint, 0, len(req.Indices))
+	var chars []core.Characterization
 	_, f := s.execute(r.Context(), execution{
-		x: x, sync: true, shard: true, indices: req.Indices,
-		emit: func(pr core.PointResult) error {
-			pts = append(pts, store.ShardPoint{Index: pr.Spec.Index, Key: x.Study.PointKey(pr.Spec),
-				Point: core.CachedPoint{Arrays: pr.Arrays, Metrics: pr.Metrics, Skipped: pr.Skipped}})
-			return delayPoint(r.Context())
-		},
-		render: func(res *core.Results) error {
-			for _, lost := range res.FailedPoints {
-				pts = slices.DeleteFunc(pts, func(p store.ShardPoint) bool { return p.Index == lost.Index })
+		x: x, sync: true,
+		shard: func(ctx context.Context, study *core.Study) error {
+			var err error
+			if chars, err = study.Characterize(ctx, req.Indices); err != nil {
+				return err
 			}
-			data, err := store.EncodeShardPoints(pts)
+			return delayPoints(ctx, len(req.Indices))
+		},
+		render: func(*core.Results) error {
+			data, err := store.EncodeShard(chars)
 			if err != nil {
 				apiError(w, http.StatusInternalServerError, codeInternal, err)
 				return err
 			}
 			s.shardsServed.Add(1)
-			s.points.Add(int64(len(pts)))
 			w.Header().Set("Content-Type", "application/octet-stream")
 			_, _ = w.Write(data)
 			return nil

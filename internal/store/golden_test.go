@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/nvsim"
 )
 
 // Fixed records for the byte-format contract, one per record kind. They
@@ -28,7 +29,11 @@ var (
 		ID: "job-42", Fingerprint: "fp-golden",
 		Assigns: []ShardAssign{{Worker: "http://w1:8081", Indices: []int{0, 2}}, {Worker: "http://w2:8082", Indices: []int{1}}},
 	}
-	goldenWire = []ShardPoint{{Index: 3, Key: goldenPointKey, Point: goldenPoint}, {Index: 5, Key: "golden-other"}}
+	goldenWire = []core.Characterization{
+		{Config: nvsim.Config{CapacityBytes: 1 << 20, WordBits: 64, MaxAreaMM2: 2},
+			Arrays: []nvsim.Result{{CapacityBytes: 1 << 20, WordBits: 64, Target: nvsim.OptArea}}},
+		{Config: nvsim.Config{CapacityBytes: 2 << 20}},
+	}
 	goldenSync = SyncRecord{Peer: "http://w1:8081", Pulled: 2, Pushed: 1, Unix: 1700000000}
 )
 
@@ -67,7 +72,7 @@ func goldenRecordBytes(t testing.TB) map[string][]byte {
 	if err != nil || len(syncFiles) != 1 {
 		t.Fatalf("sync records = %v (%v), want exactly one", syncFiles, err)
 	}
-	wire, err := EncodeShardPoints(goldenWire)
+	wire, err := EncodeShard(goldenWire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +122,7 @@ func TestRecordBytesGolden(t *testing.T) {
 		"study": "310bd5417b1d3ab3aa71da515bd2d23c814dc56cc5382ee56f01224be29370de",
 		"job":   "9fdb41badc73eb4939a02e8d162b6bca6cd425e716f22c0d194e4e6197923db6",
 		"shard": "915442fa180f424123d42355ed9d09f0b7a3104d96b372ebacc8c057d10376be",
-		"wire":  "4df4dde67d38cd5c3193765a2260cefc7da52e71682b8e93006bc0217d2fab20",
+		"wire":  "92246c18f02fd640980d569d2b5218d92b0ba48e84d506c72ed8862650e8d31f",
 		"sync":  "ef186d42885e766c3620f169d8237420224451f6d2f128baf469c10ca036f6bf",
 	}
 	for kind, sum := range want {

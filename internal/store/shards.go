@@ -10,12 +10,12 @@ import (
 // The fabric shard protocol's durable and wire forms.
 //
 // Wire: a coordinator POSTs /v1/shard to a worker naming the spec indices
-// it wants computed; the worker answers with an envelope-framed gob of
-// ShardPoints — each the canonical key and cached result of one grid
-// point, exactly what the coordinator's store would have held had it
-// computed the point itself. The same CRC-32 envelope as every store file
-// frames the payload, so a torn HTTP response reads as corruption, not as
-// silently truncated physics.
+// it wants characterized; the worker answers with an envelope-framed gob
+// of core.Characterizations — each distinct characterization config of the
+// shard that succeeded for every study target, with its per-target
+// winners. The coordinator evaluates and stores every point itself. The
+// same CRC-32 envelope as every store file frames the payload, so a torn
+// HTTP response reads as corruption, not as silently truncated physics.
 //
 // Durable: before fanning a job's shards out, an async coordinator writes
 // the full assignment to DIR/jobs/<id>.shards next to the job's journal
@@ -24,40 +24,29 @@ import (
 // coordinator recomputes the same assignment, and counts the shards it
 // re-fans-out as resumed; fsck reports .shards records whose job is gone.
 
-// shardWireVersion stamps shard response payloads.
-const shardWireVersion = "nvmx-shard/v1"
+// ShardWireVersion stamps shard response payloads; the /v1/version
+// handshake refuses a worker speaking another.
+const ShardWireVersion = "nvmx-shard/v2"
 
 // shardJournalVersion stamps shard-assignment journal records.
 const shardJournalVersion = "nvmx-shardrec/v1"
 
-// ShardWireVersion is exported for the /v1/version handshake.
-const ShardWireVersion = shardWireVersion
-
-// ShardPoint is one computed grid point on the shard wire: the point's
-// enumeration index in the study's design space, its canonical key, and
-// the result exactly as a store would cache it.
-type ShardPoint struct {
-	Index int
-	Key   string
-	Point core.CachedPoint
-}
-
 // shardWire frames shard response payloads.
-var shardWire = codec[[]ShardPoint]{version: shardWireVersion}
+var shardWire = codec[[]core.Characterization]{version: ShardWireVersion}
 
-// EncodeShardPoints frames a shard response payload.
-func EncodeShardPoints(pts []ShardPoint) ([]byte, error) { return shardWire.encode(pts) }
+// EncodeShard frames a shard response payload.
+func EncodeShard(cs []core.Characterization) ([]byte, error) { return shardWire.encode(cs) }
 
-// DecodeShardPoints verifies and decodes a shard response payload. Any
+// DecodeShard verifies and decodes a shard response payload. Any
 // corruption — torn body, checksum mismatch, wrong version — is an error;
 // the coordinator treats the whole shard as lost and computes it locally.
-func DecodeShardPoints(data []byte) ([]ShardPoint, error) {
-	pts, status := shardWire.decode(data, "")
+func DecodeShard(data []byte) ([]core.Characterization, error) {
+	cs, status := shardWire.decode(data, "")
 	switch status {
 	case readOK:
-		return pts, nil
+		return cs, nil
 	case readMissing:
-		return nil, fmt.Errorf("store: shard payload version mismatch (want %q)", shardWireVersion)
+		return nil, fmt.Errorf("store: shard payload version mismatch (want %q)", ShardWireVersion)
 	}
 	return nil, errors.New("store: corrupt shard payload")
 }
