@@ -84,8 +84,9 @@ type Study struct {
 	// runs are byte-identical. Implementations must be concurrency-safe.
 	Cache PointCache
 
-	// shipped is the winners table Adopt fills from fabric workers.
-	shipped map[nvsim.Config][]nvsim.Result
+	// shipped is the table of characterizations Adopt fills from fabric
+	// workers.
+	shipped map[nvsim.Config]Characterization
 }
 
 // NewStudy creates an empty study.

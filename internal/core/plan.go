@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -232,9 +234,12 @@ func (s *Study) plan(ctx context.Context, specs []PointSpec, cache PointCache) (
 			if h := testHookCharacterize; h != nil {
 				h(cfg)
 			}
-			// Winners a fabric worker shipped (see Adopt) need no engine.
-			if arrays, ok := s.shipped[cfg]; ok {
-				pc.arrays, pc.errs = arrays, make([]error, len(arrays))
+			// An outcome a fabric worker shipped (see Adopt) needs no engine.
+			if c, ok := s.shipped[cfg]; ok {
+				pc.arrays, pc.errs = c.Arrays, make([]error, len(s.Targets))
+				for t, msg := range c.Errs {
+					pc.errs[t] = errors.New(msg)
+				}
 				return
 			}
 			// The cheap constraint bound first: a config whose bare cell
@@ -274,19 +279,31 @@ func (s *Study) charConfig(spec *PointSpec) nvsim.Config {
 		MaxAreaMM2: s.MaxAreaMM2, MaxReadLatencyNS: s.MaxReadLatencyNS}
 }
 
-// Characterization is one config's per-target winners, in the study's
-// target order: what a fabric worker ships for each config of its shard.
+// Characterization is one config's engine outcome for each of the study's
+// targets, in target order: what a fabric worker ships for each config of
+// its shard. Either Arrays holds every target's winner, or Errs holds every
+// target's error message — the config failed, and its points' skip lines
+// are rendered from Errs as from the engine's errors.
 type Characterization struct {
 	Config nvsim.Config
 	Arrays []nvsim.Result
+	Errs   []string
+}
+
+// valid reports whether c is well formed for the targets: winners that
+// nvsim.ValidWinners accepts, or a non-empty error for every target.
+func (c *Characterization) valid(targets []nvsim.OptTarget) bool {
+	if len(c.Errs) == 0 {
+		return nvsim.ValidWinners(c.Config, targets, c.Arrays)
+	}
+	return len(c.Arrays) == 0 && len(c.Errs) == len(targets) && !slices.Contains(c.Errs, "")
 }
 
 // Characterize runs the plan phase's characterization step over the
 // distinct configs of the named grid points (a fabric worker's shard),
 // without the point cache; every index must lie in the design space. It
-// returns, in first-use order, the configs that succeeded for every
-// target; the coordinator characterizes the rest itself, so their skip
-// lines and failure rows are a local run's.
+// returns, in first-use order, the configs Adopt would accept; the
+// coordinator characterizes the rest itself.
 func (s *Study) Characterize(ctx context.Context, indices []int) ([]Characterization, error) {
 	s.Targets = s.targets()
 	specs, err := s.Space()
@@ -303,18 +320,27 @@ func (s *Study) Characterize(ctx context.Context, indices []int) ([]Characteriza
 	}
 	var out []Characterization
 	for ci, pc := range p.configs {
-		if pc.failed == nil && pc.ok == len(s.Targets) {
-			out = append(out, Characterization{s.charConfig(&sub[p.reps[ci]]), pc.arrays})
+		c := Characterization{Config: s.charConfig(&sub[p.reps[ci]])}
+		if pc.ok == len(s.Targets) {
+			c.Arrays = pc.arrays
+		}
+		for _, err := range pc.errs {
+			if err != nil {
+				c.Errs = append(c.Errs, err.Error())
+			}
+		}
+		// A panic, or winners beside errors, is left to the coordinator.
+		if c.valid(s.Targets) {
+			out = append(out, c)
 		}
 	}
 	return out, nil
 }
 
-// Adopt keeps each shipped characterization that a named grid point needs
-// and nvsim.ValidWinners accepts in the study's winners table, which later
-// runs read in place of the engine. It reports how many named points the
-// kept entries cover. Adopt must not run concurrently with itself or with
-// a run of the study.
+// Adopt keeps each well-formed shipped characterization that a named grid
+// point needs in the study's table, which later runs read in place of the
+// engine, and reports how many named points the kept entries cover. Adopt
+// must not run concurrently with itself or with a run of the study.
 func (s *Study) Adopt(specs []PointSpec, indices []int, cs []Characterization) int {
 	want := make(map[nvsim.Config]int)
 	for _, i := range indices {
@@ -322,11 +348,11 @@ func (s *Study) Adopt(specs []PointSpec, indices []int, cs []Characterization) i
 	}
 	covered := 0
 	for _, c := range cs {
-		if n := want[c.Config]; n > 0 && nvsim.ValidWinners(c.Config, s.targets(), c.Arrays) {
+		if n := want[c.Config]; n > 0 && c.valid(s.targets()) {
 			if s.shipped == nil {
-				s.shipped = make(map[nvsim.Config][]nvsim.Result)
+				s.shipped = make(map[nvsim.Config]Characterization)
 			}
-			s.shipped[c.Config] = c.Arrays
+			s.shipped[c.Config] = c
 			covered += n
 			delete(want, c.Config)
 		}

@@ -167,11 +167,12 @@ func TestPlanSharedSkips(t *testing.T) {
 	}
 }
 
-// TestCharacterizeShipsOnlyCleanConfigs: a shard ships only configs that
-// succeeded for every target — a prefiltered config and a panicking one
-// are left out — and a study that adopts the shipped winners evaluates
-// the same rows as a local run, characterizing only what was left out.
-func TestCharacterizeShipsOnlyCleanConfigs(t *testing.T) {
+// TestCharacterizeShipsWinnersAndFailures: a shard ships each config that
+// succeeded for every target (its winners) or failed for every target (its
+// errors) — here a prefiltered config — and leaves a panicking one out. A
+// study that adopts the shipped entries renders the same rows and skip
+// lines as a local run, characterizing only what was left out.
+func TestCharacterizeShipsWinnersAndFailures(t *testing.T) {
 	build := func() *Study {
 		s := NewStudy("shard-clean")
 		s.AddTentpole(cell.SRAM, cell.Reference) // excluded by the area budget
@@ -205,21 +206,30 @@ func TestCharacterizeShipsOnlyCleanConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cs) != 1 || cs[0].Config.Cell.Tech != cell.STT || len(cs[0].Arrays) != 2 {
-		t.Fatalf("shipped %d config(s), want the STT config alone with 2 winners: %+v", len(cs), cs)
+	if len(cs) != 2 || cs[0].Config.Cell.Tech != cell.SRAM || len(cs[0].Arrays) != 0 || len(cs[0].Errs) != 2 ||
+		cs[1].Config.Cell.Tech != cell.STT || len(cs[1].Arrays) != 2 || len(cs[1].Errs) != 0 {
+		t.Fatalf("shipped %+v, want the SRAM config's 2 errors, then the STT config's 2 winners", cs)
 	}
 
 	coord := build()
-	// An entry for a config no named point needs is not adopted.
-	foreign := cs[0]
+	// An entry for a config no named point needs is not adopted, nor is a
+	// malformed one: winners beside errors, an empty error, a short list.
+	foreign := cs[1]
 	foreign.Config.CapacityBytes *= 2
-	if n := coord.Adopt(specs, all, []Characterization{foreign}); n != 0 {
-		t.Fatalf("adopted a config no point needs (covers %d)", n)
+	mixed := cs[1]
+	mixed.Errs = cs[0].Errs
+	blank := cs[0]
+	blank.Errs = []string{cs[0].Errs[0], ""}
+	short := cs[0]
+	short.Errs = cs[0].Errs[:1]
+	if n := coord.Adopt(specs, all, []Characterization{foreign, mixed, blank, short}); n != 0 {
+		t.Fatalf("adopted a foreign or malformed entry (covers %d)", n)
 	}
-	if n := coord.Adopt(specs, all, cs); n != 2 {
-		t.Fatalf("adopted entry covers %d point(s), want the 2 STT points", n)
+	if n := coord.Adopt(specs, all, cs); n != 4 {
+		t.Fatalf("adopted entries cover %d point(s), want the 2 SRAM and 2 STT points", n)
 	}
 	nvsim.ResetMemo()
+	ResetExplorationStats()
 	got, err := coord.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -227,8 +237,14 @@ func TestCharacterizeShipsOnlyCleanConfigs(t *testing.T) {
 	if _, misses := nvsim.MemoStats(); misses != 1 {
 		t.Errorf("memo misses = %d, want 1: only the FeFET config left to characterize", misses)
 	}
+	if n := ReadExplorationStats().PrefilteredConfigs; n != 0 {
+		t.Errorf("prefiltered configs = %d, want 0: the shipped errors stand in for the prefilter", n)
+	}
 	if !reflect.DeepEqual(got.Arrays, want.Arrays) || !reflect.DeepEqual(got.Metrics, want.Metrics) ||
 		!reflect.DeepEqual(got.Skipped, want.Skipped) {
-		t.Fatal("a run over adopted winners differs from a local run")
+		t.Fatal("a run over adopted entries differs from a local run")
+	}
+	if len(got.Skipped) == 0 {
+		t.Fatal("no skip lines: the SRAM config's shipped errors were not rendered")
 	}
 }

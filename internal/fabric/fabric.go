@@ -1,9 +1,10 @@
 // Package fabric is the distributed-study coordinator: it fans the
 // characterization configs of a study's cold grid points out across a
 // fleet of worker `nvmexplorer serve` processes, which ship back per-target
-// winners, not points. The coordinator checks them and hands them to the
-// study, whose one run evaluates and stores every point as a local run
-// does — so the bytes match a single-process run at any worker count.
+// winners (or, for a failed config, errors), not points. The coordinator
+// checks them and hands them to the study, whose one run evaluates and
+// stores every point as a local run does — so the bytes match a
+// single-process run at any worker count.
 //
 // The unit of distribution is the characterization config, not the grid
 // point: points are consistent-hashed by core.Study.CharacterizationKey
@@ -46,6 +47,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net/http"
 	"slices"
 	"sort"
@@ -364,7 +366,7 @@ func (p *Pool) find(url string) *worker {
 }
 
 // Prefill characterizes the configs of a study's cold grid points (those
-// st lacks) on the worker fleet and hands the checked winners to the study
+// st lacks) on the worker fleet and hands the checked outcomes to the study
 // (core.Study.Adopt), so its run evaluates and stores every point itself.
 // cfg is the study's effective sweep configuration (JSON) — what workers
 // rebuild the study from. jobID, when non-empty, journals the shard
@@ -432,7 +434,7 @@ func (p *Pool) Prefill(ctx context.Context, study *core.Study, cfg []byte, st *s
 			p.resumedShards.Add(int64(len(assign)))
 		}
 		rec := store.ShardRecord{ID: jobID, Fingerprint: fp}
-		for _, url := range sortedKeys(assign) {
+		for _, url := range slices.Sorted(maps.Keys(assign)) {
 			rec.Assigns = append(rec.Assigns, store.ShardAssign{Worker: url, Indices: assign[url]})
 		}
 		if err := st.JournalShards(rec); err != nil {
@@ -452,9 +454,9 @@ func (p *Pool) Prefill(ctx context.Context, study *core.Study, cfg []byte, st *s
 				local(len(indices), "unfilled by every live worker")
 				return
 			}
-			// Adopt keeps only entries for configs asked for, with checked
-			// winners; the rest (mislabeled, or failed on the worker — a
-			// deterministic failure, not worth another owner) run locally.
+			// Adopt keeps only well-formed entries for configs asked for; the
+			// rest (mislabeled, or a panic on the worker — deterministic, not
+			// worth another owner) run locally.
 			mu.Lock()
 			hits := study.Adopt(specs, indices, chars)
 			mu.Unlock()
@@ -585,17 +587,6 @@ func (p *Pool) runShard(ctx context.Context, url, fp string, cfg []byte, indices
 		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
 	return store.DecodeShard(data)
-}
-
-// sortedKeys returns a map's keys in sorted order, for deterministic
-// journal records and logs.
-func sortedKeys(m map[string][]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // The consistent-hash ring: 64 virtual nodes per worker on a 64-bit

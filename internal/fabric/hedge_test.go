@@ -35,18 +35,22 @@ func localReference(t *testing.T) *store.Store {
 	return local
 }
 
-// assertMatchesLocal checks a prefill's coordinator store against the
-// local reference: the prefill itself stores nothing, and the study's run
-// over that store then writes every point equal to the reference's.
-func assertMatchesLocal(t *testing.T, st *store.Store, local *store.Store) {
+// assertMatchesLocal checks what a prefill handed study against the local
+// reference: the prefill itself stores nothing, and the study's run over
+// st then characterizes nothing — every config came from a worker — and
+// writes every point equal to the reference's.
+func assertMatchesLocal(t *testing.T, study *core.Study, st *store.Store, local *store.Store) {
 	t.Helper()
 	if st.Len() != 0 {
 		t.Fatalf("prefill stored %d point(s), want 0: the run stores each point", st.Len())
 	}
-	study := prefillStudy()
+	nvsim.ResetMemo()
 	study.Cache = st
 	if _, err := study.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if _, misses := nvsim.MemoStats(); misses != 0 {
+		t.Fatalf("run over the prefill characterized %d config(s) locally, want 0", misses)
 	}
 	specs, err := study.Space()
 	if err != nil {
@@ -121,9 +125,10 @@ func TestFabricHedgeBeatsSlowShardAndMergesIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	study := prefillStudy()
 	p := NewPoolOptions([]string{ts1.URL, ts2.URL}, Options{HedgeAfter: 15 * time.Millisecond})
 	start := time.Now()
-	p.Prefill(context.Background(), prefillStudy(), []byte(`{}`), st, "")
+	p.Prefill(context.Background(), study, []byte(`{}`), st, "")
 	if d := time.Since(start); d >= 250*time.Millisecond {
 		t.Fatalf("Prefill took %v: the hedge did not beat the 250ms straggler", d)
 	}
@@ -141,7 +146,7 @@ func TestFabricHedgeBeatsSlowShardAndMergesIdentically(t *testing.T) {
 	if s.BreakerTrips != 0 || s.Live != 2 {
 		t.Fatalf("a slow (not dead) worker tripped a breaker: %+v", s)
 	}
-	assertMatchesLocal(t, st, localReference(t))
+	assertMatchesLocal(t, study, st, localReference(t))
 }
 
 // A failed shard's points re-hash across the surviving ring instead of
@@ -191,7 +196,7 @@ func TestFabricReshardMovesFailedShardToSurvivor(t *testing.T) {
 	if s.BreakerTrips == 0 || s.Live != 1 {
 		t.Fatalf("failing worker kept a closed breaker: %+v", s)
 	}
-	assertMatchesLocal(t, st, localReference(t))
+	assertMatchesLocal(t, study, st, localReference(t))
 }
 
 // A one-shard study walks the whole ring: with the first two owners

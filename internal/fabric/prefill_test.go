@@ -351,6 +351,53 @@ func TestFabricPrefillRejectsMislabeledPoints(t *testing.T) {
 	}
 }
 
+// TestFabricPrefillShipsFailedConfigs: a config that fails under the
+// study's constraints is shipped as its errors, so the coordinator renders
+// its skip lines without walking the organizations the worker already
+// walked. Here a read-latency budget rules out both RRAM configs in the
+// engine (the area prefilter cannot see it).
+func TestFabricPrefillShipsFailedConfigs(t *testing.T) {
+	build := func() *core.Study {
+		s := prefillStudy()
+		s.MaxReadLatencyNS = 5
+		return s
+	}
+	want, _ := runJSON(t, build(), nil)
+	if !bytes.Contains(want, []byte("constraints exclude")) {
+		t.Fatalf("local run has no constraint skip lines: %s", want)
+	}
+	var urls []string
+	for range 2 {
+		ts := httptest.NewServer(newShardWorkerFor(t, build))
+		defer ts.Close()
+		urls = append(urls, ts.URL)
+	}
+
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	study := build()
+	specs, err := study.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(urls, nil)
+	p.Prefill(context.Background(), study, []byte(`{}`), st, "")
+	if s := p.Snapshot(); s.RemoteHits != int64(len(specs)) || s.RemoteMisses != 0 {
+		t.Fatalf("counters = %+v, want %d hits / 0 misses", s, len(specs))
+	}
+
+	nvsim.ResetMemo()
+	got, _ := runJSON(t, study, st)
+	if hits, misses := nvsim.MemoStats(); hits != 0 || misses != 0 {
+		t.Fatalf("run over shipped outcomes touched the memo: %d hits / %d misses", hits, misses)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("study over shipped outcomes differs from a local run")
+	}
+}
+
 func TestFabricPrefillJournalsShardsAndCountsResume(t *testing.T) {
 	nvsim.ResetMemo()
 	worker := newShardWorker(t)

@@ -348,7 +348,7 @@ func buildOpenAPI() []byte {
 			"/v1/shard": map[string]any{
 				"post": map[string]any{
 					"summary":     "Characterize a slice of a study's design space (fabric worker protocol)",
-					"description": "Body: {protocol, fingerprint, config, indices}. The worker rebuilds the study from config and must arrive at the coordinator's fingerprint (409 shard_conflict otherwise; 400 version_mismatch on a protocol generation this worker doesn't speak). The response is a CRC-enveloped nvmx-shard/v2 payload of characterizations: each distinct characterization config of the named points that succeeded for every study target, with its per-target winners in target order. Configs with a failed target are absent. The coordinator checks every entry, characterizes what is missing itself, and evaluates and stores every point; a shard reads and writes no store on the worker.",
+					"description": "Body: {protocol, fingerprint, config, indices}. The worker rebuilds the study from config and must arrive at the coordinator's fingerprint (409 shard_conflict otherwise; 400 version_mismatch on a protocol generation this worker doesn't speak). The response is a CRC-enveloped nvmx-shard/v2 payload of characterizations: each distinct characterization config of the named points that succeeded for every study target, with its per-target winners in target order, or failed for every target, with its per-target error messages. Other configs (a panic, or winners mixed with errors) are absent. The coordinator checks every entry, characterizes what is missing itself, and evaluates and stores every point; a shard reads and writes no store on the worker.",
 				},
 			},
 		},

@@ -249,8 +249,8 @@ func (s *Server) handleStoreDigest(w http.ResponseWriter, _ *http.Request) {
 // about what the work is (409 shard_conflict). Shards run through the
 // study lifecycle (execute) with the sync path's concurrency budget, load
 // shedding, and execution timeout. Their configs go through this worker's
-// memo, never its store, and the winners return as one CRC-enveloped
-// payload (core.Study.Characterize says which configs ship).
+// memo, never its store, and their winners or errors return as one
+// CRC-enveloped payload (core.Study.Characterize says which configs ship).
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 2*maxConfigBytes))
 	if err != nil {

@@ -32,7 +32,8 @@ var (
 	goldenWire = []core.Characterization{
 		{Config: nvsim.Config{CapacityBytes: 1 << 20, WordBits: 64, MaxAreaMM2: 2},
 			Arrays: []nvsim.Result{{CapacityBytes: 1 << 20, WordBits: 64, Target: nvsim.OptArea}}},
-		{Config: nvsim.Config{CapacityBytes: 2 << 20}},
+		{Config: nvsim.Config{CapacityBytes: 2 << 20, MaxReadLatencyNS: 1},
+			Errs: []string{"nvsim: constraints exclude every organization"}},
 	}
 	goldenSync = SyncRecord{Peer: "http://w1:8081", Pulled: 2, Pushed: 1, Unix: 1700000000}
 )
@@ -122,7 +123,7 @@ func TestRecordBytesGolden(t *testing.T) {
 		"study": "310bd5417b1d3ab3aa71da515bd2d23c814dc56cc5382ee56f01224be29370de",
 		"job":   "9fdb41badc73eb4939a02e8d162b6bca6cd425e716f22c0d194e4e6197923db6",
 		"shard": "915442fa180f424123d42355ed9d09f0b7a3104d96b372ebacc8c057d10376be",
-		"wire":  "92246c18f02fd640980d569d2b5218d92b0ba48e84d506c72ed8862650e8d31f",
+		"wire":  "55a3d37af2649dad5285d94b4eaa614edbcf8f0f4a4f7004217407f009219a33",
 		"sync":  "ef186d42885e766c3620f169d8237420224451f6d2f128baf469c10ca036f6bf",
 	}
 	for kind, sum := range want {

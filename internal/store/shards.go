@@ -13,7 +13,8 @@ import (
 // it wants characterized; the worker answers with an envelope-framed gob
 // of core.Characterizations — each distinct characterization config of the
 // shard that succeeded for every study target, with its per-target
-// winners. The coordinator evaluates and stores every point itself. The
+// winners, or failed for every target, with its per-target errors. The
+// coordinator evaluates and stores every point itself. The
 // same CRC-32 envelope as every store file frames the payload, so a torn
 // HTTP response reads as corruption, not as silently truncated physics.
 //

@@ -121,11 +121,6 @@ type TrafficConfig struct {
 	Fixed []FixedTraffic `json:"fixed,omitempty"`
 }
 
-// maxGenericPoints bounds GenericTraffic.Points. The sweep crosses the read
-// and write axes, so n points make n² patterns: a few bytes of untrusted
-// config must not allocate without bound.
-const maxGenericPoints = 256
-
 // GenericTraffic mirrors traffic.GenericSweep.
 type GenericTraffic struct {
 	ReadGBsLo  float64 `json:"read_gbs_lo"`
@@ -280,10 +275,6 @@ func (c *Config) Study() (*core.Study, error) {
 	switch {
 	case tc.Generic != nil:
 		g := tc.Generic
-		if g.Points > maxGenericPoints {
-			return nil, fmt.Errorf("sweep: config %q: %d generic traffic points per axis exceeds %d",
-				c.Name, g.Points, maxGenericPoints)
-		}
 		s.AddPattern(traffic.GenericSweep(g.ReadGBsLo, g.ReadGBsHi, g.WriteGBsLo, g.WriteGBsHi, g.Points)...)
 	case tc.DNN != nil:
 		net, err := network(tc.DNN.Network)

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -236,27 +235,5 @@ func TestRunFileAndWriteCSVs(t *testing.T) {
 	}
 	if _, err := RunFile(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing config file should error")
-	}
-}
-
-// TestGenericTrafficPointsBounded: generic traffic crosses its read and
-// write axes, so the points count is bounded before anything expands.
-func TestGenericTrafficPointsBounded(t *testing.T) {
-	src := func(points int) string {
-		return fmt.Sprintf(`{"name":"x", "capacities_bytes":[1048576], "cells":[{"technology":"STT","flavor":"Opt"}],
-		  "traffic":{"generic":{"read_gbs_lo":1,"read_gbs_hi":10,"write_gbs_lo":0.01,"write_gbs_hi":0.1,"points":%d}}}`, points)
-	}
-	for points, ok := range map[int]bool{maxGenericPoints: true, maxGenericPoints + 1: false, 1 << 30: false} {
-		cfg, err := Parse(strings.NewReader(src(points)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := cfg.Study()
-		if (err == nil) != ok {
-			t.Fatalf("%d points: err = %v, want ok=%v", points, err, ok)
-		}
-		if ok && len(s.Patterns) != points*points {
-			t.Fatalf("%d points made %d patterns, want %d", points, len(s.Patterns), points*points)
-		}
 	}
 }
