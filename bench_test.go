@@ -582,6 +582,61 @@ func BenchmarkQueryColdIndex(b *testing.B) {
 	nvsim.ResetMemo()
 }
 
+// refreshBenchConfig is a small study, named per copy: the copies are
+// distinct studies (the name is part of the fingerprint) sharing two points.
+const refreshBenchConfig = `{
+  "name": %q,
+  "cells": [{"technology": "STT", "flavor": "Opt"}, {"technology": "RRAM", "flavor": "Opt"}],
+  "capacities_bytes": [2097152],
+  "opt_targets": ["ReadEDP"],
+  "traffic": {"fixed": [{"name": "mixed", "reads_per_sec": 1e6, "writes_per_sec": 1e5}]},
+  "workers": 1
+}`
+
+// BenchmarkQueryRefreshUnchanged measures Index.Refresh over 128 stored
+// studies when nothing is new — what every GET /v1/query pays before it
+// scans. It should neither list the store nor allocate.
+func BenchmarkQueryRefreshUnchanged(b *testing.B) {
+	nvsim.ResetMemo()
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := 0; k < 128; k++ {
+		body := fmt.Sprintf(refreshBenchConfig, fmt.Sprintf("refresh-%03d", k))
+		x, err := sweep.Expand([]byte(body), sweep.Overrides{}, st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := x.Study.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec, ok := x.Manifest(res)
+		if !ok {
+			b.Fatal("study failed points")
+		}
+		if err := st.SaveStudy(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ix := query.New(st)
+	ix.Refresh()        // loads the studies
+	gen := ix.Refresh() // and warms the unchanged path
+	if n := ix.Stats().Studies; n != 128 {
+		b.Fatalf("index loaded %d studies, want 128", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ix.Refresh() != gen {
+			b.Fatal("unchanged refresh moved the generation")
+		}
+	}
+	b.StopTimer()
+	nvsim.ResetMemo()
+}
+
 // BenchmarkTableIISweepWarmStore measures a repeated study against a warm
 // disk-backed store across a simulated restart: each iteration reopens the
 // store with a cold engine and an empty in-memory mirror, so the timing

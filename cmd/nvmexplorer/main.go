@@ -396,8 +396,12 @@ func runQuery(w io.Writer, args []string) error {
 		for _, k := range techOrder {
 			fmt.Fprintln(w, tables[k].String())
 		}
+		studies := 0
+		if resp.Studies != "" {
+			studies = strings.Count(resp.Studies, ",") + 1
+		}
 		fmt.Fprintf(w, "%d row(s) from %d stored study(ies), index generation %d\n",
-			resp.Rows, len(resp.Studies), resp.Generation)
+			resp.Rows, studies, resp.Generation)
 		return nil
 	}
 	f, err := sweep.ParseFormat(*format)

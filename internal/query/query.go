@@ -12,10 +12,19 @@
 // manifest's effective configuration is re-expanded into a core.Study,
 // its fingerprint verified, and every grid point fetched from the store
 // by its canonical key (core.Study.PointKey) — the same replay path a
-// warm re-run takes, minus the engine entirely. Point values are then
-// shredded into per-metric float columns, so a warm query is a column
-// scan plus a sort: microseconds, zero characterizations, zero
-// allocations proportional to the store (only to the result).
+// warm re-run takes, minus the engine entirely. The index keeps the points
+// the store hands out (it shares them, never copies or writes them) and
+// shreds their values into per-metric float columns, so a warm query is a
+// column scan plus a ranking: microseconds and zero characterizations. A
+// top-k query keeps its k best rows in a bounded heap, so it allocates in
+// proportion to k, not to the store; other shapes allocate per matching
+// row.
+//
+// Refresh relists the store only when something may have changed: when
+// the store's manifest generation moved (a study saved or loaded in this
+// process), while a manifest is incomplete, or once the last listing is
+// older than relistAfter (1 s), which bounds how long a study written by
+// another process sharing the store directory stays invisible to queries.
 //
 // Results come back as a *core.Results over a synthetic "query" study, so
 // every existing writer (JSON/NDJSON/CSV/HTML dashboard) renders them
@@ -29,9 +38,10 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -57,15 +67,23 @@ var (
 	ErrIncomplete = errors.New("query: study incomplete in store")
 )
 
+// relistAfter is the longest a Refresh trusts an unchanged store manifest
+// generation before listing the store again. It is fixed; it is a variable
+// only so tests can shorten the wait.
+var relistAfter = time.Second
+
 // entry is one indexed study: its manifest, the re-expanded study (for
 // axis declarations and row rendering), the replayed rows, and the
 // columnar shred of every named metric.
 type entry struct {
-	rec     store.StudyRecord
-	study   *core.Study
-	arrays  []nvsim.Result
-	metrics []eval.Metrics
-	skipped []string
+	rec   store.StudyRecord
+	study *core.Study
+	// points are the study's stored points as Store.Get returned them, in
+	// replay order. They are shared with the store's mirror, so nothing
+	// here writes them and nothing handed out aliases them. rows addresses
+	// each result row inside them.
+	points []core.CachedPoint
+	rows   []*eval.Metrics
 
 	// Columnar views over metrics, built once at load: one float column
 	// per named metric plus the axis coordinate columns filters scan.
@@ -86,6 +104,17 @@ type Index struct {
 	entries    map[string]*entry // fingerprint → loaded study
 	incomplete map[string]bool   // fingerprints seen but not fully stored
 	gen        int64             // bumped whenever the loaded set changes
+
+	// order holds every loaded study in (name, fingerprint) order, the
+	// source order of a query that selects no study, and orderFPs their
+	// fingerprints comma-joined. Both are rebuilt when the set changes.
+	order    []*entry
+	orderFPs string
+
+	// synced is the store manifest generation the last listing started
+	// at, and listed when it started.
+	synced int64
+	listed time.Time
 
 	queries atomic.Int64
 }
@@ -124,7 +153,7 @@ func (ix *Index) Stats() Stats {
 	defer ix.mu.RUnlock()
 	rows := 0
 	for _, e := range ix.entries {
-		rows += len(e.metrics)
+		rows += len(e.rows)
 	}
 	return Stats{
 		Studies:    len(ix.entries),
@@ -137,18 +166,28 @@ func (ix *Index) Stats() Stats {
 
 // Refresh synchronizes the index with the store's manifests: newly stored
 // studies are loaded (their points replayed from the store — never the
-// engine — and shredded into columns), previously incomplete studies are
-// retried, and studies whose manifests disappeared are dropped. It returns
-// the generation after synchronization.
+// engine — and shredded into columns) and previously incomplete studies
+// are retried. It lists the store only when the store's manifest
+// generation moved since the last listing, a manifest is incomplete, or
+// the last listing is older than relistAfter; otherwise it returns at
+// once. So a study saved by this process is visible to the very next
+// Refresh, and one saved by another process sharing the store within
+// relistAfter. It returns the generation after synchronization.
 func (ix *Index) Refresh() int64 {
+	sgen, now := ix.st.StudyGeneration(), time.Now()
+	ix.mu.RLock()
+	if sgen == ix.synced && len(ix.incomplete) == 0 && now.Sub(ix.listed) < relistAfter {
+		gen := ix.gen
+		ix.mu.RUnlock()
+		return gen
+	}
+	ix.mu.RUnlock()
+
 	recs := ix.st.ListStudies()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-
 	changed := false
-	seen := make(map[string]bool, len(recs))
 	for _, rec := range recs {
-		seen[rec.Fingerprint] = true
 		if _, ok := ix.entries[rec.Fingerprint]; ok {
 			continue
 		}
@@ -161,27 +200,40 @@ func (ix *Index) Refresh() int64 {
 			continue
 		}
 		ix.entries[rec.Fingerprint] = e
-		if ix.incomplete[rec.Fingerprint] {
-			delete(ix.incomplete, rec.Fingerprint)
-		}
+		delete(ix.incomplete, rec.Fingerprint)
 		changed = true
-	}
-	for fp := range ix.entries {
-		if !seen[fp] {
-			delete(ix.entries, fp)
-			changed = true
-		}
-	}
-	for fp := range ix.incomplete {
-		if !seen[fp] {
-			delete(ix.incomplete, fp)
-			changed = true
-		}
 	}
 	if changed {
 		ix.gen++
+		ix.reorder()
+	}
+	// The store generation was read before listing, so this listing holds
+	// every manifest up to it. A concurrent Refresh that listed later may
+	// already have recorded a newer sync; keep that one.
+	if now.After(ix.listed) {
+		ix.synced, ix.listed = sgen, now
 	}
 	return ix.gen
+}
+
+// reorder rebuilds the (name, fingerprint) source order. Callers hold
+// ix.mu for writing.
+func (ix *Index) reorder() {
+	ix.order = ix.order[:0]
+	for _, e := range ix.entries {
+		ix.order = append(ix.order, e)
+	}
+	slices.SortFunc(ix.order, func(a, b *entry) int {
+		if c := strings.Compare(a.rec.Name, b.rec.Name); c != 0 {
+			return c
+		}
+		return strings.Compare(a.rec.Fingerprint, b.rec.Fingerprint)
+	})
+	fps := make([]string, len(ix.order))
+	for i, e := range ix.order {
+		fps[i] = e.rec.Fingerprint
+	}
+	ix.orderFPs = strings.Join(fps, ",")
 }
 
 // load replays one manifest out of the store. Zero engine work by
@@ -217,45 +269,54 @@ func (ix *Index) load(rec store.StudyRecord) (*entry, error) {
 			indices = append(indices, i)
 		}
 	}
-	e := &entry{rec: rec, study: x.Study}
+	points := make([]core.CachedPoint, 0, len(indices))
 	for n, i := range indices {
 		cp, ok := ix.st.Get(x.Study.PointKey(specs[i]))
 		if !ok {
 			return nil, fmt.Errorf("%w: %s missing point %d/%d", ErrIncomplete, rec.Fingerprint, n, len(indices))
 		}
-		e.arrays = append(e.arrays, cp.Arrays...)
-		e.metrics = append(e.metrics, cp.Metrics...)
-		e.skipped = append(e.skipped, cp.Skipped...)
+		points = append(points, cp)
 	}
-	e.shred()
-	return e, nil
+	return newEntry(rec, x.Study, points), nil
 }
 
-// shred builds the entry's columnar views: one float column per named
-// metric, one string/int column per filterable axis coordinate.
-func (e *entry) shred() {
+// newEntry indexes a study's replayed points: it addresses every row in
+// place and builds the columnar views, one float column per named metric
+// and one string/int column per filterable axis coordinate.
+func newEntry(rec store.StudyRecord, study *core.Study, points []core.CachedPoint) *entry {
+	e := &entry{rec: rec, study: study, points: points}
+	n := 0
+	for _, cp := range points {
+		n += len(cp.Metrics)
+	}
+	e.rows = make([]*eval.Metrics, 0, n)
+	for _, cp := range points {
+		for j := range cp.Metrics {
+			e.rows = append(e.rows, &cp.Metrics[j])
+		}
+	}
 	names := core.MetricNames()
 	e.cols = make(map[string][]float64, len(names))
 	for _, name := range names {
-		col := make([]float64, len(e.metrics))
-		for i := range e.metrics {
-			col[i], _ = core.MetricValue(name, &e.metrics[i])
+		col := make([]float64, len(e.rows))
+		for i, m := range e.rows {
+			col[i], _ = core.MetricValue(name, m)
 		}
 		e.cols[name] = col
 	}
-	e.cells = make([]string, len(e.metrics))
-	e.techs = make([]string, len(e.metrics))
-	e.patterns = make([]string, len(e.metrics))
-	e.targets = make([]string, len(e.metrics))
-	e.caps = make([]int64, len(e.metrics))
-	for i := range e.metrics {
-		m := &e.metrics[i]
+	e.cells = make([]string, len(e.rows))
+	e.techs = make([]string, len(e.rows))
+	e.patterns = make([]string, len(e.rows))
+	e.targets = make([]string, len(e.rows))
+	e.caps = make([]int64, len(e.rows))
+	for i, m := range e.rows {
 		e.cells[i] = m.Array.Cell.Name
 		e.techs[i] = m.Array.Cell.Tech.String()
 		e.patterns[i] = m.Pattern.Name
 		e.targets[i] = m.Array.Target.String()
 		e.caps[i] = m.Array.CapacityBytes
 	}
+	return e
 }
 
 // StudySummary is one listed study, complete or not.
@@ -280,7 +341,7 @@ func (ix *Index) Studies() []StudySummary {
 	for _, rec := range recs {
 		sum := StudySummary{Fingerprint: rec.Fingerprint, Name: rec.Name, Points: rec.Points}
 		if e, ok := ix.entries[rec.Fingerprint]; ok {
-			sum.Rows = len(e.metrics)
+			sum.Rows = len(e.rows)
 			sum.Complete = true
 		}
 		out = append(out, sum)
@@ -327,8 +388,9 @@ type Response struct {
 	// Results holds the selected rows as a synthetic study, renderable by
 	// every sweep writer.
 	Results *core.Results
-	// Studies lists the source fingerprints, in the order rows were drawn.
-	Studies []string
+	// Studies lists the source fingerprints, comma-separated, in the order
+	// rows were drawn.
+	Studies string
 	// Rows counts the selected rows.
 	Rows int
 	// Generation is the index generation the answer was computed at.
@@ -338,7 +400,8 @@ type Response struct {
 // Load returns a stored study's replayed results by fingerprint, exactly
 // as the original run produced them (same rows, same order, same axis
 // declarations) — the engine-free body behind GET /v1/studies/{fp}. The
-// boolean distinguishes "unknown" (false) from known-but-incomplete
+// rows are fresh copies, so a caller may modify them. The boolean
+// distinguishes "unknown" (false) from known-but-incomplete
 // (ErrIncomplete).
 func (ix *Index) Load(fingerprint string) (*core.Results, bool, error) {
 	ix.mu.RLock()
@@ -356,28 +419,105 @@ func (ix *Index) Load(fingerprint string) (*core.Results, bool, error) {
 			return nil, true, fmt.Errorf("%w: %s", ErrIncomplete, fingerprint)
 		}
 	}
+	var na, nm, ns int
+	for _, cp := range e.points {
+		na, nm, ns = na+len(cp.Arrays), nm+len(cp.Metrics), ns+len(cp.Skipped)
+	}
+	// Grown from nil, so an empty part stays nil as the original run's did.
 	res := &core.Results{
-		Study:       e.study,
-		Arrays:      e.arrays,
-		Metrics:     e.metrics,
-		Skipped:     e.skipped,
-		Exploration: e.rec.Exploration,
+		Study:   e.study,
+		Arrays:  slices.Grow([]nvsim.Result(nil), na),
+		Metrics: slices.Grow([]eval.Metrics(nil), nm),
+		Skipped: slices.Grow([]string(nil), ns),
+	}
+	for _, cp := range e.points {
+		res.Arrays = append(res.Arrays, cp.Arrays...)
+		res.Metrics = append(res.Metrics, cp.Metrics...)
+		res.Skipped = append(res.Skipped, cp.Skipped...)
+	}
+	if x := e.rec.Exploration; x != nil {
+		c := *x
+		c.Indices = slices.Clone(x.Indices)
+		res.Exploration = &c
 	}
 	return res, true, nil
 }
 
-// rowRef addresses one selected row: its source entry and row index.
-type rowRef struct {
+// sortRow is one selected row: its source entry and row index, with its
+// sort key and base-order position hoisted out of the ranking comparator.
+type sortRow struct {
 	e   *entry
 	row int
-}
-
-// sortRow decorates one selected row with its sort key and base-order
-// position, so ranking needs no column lookups inside the comparator.
-type sortRow struct {
-	ref rowRef
 	key float64
 	pos int
+}
+
+// compareRows orders two rows for ranking: by key (descending when desc),
+// NaN last in either sense, ties in base order — so a sort by compareRows
+// is a stable sort of the base order.
+func compareRows(a, b sortRow, desc bool) int {
+	an, bn := math.IsNaN(a.key), math.IsNaN(b.key)
+	switch {
+	case an && bn:
+	case an:
+		return 1
+	case bn:
+		return -1
+	case a.key != b.key:
+		if (a.key < b.key) != desc {
+			return -1
+		}
+		return 1
+	}
+	return a.pos - b.pos
+}
+
+// topK keeps the k best-ranked rows offered so far in a binary heap whose
+// root is the worst kept row, so each candidate costs one comparison with
+// the root (plus O(log k) when it displaces it) and the whole selection
+// allocates only the k-row heap. Rows are offered in base order, so a
+// candidate that ties the root ranks after it and is rejected — the heap
+// keeps exactly the rows a stable sort followed by a truncation keeps.
+type topK struct {
+	rows []sortRow
+	k    int
+	desc bool
+}
+
+// worse reports whether row i ranks after row j.
+func (h *topK) worse(i, j int) bool { return compareRows(h.rows[i], h.rows[j], h.desc) > 0 }
+
+func (h *topK) offer(r sortRow) {
+	if len(h.rows) < h.k {
+		h.rows = append(h.rows, r)
+		for i := len(h.rows) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !h.worse(i, p) {
+				break
+			}
+			h.rows[i], h.rows[p] = h.rows[p], h.rows[i]
+			i = p
+		}
+		return
+	}
+	if compareRows(r, h.rows[0], h.desc) > 0 {
+		return
+	}
+	h.rows[0] = r
+	for i, n := 0, len(h.rows); ; {
+		w := i
+		if l := 2*i + 1; l < n && h.worse(l, w) {
+			w = l
+		}
+		if rt := 2*i + 2; rt < n && h.worse(rt, w) {
+			w = rt
+		}
+		if w == i {
+			return
+		}
+		h.rows[i], h.rows[w] = h.rows[w], h.rows[i]
+		i = w
+	}
 }
 
 // bound is one metric range check resolved against a source's column.
@@ -387,40 +527,23 @@ type bound struct {
 	min   bool
 }
 
-// Query answers one request from the warm index. It performs no engine
-// work and no store reads — only column scans over loaded entries.
-func (ix *Index) Query(req Request) (*Response, error) {
-	if err := validate(req); err != nil {
-		return nil, err
-	}
-	ix.queries.Add(1)
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-
-	sources, err := ix.resolve(req.Studies)
-	if err != nil {
-		return nil, err
-	}
-
-	// Filter: scan each source's columns, collecting surviving row refs in
-	// study-then-row order (the deterministic base order). Metric bounds
-	// are resolved to their columns once per source, so the row loop is
-	// pure slice indexing.
-	total := 0
+// scan calls visit for every row of sources that passes req's filters, in
+// study-then-row order (the deterministic base order), with the row's sort
+// key (0 without a sort). Metric bounds and the sort key are resolved to
+// their columns once per source, so the row loop is pure slice indexing.
+func scan(sources []*entry, req *Request, visit func(e *entry, row int, key float64)) {
+	var bounds []bound
 	for _, e := range sources {
-		total += len(e.metrics)
-	}
-	rows := make([]rowRef, 0, total)
-	for _, e := range sources {
-		var bounds []bound
+		bounds = bounds[:0]
 		for name, lo := range req.Min {
 			bounds = append(bounds, bound{col: e.cols[name], limit: lo, min: true})
 		}
 		for name, hi := range req.Max {
 			bounds = append(bounds, bound{col: e.cols[name], limit: hi})
 		}
+		keys := e.cols[req.Sort] // nil without a sort
 	rowLoop:
-		for i := range e.metrics {
+		for i := range e.rows {
 			if req.Cell != "" && e.cells[i] != req.Cell {
 				continue
 			}
@@ -449,53 +572,65 @@ func (ix *Index) Query(req Request) (*Response, error) {
 					continue rowLoop
 				}
 			}
-			rows = append(rows, rowRef{e: e, row: i})
+			var key float64
+			if keys != nil {
+				key = keys[i]
+			}
+			visit(e, i, key)
 		}
+	}
+}
+
+// Query answers one request from the warm index. It performs no engine
+// work and no store reads — only column scans over loaded entries. Its
+// rows are fresh copies, so a caller may modify them.
+func (ix *Index) Query(req Request) (*Response, error) {
+	if err := validate(req); err != nil {
+		return nil, err
+	}
+	ix.queries.Add(1)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+
+	sources, fps, err := ix.resolve(req.Studies)
+	if err != nil {
+		return nil, err
 	}
 
-	// Sort: stable over the base order (explicit position tiebreak), NaN
-	// ranked last in either sense. Keys are hoisted out of the comparator
-	// and the sort is non-reflective — this is the warm path's hot loop.
-	if req.Sort != "" {
-		keyed := make([]sortRow, len(rows))
-		for i, r := range rows {
-			keyed[i] = sortRow{ref: r, key: r.e.cols[req.Sort][r.row], pos: i}
+	// Select: every filtered row in base order; or, ranked by a sort key,
+	// the k best through the bounded heap, or all of them stably sorted.
+	var rows []sortRow
+	pos := 0
+	if req.Sort != "" && req.Top > 0 {
+		total := 0
+		for _, e := range sources {
+			total += len(e.rows)
 		}
-		desc := req.Desc
-		slices.SortFunc(keyed, func(a, b sortRow) int {
-			an, bn := math.IsNaN(a.key), math.IsNaN(b.key)
-			switch {
-			case an && bn:
-				return a.pos - b.pos
-			case an:
-				return 1
-			case bn:
-				return -1
-			case a.key != b.key:
-				if (a.key < b.key) != desc {
-					return -1
-				}
-				return 1
-			}
-			return a.pos - b.pos
+		h := topK{rows: make([]sortRow, 0, min(req.Top, total)), k: req.Top, desc: req.Desc}
+		scan(sources, &req, func(e *entry, row int, key float64) {
+			h.offer(sortRow{e: e, row: row, key: key, pos: pos})
+			pos++
 		})
-		for i := range keyed {
-			rows[i] = keyed[i].ref
-		}
+		rows = h.rows
+	} else {
+		scan(sources, &req, func(e *entry, row int, key float64) {
+			rows = append(rows, sortRow{e: e, row: row, key: key, pos: pos})
+			pos++
+		})
 	}
-	if req.Top > 0 && len(rows) > req.Top {
-		rows = rows[:req.Top]
+	if req.Sort != "" {
+		slices.SortFunc(rows, func(a, b sortRow) int { return compareRows(a, b, req.Desc) })
 	}
 
 	res := &core.Results{Study: unionStudy(sources, req.Frontier)}
 	res.Metrics = make([]eval.Metrics, 0, len(rows))
 	for _, r := range rows {
-		res.Metrics = append(res.Metrics, r.e.metrics[r.row])
+		m := r.e.rows[r.row]
+		res.Metrics = append(res.Metrics, *m)
 		// Arrays back the dashboard's characterized-arrays table: keep each
 		// distinct array once, in first-appearance order.
-		a := r.e.metrics[r.row].Array
-		if n := len(res.Arrays); n == 0 || !reflect.DeepEqual(res.Arrays[n-1], a) {
-			res.Arrays = append(res.Arrays, a)
+		if n := len(res.Arrays); n == 0 || !reflect.DeepEqual(res.Arrays[n-1], m.Array) {
+			res.Arrays = append(res.Arrays, m.Array)
 		}
 	}
 	if len(req.Frontier) > 0 {
@@ -503,12 +638,7 @@ func (ix *Index) Query(req Request) (*Response, error) {
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 	}
-
-	out := &Response{Results: res, Rows: len(rows), Generation: ix.gen}
-	for _, e := range sources {
-		out.Studies = append(out.Studies, e.rec.Fingerprint)
-	}
-	return out, nil
+	return &Response{Results: res, Studies: fps, Rows: len(rows), Generation: ix.gen}, nil
 }
 
 // validate rejects malformed requests before any work happens.
@@ -541,49 +671,42 @@ func validate(req Request) error {
 	return nil
 }
 
-// resolve maps study selectors to loaded entries. Callers hold ix.mu.
-func (ix *Index) resolve(selectors []string) ([]*entry, error) {
+// resolve maps study selectors to loaded entries, returning them with
+// their fingerprints comma-joined. Callers hold ix.mu.
+func (ix *Index) resolve(selectors []string) ([]*entry, string, error) {
 	if len(selectors) == 0 {
-		// Every complete study, in deterministic (name, fingerprint) order.
-		all := make([]*entry, 0, len(ix.entries))
-		for _, e := range ix.entries {
-			all = append(all, e)
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].rec.Name != all[j].rec.Name {
-				return all[i].rec.Name < all[j].rec.Name
-			}
-			return all[i].rec.Fingerprint < all[j].rec.Fingerprint
-		})
-		return all, nil
+		return ix.order, ix.orderFPs, nil
 	}
 	out := make([]*entry, 0, len(selectors))
+	fps := make([]string, 0, len(selectors))
 	for _, sel := range selectors {
 		if e, ok := ix.entries[sel]; ok {
 			out = append(out, e)
+			fps = append(fps, e.rec.Fingerprint)
 			continue
 		}
-		var byName *entry
+		// order is sorted by name, so a name's studies are adjacent.
+		i, _ := slices.BinarySearchFunc(ix.order, sel, func(e *entry, name string) int {
+			return strings.Compare(e.rec.Name, name)
+		})
 		matches := 0
-		for _, e := range ix.entries {
-			if e.rec.Name == sel {
-				byName = e
-				matches++
-			}
+		for j := i; j < len(ix.order) && ix.order[j].rec.Name == sel; j++ {
+			matches++
 		}
 		switch {
 		case matches == 1:
-			out = append(out, byName)
+			out = append(out, ix.order[i])
+			fps = append(fps, ix.order[i].rec.Fingerprint)
 		case matches > 1:
-			return nil, fmt.Errorf("%w: %q matches %d studies (select by fingerprint)",
+			return nil, "", fmt.Errorf("%w: %q matches %d studies (select by fingerprint)",
 				ErrAmbiguousStudy, sel, matches)
 		case ix.incomplete[sel]:
-			return nil, fmt.Errorf("%w: %s", ErrIncomplete, sel)
+			return nil, "", fmt.Errorf("%w: %s", ErrIncomplete, sel)
 		default:
-			return nil, fmt.Errorf("%w: %q", ErrUnknownStudy, sel)
+			return nil, "", fmt.Errorf("%w: %q", ErrUnknownStudy, sel)
 		}
 	}
-	return out, nil
+	return out, strings.Join(fps, ","), nil
 }
 
 // unionStudy builds the synthetic study a query result renders under: axis

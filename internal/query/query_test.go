@@ -3,11 +3,15 @@ package query
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/nvsim"
@@ -49,6 +53,17 @@ const gridConfig = `{
 // brute-force reference data).
 func seedStudy(t *testing.T, st *store.Store, cfgJSON string) (string, *core.Results) {
 	t.Helper()
+	rec, res := runStudy(t, st, cfgJSON)
+	if err := st.SaveStudy(rec); err != nil {
+		t.Fatal(err)
+	}
+	return rec.Fingerprint, res
+}
+
+// runStudy runs one configuration through the engine into the store and
+// returns the manifest seedStudy would save, with the run's results.
+func runStudy(t *testing.T, st *store.Store, cfgJSON string) (store.StudyRecord, *core.Results) {
+	t.Helper()
 	cfg, err := sweep.Parse(strings.NewReader(cfgJSON))
 	if err != nil {
 		t.Fatal(err)
@@ -71,12 +86,13 @@ func seedStudy(t *testing.T, st *store.Store, cfgJSON string) (string, *core.Res
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SaveStudy(store.StudyRecord{
-		Fingerprint: fp, Name: s.Name, Config: []byte(cfgJSON), Points: len(specs),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return fp, res
+	return store.StudyRecord{Fingerprint: fp, Name: s.Name, Config: []byte(cfgJSON), Points: len(specs)}, res
+}
+
+// alphaNamed is alphaConfig under another study name: a distinct study
+// (the name is part of the fingerprint) whose points are alpha's.
+func alphaNamed(name string) string {
+	return strings.Replace(alphaConfig, `"name": "alpha"`, `"name": "`+name+`"`, 1)
 }
 
 // warmIndex seeds both test studies and builds an index, asserting that
@@ -125,8 +141,8 @@ func TestQueryAllRowsMatchesSources(t *testing.T) {
 	if resp.Rows != want || len(resp.Results.Metrics) != want {
 		t.Fatalf("all-rows query returned %d rows, want %d", resp.Rows, want)
 	}
-	if len(resp.Studies) != 2 {
-		t.Fatalf("sources = %v, want 2 fingerprints", resp.Studies)
+	if fps := strings.Split(resp.Studies, ","); len(fps) != 2 {
+		t.Fatalf("sources = %q, want 2 fingerprints", resp.Studies)
 	}
 	// Study order is (name, fingerprint): alpha rows first, verbatim.
 	for i, m := range refs["alpha"].Metrics {
@@ -274,7 +290,7 @@ func TestQueryStudySelectors(t *testing.T) {
 		t.Fatalf("by-name rows = %d, want %d", len(resp.Results.Metrics), len(refs["grid"].Metrics))
 	}
 	// By fingerprint.
-	resp2, err := ix.Query(Request{Studies: resp.Studies})
+	resp2, err := ix.Query(Request{Studies: []string{resp.Studies}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,6 +492,212 @@ func TestGenerationStableUntilContentChanges(t *testing.T) {
 	seedStudy(t, st, gridConfig)
 	if g := ix.Refresh(); g <= g1 {
 		t.Fatalf("new study did not bump generation (%d -> %d)", g1, g)
+	}
+	nvsim.ResetMemo()
+}
+
+// syntheticIndex builds an index over hand-made rows, bypassing the store,
+// so ranking meets keys real studies rarely produce: many duplicates and
+// NaNs. Each row's Slowdown holds a unique row id; names repeat across
+// studies so the (name, fingerprint) order needs its tiebreak.
+func syntheticIndex(r *rand.Rand, studies int) *Index {
+	ix := New(nil)
+	keys := []float64{1, 2, 3, math.NaN()}
+	techs := []cell.Technology{cell.STT, cell.RRAM}
+	id := 0
+	for s := 0; s < studies; s++ {
+		var cp core.CachedPoint
+		for n := r.IntN(12); n > 0; n-- {
+			var m eval.Metrics
+			m.TotalPowerMW = keys[r.IntN(len(keys))]
+			m.Array.ReadLatencyNS = keys[r.IntN(len(keys))]
+			m.Array.Cell.Tech = techs[r.IntN(len(techs))]
+			m.Array.CapacityBytes = int64(1+r.IntN(2)) << 20
+			m.Slowdown = float64(id)
+			id++
+			cp.Metrics = append(cp.Metrics, m)
+		}
+		name := fmt.Sprintf("s%d", r.IntN(3))
+		fp := fmt.Sprintf("%016x", r.Uint64())
+		rec := store.StudyRecord{Fingerprint: fp, Name: name}
+		ix.entries[fp] = newEntry(rec, core.NewStudy(name), []core.CachedPoint{cp})
+	}
+	ix.reorder()
+	return ix
+}
+
+// TestQueryTopKMatchesStableSort checks ranking against its definition —
+// filter in base order, sort.SliceStable with NaN last, truncate — row for
+// row, over random top-k sizes (beyond the row count too), sort senses,
+// axis filters, metric bounds and study selections.
+func TestQueryTopKMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	metrics := []string{"total_power_mw", "read_latency_ns"}
+	for trial := 0; trial < 400; trial++ {
+		ix := syntheticIndex(r, 1+r.IntN(5))
+		req := Request{Sort: metrics[r.IntN(2)], Desc: r.IntN(2) == 1}
+		sources := ix.order
+		if r.IntN(3) == 0 {
+			sources = nil
+			for _, e := range ix.order {
+				if r.IntN(2) == 0 {
+					sources = append(sources, e)
+					req.Studies = append(req.Studies, e.rec.Fingerprint)
+				}
+			}
+			r.Shuffle(len(sources), func(i, j int) {
+				sources[i], sources[j] = sources[j], sources[i]
+				req.Studies[i], req.Studies[j] = req.Studies[j], req.Studies[i]
+			})
+			if len(sources) == 0 { // an empty selection selects every study
+				sources = ix.order
+			}
+		}
+		if r.IntN(3) == 0 {
+			req.Technology = []string{"STT", "RRAM"}[r.IntN(2)]
+		}
+		if r.IntN(3) == 0 {
+			req.Capacity = 1 << 20
+		}
+		if r.IntN(3) == 0 {
+			req.Max = map[string]float64{metrics[r.IntN(2)]: 2}
+		}
+		if r.IntN(3) == 0 {
+			req.Min = map[string]float64{metrics[r.IntN(2)]: 2}
+		}
+
+		// The definition, brute force.
+		var want []*eval.Metrics
+		for _, e := range sources {
+			for _, m := range e.rows {
+				if req.Technology != "" && m.Array.Cell.Tech.String() != req.Technology ||
+					req.Capacity != 0 && m.Array.CapacityBytes != req.Capacity {
+					continue
+				}
+				ok := true
+				for name, lo := range req.Min {
+					ok = ok && metricOf(t, name, m) >= lo
+				}
+				for name, hi := range req.Max {
+					ok = ok && metricOf(t, name, m) <= hi
+				}
+				if ok {
+					want = append(want, m)
+				}
+			}
+		}
+		sort.SliceStable(want, func(a, b int) bool {
+			va, vb := metricOf(t, req.Sort, want[a]), metricOf(t, req.Sort, want[b])
+			switch {
+			case math.IsNaN(va):
+				return false
+			case math.IsNaN(vb):
+				return true
+			case req.Desc:
+				return va > vb
+			}
+			return va < vb
+		})
+		req.Top = r.IntN(len(want) + 3) // 0 (no limit) through past the row count
+		if req.Top > 0 && req.Top < len(want) {
+			want = want[:req.Top]
+		}
+
+		resp, err := ix.Query(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := resp.Results.Metrics
+		if len(got) != len(want) || resp.Rows != len(want) {
+			t.Fatalf("trial %d %+v: %d rows, want %d", trial, req, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Slowdown != want[i].Slowdown {
+				t.Fatalf("trial %d %+v: rank %d is row %v, want row %v",
+					trial, req, i, got[i].Slowdown, want[i].Slowdown)
+			}
+		}
+	}
+}
+
+// TestQueryResultsDoNotAliasIndex scribbles over everything a Query or a
+// Load hands out and checks that later answers and the store's own points
+// are untouched: the index shares the store's points, so every result must
+// be a copy.
+func TestQueryResultsDoNotAliasIndex(t *testing.T) {
+	dir := t.TempDir()
+	nvsim.ResetMemo()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, _ := seedStudy(t, st, gridConfig)
+	seedStudy(t, st, alphaConfig)
+	cfg, err := sweep.Parse(strings.NewReader(gridConfig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := cfg.Study()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := s.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := func() []core.CachedPoint {
+		var out []core.CachedPoint
+		for _, spec := range specs {
+			cp, ok := st.Get(s.PointKey(spec))
+			if !ok {
+				t.Fatal("stored point missing")
+			}
+			out = append(out, core.CachedPoint{
+				Arrays:  append([]nvsim.Result(nil), cp.Arrays...),
+				Metrics: append([]eval.Metrics(nil), cp.Metrics...),
+				Skipped: append([]string(nil), cp.Skipped...),
+			})
+		}
+		return out
+	}
+	ix := New(st)
+	ix.Refresh()
+	reqs := []Request{{}, {Sort: "total_power_mw", Top: 3}, {Sort: "area_mm2"},
+		{Studies: []string{fp}, Frontier: []string{"total_power_mw", "read_latency_ns"}}}
+	answer := func() []*core.Results {
+		var out []*core.Results
+		for _, req := range reqs {
+			resp, err := ix.Query(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, resp.Results)
+		}
+		res, _, err := ix.Load(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(out, res)
+	}
+	wantPoints, want := stored(), answer()
+
+	for _, res := range answer() {
+		for i := range res.Metrics {
+			res.Metrics[i].TotalPowerMW = -1
+			res.Metrics[i].Array.AreaMM2 = -1
+		}
+		for i := range res.Arrays {
+			res.Arrays[i].ReadLatencyNS = -1
+		}
+		for i := range res.Skipped {
+			res.Skipped[i] = "scribbled"
+		}
+	}
+	if got := answer(); !reflect.DeepEqual(got, want) {
+		t.Fatal("modifying results changed later answers")
+	}
+	if !reflect.DeepEqual(stored(), wantPoints) {
+		t.Fatal("modifying results changed the store's points")
 	}
 	nvsim.ResetMemo()
 }

@@ -17,10 +17,11 @@ import (
 // The read side of the API: GET /v1/studies, GET /v1/studies/{fingerprint},
 // and GET /v1/query answer from the warm query index (internal/query) over
 // the persistent store — zero engine work, microsecond lookups. The index
-// is synchronized with the store's manifests at the top of each request
-// (a directory scan, cheap next to any study run), so studies completed by
-// this or any other process sharing the store become queryable without
-// restarts.
+// is synchronized with the store's manifests at the top of each request,
+// so studies completed by this process are queryable at once and studies
+// completed by another process sharing the store directory within a
+// second, without restarts. A synchronization lists the store's
+// manifests only when something may have changed (see query.Index.Refresh).
 
 // storeRequired answers the no-store case for read-side endpoints.
 func (s *Server) storeRequired(w http.ResponseWriter) bool {
@@ -193,7 +194,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Query-Rows", strconv.Itoa(resp.Rows))
 	w.Header().Set("X-Query-Generation", strconv.FormatInt(resp.Generation, 10))
-	w.Header().Set("X-Query-Studies", strings.Join(resp.Studies, ","))
+	w.Header().Set("X-Query-Studies", resp.Studies)
 	_ = s.writeResult(w, etag, format, resp.Results)
 }
 

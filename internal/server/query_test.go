@@ -285,3 +285,52 @@ func TestOpenAPIDoc(t *testing.T) {
 		t.Error("openapi document missing GET /v1/studies")
 	}
 }
+
+// FuzzQueryRequest sends arbitrary /v1/query parameter strings and Accept
+// headers through parameter parsing, format negotiation and the index
+// query: no panic, and every refusal is an error envelope with one of the
+// read side's stable codes. Seeded with the benchmark's four query shapes.
+func FuzzQueryRequest(f *testing.F) {
+	for _, seed := range []struct{ query, accept string }{
+		{"sort=total_power_mw&technology=RRAM&top=5", "application/json"},
+		{"max_read_latency_ns=5&sort=area_mm2&top=10", ""},
+		{"capacity=1048576&order=desc&sort=density_mb_per_mm2&target=ReadEDP&top=20", "text/csv"},
+		{"frontier=total_power_mw,mem_time_per_sec&study=fuzz-query-a", "application/x-ndjson"},
+		{"sort=vibes&top=-1&format=xml", "text/plain"},
+		{"study=nope&min_=1&order=sideways", "application/json;q=0"},
+	} {
+		f.Add(seed.query, seed.accept)
+	}
+
+	nvsim.ResetMemo()
+	st, err := store.Open("")
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := New(Options{MaxConcurrentStudies: 1, StudyWorkers: 1, Store: st})
+	f.Cleanup(srv.Close)
+	h := srv.Handler()
+	for _, cfg := range []string{testConfig("fuzz-query-a", "STT", 1<<20), testConfig("fuzz-query-b", "RRAM", 1<<20)} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/studies", strings.NewReader(cfg)))
+		if rec.Code != http.StatusOK {
+			f.Fatalf("seeding study: status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	codes := map[string]bool{codeBadQuery: true, codeNotFound: true, codeStudyIncomplete: true,
+		codeBadFormat: true, codeNotAcceptable: true}
+	f.Fuzz(func(t *testing.T, rawQuery, accept string) {
+		req := httptest.NewRequest(http.MethodGet, "/v1/query", nil)
+		req.URL.RawQuery = rawQuery
+		req.Header.Set("Accept", accept)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code == http.StatusOK {
+			return
+		}
+		var e errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !codes[e.Error.Code] {
+			t.Fatalf("status %d: body %q is not an error envelope with a stable code", rec.Code, rec.Body.Bytes())
+		}
+	})
+}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/nvsim"
@@ -141,5 +143,45 @@ func TestStudiesETag(t *testing.T) {
 	}
 	if got := resp3.Header.Get("ETag"); got == etag || got == "" {
 		t.Fatalf("csv etag %q should differ from json etag %q", got, etag)
+	}
+}
+
+// studyWriteFS counts atomic writes under DIR/studies/.
+type studyWriteFS struct {
+	store.FS
+	writes atomic.Int64
+}
+
+func (c *studyWriteFS) WriteFileAtomic(path string, data []byte) error {
+	if filepath.Base(filepath.Dir(path)) == "studies" {
+		c.writes.Add(1)
+	}
+	return c.FS.WriteFileAtomic(path, data)
+}
+
+// TestWarmPostWritesNoManifest checks that re-running a stored study
+// rewrites nothing under studies/: its manifest is already there.
+func TestWarmPostWritesNoManifest(t *testing.T) {
+	nvsim.ResetMemo()
+	cfs := &studyWriteFS{FS: store.DiskFS}
+	st, err := store.OpenFS(t.TempDir(), cfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Options{MaxConcurrentStudies: 2, Store: st})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	cfg := testConfig("warm-manifest", "STT", 1<<20)
+	if code, body := post(t, ts, cfg, "json"); code != http.StatusOK {
+		t.Fatalf("cold POST status %d: %s", code, body)
+	}
+	if n := cfs.writes.Load(); n != 1 {
+		t.Fatalf("cold POST wrote %d manifests, want 1", n)
+	}
+	if code, body := post(t, ts, cfg, "json"); code != http.StatusOK {
+		t.Fatalf("warm POST status %d: %s", code, body)
+	}
+	if n := cfs.writes.Load(); n != 1 {
+		t.Fatalf("warm POST wrote %d more manifests, want 0", n-1)
 	}
 }

@@ -113,9 +113,11 @@ type Store struct {
 	// so the /v1/store wire protocol can export memory-only points.
 	idx map[string]string
 
-	// Study manifests (study.go): fingerprint → record mirror.
+	// Study manifests (study.go): fingerprint → record mirror, and the
+	// mirror's change count (StudyGeneration).
 	studiesMu  sync.Mutex
-	studiesMem map[string]StudyRecord
+	studiesMem map[string]studyMirror
+	studyGen   atomic.Int64
 
 	hits, misses atomic.Int64
 }
@@ -164,7 +166,7 @@ func newStore(b Backend) *Store {
 		backend:    b,
 		mem:        make(map[string]core.CachedPoint),
 		idx:        make(map[string]string),
-		studiesMem: make(map[string]StudyRecord),
+		studiesMem: make(map[string]studyMirror),
 	}
 	s.local, _ = b.(*localBackend)
 	return s

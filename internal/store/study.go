@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -57,38 +60,100 @@ var studyKind = &kind[StudyRecord]{
 
 func studyFingerprint(rec *StudyRecord) string { return rec.Fingerprint }
 
+// studyMirror is one manifest in the store's in-memory mirror, and whether
+// the backend holds it too (its last write succeeded, or it was read from
+// the backend).
+type studyMirror struct {
+	rec     StudyRecord
+	durable bool
+}
+
+// sameStudy reports whether two manifests record the same study. An
+// adaptive run's telemetry (cache hits, characterizations) differs between
+// a cold and a warm run of one study, and no reader uses it, so it is not
+// compared.
+func sameStudy(a, b StudyRecord) bool {
+	if a.Version != b.Version || a.Fingerprint != b.Fingerprint || a.Name != b.Name ||
+		a.Points != b.Points || !bytes.Equal(a.Config, b.Config) ||
+		(a.Exploration == nil) != (b.Exploration == nil) {
+		return false
+	}
+	if a.Exploration == nil {
+		return true
+	}
+	x, y := *a.Exploration, *b.Exploration
+	if !slices.Equal(x.Indices, y.Indices) {
+		return false
+	}
+	x.CacheHits, x.Characterizations, x.Indices = 0, 0, nil
+	y.CacheHits, y.Characterizations, y.Indices = 0, 0, nil
+	return reflect.DeepEqual(x, y)
+}
+
 // SaveStudy records a completed study's manifest, write-through to memory
-// and the backend. Saving the same fingerprint again overwrites an
-// identical record, so repeated runs are idempotent. Backend errors
-// degrade durability, never the caller: the in-memory record still answers
-// queries for the rest of the process.
+// and the backend. Saving a record equal to one the backend already holds
+// writes nothing and leaves StudyGeneration alone, so a warm re-run costs
+// no disk write; a record whose backend write failed is written again on
+// the next save. Backend errors degrade durability, never the caller: the
+// in-memory record still answers queries for the rest of the process.
 func (s *Store) SaveStudy(rec StudyRecord) error {
 	if rec.Fingerprint == "" {
 		return fmt.Errorf("store: study record needs a fingerprint")
 	}
 	rec.Version = studyVersion
 	s.studiesMu.Lock()
-	s.studiesMem[rec.Fingerprint] = rec
+	old, had := s.studiesMem[rec.Fingerprint]
+	same := had && sameStudy(old.rec, rec)
+	if same && old.durable {
+		s.studiesMu.Unlock()
+		return nil
+	}
+	if !same {
+		s.studiesMem[rec.Fingerprint] = studyMirror{rec: rec}
+		s.studyGen.Add(1)
+	}
 	s.studiesMu.Unlock()
-	return s.backend.WriteStudy(rec)
+	err := s.backend.WriteStudy(rec)
+	if err == nil {
+		s.studiesMu.Lock()
+		if m := s.studiesMem[rec.Fingerprint]; sameStudy(m.rec, rec) {
+			m.durable = true
+			s.studiesMem[rec.Fingerprint] = m
+		}
+		s.studiesMu.Unlock()
+	}
+	return err
 }
+
+// StudyGeneration counts changes to the manifest mirror: it moves when the
+// mirror gains a fingerprint or a record changes, by SaveStudy or by
+// LoadStudy caching a backend record. The mirror never shrinks, so an
+// unchanged generation means this process has seen no new manifest —
+// though another process sharing the backend may have written one, which
+// only ListStudies finds.
+func (s *Store) StudyGeneration() int64 { return s.studyGen.Load() }
 
 // LoadStudy returns the manifest of one stored study by fingerprint:
 // memory first, then the backend. Corrupt records are discarded and read
 // as misses, like point records.
 func (s *Store) LoadStudy(fingerprint string) (StudyRecord, bool) {
 	s.studiesMu.Lock()
-	rec, ok := s.studiesMem[fingerprint]
+	m, ok := s.studiesMem[fingerprint]
 	s.studiesMu.Unlock()
 	if ok {
-		return rec, true
+		return m.rec, true
 	}
-	rec, ok = s.backend.ReadStudy(fingerprint)
+	rec, ok := s.backend.ReadStudy(fingerprint)
 	if !ok {
 		return StudyRecord{}, false
 	}
 	s.studiesMu.Lock()
-	s.studiesMem[fingerprint] = rec
+	if m, ok := s.studiesMem[fingerprint]; ok {
+		rec = m.rec // a concurrent save or load got there first
+	} else {
+		s.studiesMem[fingerprint] = studyMirror{rec: rec, durable: true}
+		s.studyGen.Add(1)
+	}
 	s.studiesMu.Unlock()
 	return rec, true
 }
@@ -108,8 +173,8 @@ func (s *Store) ListStudies() []StudyRecord {
 	}
 	s.studiesMu.Lock()
 	out := make([]StudyRecord, 0, len(s.studiesMem))
-	for _, rec := range s.studiesMem {
-		out = append(out, rec)
+	for _, m := range s.studiesMem {
+		out = append(out, m.rec)
 	}
 	s.studiesMu.Unlock()
 	sort.Slice(out, func(i, j int) bool {

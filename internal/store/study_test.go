@@ -4,7 +4,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func testRecord(fp, name string) StudyRecord {
@@ -231,5 +234,119 @@ func TestFsckStudies(t *testing.T) {
 	}
 	if !rep.Clean() || rep.StudiesOK != 1 {
 		t.Fatalf("post-repair scan not clean: %+v", rep)
+	}
+}
+
+// writeCountFS counts atomic writes under DIR/studies/.
+type writeCountFS struct {
+	FS
+	mu     sync.Mutex
+	writes int
+}
+
+func (w *writeCountFS) WriteFileAtomic(path string, data []byte) error {
+	if filepath.Base(filepath.Dir(path)) == "studies" {
+		w.mu.Lock()
+		w.writes++
+		w.mu.Unlock()
+	}
+	return w.FS.WriteFileAtomic(path, data)
+}
+
+func (w *writeCountFS) studyWrites() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.writes
+}
+
+func TestSaveStudySkipsEqualRecord(t *testing.T) {
+	wfs := &writeCountFS{FS: DiskFS}
+	st, err := OpenFS(t.TempDir(), wfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := testRecord("aa11", "alpha")
+	rec.Exploration = &core.Exploration{Mode: "adaptive", Indices: []int{0, 2}, Characterizations: 3}
+	save := func(r StudyRecord, wantWrites int, wantGen int64) {
+		t.Helper()
+		if err := st.SaveStudy(r); err != nil {
+			t.Fatal(err)
+		}
+		if got := wfs.studyWrites(); got != wantWrites {
+			t.Fatalf("%d manifest writes, want %d", got, wantWrites)
+		}
+		if got := st.StudyGeneration(); got != wantGen {
+			t.Fatalf("study generation %d, want %d", got, wantGen)
+		}
+	}
+	save(rec, 1, 1)
+	save(rec, 1, 1)
+	// A warm re-run of an adaptive study differs only in run telemetry.
+	warm := rec
+	warm.Exploration = &core.Exploration{Mode: "adaptive", Indices: []int{0, 2}, CacheHits: 3}
+	save(warm, 1, 1)
+	// A different record is written and moves the generation.
+	changed := rec
+	changed.Points++
+	save(changed, 2, 2)
+	changed.Exploration = &core.Exploration{Mode: "adaptive", Indices: []int{0, 1}}
+	save(changed, 3, 3)
+}
+
+func TestSaveStudyRetriesFailedWrite(t *testing.T) {
+	shrinkBackoff(t)
+	dir := t.TempDir()
+	st, err := OpenFS(dir, &countdownFS{FS: DiskFS, fail: ioAttempts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := testRecord("aa11", "alpha")
+	if err := st.SaveStudy(rec); err == nil {
+		t.Fatal("SaveStudy reported success for a failed write")
+	}
+	if _, err := os.Stat(st.studyPath("aa11")); !os.IsNotExist(err) {
+		t.Fatalf("manifest on disk after a failed write: %v", err)
+	}
+	// The next save of the equal record writes it, without moving the
+	// generation: the mirror already held it.
+	if err := st.SaveStudy(rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(st.studyPath("aa11")); err != nil {
+		t.Fatalf("retried save left no manifest on disk: %v", err)
+	}
+	if g := st.StudyGeneration(); g != 1 {
+		t.Fatalf("study generation %d, want 1", g)
+	}
+}
+
+func TestStudyGenerationCountsMirrorChanges(t *testing.T) {
+	dir := t.TempDir()
+	writer, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fp := range []string{"aa11", "bb22"} {
+		if err := writer.SaveStudy(testRecord(fp, "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := st.StudyGeneration(); g != 0 {
+		t.Fatalf("fresh store generation %d, want 0", g)
+	}
+	st.LoadStudy("aa11") // cached from the backend
+	st.LoadStudy("aa11") // a mirror hit
+	st.LoadStudy("cc33") // a miss
+	if g := st.StudyGeneration(); g != 1 {
+		t.Fatalf("generation %d after one backend load, want 1", g)
+	}
+	st.ListStudies() // finds bb22
+	st.ListStudies()
+	if g := st.StudyGeneration(); g != 2 {
+		t.Fatalf("generation %d after listing one new manifest, want 2", g)
 	}
 }
