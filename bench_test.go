@@ -595,7 +595,11 @@ const refreshBenchConfig = `{
 
 // BenchmarkQueryRefreshUnchanged measures Index.Refresh over 128 stored
 // studies when nothing is new — what every GET /v1/query pays before it
-// scans. It should neither list the store nor allocate.
+// scans. It should neither list the store nor allocate. One op is
+// refreshesPerOp refreshes, so a short fixed -benchtime still times a
+// window long enough to rise above timer noise (about 0.1 ms per op);
+// at -benchtime=20x that window stays well under the index's 1 s relisting
+// bound, so no op lists the store.
 func BenchmarkQueryRefreshUnchanged(b *testing.B) {
 	nvsim.ResetMemo()
 	st, err := store.Open(b.TempDir())
@@ -628,9 +632,12 @@ func BenchmarkQueryRefreshUnchanged(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	const refreshesPerOp = 1000
 	for i := 0; i < b.N; i++ {
-		if ix.Refresh() != gen {
-			b.Fatal("unchanged refresh moved the generation")
+		for j := 0; j < refreshesPerOp; j++ {
+			if ix.Refresh() != gen {
+				b.Fatal("unchanged refresh moved the generation")
+			}
 		}
 	}
 	b.StopTimer()

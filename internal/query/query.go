@@ -22,9 +22,10 @@
 //
 // Refresh relists the store only when something may have changed: when
 // the store's manifest generation moved (a study saved or loaded in this
-// process), while a manifest is incomplete, or once the last listing is
-// older than relistAfter (1 s), which bounds how long a study written by
-// another process sharing the store directory stays invisible to queries.
+// process), when a manifest is incomplete and this process has stored a
+// point since, or once the last listing is older than relistAfter (1 s),
+// which bounds how long a study written by another process sharing the
+// store directory stays invisible to queries.
 //
 // Results come back as a *core.Results over a synthetic "query" study, so
 // every existing writer (JSON/NDJSON/CSV/HTML dashboard) renders them
@@ -111,10 +112,10 @@ type Index struct {
 	order    []*entry
 	orderFPs string
 
-	// synced is the store manifest generation the last listing started
-	// at, and listed when it started.
-	synced int64
-	listed time.Time
+	// synced and putsSynced are the store's manifest and point
+	// generations the last listing started at, and listed when it started.
+	synced, putsSynced int64
+	listed             time.Time
 
 	queries atomic.Int64
 }
@@ -168,15 +169,19 @@ func (ix *Index) Stats() Stats {
 // studies are loaded (their points replayed from the store — never the
 // engine — and shredded into columns) and previously incomplete studies
 // are retried. It lists the store only when the store's manifest
-// generation moved since the last listing, a manifest is incomplete, or
-// the last listing is older than relistAfter; otherwise it returns at
-// once. So a study saved by this process is visible to the very next
-// Refresh, and one saved by another process sharing the store within
-// relistAfter. It returns the generation after synchronization.
+// generation moved since the last listing, a manifest is incomplete and
+// the store's point generation moved, or the last listing is older than
+// relistAfter; otherwise it returns at once. So a study saved by this
+// process is visible to the very next Refresh, as is an incomplete one
+// whose missing points this process stores, and one saved by another
+// process sharing the store within relistAfter. An incomplete manifest
+// that nothing completes costs one retry per relistAfter, not one per
+// Refresh. It returns the generation after synchronization.
 func (ix *Index) Refresh() int64 {
-	sgen, now := ix.st.StudyGeneration(), time.Now()
+	sgen, pgen, now := ix.st.StudyGeneration(), ix.st.PointGeneration(), time.Now()
 	ix.mu.RLock()
-	if sgen == ix.synced && len(ix.incomplete) == 0 && now.Sub(ix.listed) < relistAfter {
+	if sgen == ix.synced && (len(ix.incomplete) == 0 || pgen == ix.putsSynced) &&
+		now.Sub(ix.listed) < relistAfter {
 		gen := ix.gen
 		ix.mu.RUnlock()
 		return gen
@@ -207,11 +212,11 @@ func (ix *Index) Refresh() int64 {
 		ix.gen++
 		ix.reorder()
 	}
-	// The store generation was read before listing, so this listing holds
-	// every manifest up to it. A concurrent Refresh that listed later may
-	// already have recorded a newer sync; keep that one.
+	// The store generations were read before listing, so this listing
+	// holds every manifest and point up to them. A concurrent Refresh that
+	// listed later may already have recorded a newer sync; keep that one.
 	if now.After(ix.listed) {
-		ix.synced, ix.listed = sgen, now
+		ix.synced, ix.putsSynced, ix.listed = sgen, pgen, now
 	}
 	return ix.gen
 }

@@ -71,6 +71,62 @@ func TestRefreshSkipsUnchangedStore(t *testing.T) {
 	nvsim.ResetMemo()
 }
 
+// TestRefreshRetriesIncompleteOnlyWhenPointsMove checks that an incomplete
+// manifest does not make every Refresh list the store: it is retried when
+// this process stores a point, or once the listing bound expires.
+func TestRefreshRetriesIncompleteOnlyWhenPointsMove(t *testing.T) {
+	setRelistAfter(t, time.Hour)
+	nvsim.ResetMemo()
+	cfs := &countingFS{FS: store.DiskFS}
+	st, err := store.OpenFS(t.TempDir(), cfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A manifest whose points are not in this store (an interrupted run).
+	scratch, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := runStudy(t, scratch, alphaConfig)
+	if err := st.SaveStudy(rec); err != nil {
+		t.Fatal(err)
+	}
+	ix := New(st)
+	g1 := ix.Refresh()
+	if s := ix.Stats(); s.Incomplete != 1 || s.Studies != 0 {
+		t.Fatalf("stats = %+v, want one incomplete study", s)
+	}
+
+	cfs.studyLists.Store(0)
+	_, misses := st.Stats()
+	for i := 0; i < 100; i++ {
+		if g := ix.Refresh(); g != g1 {
+			t.Fatalf("unchanged refresh moved the generation %d -> %d", g1, g)
+		}
+	}
+	if n := cfs.studyLists.Load(); n != 0 {
+		t.Fatalf("100 refreshes with one incomplete manifest listed studies/ %d times, want 0", n)
+	}
+	if _, m := st.Stats(); m != misses {
+		t.Fatalf("100 refreshes probed the store for missing points: misses %d -> %d", misses, m)
+	}
+
+	// Storing the missing points in-process completes the study on the
+	// next Refresh, though the re-saved manifest is equal and moves no
+	// manifest generation.
+	runStudy(t, st, alphaConfig)
+	if err := st.SaveStudy(rec); err != nil {
+		t.Fatal(err)
+	}
+	if g := ix.Refresh(); g <= g1 {
+		t.Fatalf("completing the study did not move the generation (%d -> %d)", g1, g)
+	}
+	if _, err := ix.Query(Request{Studies: []string{rec.Fingerprint}}); err != nil {
+		t.Fatalf("completed study not queryable after one Refresh: %v", err)
+	}
+	nvsim.ResetMemo()
+}
+
 func TestRefreshSeesOutOfProcessWriter(t *testing.T) {
 	setRelistAfter(t, time.Hour)
 	nvsim.ResetMemo()

@@ -119,6 +119,9 @@ type Store struct {
 	studiesMem map[string]studyMirror
 	studyGen   atomic.Int64
 
+	// puts counts Put calls (PointGeneration).
+	puts atomic.Int64
+
 	hits, misses atomic.Int64
 }
 
@@ -282,7 +285,14 @@ func (s *Store) Put(key string, pt core.CachedPoint) {
 	}
 	s.mu.Unlock()
 	_ = s.backend.WritePoint(key, pt)
+	s.puts.Add(1)
 }
+
+// PointGeneration counts Put calls. It moves whenever this process stores
+// a point, so a reader that found a study's points missing knows when a
+// retry might succeed; points written by another process sharing the
+// backend do not move it.
+func (s *Store) PointGeneration() int64 { return s.puts.Load() }
 
 // SaveMemo snapshots the engine's memo cache into the backend (an atomic
 // replace of DIR/memo.gob locally; a PUT /v1/store/memo remotely), so the

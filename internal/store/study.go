@@ -1,10 +1,8 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
-	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -68,28 +66,6 @@ type studyMirror struct {
 	durable bool
 }
 
-// sameStudy reports whether two manifests record the same study. An
-// adaptive run's telemetry (cache hits, characterizations) differs between
-// a cold and a warm run of one study, and no reader uses it, so it is not
-// compared.
-func sameStudy(a, b StudyRecord) bool {
-	if a.Version != b.Version || a.Fingerprint != b.Fingerprint || a.Name != b.Name ||
-		a.Points != b.Points || !bytes.Equal(a.Config, b.Config) ||
-		(a.Exploration == nil) != (b.Exploration == nil) {
-		return false
-	}
-	if a.Exploration == nil {
-		return true
-	}
-	x, y := *a.Exploration, *b.Exploration
-	if !slices.Equal(x.Indices, y.Indices) {
-		return false
-	}
-	x.CacheHits, x.Characterizations, x.Indices = 0, 0, nil
-	y.CacheHits, y.Characterizations, y.Indices = 0, 0, nil
-	return reflect.DeepEqual(x, y)
-}
-
 // SaveStudy records a completed study's manifest, write-through to memory
 // and the backend. Saving a record equal to one the backend already holds
 // writes nothing and leaves StudyGeneration alone, so a warm re-run costs
@@ -103,7 +79,7 @@ func (s *Store) SaveStudy(rec StudyRecord) error {
 	rec.Version = studyVersion
 	s.studiesMu.Lock()
 	old, had := s.studiesMem[rec.Fingerprint]
-	same := had && sameStudy(old.rec, rec)
+	same := had && reflect.DeepEqual(old.rec, rec)
 	if same && old.durable {
 		s.studiesMu.Unlock()
 		return nil
@@ -116,7 +92,7 @@ func (s *Store) SaveStudy(rec StudyRecord) error {
 	err := s.backend.WriteStudy(rec)
 	if err == nil {
 		s.studiesMu.Lock()
-		if m := s.studiesMem[rec.Fingerprint]; sameStudy(m.rec, rec) {
+		if m := s.studiesMem[rec.Fingerprint]; reflect.DeepEqual(m.rec, rec) {
 			m.durable = true
 			s.studiesMem[rec.Fingerprint] = m
 		}

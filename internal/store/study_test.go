@@ -281,10 +281,6 @@ func TestSaveStudySkipsEqualRecord(t *testing.T) {
 	}
 	save(rec, 1, 1)
 	save(rec, 1, 1)
-	// A warm re-run of an adaptive study differs only in run telemetry.
-	warm := rec
-	warm.Exploration = &core.Exploration{Mode: "adaptive", Indices: []int{0, 2}, CacheHits: 3}
-	save(warm, 1, 1)
 	// A different record is written and moves the generation.
 	changed := rec
 	changed.Points++
