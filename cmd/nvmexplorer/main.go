@@ -137,11 +137,13 @@ func usageError() error {
                                              studies for -grace
   nvmexplorer exp <id> [-out dir]            regenerate a paper experiment
   nvmexplorer fsck <store-dir> [-repair]     verify a study store: checksum every
-                                             record (points, studies, job journal,
-                                             shard and sync records) and the memo
-                                             snapshot; -repair quarantines corrupt
-                                             files into .corrupt/ and upgrades v1
-                                             pre-checksum points
+                                             record (points, studies, job journal)
+                                             and the memo snapshot, and count the
+                                             shard and sync files older versions
+                                             left as legacy; -repair quarantines
+                                             corrupt files into .corrupt/, upgrades
+                                             v1 pre-checksum points and removes
+                                             legacy files
   nvmexplorer list                           list experiments
   nvmexplorer cells                          print the cell database
   nvmexplorer validate                       tentpole-vs-published-array validation`)
@@ -420,7 +422,7 @@ func runServe(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	jobs := fs.Int("jobs", 0, "max concurrent studies (0 = GOMAXPROCS)")
 	workers := fs.Int("workers", 0,
-		"worker-pool size per study when the config doesn't set one (0 = GOMAXPROCS/jobs)")
+		"worker-pool size per study, and the cap on a config's own workers (0 = GOMAXPROCS/jobs)")
 	grace := fs.Duration("grace", 30*time.Second,
 		"how long to let in-flight studies drain on SIGINT/SIGTERM before exiting")
 	storeDir := fs.String("store", "",
@@ -444,8 +446,6 @@ func runServe(args []string) error {
 		"coordinator only: seed for the breaker backoff jitter (deterministic retry schedules)")
 	fs.DurationVar(&fo.Rehandshake, "rehandshake", 15*time.Second,
 		"coordinator only: background re-handshake interval, so revived workers rejoin the ring between studies (0 = only at each study)")
-	fs.DurationVar(&fo.AntiEntropy, "anti-entropy", 0,
-		"coordinator only: background store-reconciliation interval against live workers (POST /v1/store/diff), so coordinator and worker stores converge after partitions (0 = disabled)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -529,7 +529,7 @@ func runServe(args []string) error {
 func runFsck(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("fsck", flag.ContinueOnError)
 	repair := fs.Bool("repair", false,
-		"quarantine corrupt files into .corrupt/, upgrade v1 pre-checksum point files (the live store reads them as misses), and remove orphan journal progress and shard files; unknown-version records stay in place")
+		"quarantine corrupt files into .corrupt/, upgrade v1 pre-checksum point files (the live store reads them as misses), and remove orphan journal progress files and legacy shard and sync files; unknown-version records stay in place")
 	dir, err := parseMixed(fs, args)
 	if err != nil {
 		return fmt.Errorf("fsck needs exactly one store directory: %w", err)

@@ -32,12 +32,12 @@
 // without coordinator restarts and a flapping one is probed ever more
 // lazily.
 //
-// A shard writes no points to a worker's store, so workers running with
-// their own persistent stores hold only what they computed for studies of
-// their own; the anti-entropy pass (AntiEntropy, also on a Start ticker)
-// exchanges point-key digests over POST /v1/store/diff and ships the
-// differing records both ways until coordinator and workers converge to
-// identical point-key sets.
+// A shard reads and writes no store on the worker, so a worker running
+// with its own persistent store holds only what it computed for studies of
+// its own; nothing reconciles it with the coordinator's store. A resumed
+// coordinator needs no record of its earlier fan-out either: the store
+// probe leaves only the still-missing points pending, and the ring assigns
+// them again.
 package fabric
 
 import (
@@ -47,7 +47,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"maps"
 	"net/http"
 	"slices"
 	"sort"
@@ -86,8 +85,8 @@ const (
 
 // Options tunes a Pool's resilience machinery. The zero value of every
 // field selects a sensible default; zero HedgeAfter disables hedging and
-// zero Rehandshake/AntiEntropy disable the respective background tickers
-// (Prefill still re-handshakes inline, as it always has).
+// zero Rehandshake disables the background re-handshake ticker (Prefill
+// still re-handshakes inline, as it always has).
 type Options struct {
 	// Client issues every worker request. nil uses a default with the
 	// shard timeout; tests inject fault-wrapped clients.
@@ -105,9 +104,6 @@ type Options struct {
 	// Rehandshake, when positive, re-probes open breakers on a background
 	// ticker so revived workers rejoin between prefills.
 	Rehandshake time.Duration
-	// AntiEntropy, when positive, runs a reconciliation pass against every
-	// usable worker on a background ticker.
-	AntiEntropy time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -129,10 +125,9 @@ type Stats struct {
 	Workers int `json:"workers"` // configured worker processes
 	Live    int `json:"live"`    // workers with a closed breaker
 
-	Shards        int64 `json:"shards"`         // shard requests fanned out
-	RemoteHits    int64 `json:"remote_hits"`    // points whose configs workers characterized
-	RemoteMisses  int64 `json:"remote_misses"`  // points that fell back to local execution
-	ResumedShards int64 `json:"resumed_shards"` // shard assignments re-fanned out after a resume
+	Shards       int64 `json:"shards"`        // shard requests fanned out
+	RemoteHits   int64 `json:"remote_hits"`   // points whose configs workers characterized
+	RemoteMisses int64 `json:"remote_misses"` // points that fell back to local execution
 
 	BreakerOpen   int   `json:"breaker_open"`   // workers with an open or half-open breaker (gauge)
 	BreakerTrips  int64 `json:"breaker_trips"`  // breaker transitions to open
@@ -143,10 +138,6 @@ type Stats struct {
 	Hedges     int64 `json:"hedges"`      // hedge requests launched
 	HedgesWon  int64 `json:"hedges_won"`  // shards resolved by the hedge copy
 	HedgesLost int64 `json:"hedges_lost"` // shards resolved by another copy after hedging
-
-	AntiEntropyRuns   int64 `json:"anti_entropy_runs"`   // reconciliation passes completed
-	AntiEntropyPulled int64 `json:"anti_entropy_pulled"` // points pulled from workers
-	AntiEntropyPushed int64 `json:"anti_entropy_pushed"` // points pushed to workers
 }
 
 // worker is one configured peer behind its circuit breaker.
@@ -166,7 +157,6 @@ type Pool struct {
 	shards        atomic.Int64
 	remoteHits    atomic.Int64
 	remoteMisses  atomic.Int64
-	resumedShards atomic.Int64
 	breakerTrips  atomic.Int64
 	breakerResets atomic.Int64
 	shardRetries  atomic.Int64
@@ -174,9 +164,6 @@ type Pool struct {
 	hedges        atomic.Int64
 	hedgesWon     atomic.Int64
 	hedgesLost    atomic.Int64
-	aeRuns        atomic.Int64
-	aePulled      atomic.Int64
-	aePushed      atomic.Int64
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -213,26 +200,18 @@ func NewPoolOptions(urls []string, opts Options) *Pool {
 	return p
 }
 
-// Start launches the pool's background loops: the re-handshake ticker
-// (revived workers rejoin the ring between prefills) and the anti-entropy
-// ticker (worker and coordinator stores converge between partitions).
-// Either is disabled by a zero interval; st may be nil when only
-// re-handshaking is wanted. Stop (or Close) ends both.
-func (p *Pool) Start(st *store.Store) {
-	if len(p.workers) == 0 {
-		return
-	}
-	if d := p.opts.Rehandshake; d > 0 {
+// Start launches the pool's re-handshake ticker, so revived workers rejoin
+// the ring between prefills; a zero Options.Rehandshake disables it. The
+// store parameter is unused and kept so existing callers still compile.
+// Stop ends the ticker.
+func (p *Pool) Start(_ *store.Store) {
+	if d := p.opts.Rehandshake; d > 0 && len(p.workers) > 0 {
 		p.bg.Add(1)
-		go p.tick(d, func(ctx context.Context) { p.refresh(ctx) })
-	}
-	if d := p.opts.AntiEntropy; d > 0 && st != nil {
-		p.bg.Add(1)
-		go p.tick(d, func(ctx context.Context) { p.AntiEntropy(ctx, st) })
+		go p.tick(d, p.refresh)
 	}
 }
 
-// Stop ends the background loops and waits for them to drain.
+// Stop ends the background loop and waits for it to drain.
 func (p *Pool) Stop() {
 	p.stopOnce.Do(func() { close(p.stop) })
 	p.bg.Wait()
@@ -265,23 +244,19 @@ func (p *Pool) Live() int { return len(p.usable()) }
 func (p *Pool) Snapshot() Stats {
 	live := p.Live()
 	return Stats{
-		Workers:           len(p.workers),
-		Live:              live,
-		BreakerOpen:       len(p.workers) - live,
-		Shards:            p.shards.Load(),
-		RemoteHits:        p.remoteHits.Load(),
-		RemoteMisses:      p.remoteMisses.Load(),
-		ResumedShards:     p.resumedShards.Load(),
-		BreakerTrips:      p.breakerTrips.Load(),
-		BreakerResets:     p.breakerResets.Load(),
-		ShardRetries:      p.shardRetries.Load(),
-		Resharded:         p.resharded.Load(),
-		Hedges:            p.hedges.Load(),
-		HedgesWon:         p.hedgesWon.Load(),
-		HedgesLost:        p.hedgesLost.Load(),
-		AntiEntropyRuns:   p.aeRuns.Load(),
-		AntiEntropyPulled: p.aePulled.Load(),
-		AntiEntropyPushed: p.aePushed.Load(),
+		Workers:       len(p.workers),
+		Live:          live,
+		BreakerOpen:   len(p.workers) - live,
+		Shards:        p.shards.Load(),
+		RemoteHits:    p.remoteHits.Load(),
+		RemoteMisses:  p.remoteMisses.Load(),
+		BreakerTrips:  p.breakerTrips.Load(),
+		BreakerResets: p.breakerResets.Load(),
+		ShardRetries:  p.shardRetries.Load(),
+		Resharded:     p.resharded.Load(),
+		Hedges:        p.hedges.Load(),
+		HedgesWon:     p.hedgesWon.Load(),
+		HedgesLost:    p.hedgesLost.Load(),
 	}
 }
 
@@ -369,17 +344,15 @@ func (p *Pool) find(url string) *worker {
 // st lacks) on the worker fleet and hands the checked outcomes to the study
 // (core.Study.Adopt), so its run evaluates and stores every point itself.
 // cfg is the study's effective sweep configuration (JSON) — what workers
-// rebuild the study from. jobID, when non-empty, journals the shard
-// assignment through the store's crash-safe journal under that async
-// job's ID; a coordinator that died mid-fan-out finds the record on resume
-// and counts the re-fanned shards.
+// rebuild the study from. The last parameter is unused; it is kept so
+// existing callers still compile.
 //
 // Pending points are grouped into one shard per ring owner, and each shard
 // walks its owner list (see route). Prefill never fails a study: whatever
 // no worker served is characterized by the run itself. Once ctx ends the
 // coordinator gave up, not the workers: nothing more feeds a breaker,
 // counts a miss, or logs.
-func (p *Pool) Prefill(ctx context.Context, study *core.Study, cfg []byte, st *store.Store, jobID string) {
+func (p *Pool) Prefill(ctx context.Context, study *core.Study, cfg []byte, st *store.Store, _ string) {
 	if st == nil || len(cfg) == 0 || len(p.workers) == 0 {
 		return
 	}
@@ -423,23 +396,6 @@ func (p *Pool) Prefill(ctx context.Context, study *core.Study, cfg []byte, st *s
 	for _, i := range pending {
 		owner := ring.owner(study.CharacterizationKey(specs[i]))
 		assign[owner] = append(assign[owner], i)
-	}
-	if jobID != "" {
-		// A surviving .shards record means a previous incarnation of this
-		// coordinator already fanned this job out: these shards are resumed,
-		// not new. The fresh record then replaces the old one — the
-		// assignment is deterministic, so it differs only if the live worker
-		// set changed.
-		if _, ok := st.LoadShards(jobID); ok {
-			p.resumedShards.Add(int64(len(assign)))
-		}
-		rec := store.ShardRecord{ID: jobID, Fingerprint: fp}
-		for _, url := range slices.Sorted(maps.Keys(assign)) {
-			rec.Assigns = append(rec.Assigns, store.ShardAssign{Worker: url, Indices: assign[url]})
-		}
-		if err := st.JournalShards(rec); err != nil {
-			log.Printf("fabric: journaling shards of %s: %v", jobID, err)
-		}
 	}
 	var (
 		wg sync.WaitGroup
@@ -591,8 +547,8 @@ func (p *Pool) runShard(ctx context.Context, url, fp string, cfg []byte, indices
 
 // The consistent-hash ring: 64 virtual nodes per worker on a 64-bit
 // FNV-1a circle. Deterministic in the worker set — same live workers,
-// same assignment — which both the shard journal's resume semantics and
-// the "no config characterized twice" guarantee rely on.
+// same assignment — which the "no config characterized twice" guarantee
+// relies on.
 
 const vnodes = 64
 

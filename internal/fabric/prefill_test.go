@@ -398,61 +398,6 @@ func TestFabricPrefillShipsFailedConfigs(t *testing.T) {
 	}
 }
 
-func TestFabricPrefillJournalsShardsAndCountsResume(t *testing.T) {
-	nvsim.ResetMemo()
-	worker := newShardWorker(t)
-	ts := httptest.NewServer(worker)
-	defer ts.Close()
-
-	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	study := prefillStudy()
-	fp, err := study.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// First fan-out of this job: journaled, but nothing to resume.
-	p := NewPool([]string{ts.URL}, nil)
-	p.Prefill(context.Background(), study, []byte(`{}`), st, "job-42")
-	if s := p.Snapshot(); s.ResumedShards != 0 {
-		t.Fatalf("fresh fan-out counted resumed shards: %+v", s)
-	}
-	rec, ok := st.LoadShards("job-42")
-	if !ok {
-		t.Fatal("prefill left no shard journal record")
-	}
-	if rec.ID != "job-42" || rec.Fingerprint != fp {
-		t.Fatalf("journaled record %+v, want ID job-42 / fingerprint %s", rec, fp)
-	}
-	if len(rec.Assigns) != 1 || rec.Assigns[0].Worker != ts.URL {
-		t.Fatalf("journaled assignment %+v, want one shard on %s", rec.Assigns, ts.URL)
-	}
-
-	// A surviving record plus missing points is the crash signature: the
-	// re-fanned shards count as resumed. (Wipe the store but keep the
-	// journal, as a coordinator that died before any point landed would.)
-	st2, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.JournalShards(rec); err != nil {
-		t.Fatal(err)
-	}
-	p2 := NewPool([]string{ts.URL}, nil)
-	p2.Prefill(context.Background(), study, []byte(`{}`), st2, "job-42")
-	s := p2.Snapshot()
-	if s.ResumedShards == 0 {
-		t.Fatalf("resume not counted: %+v", s)
-	}
-	if s.RemoteHits == 0 {
-		t.Fatalf("resumed fan-out merged nothing: %+v", s)
-	}
-}
-
 // TestFabricPrefillDeadlineSparesWorkers: the coordinator's own deadline
 // or cancellation is not a worker failure. A prefill that gives up before
 // its handshake or while its shards are in flight trips no breaker,

@@ -37,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -634,7 +633,7 @@ func (ix *Index) Query(req Request) (*Response, error) {
 		res.Metrics = append(res.Metrics, *m)
 		// Arrays back the dashboard's characterized-arrays table: keep each
 		// distinct array once, in first-appearance order.
-		if n := len(res.Arrays); n == 0 || !reflect.DeepEqual(res.Arrays[n-1], m.Array) {
+		if n := len(res.Arrays); n == 0 || res.Arrays[n-1] != m.Array {
 			res.Arrays = append(res.Arrays, m.Array)
 		}
 	}

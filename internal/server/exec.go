@@ -98,15 +98,22 @@ type execution struct {
 	// shard, when set, runs instead of the study: the fabric worker's
 	// slice, with no prefill, frontier, or manifest, and an empty result.
 	shard func(ctx context.Context, study *core.Study) error
-	// jobID journals the fabric prefill's shard assignment under an async
-	// job, so a resumed coordinator recognizes its own fan-out.
-	jobID string
 	// start runs once the slot is held, emit receives each completed grid
 	// point, and render answers the result; each may be nil. A render
 	// error is the renderer's to report: the study counts as failed.
 	start  func()
 	emit   func(core.PointResult) error
 	render func(*core.Results) error
+}
+
+// clampWorkers is the worker-pool size one run gets: the config's own
+// "workers" when it lies in 1..limit, else limit (Options.StudyWorkers), so
+// a request body cannot choose how many goroutines the server starts.
+func clampWorkers(requested, limit int) int {
+	if requested < 1 || requested > limit {
+		return limit
+	}
+	return requested
 }
 
 // execute runs one expanded study through the lifecycle (see the package
@@ -132,9 +139,7 @@ func (s *Server) execute(ctx context.Context, e execution) (*core.Results, *fail
 		defer cancel()
 	}
 	study, what := e.x.Study, "study"
-	if study.Workers == 0 {
-		study.Workers = s.opts.StudyWorkers
-	}
+	study.Workers = clampWorkers(study.Workers, s.opts.StudyWorkers)
 	var res *core.Results
 	var err error
 	if e.shard != nil {
@@ -145,7 +150,7 @@ func (s *Server) execute(ctx context.Context, e execution) (*core.Results, *fail
 		// worker fleet first; the run then evaluates and stores every point
 		// like a local run, so the bytes match at any worker count.
 		if s.fabric != nil {
-			s.fabric.Prefill(runCtx, study, e.x.Config, s.opts.Store, e.jobID)
+			s.fabric.Prefill(runCtx, study, e.x.Config, s.opts.Store, "")
 		}
 		res, err = study.RunStream(runCtx, e.emit)
 		if err == nil {

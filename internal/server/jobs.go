@@ -408,11 +408,6 @@ func (m *jobManager) run(j *job) {
 	}()
 	res, f := m.srv.execute(j.ctx, execution{
 		x: j.x,
-		// The fabric prefill journals its shard assignment under the job's
-		// ID: a coordinator killed mid-fan-out re-journals the same
-		// assignment on resume (the hash ring is deterministic) and counts
-		// it as resumed.
-		jobID: j.id,
 		start: func() {
 			j.setState(JobRunning, nil, nil)
 			if h := testHookJobRunning; h != nil {

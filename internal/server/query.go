@@ -334,18 +334,6 @@ func buildOpenAPI() []byte {
 				"get": map[string]any{"summary": "One study manifest record (enveloped bytes)"},
 				"put": map[string]any{"summary": "Store one study manifest record"},
 			},
-			"/v1/store/diff": map[string]any{
-				"post": map[string]any{
-					"summary":     "Anti-entropy reconciliation: diff a peer's point-address set against this store's",
-					"description": "Body: {protocol, addrs}. Answers {missing, extra, points, digest}: addresses in the request this store lacks (push candidates), addresses this store holds that the request lacks (pull candidates), and this store's own point count and point-key-set digest. 400 version_mismatch on a protocol generation this store doesn't speak.",
-				},
-			},
-			"/v1/store/digest": map[string]any{
-				"get": map[string]any{
-					"summary":     "Point count and SHA-256 digest of the store's point-key set",
-					"description": "{\"points\": N, \"digest\": hex}. Two stores with equal digests hold identical point sets — the anti-entropy convergence probe.",
-				},
-			},
 			"/v1/shard": map[string]any{
 				"post": map[string]any{
 					"summary":     "Characterize a slice of a study's design space (fabric worker protocol)",

@@ -9,6 +9,7 @@ import (
 	iofs "io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -499,5 +500,102 @@ func TestHealthzReportsDegradedStore(t *testing.T) {
 	// And the service still serves studies from memory.
 	if code, _ := post(t, ts, testConfig("degraded", "STT", 1<<21), "json"); code != http.StatusOK {
 		t.Fatalf("degraded study: status %d", code)
+	}
+}
+
+// TestLegacyShardAndSyncFilesAreIgnored: a store written by an older
+// version may hold fabric shard-assignment records (jobs/*.shards) and
+// anti-entropy sync records (sync/*.gob). The live store never opens
+// them — an incomplete job beside them resumes and finishes byte-identical
+// to the batch CLI, and nothing is quarantined. fsck counts them as legacy
+// without calling the store unclean, and fsck -repair removes them.
+func TestLegacyShardAndSyncFilesAreIgnored(t *testing.T) {
+	nvsim.ResetMemo()
+	dir := t.TempDir()
+	cfg := testConfig("legacy-store", "STT", 1<<20)
+	x, err := sweep.Expand([]byte(cfg), sweep.Overrides{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = st.JournalJob(store.JobRecord{ID: "job-1", Fingerprint: x.Fingerprint, Name: "legacy-store",
+		Format: "json", Config: []byte(cfg), Total: x.Points})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Neither file is decoded, so any bytes stand in for the old records.
+	legacy := []string{
+		filepath.Join(dir, "jobs", "job-1.shards"),
+		filepath.Join(dir, "sync", "00000000000000000001-deadbeef.gob"),
+	}
+	for _, path := range legacy {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte("written by an older version"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st, err = store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Options{MaxConcurrentStudies: 2, StudyWorkers: 2, Store: st})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	if n := srv.ResumedJobs(); n != 1 {
+		t.Fatalf("ResumedJobs = %d, want 1", n)
+	}
+	if js := waitState(t, ts, "job-1", JobDone); js.State != JobDone {
+		t.Fatalf("resumed job finished %s (%s), want done", js.State, js.Error)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/job-1/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := batchOutput(t, cfg, "json"); resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("resumed result: status %d, matches batch CLI: %v", resp.StatusCode, bytes.Equal(got, want))
+	}
+	if q := st.Health().Quarantined; q != 0 {
+		t.Fatalf("the live store quarantined %d file(s)", q)
+	}
+	for _, path := range legacy {
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("legacy file disturbed by the live store: %v", err)
+		}
+	}
+
+	rep, err := store.Fsck(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Legacy != 2 || !rep.Clean() {
+		t.Fatalf("fsck: legacy=%d clean=%v, want 2/true: %+v", rep.Legacy, rep.Clean(), rep)
+	}
+	if !strings.Contains(rep.Summary(), "legacy: 2") {
+		t.Fatalf("summary does not report the legacy files:\n%s", rep.Summary())
+	}
+	if rep, err = store.Fsck(dir, true); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Removed != 2 {
+		t.Fatalf("fsck -repair removed %d file(s), want 2", rep.Removed)
+	}
+	for _, path := range legacy {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("fsck -repair left %s in place (%v)", path, err)
+		}
+	}
+	if rep, err = store.Fsck(dir, false); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Legacy != 0 || !rep.Clean() {
+		t.Fatalf("fsck after repair: legacy=%d clean=%v, want 0/true", rep.Legacy, rep.Clean())
 	}
 }

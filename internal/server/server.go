@@ -28,9 +28,6 @@
 //	GET/PUT /v1/store/points/{addr}         the store wire protocol: point records by content
 //	GET/PUT /v1/store/memo                  address, the live memo snapshot, and study records,
 //	GET/PUT /v1/store/studies[/{fp}]        all in the store's own CRC-enveloped byte format
-//	POST /v1/store/diff                     anti-entropy reconciliation: diff a peer's
-//	                                        point-address set against this store's
-//	GET  /v1/store/digest                   point count + digest of this store's point-key set
 //	POST /v1/shard                          characterize a slice of a study's design space
 //	                                        (the fabric worker protocol — see internal/fabric)
 //
@@ -95,9 +92,10 @@ type Options struct {
 	// renders) run at once; further requests wait their turn. 0 means
 	// GOMAXPROCS.
 	MaxConcurrentStudies int
-	// StudyWorkers is the per-study worker-pool size applied when a
-	// configuration doesn't set its own. 0 divides GOMAXPROCS evenly
-	// across MaxConcurrentStudies. Worker count never changes output.
+	// StudyWorkers is the per-study worker-pool size, and the cap on a
+	// configuration's own: a "workers" outside 1..StudyWorkers gets
+	// StudyWorkers. 0 divides GOMAXPROCS evenly across
+	// MaxConcurrentStudies. Worker count never changes output.
 	StudyWorkers int
 	// Store, when non-nil, is attached to every study as its per-point
 	// result cache, so repeated and overlapping studies replay stored
@@ -130,8 +128,8 @@ type Options struct {
 	Workers []string
 	// Fabric tunes the coordinator's worker pool: its HTTP client (chaos
 	// tests inject fault-wrapped transports), hedging, breaker backoff, and
-	// the background re-handshake and anti-entropy tickers (see
-	// fabric.Options). Ignored without Workers.
+	// the background re-handshake ticker (see fabric.Options). Ignored
+	// without Workers.
 	Fabric fabric.Options
 }
 
@@ -240,8 +238,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/store/studies", s.handleStoreStudies)
 	mux.HandleFunc("GET /v1/store/studies/{fingerprint}", s.recordGet("fingerprint", "no study record %s", (*store.Store).ExportStudy))
 	mux.HandleFunc("PUT /v1/store/studies/{fingerprint}", s.recordPut((*store.Store).ImportStudy))
-	mux.HandleFunc("POST /v1/store/diff", s.handleStoreDiff)
-	mux.HandleFunc("GET /v1/store/digest", s.handleStoreDigest)
 	mux.HandleFunc("POST /v1/shard", s.handleShard)
 	mux.HandleFunc("GET /{$}", s.handleIndex)
 	// Everything else gets the API's 404 envelope instead of the mux's
@@ -631,8 +627,9 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 
 // statsSchemaVersion stamps the /v1/stats body. The schema is versioned
 // API surface now: block and field names within a schema version are
-// stable, and removals only happen across a version bump.
-const statsSchemaVersion = "v1"
+// stable, and removals only happen across a version bump. v2 dropped the
+// fabric block's shard-resume and store-reconciliation counters.
+const statsSchemaVersion = "v2"
 
 // Stats is the /v1/stats body.
 type Stats struct {
@@ -777,8 +774,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
   GET  /v1/store/points/{addr}              one point record by content address (PUT to store)
   GET  /v1/store/memo                       live engine memo snapshot (PUT merges one in)
   GET  /v1/store/studies[/{fp}]             stored study records (PUT /{fp} to store)
-  POST /v1/store/diff                       anti-entropy: diff a peer's point-address set against ours
-  GET  /v1/store/digest                     point count + SHA-256 digest of the store's point-key set
   POST /v1/shard                            characterize a slice of a study's design space (fabric worker)
 `)
 }

@@ -47,7 +47,7 @@ func statsKeyPaths(t *testing.T, body io.Reader) ([]string, map[string]any) {
 	return paths, leaves
 }
 
-// TestStatsKeysGolden pins the /v1/stats schema v1 layout: block names,
+// TestStatsKeysGolden pins the /v1/stats schema v2 layout: block names,
 // field names and their wire order, with every optional block (store,
 // fabric, query) attached. Adding, renaming, removing or reordering a key
 // fails here; such changes belong to a new schema version.
@@ -87,7 +87,6 @@ func TestStatsKeysGolden(t *testing.T) {
 		"fabric.shards",
 		"fabric.remote_hits",
 		"fabric.remote_misses",
-		"fabric.resumed_shards",
 		"fabric.breaker_open",
 		"fabric.breaker_trips",
 		"fabric.breaker_resets",
@@ -96,9 +95,6 @@ func TestStatsKeysGolden(t *testing.T) {
 		"fabric.hedges",
 		"fabric.hedges_won",
 		"fabric.hedges_lost",
-		"fabric.anti_entropy_runs",
-		"fabric.anti_entropy_pulled",
-		"fabric.anti_entropy_pushed",
 		"fabric.shards_served",
 		"jobs.in_flight",
 		"jobs.max_concurrent",
@@ -128,8 +124,8 @@ func TestStatsKeysGolden(t *testing.T) {
 	if !reflect.DeepEqual(paths, want) {
 		t.Fatalf("/v1/stats key paths:\n got %q\nwant %q", paths, want)
 	}
-	if v := leaves["schema_version"]; v != "v1" {
-		t.Fatalf("schema_version = %v, want v1", v)
+	if v := leaves["schema_version"]; v != "v2" {
+		t.Fatalf("schema_version = %v, want v2", v)
 	}
 	for _, enabled := range []string{"store.enabled", "fabric.enabled", "query.enabled"} {
 		if leaves[enabled] != true {

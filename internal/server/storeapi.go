@@ -33,8 +33,6 @@ import (
 //	GET  /v1/store/studies              stored study fingerprints
 //	GET  /v1/store/studies/{fp}         one study manifest record
 //	PUT  /v1/store/studies/{fp}         store one study manifest record
-//	POST /v1/store/diff                 anti-entropy: diff a peer's point-address set against ours
-//	GET  /v1/store/digest               point count + digest of the store's point-key set
 //	POST /v1/shard                      characterize a slice of a study's design space
 //
 // Failure semantics mirror the local backend's, mapped onto status codes:
@@ -188,58 +186,6 @@ func (s *Server) handleStoreStudies(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, map[string]any{"fingerprints": st.StudyFingerprints()})
-}
-
-// maxDiffAddrs bounds one diff request's address list: at 64 hex chars
-// per address this caps the body around 300 MB of addresses in theory,
-// but the JSON body itself is capped far lower below; the constant guards
-// the quadratic-ish set work, not the wire.
-const maxDiffAddrs = 1 << 20
-
-// handleStoreDiff answers the anti-entropy protocol: the requester posts
-// its full point-address set and learns which of those records this store
-// lacks ("missing" — the requester should push them) and which records
-// this store holds that the requester doesn't ("extra" — the requester
-// should pull them), plus this store's own point count and digest so the
-// requester can verify convergence without a second round trip.
-func (s *Server) handleStoreDiff(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.storeFor503(w)
-	if !ok {
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRecordBytes))
-	if err != nil {
-		apiError(w, http.StatusBadRequest, codeStoreCorrupt, err)
-		return
-	}
-	var req store.DiffRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		apiError(w, http.StatusBadRequest, codeStoreCorrupt, err)
-		return
-	}
-	if req.Protocol != store.ProtocolVersion {
-		apiError(w, http.StatusBadRequest, codeVersionMismatch,
-			fmt.Errorf("diff speaks protocol %q, this store speaks %q", req.Protocol, store.ProtocolVersion))
-		return
-	}
-	if len(req.Addrs) > maxDiffAddrs {
-		apiError(w, http.StatusBadRequest, codeStoreCorrupt,
-			fmt.Errorf("diff of %d addresses exceeds the %d limit", len(req.Addrs), maxDiffAddrs))
-		return
-	}
-	writeJSON(w, st.Diff(req.Addrs))
-}
-
-// handleStoreDigest reports the store's point count and point-key-set
-// digest — the cheap convergence probe: two stores with equal digests
-// hold identical point sets.
-func (s *Server) handleStoreDigest(w http.ResponseWriter, _ *http.Request) {
-	st, ok := s.storeFor503(w)
-	if !ok {
-		return
-	}
-	count, digest := st.Digest()
-	writeJSON(w, map[string]any{"points": count, "digest": digest})
 }
 
 // handleShard characterizes one slice of a study's design space — the

@@ -51,10 +51,6 @@ type Backend interface {
 	// ExportPoint returns the raw envelope bytes of one record by content
 	// address — the form the /v1/store wire protocol ships.
 	ExportPoint(addrHex string) ([]byte, bool)
-	// PointAddrs lists the content addresses of every durable point record
-	// (anti-entropy diffs; nil for memory and remote backends — the Store
-	// unions in its in-memory index).
-	PointAddrs() []string
 
 	// LoadMemo returns the engine memo snapshot, if one is persisted.
 	LoadMemo() ([]byte, bool)
@@ -125,7 +121,6 @@ func (memBackend) Target() string                            { return "" }
 func (memBackend) ReadPoint(string) (core.CachedPoint, bool) { return core.CachedPoint{}, false }
 func (memBackend) WritePoint(string, core.CachedPoint) error { return nil }
 func (memBackend) ExportPoint(string) ([]byte, bool)         { return nil, false }
-func (memBackend) PointAddrs() []string                      { return nil }
 func (memBackend) LoadMemo() ([]byte, bool)                  { return nil, false }
 func (memBackend) DiscardMemo()                              {}
 func (memBackend) SaveMemo([]byte) error                     { return nil }

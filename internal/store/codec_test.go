@@ -13,11 +13,11 @@ import (
 // record fixtures.
 func FuzzDecodeRecord(f *testing.F) {
 	golden := goldenRecordBytes(f)
-	for i, kind := range []string{"point", "study", "job", "shard", "wire", "sync"} {
+	for i, kind := range []string{"point", "study", "job", "wire"} {
 		f.Add(uint8(i), golden[kind])
 	}
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
-		switch which % 6 {
+		switch which % 4 {
 		case 0:
 			roundTrip(t, pointKind.codec, data)
 		case 1:
@@ -25,11 +25,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		case 2:
 			roundTrip(t, jobKind.codec, data)
 		case 3:
-			roundTrip(t, shardKind.codec, data)
-		case 4:
 			roundTrip(t, shardWire, data)
-		case 5:
-			roundTrip(t, syncKind.codec, data)
 		}
 	})
 }

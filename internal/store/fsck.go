@@ -13,15 +13,16 @@ import (
 )
 
 // Offline store checking and repair, behind `nvmexplorer fsck`. Fsck walks
-// a store directory — point files, the memo snapshot, the job journal,
-// study manifests, shard-assignment and sync records — verifying each file
-// through its kind's codec exactly as the live store does (version,
-// checksum, file name), and in repair mode
+// a store directory — point files, the memo snapshot, the job journal and
+// study manifests — verifying each file through its kind's codec exactly as
+// the live store does (version, checksum, file name), and in repair mode
 // quarantines what is broken and rewrites what is merely stale (legacy
 // pre-checksum point files are upgraded to the current checksummed
-// format). It never touches the live nvsim memo: the memo snapshot is
-// validated structurally, not loaded. Fsck is local-only by construction —
-// a remote store is somebody else's directory; run fsck there.
+// format). Files of record kinds this binary no longer writes are counted
+// as legacy and, in repair mode, removed. It never touches the live nvsim
+// memo: the memo snapshot is validated structurally, not loaded. Fsck is
+// local-only by construction — a remote store is somebody else's
+// directory; run fsck there.
 
 // FsckReport is the result of one store scan.
 type FsckReport struct {
@@ -42,37 +43,31 @@ type FsckReport struct {
 	JobsCorrupt    int `json:"jobs_corrupt"`
 	JobsUnknown    int `json:"jobs_unknown"`    // newer schema than this binary
 	OrphanProgress int `json:"orphan_progress"` // progress files with no job record
-	// OrphanShards counts shard-assignment records with no job record —
-	// what a dead fabric coordinator leaves behind once its job journal is
-	// gone but the fan-out record is not.
-	OrphanShards int `json:"orphan_shards"`
-
-	// Shard-assignment records (DIR/jobs/<id>.shards).
-	ShardsOK      int `json:"shards_ok"`
-	ShardsCorrupt int `json:"shards_corrupt"`
-	ShardsUnknown int `json:"shards_unknown"`
 
 	// Study manifests.
 	StudiesOK      int `json:"studies_ok"`
 	StudiesCorrupt int `json:"studies_corrupt"` // torn, bit-flipped, or misnamed
 	StudiesUnknown int `json:"studies_unknown"` // newer schema than this binary
 
-	// Anti-entropy sync records (DIR/sync/).
-	SyncOK      int `json:"sync_ok"`
-	SyncCorrupt int `json:"sync_corrupt"`
-	SyncUnknown int `json:"sync_unknown"`
+	// Legacy counts files of record kinds older versions wrote and this
+	// one never reads: fabric shard-assignment records (jobs/*.shards) and
+	// anti-entropy sync records (sync/*.gob).
+	Legacy int `json:"legacy"`
 
 	// Repair actions taken (repair mode only).
 	Repaired    int `json:"repaired"`    // legacy points rewritten to the current format
 	Quarantined int `json:"quarantined"` // corrupt files moved to .corrupt/
-	Removed     int `json:"removed"`     // orphan progress/shard files deleted
+	Removed     int `json:"removed"`     // orphan progress and legacy files deleted
 }
+
+// legacyFiles are the layouts of the record kinds counted in Legacy.
+var legacyFiles = []layout{{dir: "jobs", suffix: ".shards"}, {dir: "sync", suffix: ".gob"}}
 
 // Clean reports whether the scan found nothing wrong (legacy-format files
 // are stale, not wrong).
 func (r *FsckReport) Clean() bool {
 	return r.PointsCorrupt == 0 && !r.MemoCorrupt && r.JobsCorrupt == 0 && r.OrphanProgress == 0 &&
-		r.OrphanShards == 0 && r.ShardsCorrupt == 0 && r.StudiesCorrupt == 0 && r.SyncCorrupt == 0
+		r.StudiesCorrupt == 0
 }
 
 // Summary renders the report for terminal output.
@@ -96,18 +91,13 @@ func (r *FsckReport) Summary() string {
 	default:
 		fmt.Fprintf(&b, "memo: snapshot ok (%d entries)\n", r.MemoEntries)
 	}
-	fmt.Fprintf(&b, "journal: %d incomplete job(s), %d corrupt, %d orphan progress file(s), %d orphan shard record(s)",
-		r.JobsIncomplete, r.JobsCorrupt, r.OrphanProgress, r.OrphanShards)
+	fmt.Fprintf(&b, "journal: %d incomplete job(s), %d corrupt, %d orphan progress file(s)",
+		r.JobsIncomplete, r.JobsCorrupt, r.OrphanProgress)
 	unknown(r.JobsUnknown)
-	if r.ShardsOK+r.ShardsCorrupt+r.ShardsUnknown > 0 {
-		fmt.Fprintf(&b, "shards: %d record(s), %d corrupt", r.ShardsOK, r.ShardsCorrupt)
-		unknown(r.ShardsUnknown)
-	}
 	fmt.Fprintf(&b, "studies: %d ok, %d corrupt", r.StudiesOK, r.StudiesCorrupt)
 	unknown(r.StudiesUnknown)
-	if r.SyncOK+r.SyncCorrupt+r.SyncUnknown > 0 {
-		fmt.Fprintf(&b, "sync: %d record(s), %d corrupt", r.SyncOK, r.SyncCorrupt)
-		unknown(r.SyncUnknown)
+	if r.Legacy > 0 {
+		fmt.Fprintf(&b, "legacy: %d shard or sync file(s) from an older version (-repair removes them)\n", r.Legacy)
 	}
 	if r.Repaired+r.Quarantined+r.Removed > 0 {
 		fmt.Fprintf(&b, "repair: %d rewritten, %d quarantined, %d removed\n",
@@ -147,13 +137,11 @@ func FsckFS(dir string, fsys FS, repair bool) (*FsckReport, error) {
 	}
 	lb := newLocalBackend(dir, fsys)
 	rep := &FsckReport{}
-	jobs, shards := map[string]bool{}, map[string]bool{}
+	jobs := map[string]bool{}
 	for _, k := range []fsckKind{
 		{pointKind.layout, pointKind.check, &rep.PointsOK, &rep.PointsCorrupt, &rep.PointsUnknown, nil, upgradeV1Point},
 		{studyKind.layout, studyKind.check, &rep.StudiesOK, &rep.StudiesCorrupt, &rep.StudiesUnknown, nil, nil},
 		{jobKind.layout, jobKind.check, &rep.JobsIncomplete, &rep.JobsCorrupt, &rep.JobsUnknown, jobs, nil},
-		{shardKind.layout, shardKind.check, &rep.ShardsOK, &rep.ShardsCorrupt, &rep.ShardsUnknown, shards, nil},
-		{syncKind.layout, syncKind.check, &rep.SyncOK, &rep.SyncCorrupt, &rep.SyncUnknown, nil, nil},
 	} {
 		if err := lb.fsckScan(k, rep, repair); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
@@ -162,8 +150,13 @@ func FsckFS(dir string, fsys FS, repair bool) (*FsckReport, error) {
 	if err := lb.fsckMemo(rep, repair); err != nil {
 		return nil, err
 	}
-	if err := lb.fsckOrphans(rep, jobs, shards, repair); err != nil {
+	if err := lb.fsckOrphans(rep, jobs, repair); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
+	}
+	for _, l := range legacyFiles {
+		if err := lb.scanDir(l, func(path, _ string) { rep.Legacy++; lb.fsckRemove(rep, path, repair) }); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
 	}
 	rep.Quarantined = int(lb.h.quarantined.Load())
 	return rep, nil
@@ -261,28 +254,23 @@ func (lb *localBackend) fsckMemo(rep *FsckReport, repair bool) error {
 	return nil
 }
 
-// fsckOrphans finds the job-side files no job record owns: progress files
-// and (non-corrupt) shard-assignment records whose job is gone — what a
+// fsckOrphans finds the progress files no job record owns — what a
 // coordinator that died mid-cleanup leaves behind, or what a quarantined
 // job record strands. Nothing will ever resume them; repair removes them.
-// A job record of an unknown version still owns its files.
-func (lb *localBackend) fsckOrphans(rep *FsckReport, jobs, shards map[string]bool, repair bool) error {
-	for id := range shards {
-		if jobs[id] {
-			continue
-		}
-		rep.OrphanShards++
-		if repair && lb.fs.Remove(shardKind.path(lb.dir, id)) == nil {
-			rep.Removed++
-		}
-	}
+// A job record of an unknown version still owns its progress file.
+func (lb *localBackend) fsckOrphans(rep *FsckReport, jobs map[string]bool, repair bool) error {
 	return lb.scanDir(progressFiles, func(path, name string) {
 		if jobs[name] {
 			return
 		}
 		rep.OrphanProgress++
-		if repair && lb.fs.Remove(path) == nil {
-			rep.Removed++
-		}
+		lb.fsckRemove(rep, path, repair)
 	})
+}
+
+// fsckRemove deletes one file in repair mode, counting it as removed.
+func (lb *localBackend) fsckRemove(rep *FsckReport, path string, repair bool) {
+	if repair && lb.fs.Remove(path) == nil {
+		rep.Removed++
+	}
 }

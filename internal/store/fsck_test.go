@@ -218,44 +218,3 @@ func TestFsckRejectsMissingStore(t *testing.T) {
 		t.Fatal("fsck of a nonexistent directory succeeded")
 	}
 }
-
-func TestFsckReportsOrphanShardRecords(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A dead coordinator's leftover: a shard fan-out record whose job
-	// journal entry is gone.
-	err = st.JournalShards(ShardRecord{
-		ID: "job-dead", Fingerprint: "fp",
-		Assigns: []ShardAssign{{Worker: "http://w1", Indices: []int{0, 1}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := Fsck(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Clean() {
-		t.Fatal("orphan shard record reported clean")
-	}
-	if rep.OrphanShards != 1 {
-		t.Fatalf("OrphanShards = %d, want 1", rep.OrphanShards)
-	}
-
-	if rep, err = Fsck(dir, true); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Removed == 0 {
-		t.Fatalf("repair removed nothing: %+v", rep)
-	}
-	if rep, err = Fsck(dir, false); err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() || rep.OrphanShards != 0 {
-		t.Fatalf("store still dirty after repair: %+v", rep)
-	}
-}

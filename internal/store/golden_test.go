@@ -25,17 +25,12 @@ var (
 		Config: []byte(`{"name":"golden"}`), ParetoSet: true, Pareto: []string{"area_mm2"},
 		ModeSet: true, Mode: "adaptive", BudgetSet: true, Budget: 8, SeedSet: true, Seed: 3, Total: 12,
 	}
-	goldenShard = ShardRecord{
-		ID: "job-42", Fingerprint: "fp-golden",
-		Assigns: []ShardAssign{{Worker: "http://w1:8081", Indices: []int{0, 2}}, {Worker: "http://w2:8082", Indices: []int{1}}},
-	}
 	goldenWire = []core.Characterization{
 		{Config: nvsim.Config{CapacityBytes: 1 << 20, WordBits: 64, MaxAreaMM2: 2},
 			Arrays: []nvsim.Result{{CapacityBytes: 1 << 20, WordBits: 64, Target: nvsim.OptArea}}},
 		{Config: nvsim.Config{CapacityBytes: 2 << 20, MaxReadLatencyNS: 1},
 			Errs: []string{"nvsim: constraints exclude every organization"}},
 	}
-	goldenSync = SyncRecord{Peer: "http://w1:8081", Pulled: 2, Pushed: 1, Unix: 1700000000}
 )
 
 // goldenRecordBytes writes each golden record through the store's public
@@ -55,12 +50,6 @@ func goldenRecordBytes(t testing.TB) map[string][]byte {
 	if err := st.JournalJob(goldenJob); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.JournalShards(goldenShard); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.RecordSync(goldenSync); err != nil {
-		t.Fatal(err)
-	}
 	read := func(path string) []byte {
 		t.Helper()
 		data, err := os.ReadFile(path)
@@ -68,10 +57,6 @@ func goldenRecordBytes(t testing.TB) map[string][]byte {
 			t.Fatal(err)
 		}
 		return data
-	}
-	syncFiles, err := filepath.Glob(filepath.Join(dir, "sync", "*.gob"))
-	if err != nil || len(syncFiles) != 1 {
-		t.Fatalf("sync records = %v (%v), want exactly one", syncFiles, err)
 	}
 	wire, err := EncodeShard(goldenWire)
 	if err != nil {
@@ -81,9 +66,7 @@ func goldenRecordBytes(t testing.TB) map[string][]byte {
 		"point": read(st.pointPath(addr(goldenPointKey))),
 		"study": read(st.studyPath(goldenStudy.Fingerprint)),
 		"job":   read(filepath.Join(st.jobsDir(), goldenJob.ID+".job")),
-		"shard": read(filepath.Join(st.jobsDir(), goldenShard.ID+".shards")),
 		"wire":  wire,
-		"sync":  read(syncFiles[0]),
 	}
 }
 
@@ -122,9 +105,7 @@ func TestRecordBytesGolden(t *testing.T) {
 		"point": "1fc89dfa842817bc42476564c25977108af3cc6373b7b75900b01e9ddfbe06c0",
 		"study": "310bd5417b1d3ab3aa71da515bd2d23c814dc56cc5382ee56f01224be29370de",
 		"job":   "9fdb41badc73eb4939a02e8d162b6bca6cd425e716f22c0d194e4e6197923db6",
-		"shard": "915442fa180f424123d42355ed9d09f0b7a3104d96b372ebacc8c057d10376be",
-		"wire":  "55a3d37af2649dad5285d94b4eaa614edbcf8f0f4a4f7004217407f009219a33",
-		"sync":  "ef186d42885e766c3620f169d8237420224451f6d2f128baf469c10ca036f6bf",
+		"wire":  "1840532d1c60dd9b8660824202b443acd9af78653a94cca3eb90ef2b1062a03f",
 	}
 	for kind, sum := range want {
 		if got[kind] != sum {

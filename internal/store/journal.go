@@ -111,8 +111,7 @@ func (s *Store) JournalPoint(id string, index int) {
 // JournalDone removes a job's journal once it reaches a terminal state
 // (done, failed, or deliberately canceled) — terminal jobs must not be
 // re-adopted on restart. Best-effort; a leftover journal only costs a
-// redundant (store-warm) replay. The job's shard-assignment record
-// (shards.go), if any, goes with it.
+// redundant (store-warm) replay.
 func (s *Store) JournalDone(id string) {
 	if !s.journalEnabled() {
 		return
@@ -120,7 +119,6 @@ func (s *Store) JournalDone(id string) {
 	lb := s.local
 	_ = lb.fs.Remove(jobKind.path(lb.dir, id))
 	_ = lb.fs.Remove(lb.progressPath(id))
-	_ = lb.fs.Remove(shardKind.path(lb.dir, id))
 }
 
 // IncompleteJobs replays the journal: every job record left on disk, in

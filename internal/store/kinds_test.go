@@ -24,14 +24,11 @@ type faultKind struct {
 	// records it serves, trying both the record's own identity and the
 	// misplaced copy's.
 	served func(st *Store) int
-	// liveQuarantine: the live read quarantines corrupt files (sync
-	// readers only skip them; fsck repairs them).
-	liveQuarantine bool
 }
 
 var faultKinds = []faultKind{
 	{
-		report: "points", okKey: "points_ok", liveQuarantine: true,
+		report: "points", okKey: "points_ok",
 		write: func(t *testing.T, st *Store) (string, string) {
 			st.Put("fault-key", core.CachedPoint{Skipped: []string{"f"}})
 			return st.pointPath(addr("fault-key")), st.pointPath(addr("fault-elsewhere"))
@@ -47,7 +44,7 @@ var faultKinds = []faultKind{
 		},
 	},
 	{
-		report: "studies", okKey: "studies_ok", liveQuarantine: true,
+		report: "studies", okKey: "studies_ok",
 		write: func(t *testing.T, st *Store) (string, string) {
 			if err := st.SaveStudy(StudyRecord{Fingerprint: "fp-fault", Name: "fault", Points: 1}); err != nil {
 				t.Fatal(err)
@@ -57,7 +54,7 @@ var faultKinds = []faultKind{
 		served: func(st *Store) int { return len(st.ListStudies()) },
 	},
 	{
-		report: "jobs", okKey: "jobs_incomplete", liveQuarantine: true,
+		report: "jobs", okKey: "jobs_incomplete",
 		write: func(t *testing.T, st *Store) (string, string) {
 			if err := st.JournalJob(JobRecord{ID: "job-1", Total: 2}); err != nil {
 				t.Fatal(err)
@@ -66,42 +63,6 @@ var faultKinds = []faultKind{
 			return filepath.Join(st.jobsDir(), "job-1.job"), filepath.Join(st.jobsDir(), "job-5.job")
 		},
 		served: func(st *Store) int { return len(st.IncompleteJobs()) },
-	},
-	{
-		report: "shards", okKey: "shards_ok", liveQuarantine: true,
-		write: func(t *testing.T, st *Store) (string, string) {
-			// The record's job is live, so it is no orphan.
-			if err := st.JournalJob(JobRecord{ID: "job-1", Total: 2}); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.JournalShards(testShardRecord("job-1")); err != nil {
-				t.Fatal(err)
-			}
-			return filepath.Join(st.jobsDir(), "job-1.shards"), filepath.Join(st.jobsDir(), "job-5.shards")
-		},
-		served: func(st *Store) int {
-			n := 0
-			for _, id := range []string{"job-1", "job-5"} {
-				if _, ok := st.LoadShards(id); ok {
-					n++
-				}
-			}
-			return n
-		},
-	},
-	{
-		report: "sync", okKey: "sync_ok",
-		write: func(t *testing.T, st *Store) (string, string) {
-			if err := st.RecordSync(SyncRecord{Peer: "http://w1:8080", Pulled: 1, Unix: 100}); err != nil {
-				t.Fatal(err)
-			}
-			paths, err := filepath.Glob(filepath.Join(st.Dir(), "sync", "*.gob"))
-			if err != nil || len(paths) != 1 {
-				t.Fatalf("sync records = %v (%v), want one", paths, err)
-			}
-			return paths[0], filepath.Join(st.Dir(), "sync", "00000000000000000200-deadbeef.gob")
-		},
-		served: func(st *Store) int { return len(st.SyncRecords()) },
 	},
 }
 
@@ -198,8 +159,8 @@ func reportCounts(t *testing.T, rep *FsckReport) map[string]float64 {
 //	unknown    miss, left in place  unknown, clean      left in place
 //	misplaced  only the original    ok + corrupt        copy quarantined
 //
-// Sync readers skip instead of quarantining. A job record's progress file
-// stays owned by the job unless the record itself is corrupt.
+// A job record's progress file stays owned by the job unless the record
+// itself is corrupt.
 func TestRecordKindsFaultTable(t *testing.T) {
 	for _, k := range faultKinds {
 		for _, f := range faults {
@@ -231,17 +192,17 @@ func TestRecordKindsFaultTable(t *testing.T) {
 					t.Errorf("live read served %d record(s), want %d", got, wantServed)
 				}
 				wantQ := 0
-				if bad && k.liveQuarantine {
+				if bad {
 					wantQ = 1
 				}
 				if q := st.Health().Quarantined; q != int64(wantQ) {
 					t.Errorf("live read quarantined %d file(s), want %d", q, wantQ)
 				}
-				if corrupt && k.liveQuarantine == exists(path) {
-					t.Errorf("corrupt file in place after live read: %v, want %v", exists(path), !k.liveQuarantine)
+				if corrupt && exists(path) {
+					t.Error("corrupt file left in place by the live read")
 				}
-				if f.name == "misplaced" && k.liveQuarantine == exists(misplaced) {
-					t.Errorf("misplaced copy in place after live read: %v, want %v", exists(misplaced), !k.liveQuarantine)
+				if f.name == "misplaced" && exists(misplaced) {
+					t.Error("misplaced copy left in place by the live read")
 				}
 				if f.name == "unknown" && !exists(path) {
 					t.Error("unknown-version file not left in place by the live read")
@@ -267,7 +228,7 @@ func TestRecordKindsFaultTable(t *testing.T) {
 				if k.report == "jobs" && corrupt {
 					wantOrphans = 1 // the corrupt job's progress file
 				}
-				want["orphan_progress"], want["orphan_shards"] = wantOrphans, 0
+				want["orphan_progress"], want["legacy"] = wantOrphans, 0
 				for key, v := range want {
 					if got[key] != v {
 						t.Errorf("fsck %s = %v, want %v", key, got[key], v)

@@ -134,19 +134,6 @@ func (lb *localBackend) DiscardMemo() {
 	lb.quarantine(lb.memoPath())
 }
 
-// PointAddrs walks DIR/points/<2hex>/ and lists every record's content
-// address (the filename without extension). Unreadable directories read as
-// empty: anti-entropy treats an ailing disk like a store with no points,
-// and the degradation tracker catches persistent failures elsewhere.
-func (lb *localBackend) PointAddrs() []string {
-	if !lb.enabled() {
-		return nil
-	}
-	var addrs []string
-	_ = lb.scanDir(pointKind.layout, func(_, name string) { addrs = append(addrs, name) }) // see above
-	return addrs
-}
-
 func (lb *localBackend) SaveMemo(data []byte) error {
 	if !lb.enabled() {
 		return nil

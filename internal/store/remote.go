@@ -242,10 +242,6 @@ func (rb *remoteBackend) LoadMemo() ([]byte, bool) {
 // quarantine, so nothing here may claim a quarantine that never happened.
 func (rb *remoteBackend) DiscardMemo() { rb.h.memoDiscards.Add(1) }
 
-// PointAddrs returns nil: anti-entropy runs between a local store and its
-// peers, never through a remote-backed store (which would just relay).
-func (rb *remoteBackend) PointAddrs() []string { return nil }
-
 func (rb *remoteBackend) SaveMemo(data []byte) error {
 	if !rb.enabled() {
 		return nil
