@@ -79,7 +79,7 @@ type entry struct {
 	rec   store.StudyRecord
 	study *core.Study
 	// points are the study's stored points as Store.Get returned them, in
-	// replay order. They are shared with the store's mirror, so nothing
+	// replay order. They may be shared with the store's mirror, so nothing
 	// here writes them and nothing handed out aliases them. rows addresses
 	// each result row inside them.
 	points []core.CachedPoint

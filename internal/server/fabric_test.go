@@ -642,14 +642,23 @@ func TestColdShardCountsNoStoreHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != x.Points || cst.Len() != x.Points {
-		t.Fatalf("coordinator store: %d file(s), %d point(s), want %d of each", len(files), cst.Len(), x.Points)
+	// Cold points are written through to disk, none kept resident.
+	if len(files) != x.Points || cst.Len() != 0 {
+		t.Fatalf("coordinator store: %d file(s), %d resident point(s), want %d and 0", len(files), cst.Len(), x.Points)
 	}
 	if hits, misses := wst.Stats(); wst.Len() != 0 || hits != 0 || misses != 0 {
 		t.Fatalf("worker store: %d point(s), hits=%d misses=%d, want 0/0/0", wst.Len(), hits, misses)
 	}
 	if hits, misses := nvsim.MemoStats(); hits != 0 || misses != configs {
 		t.Fatalf("memo: hits=%d misses=%d, want 0 hits and %d misses (the workers')", hits, misses, configs)
+	}
+
+	// A warm re-read serves every point from disk and keeps it resident.
+	if code, body := post(t, ts, cfg, "json"); code != http.StatusOK || !bytes.Equal(body, want) {
+		t.Fatalf("warm fabric study: status %d, matches batch: %v", code, bytes.Equal(body, want))
+	}
+	if cst.Len() != x.Points {
+		t.Fatalf("coordinator store after a warm re-read: %d resident point(s), want %d", cst.Len(), x.Points)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/nvsim"
 	"repro/internal/store"
 	"repro/internal/sweep"
@@ -500,6 +501,61 @@ func TestHealthzReportsDegradedStore(t *testing.T) {
 	// And the service still serves studies from memory.
 	if code, _ := post(t, ts, testConfig("degraded", "STT", 1<<21), "json"); code != http.StatusOK {
 		t.Fatalf("degraded study: status %d", code)
+	}
+}
+
+// TestMemoryOnlyStoreDegradedPastBudget: a memory-only store is its own
+// data, so once its points fill the memory budget it drops new ones — and
+// says so: /v1/stats store.degraded turns true and healthz reports
+// "degraded", while every point it kept still serves.
+func TestMemoryOnlyStoreDegradedPastBudget(t *testing.T) {
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Options{MaxConcurrentStudies: 1, StudyWorkers: 1, Store: st})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	health := func() string {
+		t.Helper()
+		var body struct {
+			Status string `json:"status"`
+		}
+		if code, _, raw := get(t, ts.URL+"/v1/healthz", nil); code != http.StatusOK || json.Unmarshal(raw, &body) != nil {
+			t.Fatalf("healthz: status %d: %s", code, raw)
+		}
+		return body.Status
+	}
+	if h := health(); h != "ok" {
+		t.Fatalf("fresh memory-only store: healthz %q, want ok", h)
+	}
+
+	// Every point shares one ~9 MB row slice: each costs the budget its
+	// rows, but the test holds them once.
+	big := core.CachedPoint{Arrays: make([]nvsim.Result, 1<<15)}
+	for i := 0; !st.Degraded(); i++ {
+		if i == 64 {
+			t.Fatal("memory-only store never filled its budget")
+		}
+		st.Put(fmt.Sprintf("big-point-%d", i), big)
+	}
+
+	var stats struct {
+		Store struct {
+			Degraded bool `json:"degraded"`
+		} `json:"store"`
+	}
+	if code, _, raw := get(t, ts.URL+"/v1/stats", nil); code != http.StatusOK || json.Unmarshal(raw, &stats) != nil {
+		t.Fatalf("stats: status %d: %s", code, raw)
+	}
+	if !stats.Store.Degraded {
+		t.Fatal("/v1/stats store.degraded is false after the store dropped a point")
+	}
+	if h := health(); h != "degraded" {
+		t.Fatalf("healthz %q, want degraded", h)
+	}
+	if _, ok := st.Get("big-point-0"); !ok {
+		t.Fatal("a kept point was lost")
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 )
 
 // The pluggable persistence layer. A Store is two halves: a process-local
-// half (the bounded in-memory point mirror, the study-manifest mirror, the
-// hit/miss counters) that behaves identically everywhere, and a Backend
-// that owns durability. Open picks the backend from its target string:
+// half (the in-memory point mirror, a read cache bounded by bytes; the
+// study-manifest mirror; the hit/miss counters) that behaves identically
+// everywhere, and a Backend that owns durability. Open picks the backend
+// from its target string:
 //
 //	""                  memory-only (memBackend): nothing persists
 //	a directory path    the local CRC-enveloped dir backend (localBackend)

@@ -12,9 +12,8 @@ import (
 // decodes must survive decode(encode(x)) == x. Seeds are the golden
 // record fixtures.
 func FuzzDecodeRecord(f *testing.F) {
-	golden := goldenRecordBytes(f)
 	for i, kind := range []string{"point", "study", "job", "wire"} {
-		f.Add(uint8(i), golden[kind])
+		f.Add(uint8(i), goldenRecordBytes(f, kind))
 	}
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		switch which % 4 {

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 )
 
@@ -24,28 +26,21 @@ var (
 // content address: resident entries are re-encoded, anything else comes
 // from the backend verbatim.
 func (s *Store) ExportPoint(addrHex string) ([]byte, bool) {
-	s.mu.Lock()
-	key, ok := s.idx[addrHex]
-	var cp = s.mem[key]
-	s.mu.Unlock()
-	if ok {
-		if data, err := pointKind.codec.encode(pointPayload{Key: key, Point: cp}); err == nil {
-			return data, true
+	if sum, err := hex.DecodeString(addrHex); err == nil && len(sum) == sha256.Size {
+		s.mu.Lock()
+		i, ok := s.mem.at[[sha256.Size]byte(sum)]
+		var p pointPayload
+		if ok {
+			p = pointPayload{Key: s.mem.slots[i].key, Point: s.mem.slots[i].pt}
+		}
+		s.mu.Unlock()
+		if ok {
+			if data, err := pointKind.codec.encode(p); err == nil {
+				return data, true
+			}
 		}
 	}
 	return s.backend.ExportPoint(addrHex)
-}
-
-// HasPoint reports whether the store holds a record at a content address.
-func (s *Store) HasPoint(addrHex string) bool {
-	s.mu.Lock()
-	_, ok := s.idx[addrHex]
-	s.mu.Unlock()
-	if ok {
-		return true
-	}
-	_, ok = s.backend.ExportPoint(addrHex)
-	return ok
 }
 
 // ImportPoint verifies one point record's envelope bytes and stores the

@@ -33,44 +33,48 @@ var (
 	}
 )
 
-// goldenRecordBytes writes each golden record through the store's public
-// write paths and returns the bytes that landed on disk (or on the wire),
-// keyed by record kind.
-func goldenRecordBytes(t testing.TB) map[string][]byte {
+// goldenRecordBytes writes one golden record through the store's public
+// write paths and returns the bytes that landed on disk (or on the wire).
+func goldenRecordBytes(t testing.TB, kind string) []byte {
 	t.Helper()
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Put(goldenPointKey, goldenPoint)
-	if err := st.SaveStudy(goldenStudy); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.JournalJob(goldenJob); err != nil {
-		t.Fatal(err)
-	}
-	read := func(path string) []byte {
-		t.Helper()
-		data, err := os.ReadFile(path)
+	if kind == "wire" {
+		wire, err := EncodeShard(goldenWire)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return data
+		return wire
 	}
-	wire, err := EncodeShard(goldenWire)
+	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string][]byte{
-		"point": read(st.pointPath(addr(goldenPointKey))),
-		"study": read(st.studyPath(goldenStudy.Fingerprint)),
-		"job":   read(filepath.Join(st.jobsDir(), goldenJob.ID+".job")),
-		"wire":  wire,
+	var path string
+	switch kind {
+	case "point":
+		st.Put(goldenPointKey, goldenPoint)
+		path = st.pointPath(addr(goldenPointKey))
+	case "study":
+		if err := st.SaveStudy(goldenStudy); err != nil {
+			t.Fatal(err)
+		}
+		path = st.studyPath(goldenStudy.Fingerprint)
+	case "job":
+		if err := st.JournalJob(goldenJob); err != nil {
+			t.Fatal(err)
+		}
+		path = filepath.Join(st.jobsDir(), goldenJob.ID+".job")
+	default:
+		t.Fatalf("no golden record of kind %q", kind)
 	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
-// goldenChildEnv marks the child process TestRecordBytesGolden runs.
+// goldenChildEnv names the record kind the child process TestRecordBytesGolden
+// runs encodes.
 const goldenChildEnv = "NVMX_GOLDEN_RECORDS_CHILD"
 
 // TestRecordBytesGolden pins the on-disk and wire bytes of every record
@@ -79,37 +83,35 @@ const goldenChildEnv = "NVMX_GOLDEN_RECORDS_CHILD"
 // back under the next.
 //
 // gob numbers types process-wide in first-use order, so the bytes of a
-// record depend on what the process encoded before it. The records are
-// therefore encoded in a fresh child process (this test binary, re-run),
-// where the order is fixed.
+// record depend on what the process encoded before it. Each kind is
+// therefore encoded alone in a fresh child process (this test binary,
+// re-run), so its digest depends only on its own types.
 func TestRecordBytesGolden(t *testing.T) {
-	if os.Getenv(goldenChildEnv) == "1" {
-		for kind, data := range goldenRecordBytes(t) {
-			fmt.Printf("golden %s %x\n", kind, sha256.Sum256(data))
-		}
+	if kind := os.Getenv(goldenChildEnv); kind != "" {
+		fmt.Printf("golden %s %x\n", kind, sha256.Sum256(goldenRecordBytes(t, kind)))
 		return
-	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestRecordBytesGolden$", "-test.count=1")
-	cmd.Env = append(os.Environ(), goldenChildEnv+"=1")
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("golden child: %v\n%s", err, out)
-	}
-	got := map[string]string{}
-	for _, line := range strings.Split(string(out), "\n") {
-		if f := strings.Fields(line); len(f) == 3 && f[0] == "golden" {
-			got[f[1]] = f[2]
-		}
 	}
 	want := map[string]string{
 		"point": "1fc89dfa842817bc42476564c25977108af3cc6373b7b75900b01e9ddfbe06c0",
-		"study": "310bd5417b1d3ab3aa71da515bd2d23c814dc56cc5382ee56f01224be29370de",
-		"job":   "9fdb41badc73eb4939a02e8d162b6bca6cd425e716f22c0d194e4e6197923db6",
-		"wire":  "1840532d1c60dd9b8660824202b443acd9af78653a94cca3eb90ef2b1062a03f",
+		"study": "61638d98966a4092b064372536ce0e783947ba3070a9bee372fbb9365dfb4b71",
+		"job":   "b132cedf68749eeb0941ccd524234313e1d823260eff89992aac49bfda48086d",
+		"wire":  "34572a15f06f7ba70f1c51af71be2546483351640b2cd9acd477a72449b4fc17",
 	}
 	for kind, sum := range want {
-		if got[kind] != sum {
-			t.Errorf("%s record bytes: sha256 = %s, want %s", kind, got[kind], sum)
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRecordBytesGolden$", "-test.count=1")
+		cmd.Env = append(os.Environ(), goldenChildEnv+"="+kind)
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("golden child (%s): %v\n%s", kind, err, out)
+		}
+		var got string
+		for _, line := range strings.Split(string(out), "\n") {
+			if f := strings.Fields(line); len(f) == 3 && f[0] == "golden" && f[1] == kind {
+				got = f[2]
+			}
+		}
+		if got != sum {
+			t.Errorf("%s record bytes: sha256 = %s, want %s", kind, got, sum)
 		}
 	}
 }

@@ -13,16 +13,18 @@
 // later — replays it verbatim, so a fully warm study performs zero engine
 // characterizations and returns bytes identical to a cold run.
 //
-// Entries live in memory (bounded) and in a pluggable Backend (backend.go):
-// the local backend writes one gob file per point under DIR/points/,
-// atomically (temp file + rename) and wrapped in a CRC-32-checksummed
-// envelope so a crash never leaves a torn entry and a bit flip never
-// replays a wrong one; the remote backend ships the same envelope bytes
-// over the versioned /v1/store/* HTTP API of another `nvmexplorer serve`
-// process (remote.go). The store also snapshots the nvsim memo cache
-// (SaveMemo, reloaded by Open) so partially overlapping studies skip
-// re-characterization too, and — local backend only — journals async jobs
-// under DIR/jobs/ (journal.go) so a killed server resumes them on restart.
+// Entries live in a pluggable Backend (backend.go): the local backend
+// writes one gob file per point under DIR/points/, atomically (temp file +
+// rename) and wrapped in a CRC-32-checksummed envelope so a crash never
+// leaves a torn entry and a bit flip never replays a wrong one; the remote
+// backend ships the same envelope bytes over the versioned /v1/store/*
+// HTTP API of another `nvmexplorer serve` process (remote.go). In front of
+// it, a read cache bounded by bytes (the mirror) keeps what reads fetched
+// and pins what the backend could not take. The store also snapshots the
+// nvsim memo cache (SaveMemo, reloaded by Open) so partially overlapping
+// studies skip re-characterization too, and — local backend only —
+// journals async jobs under DIR/jobs/ (journal.go) so a killed server
+// resumes them on restart.
 //
 // Storage corruption is an expected operating condition, not an error: a
 // torn, foreign, or bit-flipped record is quarantined (a file moves to
@@ -46,8 +48,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/nvsim"
 )
 
@@ -64,10 +68,10 @@ const (
 // /v1/version handshake.
 const RecordVersion = recordVersion
 
-// memCacheMax bounds the in-memory mirror of the store. Past the cap, Get
-// still reads the backend and Put still writes it; the entries just aren't
-// kept resident.
-const memCacheMax = 16384
+// mirrorBudget bounds the bytes of points the store keeps resident
+// (pointCost): about what 16,384 cold-codesign points cost. It is a
+// variable so tests can shrink it; a store reads it once, at Open.
+var mirrorBudget int64 = 64 << 20
 
 // Backend-failure policy: transient failures retry up to ioAttempts with
 // exponential backoff starting at ioBackoff; after degradeAfter consecutive
@@ -107,11 +111,9 @@ type Store struct {
 	// local-only concerns; nil for memory-only and remote stores.
 	local *localBackend
 
-	mu  sync.Mutex
-	mem map[string]core.CachedPoint
-	// idx maps content address → canonical key for every resident entry,
-	// so the /v1/store wire protocol can export memory-only points.
-	idx map[string]string
+	mu   sync.Mutex
+	mem  mirror
+	full atomic.Bool // a point was dropped: pinned points fill the budget
 
 	// Study manifests (study.go): fingerprint → record mirror, and the
 	// mirror's change count (StudyGeneration).
@@ -167,8 +169,7 @@ func OpenFS(dir string, fsys FS) (*Store, error) {
 func newStore(b Backend) *Store {
 	s := &Store{
 		backend:    b,
-		mem:        make(map[string]core.CachedPoint),
-		idx:        make(map[string]string),
+		mem:        mirror{budget: mirrorBudget, at: make(map[[sha256.Size]byte]int)},
 		studiesMem: make(map[string]studyMirror),
 	}
 	s.local, _ = b.(*localBackend)
@@ -218,7 +219,7 @@ func (s *Store) progressPath(id string) string       { return s.local.progressPa
 
 // addr content-addresses a canonical point key.
 func addr(key string) string {
-	sum := sha256.Sum256([]byte(key))
+	sum := pointSum(key)
 	return hex.EncodeToString(sum[:])
 }
 
@@ -226,65 +227,140 @@ func addr(key string) string {
 // API: the SHA-256 hex address of a canonical point key.
 func Addr(key string) string { return addr(key) }
 
-// cacheMem makes an entry resident (within the bound), indexed for export.
-func (s *Store) cacheMem(key string, cp core.CachedPoint) {
-	s.mu.Lock()
-	if _, ok := s.mem[key]; !ok && len(s.mem) < memCacheMax {
-		s.mem[key] = cp
-		s.idx[addr(key)] = key
+// pointSum is the binary content address of a canonical point key (the
+// mirror's index; addr is its hex form), computed without copying the key.
+func pointSum(key string) [sha256.Size]byte {
+	return sha256.Sum256(unsafe.Slice(unsafe.StringData(key), len(key)))
+}
+
+// pointCost is what a resident point costs the mirror, in bytes: its
+// result and metric rows plus its key.
+func pointCost(key string, cp core.CachedPoint) int64 {
+	return int64(len(cp.Arrays))*int64(unsafe.Sizeof(nvsim.Result{})) +
+		int64(len(cp.Metrics))*int64(unsafe.Sizeof(eval.Metrics{})) + int64(len(key))
+}
+
+// mirror is the store's resident point set, bounded by bytes: a read cache
+// over the backend, evicted by clock, plus pinned points — the only copy
+// of points the backend could not take, never evicted. A key's point never
+// changes, so a resident entry is never rewritten or re-pinned: a backend
+// that served it once can serve it again. The Store's mu guards it.
+type mirror struct {
+	budget, bytes, pinnedBytes int64
+	at                         map[[sha256.Size]byte]int // content address → slot
+	slots                      []slot
+	free                       []int // empty slots
+	hand                       int   // the clock hand
+}
+
+type slot struct {
+	key               string
+	pt                core.CachedPoint
+	cost              int64
+	used, ref, pinned bool // ref: read since the clock hand last passed
+}
+
+// add makes a point resident (pinned, if pin), evicting unreferenced
+// cached points until it fits. It reports false, keeping nothing, when the
+// point does not fit beside the pinned ones.
+func (m *mirror) add(sum [sha256.Size]byte, key string, pt core.CachedPoint, pin bool) bool {
+	if _, ok := m.at[sum]; ok {
+		return true
 	}
-	s.mu.Unlock()
+	cost := pointCost(key, pt)
+	if m.pinnedBytes+cost > m.budget {
+		return false
+	}
+	// Clock: a referenced slot loses its bit and is passed over once, an
+	// unreferenced one is evicted. Unpinned bytes cover the shortfall, so
+	// two sweeps always free enough.
+	for m.bytes+cost > m.budget {
+		m.hand = (m.hand + 1) % len(m.slots)
+		switch e := &m.slots[m.hand]; {
+		case !e.used || e.pinned:
+		case e.ref:
+			e.ref = false
+		default:
+			delete(m.at, pointSum(e.key))
+			m.bytes -= e.cost
+			*e = slot{}
+			m.free = append(m.free, m.hand)
+		}
+	}
+	i := len(m.slots)
+	if n := len(m.free); n > 0 {
+		i, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		m.slots = append(m.slots, slot{})
+	}
+	m.slots[i] = slot{key: key, pt: pt, cost: cost, used: true, pinned: pin}
+	m.at[sum] = i
+	m.bytes += cost
+	if pin {
+		m.pinnedBytes += cost
+	}
+	return true
 }
 
 // Get implements core.PointCache: memory first, then the backend. A
-// backend hit is re-cached in memory (within the bound).
+// backend hit fills the mirror.
 func (s *Store) Get(key string) (core.CachedPoint, bool) {
-	s.mu.Lock()
-	cp, ok := s.mem[key]
-	s.mu.Unlock()
+	cp, ok := s.lookup(key)
 	if ok {
 		s.hits.Add(1)
-		return cp, true
+	} else {
+		s.misses.Add(1)
 	}
-	if cp, ok = s.backend.ReadPoint(key); ok {
-		s.cacheMem(key, cp)
-		s.hits.Add(1)
-		return cp, true
-	}
-	s.misses.Add(1)
-	return core.CachedPoint{}, false
+	return cp, ok
 }
 
 // Probe reports whether the store can serve key without engine work,
-// caching a backend hit in memory like Get — but without touching the
-// hit/miss counters. The fabric coordinator probes the whole grid to plan
-// remote shards, and planning must not skew serving stats.
+// filling the mirror like Get — but without touching the hit/miss
+// counters. The fabric coordinator probes the whole grid to plan remote
+// shards, and planning must not skew serving stats.
 func (s *Store) Probe(key string) bool {
-	s.mu.Lock()
-	_, ok := s.mem[key]
-	s.mu.Unlock()
-	if ok {
-		return true
-	}
-	cp, ok := s.backend.ReadPoint(key)
-	if ok {
-		s.cacheMem(key, cp)
-	}
+	_, ok := s.lookup(key)
 	return ok
 }
 
-// Put implements core.PointCache: write-through to memory and the backend.
-// Backend errors are retried, then swallowed — the store is an
-// accelerator, and a read-only volume or an unreachable peer must not fail
-// the study.
-func (s *Store) Put(key string, pt core.CachedPoint) {
+// lookup serves key from the mirror, marking it referenced, else from the
+// backend, filling the mirror.
+func (s *Store) lookup(key string) (cp core.CachedPoint, ok bool) {
+	sum := pointSum(key)
 	s.mu.Lock()
-	if len(s.mem) < memCacheMax {
-		s.mem[key] = pt
-		s.idx[addr(key)] = key
+	i, ok := s.mem.at[sum]
+	if ok {
+		s.mem.slots[i].ref = true
+		cp = s.mem.slots[i].pt
 	}
 	s.mu.Unlock()
-	_ = s.backend.WritePoint(key, pt)
+	if !ok {
+		if cp, ok = s.backend.ReadPoint(key); ok {
+			s.mu.Lock()
+			s.mem.add(sum, key, cp, false)
+			s.mu.Unlock()
+		}
+	}
+	return cp, ok
+}
+
+// Put implements core.PointCache: write-through to the backend, keeping
+// nothing resident. Backend errors are retried, then swallowed — a
+// read-only volume or an unreachable peer must not fail the study. A point
+// the backend does not hold (a failed write, a memory-only or degraded
+// store) is pinned in the mirror; one that does not fit there is dropped,
+// and the store reports degraded.
+func (s *Store) Put(key string, pt core.CachedPoint) {
+	err := s.backend.WritePoint(key, pt)
+	if err != nil || s.backend.Kind() == "memory" || s.backend.Degraded() {
+		s.mu.Lock()
+		kept := s.mem.add(pointSum(key), key, pt, true)
+		s.mu.Unlock()
+		if !kept && !s.full.Swap(true) {
+			log.Printf("store: points the backend cannot hold fill the %d MiB memory budget; dropping new ones",
+				s.mem.budget>>20)
+		}
+	}
 	s.puts.Add(1)
 }
 
@@ -325,9 +401,11 @@ func (s *Store) ResetStats() {
 }
 
 // Degraded reports whether persistent backend failures demoted the store
-// to memory-only mode. It never flips back within a process: an operator
-// repairs the volume (or the peer) and restarts, or runs fsck.
-func (s *Store) Degraded() bool { return s.backend.Degraded() }
+// to memory-only mode, or the store has dropped a point it could not
+// persist (its memory budget is full). It never flips back within a
+// process: an operator repairs the volume (or the peer) and restarts, or
+// runs fsck.
+func (s *Store) Degraded() bool { return s.backend.Degraded() || s.full.Load() }
 
 // HealthStats is the store's self-healing telemetry, served on /v1/stats.
 type HealthStats struct {
@@ -343,17 +421,21 @@ type HealthStats struct {
 	IOErrors int64 `json:"io_errors"`
 	// Retries counts individual retry attempts after transient failures.
 	Retries int64 `json:"retries"`
-	// Degraded reports memory-only fallback mode.
+	// Degraded reports memory-only fallback mode (Store.Degraded).
 	Degraded bool `json:"degraded"`
 }
 
 // Health returns the current self-healing counters.
-func (s *Store) Health() HealthStats { return s.backend.Health() }
+func (s *Store) Health() HealthStats {
+	h := s.backend.Health()
+	h.Degraded = s.Degraded()
+	return h
+}
 
 // Len reports how many points are resident in memory. The backend may
 // hold more.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.mem)
+	return len(s.mem.at)
 }

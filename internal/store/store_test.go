@@ -51,15 +51,24 @@ func TestStoreRoundTripAndPersistence(t *testing.T) {
 	if hits != 0 || misses == 0 {
 		t.Fatalf("cold run: hits=%d misses=%d, want 0 hits and >0 misses", hits, misses)
 	}
-	if st.Len() == 0 {
-		t.Fatal("cold run stored nothing in memory")
+	// A cold run writes every point through to disk and keeps none
+	// resident; the warm re-read fills the mirror with all of them.
+	files, err := filepath.Glob(filepath.Join(dir, "points", "*", "*.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != 0 || int64(len(files)) != misses {
+		t.Fatalf("cold run: %d resident, %d point file(s), want 0 and %d", st.Len(), len(files), misses)
 	}
 
-	// Same store, same study: every point replays from memory.
+	// Same store, same study: every point replays from the store.
 	st.ResetStats()
 	warm := runPoints(t, testStudy(), st)
 	if hits, misses = st.Stats(); misses != 0 || hits == 0 {
 		t.Fatalf("warm run: hits=%d misses=%d, want 0 misses", hits, misses)
+	}
+	if st.Len() != len(files) {
+		t.Fatalf("warm run: %d resident, want %d", st.Len(), len(files))
 	}
 	if !reflect.DeepEqual(cold.Metrics, warm.Metrics) {
 		t.Fatal("warm metrics differ from cold")
