@@ -167,15 +167,17 @@ func (ix *Index) Stats() Stats {
 // Refresh synchronizes the index with the store's manifests: newly stored
 // studies are loaded (their points replayed from the store — never the
 // engine — and shredded into columns) and previously incomplete studies
-// are retried. It lists the store only when the store's manifest
-// generation moved since the last listing, a manifest is incomplete and
-// the store's point generation moved, or the last listing is older than
-// relistAfter; otherwise it returns at once. So a study saved by this
-// process is visible to the very next Refresh, as is an incomplete one
-// whose missing points this process stores, and one saved by another
-// process sharing the store within relistAfter. An incomplete manifest
-// that nothing completes costs one retry per relistAfter, not one per
-// Refresh. It returns the generation after synchronization.
+// are retried. Only those manifests are read: a listing names the
+// fingerprints, and an indexed study is never read again. It lists the
+// store only when the store's manifest generation moved since the last
+// listing, a manifest is incomplete and the store's point generation
+// moved, or the last listing is older than relistAfter; otherwise it
+// returns at once. So a study saved by this process is visible to the
+// very next Refresh, as is an incomplete one whose missing points this
+// process stores, and one saved by another process sharing the store
+// within relistAfter. An incomplete manifest that nothing completes costs
+// one retry per relistAfter, not one per Refresh. It returns the
+// generation after synchronization.
 func (ix *Index) Refresh() int64 {
 	sgen, pgen, now := ix.st.StudyGeneration(), ix.st.PointGeneration(), time.Now()
 	ix.mu.RLock()
@@ -187,24 +189,28 @@ func (ix *Index) Refresh() int64 {
 	}
 	ix.mu.RUnlock()
 
-	recs := ix.st.ListStudies()
+	fps := ix.st.StudyFingerprints()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	changed := false
-	for _, rec := range recs {
-		if _, ok := ix.entries[rec.Fingerprint]; ok {
+	for _, fp := range fps {
+		if _, ok := ix.entries[fp]; ok {
+			continue
+		}
+		rec, ok := ix.st.LoadStudy(fp)
+		if !ok {
 			continue
 		}
 		e, err := ix.load(rec)
 		if err != nil {
-			if !ix.incomplete[rec.Fingerprint] {
-				ix.incomplete[rec.Fingerprint] = true
+			if !ix.incomplete[fp] {
+				ix.incomplete[fp] = true
 				changed = true
 			}
 			continue
 		}
-		ix.entries[rec.Fingerprint] = e
-		delete(ix.incomplete, rec.Fingerprint)
+		ix.entries[fp] = e
+		delete(ix.incomplete, fp)
 		changed = true
 	}
 	if changed {
@@ -336,20 +342,28 @@ type StudySummary struct {
 }
 
 // Studies lists every known study — loaded and incomplete — sorted by name
-// then fingerprint.
+// then fingerprint. Loaded studies are listed from the index; only the
+// manifests it does not hold are read from the store.
 func (ix *Index) Studies() []StudySummary {
-	recs := ix.st.ListStudies()
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]StudySummary, 0, len(recs))
-	for _, rec := range recs {
-		sum := StudySummary{Fingerprint: rec.Fingerprint, Name: rec.Name, Points: rec.Points}
-		if e, ok := ix.entries[rec.Fingerprint]; ok {
-			sum.Rows = len(e.rows)
-			sum.Complete = true
+	fps := ix.st.StudyFingerprints()
+	out := make([]StudySummary, 0, len(fps))
+	for _, fp := range fps {
+		ix.mu.RLock()
+		e, ok := ix.entries[fp]
+		ix.mu.RUnlock()
+		if ok {
+			out = append(out, StudySummary{Fingerprint: fp, Name: e.rec.Name, Points: e.rec.Points,
+				Rows: len(e.rows), Complete: true})
+		} else if rec, ok := ix.st.LoadStudy(fp); ok {
+			out = append(out, StudySummary{Fingerprint: fp, Name: rec.Name, Points: rec.Points})
 		}
-		out = append(out, sum)
 	}
+	slices.SortFunc(out, func(a, b StudySummary) int {
+		if c := strings.Compare(a.Name, b.Name); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Fingerprint, b.Fingerprint)
+	})
 	return out
 }
 

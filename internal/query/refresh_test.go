@@ -15,10 +15,18 @@ import (
 	"repro/internal/store"
 )
 
-// countingFS counts listings of the store's studies/ directory.
+// countingFS counts listings of the store's studies/ directory and reads
+// of the manifests in it.
 type countingFS struct {
 	store.FS
-	studyLists atomic.Int64
+	studyLists, studyReads atomic.Int64
+}
+
+func (c *countingFS) ReadFile(path string) ([]byte, error) {
+	if filepath.Base(filepath.Dir(path)) == "studies" {
+		c.studyReads.Add(1)
+	}
+	return c.FS.ReadFile(path)
 }
 
 func (c *countingFS) ReadDir(path string) ([]fs.DirEntry, error) {
@@ -277,6 +285,48 @@ func TestTopKQueryBytesIndependentOfStudies(t *testing.T) {
 	}
 	if large := queryBytes(t, ix, req); large > small+small/20 {
 		t.Fatalf("top-10 query: %d B over 32 studies, %d B over 16; want no growth", large, small)
+	}
+	nvsim.ResetMemo()
+}
+
+// TestRefreshReadsOnlyUnindexedManifests: a relisting Refresh, and a
+// study listing, read the manifests the index does not hold yet, never the
+// indexed ones again.
+func TestRefreshReadsOnlyUnindexedManifests(t *testing.T) {
+	setRelistAfter(t, 0) // every Refresh lists
+	nvsim.ResetMemo()
+	cfs := &countingFS{FS: store.DiskFS}
+	st, err := store.OpenFS(t.TempDir(), cfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedStudy(t, st, alphaConfig)
+	seedStudy(t, st, gridConfig)
+	ix := New(st)
+	ix.Refresh()
+	if n := cfs.studyReads.Load(); n != 2 {
+		t.Fatalf("the first Refresh read %d manifests, want 2", n)
+	}
+	cfs.studyReads.Store(0)
+	for i := 0; i < 10; i++ {
+		ix.Refresh()
+	}
+	if n := cfs.studyReads.Load(); n != 0 {
+		t.Fatalf("10 refreshes over an indexed store read %d manifests, want 0", n)
+	}
+	if got := ix.Studies(); len(got) != 2 || !got[0].Complete || !got[1].Complete {
+		t.Fatalf("Studies = %+v, want both studies complete", got)
+	}
+	if n := cfs.studyReads.Load(); n != 0 {
+		t.Fatalf("listing an indexed store read %d manifests, want 0", n)
+	}
+	fp, _ := seedStudy(t, st, alphaNamed("alpha-2"))
+	ix.Refresh()
+	if n := cfs.studyReads.Load(); n != 1 {
+		t.Fatalf("a Refresh after one new study read %d manifests, want 1", n)
+	}
+	if _, err := ix.Query(Request{Studies: []string{fp}}); err != nil {
+		t.Fatalf("new study not queryable: %v", err)
 	}
 	nvsim.ResetMemo()
 }

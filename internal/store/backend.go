@@ -9,7 +9,7 @@ import (
 
 // The pluggable persistence layer. A Store is two halves: a process-local
 // half (the in-memory point mirror, a read cache bounded by bytes; the
-// study-manifest mirror; the hit/miss counters) that behaves identically
+// study-manifest digests; the hit/miss counters) that behaves identically
 // everywhere, and a Backend that owns durability. Open picks the backend
 // from its target string:
 //
@@ -61,12 +61,12 @@ type Backend interface {
 	// SaveMemo persists an engine memo snapshot.
 	SaveMemo(data []byte) error
 
-	// WriteStudy persists one study manifest.
-	WriteStudy(rec StudyRecord) error
+	// WriteStudy persists one study manifest's encoded record.
+	WriteStudy(fingerprint string, data []byte) error
 	// ReadStudy loads and verifies one manifest by fingerprint.
 	ReadStudy(fingerprint string) (StudyRecord, bool)
 	// StudyFingerprints lists the fingerprints of every persisted
-	// manifest (the Store unions them with its in-memory mirror).
+	// manifest (the Store adds the ones only it holds).
 	StudyFingerprints() []string
 
 	// Health returns the backend's self-healing counters.
@@ -125,7 +125,7 @@ func (memBackend) ExportPoint(string) ([]byte, bool)         { return nil, false
 func (memBackend) LoadMemo() ([]byte, bool)                  { return nil, false }
 func (memBackend) DiscardMemo()                              {}
 func (memBackend) SaveMemo([]byte) error                     { return nil }
-func (memBackend) WriteStudy(StudyRecord) error              { return nil }
+func (memBackend) WriteStudy(string, []byte) error           { return nil }
 func (memBackend) ReadStudy(string) (StudyRecord, bool)      { return StudyRecord{}, false }
 func (memBackend) StudyFingerprints() []string               { return nil }
 func (memBackend) Health() HealthStats                       { return HealthStats{} }

@@ -1,20 +1,18 @@
 package store
 
 import (
-	"bytes"
-	"encoding/gob"
 	"hash/crc32"
 	"path/filepath"
 	"strings"
 )
 
 // The one record codec and the one directory walker. Every record the
-// store writes — points, study manifests, the job journal, shard
-// assignments, sync records, and the shard wire payload — is framed by a
-// codec[T], and every on-disk kind is registered once as a kind[T]: where
-// its files live and which file name a record belongs at. Reads, writes,
-// directory listings and fsck all go through these, so every kind follows
-// the same fault policy by construction:
+// store writes — points, study manifests, the job journal, and the shard
+// wire payload — is framed by a codec[T], and every on-disk kind is
+// registered once as a kind[T]: where its files live and which file name
+// a record belongs at. Reads, writes, directory listings and fsck all go
+// through these, so every kind follows the same fault policy by
+// construction:
 //
 //	torn or checksum-failed      corrupt: a miss, quarantined
 //	valid envelope, unknown      a miss, left in place (a newer binary
@@ -49,26 +47,35 @@ const (
 )
 
 // codec frames one record kind: payload T, gob-encoded inside a
-// version-stamped, checksummed envelope.
+// version-stamped, checksummed envelope. Both gob layers run on compiled
+// state (compiled.go), shared by every copy of the codec.
 type codec[T any] struct {
 	version string
 	// id returns the record's identity — the key, fingerprint, or ID it is
 	// looked up by. nil for payloads with no identity (the shard wire).
-	id func(*T) string
+	id  func(*T) string
+	gob *gobType[T]
 }
+
+func newCodec[T any](version string, id func(*T) string) codec[T] {
+	return codec[T]{version: version, id: id, gob: newGobType[T]()}
+}
+
+// envelopes is the envelope's compiled gob state, shared by every kind.
+var envelopes = newGobType[envelope]()
 
 // encode builds the envelope bytes for one record.
 func (c codec[T]) encode(rec T) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&rec); err != nil {
+	payload, err := c.gob.encode(&rec)
+	if err != nil {
 		return nil, err
 	}
-	var out bytes.Buffer
-	env := envelope{Version: c.version, Sum: crc32.ChecksumIEEE(payload.Bytes()), Payload: payload.Bytes()}
-	if err := gob.NewEncoder(&out).Encode(&env); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
+	return c.frame(payload)
+}
+
+// frame wraps an encoded payload in its envelope.
+func (c codec[T]) frame(payload []byte) ([]byte, error) {
+	return envelopes.encode(&envelope{Version: c.version, Sum: crc32.ChecksumIEEE(payload), Payload: payload})
 }
 
 // decode verifies and decodes one record's bytes. wantID == "" skips the
@@ -76,7 +83,7 @@ func (c codec[T]) encode(rec T) ([]byte, error) {
 func (c codec[T]) decode(data []byte, wantID string) (T, readStatus) {
 	var rec, zero T
 	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil || env.Version == "" {
+	if err := envelopes.decode(data, &env); err != nil || env.Version == "" {
 		return zero, readCorrupt
 	}
 	if env.Version != c.version {
@@ -85,7 +92,7 @@ func (c codec[T]) decode(data []byte, wantID string) (T, readStatus) {
 	if crc32.ChecksumIEEE(env.Payload) != env.Sum {
 		return zero, readCorrupt
 	}
-	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&rec); err != nil {
+	if err := c.gob.decode(env.Payload, &rec); err != nil {
 		return zero, readCorrupt
 	}
 	if wantID != "" && c.id(&rec) != wantID {
@@ -143,7 +150,12 @@ func writeRecord[T any](lb *localBackend, k *kind[T], rec T) error {
 	if err != nil {
 		return err
 	}
-	path := k.path(lb.dir, k.name(&rec))
+	return writeEncoded(lb, k.layout, k.name(&rec), data)
+}
+
+// writeEncoded durably writes one encoded record under its file name.
+func writeEncoded(lb *localBackend, l layout, name string, data []byte) error {
+	path := l.path(lb.dir, name)
 	if err := lb.fs.MkdirAll(filepath.Dir(path)); err != nil {
 		lb.h.fail("disk", "mkdir "+filepath.Dir(path), err)
 		return err

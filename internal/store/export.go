@@ -91,14 +91,3 @@ func importError(status readStatus) error {
 	}
 	return ErrCorruptRecord
 }
-
-// StudyFingerprints lists every stored study's fingerprint (mirror ∪
-// backend), sorted — the /v1/store/studies index body.
-func (s *Store) StudyFingerprints() []string {
-	recs := s.ListStudies()
-	fps := make([]string, len(recs))
-	for i, rec := range recs {
-		fps[i] = rec.Fingerprint
-	}
-	return fps
-}

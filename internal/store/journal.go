@@ -64,7 +64,7 @@ type JobRecord struct {
 var (
 	jobKind = &kind[JobRecord]{
 		layout: layout{dir: "jobs", suffix: ".job"},
-		codec:  codec[JobRecord]{version: journalVersion, id: jobID},
+		codec:  newCodec(journalVersion, jobID),
 		name:   jobID,
 	}
 	progressFiles = layout{dir: "jobs", suffix: ".progress"}

@@ -141,11 +141,11 @@ func (lb *localBackend) SaveMemo(data []byte) error {
 	return lb.writeFileRetry(lb.memoPath(), data)
 }
 
-func (lb *localBackend) WriteStudy(rec StudyRecord) error {
+func (lb *localBackend) WriteStudy(fingerprint string, data []byte) error {
 	if !lb.enabled() {
 		return nil
 	}
-	return writeRecord(lb, studyKind, rec)
+	return writeEncoded(lb, studyKind.layout, fingerprint, data)
 }
 
 func (lb *localBackend) ReadStudy(fingerprint string) (StudyRecord, bool) {

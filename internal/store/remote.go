@@ -249,8 +249,11 @@ func (rb *remoteBackend) SaveMemo(data []byte) error {
 	return rb.put("/v1/store/memo", data)
 }
 
-func (rb *remoteBackend) WriteStudy(rec StudyRecord) error {
-	return putRecord(rb, studyKind.codec, "/v1/store/studies/"+rec.Fingerprint, rec)
+func (rb *remoteBackend) WriteStudy(fingerprint string, data []byte) error {
+	if !rb.enabled() {
+		return nil
+	}
+	return rb.put("/v1/store/studies/"+fingerprint, data)
 }
 
 func (rb *remoteBackend) ReadStudy(fingerprint string) (StudyRecord, bool) {

@@ -23,7 +23,7 @@ import (
 const ShardWireVersion = "nvmx-shard/v2"
 
 // shardWire frames shard response payloads.
-var shardWire = codec[[]core.Characterization]{version: ShardWireVersion}
+var shardWire = newCodec[[]core.Characterization](ShardWireVersion, nil)
 
 // EncodeShard frames a shard response payload.
 func EncodeShard(cs []core.Characterization) ([]byte, error) { return shardWire.encode(cs) }

@@ -98,7 +98,7 @@ type pointPayload struct {
 // identified by the canonical key and filed under its content address.
 var pointKind = &kind[pointPayload]{
 	layout: layout{dir: "points", suffix: ".gob", nested: true},
-	codec:  codec[pointPayload]{version: recordVersion, id: func(p *pointPayload) string { return p.Key }},
+	codec:  newCodec(recordVersion, func(p *pointPayload) string { return p.Key }),
 	name:   func(p *pointPayload) string { return addr(p.Key) },
 }
 
@@ -107,7 +107,7 @@ var pointKind = &kind[pointPayload]{
 type Store struct {
 	backend Backend
 	// local is the backend downcast when it is the directory backend —
-	// the journal (journal.go, shards.go) and the legacy path helpers are
+	// the job journal (journal.go) and the legacy path helpers are
 	// local-only concerns; nil for memory-only and remote stores.
 	local *localBackend
 
@@ -115,8 +115,9 @@ type Store struct {
 	mem  mirror
 	full atomic.Bool // a point was dropped: pinned points fill the budget
 
-	// Study manifests (study.go): fingerprint → record mirror, and the
-	// mirror's change count (StudyGeneration).
+	// Study manifests (study.go): fingerprint → digest, and the record
+	// while the backend does not hold it; and the map's change count
+	// (StudyGeneration).
 	studiesMu  sync.Mutex
 	studiesMem map[string]studyMirror
 	studyGen   atomic.Int64
@@ -351,8 +352,7 @@ func (s *Store) lookup(key string) (cp core.CachedPoint, ok bool) {
 // store) is pinned in the mirror; one that does not fit there is dropped,
 // and the store reports degraded.
 func (s *Store) Put(key string, pt core.CachedPoint) {
-	err := s.backend.WritePoint(key, pt)
-	if err != nil || s.backend.Kind() == "memory" || s.backend.Degraded() {
+	if err := s.backend.WritePoint(key, pt); err != nil || !s.persistent() {
 		s.mu.Lock()
 		kept := s.mem.add(pointSum(key), key, pt, true)
 		s.mu.Unlock()
@@ -362,6 +362,12 @@ func (s *Store) Put(key string, pt core.CachedPoint) {
 		}
 	}
 	s.puts.Add(1)
+}
+
+// persistent reports whether the backend keeps what it is handed: false
+// for a memory-only or degraded store, whose records live only in memory.
+func (s *Store) persistent() bool {
+	return s.backend.Kind() != "memory" && !s.backend.Degraded()
 }
 
 // PointGeneration counts Put calls. It moves whenever this process stores

@@ -1,8 +1,9 @@
 package store
 
 import (
+	"crypto/sha256"
 	"fmt"
-	"reflect"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -20,10 +21,11 @@ import (
 // byte-identically, and the internal/query index enumerates manifests to
 // build its in-memory columnar view. They are written after a study
 // completes with no failed points (a partially failed study is not fully
-// stored, so it is not addressable), live in memory (so a memory-only or
-// degraded store still answers queries within one process) and, when a
-// directory is configured, on disk under DIR/studies/<fingerprint>.gob in
-// the same checksummed envelope as every other store file.
+// stored, so it is not addressable) and live in the backend — on disk
+// under DIR/studies/<fingerprint>.gob, in the same checksummed envelope as
+// every other store file — or, when the backend cannot hold them (a
+// memory-only or degraded store, a failed write), in memory, so such a
+// store still answers queries within one process.
 
 // studyVersion stamps every manifest file; unknown versions are skipped on
 // list (they may belong to a newer binary sharing the directory).
@@ -52,48 +54,78 @@ type StudyRecord struct {
 // studyKind registers manifests: DIR/studies/<fingerprint>.gob.
 var studyKind = &kind[StudyRecord]{
 	layout: layout{dir: "studies", suffix: ".gob"},
-	codec:  codec[StudyRecord]{version: studyVersion, id: studyFingerprint},
+	codec:  newCodec(studyVersion, studyFingerprint),
 	name:   studyFingerprint,
 }
 
 func studyFingerprint(rec *StudyRecord) string { return rec.Fingerprint }
 
-// studyMirror is one manifest in the store's in-memory mirror, and whether
-// the backend holds it too (its last write succeeded, or it was read from
-// the backend).
+// studyMirror is what the store keeps of one manifest: the digest of its
+// encoded record (studyDigest), which is all an equal save needs to skip the write, and
+// the record itself only while the backend does not hold it — a write in
+// flight or failed, or a memory-only or degraded store. On a persistent
+// backend a saved manifest costs its fingerprint and digest, not its
+// configuration bytes.
 type studyMirror struct {
-	rec     StudyRecord
-	durable bool
+	sum [sha256.Size]byte
+	rec *StudyRecord // nil once a persistent backend holds the record
+	// pending: the backend does not hold the record yet (its write is in
+	// flight or failed), so an equal save writes it again.
+	pending bool
 }
 
-// SaveStudy records a completed study's manifest, write-through to memory
-// and the backend. Saving a record equal to one the backend already holds
+// studyDigest encodes a manifest's gob payload and digests its value
+// message. Within one process a record always encodes to the same value
+// message (the type definitions before it carry this process's type ids),
+// so equal digests mean equal records.
+func studyDigest(rec *StudyRecord) ([]byte, [sha256.Size]byte, error) {
+	payload, err := studyKind.codec.gob.encode(rec)
+	if err != nil {
+		return nil, [sha256.Size]byte{}, err
+	}
+	n, _ := typeDefs(payload)
+	return payload, sha256.Sum256(payload[n:]), nil
+}
+
+// SaveStudy records a completed study's manifest, writing it through to
+// the backend. Saving a record equal to one the backend already holds
 // writes nothing and leaves StudyGeneration alone, so a warm re-run costs
-// no disk write; a record whose backend write failed is written again on
-// the next save. Backend errors degrade durability, never the caller: the
-// in-memory record still answers queries for the rest of the process.
+// no disk write; a record whose backend write failed stays resident and is
+// written again on the next save. Backend errors degrade durability, never
+// the caller: the resident record still answers queries for the rest of
+// the process.
 func (s *Store) SaveStudy(rec StudyRecord) error {
 	if rec.Fingerprint == "" {
 		return fmt.Errorf("store: study record needs a fingerprint")
 	}
 	rec.Version = studyVersion
+	payload, sum, err := studyDigest(&rec)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
 	s.studiesMu.Lock()
 	old, had := s.studiesMem[rec.Fingerprint]
-	same := had && reflect.DeepEqual(old.rec, rec)
-	if same && old.durable {
+	same := had && old.sum == sum
+	if same && !old.pending {
 		s.studiesMu.Unlock()
 		return nil
 	}
 	if !same {
-		s.studiesMem[rec.Fingerprint] = studyMirror{rec: rec}
 		s.studyGen.Add(1)
 	}
+	s.studiesMem[rec.Fingerprint] = studyMirror{sum: sum, rec: &rec, pending: true}
 	s.studiesMu.Unlock()
-	err := s.backend.WriteStudy(rec)
+	data, err := studyKind.codec.frame(payload)
+	if err == nil {
+		err = s.backend.WriteStudy(rec.Fingerprint, data)
+	}
 	if err == nil {
 		s.studiesMu.Lock()
-		if m := s.studiesMem[rec.Fingerprint]; reflect.DeepEqual(m.rec, rec) {
-			m.durable = true
+		if m := s.studiesMem[rec.Fingerprint]; m.sum == sum {
+			m.pending = false
+			if s.persistent() {
+				m.rec = nil
+			}
 			s.studiesMem[rec.Fingerprint] = m
 		}
 		s.studiesMu.Unlock()
@@ -101,58 +133,70 @@ func (s *Store) SaveStudy(rec StudyRecord) error {
 	return err
 }
 
-// StudyGeneration counts changes to the manifest mirror: it moves when the
-// mirror gains a fingerprint or a record changes, by SaveStudy or by
-// LoadStudy caching a backend record. The mirror never shrinks, so an
-// unchanged generation means this process has seen no new manifest —
-// though another process sharing the backend may have written one, which
-// only ListStudies finds.
+// StudyGeneration counts changes to the set of manifests this process
+// knows: it moves when SaveStudy records a new fingerprint or a changed
+// record, or LoadStudy first reads a fingerprint from the backend. It
+// never moves back, so an unchanged generation means this process has
+// seen no new manifest — though another process sharing the backend may
+// have written one, which only StudyFingerprints finds.
 func (s *Store) StudyGeneration() int64 { return s.studyGen.Load() }
 
-// LoadStudy returns the manifest of one stored study by fingerprint:
-// memory first, then the backend. Corrupt records are discarded and read
-// as misses, like point records.
+// LoadStudy returns the manifest of one stored study by fingerprint: the
+// resident record if the backend does not hold it, else the backend's.
+// Corrupt records are discarded and read as misses, like point records.
 func (s *Store) LoadStudy(fingerprint string) (StudyRecord, bool) {
 	s.studiesMu.Lock()
-	m, ok := s.studiesMem[fingerprint]
+	m, had := s.studiesMem[fingerprint]
 	s.studiesMu.Unlock()
-	if ok {
-		return m.rec, true
+	if m.rec != nil {
+		return *m.rec, true
 	}
 	rec, ok := s.backend.ReadStudy(fingerprint)
-	if !ok {
-		return StudyRecord{}, false
+	if !ok || had {
+		return rec, ok
 	}
-	s.studiesMu.Lock()
-	if m, ok := s.studiesMem[fingerprint]; ok {
-		rec = m.rec // a concurrent save or load got there first
-	} else {
-		s.studiesMem[fingerprint] = studyMirror{rec: rec, durable: true}
-		s.studyGen.Add(1)
+	// A manifest another process (or an earlier run) wrote: remember its
+	// digest, so an equal save skips the write.
+	if _, sum, err := studyDigest(&rec); err == nil {
+		s.studiesMu.Lock()
+		if _, ok := s.studiesMem[fingerprint]; !ok {
+			s.studiesMem[fingerprint] = studyMirror{sum: sum}
+			s.studyGen.Add(1)
+		}
+		s.studiesMu.Unlock()
 	}
-	s.studiesMu.Unlock()
 	return rec, true
 }
 
-// ListStudies returns every stored study manifest, sorted by name then
-// fingerprint (deterministic across processes). The union of the in-memory
-// mirror and the backend is returned, so studies saved by this process
-// stay listed even after the store degrades to memory-only mode.
-func (s *Store) ListStudies() []StudyRecord {
-	for _, fp := range s.backend.StudyFingerprints() {
-		s.studiesMu.Lock()
-		_, have := s.studiesMem[fp]
-		s.studiesMu.Unlock()
-		if !have {
-			s.LoadStudy(fp) // caches into the mirror on success
+// StudyFingerprints lists every stored study's fingerprint, sorted and
+// without reading a manifest: the backend's listing plus the manifests
+// only this process holds, so studies saved by this process stay listed
+// after a failed write or with the store degraded to memory-only mode.
+// It is also the /v1/store/studies index body.
+func (s *Store) StudyFingerprints() []string {
+	fps := s.backend.StudyFingerprints()
+	s.studiesMu.Lock()
+	for fp, m := range s.studiesMem {
+		if m.rec != nil {
+			fps = append(fps, fp)
 		}
 	}
-	s.studiesMu.Lock()
-	out := make([]StudyRecord, 0, len(s.studiesMem))
-	for _, m := range s.studiesMem {
-		out = append(out, m.rec)
-	}
 	s.studiesMu.Unlock()
+	slices.Sort(fps)
+	return slices.Compact(fps)
+}
+
+// ListStudies returns every stored study manifest (StudyFingerprints, each
+// read by LoadStudy), sorted by name then fingerprint — deterministic
+// across processes.
+func (s *Store) ListStudies() []StudyRecord {
+	fps := s.StudyFingerprints()
+	out := make([]StudyRecord, 0, len(fps))
+	for _, fp := range fps {
+		if rec, ok := s.LoadStudy(fp); ok {
+			out = append(out, rec)
+		}
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
 			return out[i].Name < out[j].Name

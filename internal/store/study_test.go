@@ -1,6 +1,9 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -344,5 +347,66 @@ func TestStudyGenerationCountsMirrorChanges(t *testing.T) {
 	st.ListStudies()
 	if g := st.StudyGeneration(); g != 2 {
 		t.Fatalf("generation %d after listing one new manifest, want 2", g)
+	}
+}
+
+// residentStudies reports what a store keeps of its manifests: how many
+// records are resident, and the bytes of fingerprints, digests and
+// resident records' variable parts.
+func residentStudies(st *Store) (records, size int) {
+	st.studiesMu.Lock()
+	defer st.studiesMu.Unlock()
+	for fp, m := range st.studiesMem {
+		size += len(fp) + sha256.Size
+		if m.rec != nil {
+			records++
+			size += len(m.rec.Fingerprint) + len(m.rec.Name) + len(m.rec.Config)
+		}
+	}
+	return records, size
+}
+
+// TestDirectoryStoreKeepsManifestDigests: a directory store keeps a saved
+// manifest's fingerprint and digest, not the record, so a stream of cold
+// studies does not grow the heap by a configuration each; the record reads
+// back from disk. A memory-only store is its own data and keeps them all.
+func TestDirectoryStoreKeepsManifestDigests(t *testing.T) {
+	const n = 64
+	config := bytes.Repeat([]byte("c"), 1500) // about a cold co-design config
+	dir, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		rec := StudyRecord{Fingerprint: fmt.Sprintf("%064x", i), Name: "cold", Config: config, Points: 8}
+		for _, st := range []*Store{dir, mem} {
+			if err := st.SaveStudy(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	records, size := residentStudies(dir)
+	if records != 0 || size > n*(64+sha256.Size) {
+		t.Fatalf("directory store keeps %d records, %d bytes for %d manifests; want 0 records, at most %d bytes",
+			records, size, n, n*(64+sha256.Size))
+	}
+	if records, _ := residentStudies(mem); records != n {
+		t.Fatalf("memory-only store keeps %d of %d records", records, n)
+	}
+	for _, st := range []*Store{dir, mem} {
+		got, ok := st.LoadStudy(fmt.Sprintf("%064x", n-1))
+		if !ok || !bytes.Equal(got.Config, config) {
+			t.Fatalf("%s store: LoadStudy = %+v, %v", st.Backend().Kind(), got, ok)
+		}
+		if recs := st.ListStudies(); len(recs) != n {
+			t.Fatalf("%s store lists %d studies, want %d", st.Backend().Kind(), len(recs), n)
+		}
+	}
+	if records, _ := residentStudies(dir); records != 0 {
+		t.Fatalf("reads made %d directory-store records resident", records)
 	}
 }

@@ -38,7 +38,14 @@ import (
 // benchLine matches one benchmark result line, e.g.
 //
 //	BenchmarkCharacterize2MBSTT-8   1000   1234567 ns/op   12 B/op   3 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.]+ B/op\s+([0-9.]+) allocs/op)?`)
+//
+// and allocsCol its allocs/op column, wherever it sits: b.ReportMetric
+// columns (e.g. "12345 resident-B") may come between ns/op and the
+// -benchmem columns.
+var (
+	benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+	allocsCol = regexp.MustCompile(`\s([0-9.]+) allocs/op\b`)
+)
 
 // sample is one benchmark's best observation: fastest ns/op and, when the
 // output carried -benchmem columns, lowest allocs/op.
@@ -68,8 +75,8 @@ func parseBench(path string) (map[string]sample, error) {
 			continue
 		}
 		s := sample{ns: ns}
-		if m[3] != "" {
-			if a, err := strconv.ParseFloat(m[3], 64); err == nil {
+		if a := allocsCol.FindStringSubmatch(sc.Text()); a != nil {
+			if a, err := strconv.ParseFloat(a[1], 64); err == nil {
 				s.allocs = a
 				s.hasAllocs = true
 			}

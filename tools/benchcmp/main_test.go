@@ -22,6 +22,7 @@ BenchmarkCharacterize2MBSTT-8   	    1000	   1234.5 ns/op	      12 B/op	       3
 BenchmarkCharacterize2MBSTT-8   	    1200	   1100.0 ns/op
 BenchmarkStudyPipeline-8        	      10	 99999 ns/op
 BenchmarkFig1PublicationSurvey  	       5	   500 ns/op
+BenchmarkStorePutCold-8         	      20	  81234 ns/op	     40960 resident-B	   21345 B/op	      97 allocs/op
 PASS
 ok  	repro	1.234s
 `)
@@ -29,8 +30,8 @@ ok  	repro	1.234s
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3: %v", len(got), got)
+	if len(got) != 4 {
+		t.Fatalf("parsed %d benchmarks, want 4: %v", len(got), got)
 	}
 	// Duplicate samples keep the fastest ns/op while retaining the allocs
 	// column from the -benchmem sample.
@@ -44,6 +45,11 @@ ok  	repro	1.234s
 	// No -N suffix also parses; no -benchmem columns means no alloc gate.
 	if s := got["BenchmarkFig1PublicationSurvey"]; s.ns != 500 || s.hasAllocs {
 		t.Errorf("suffix-free benchmark: %+v", s)
+	}
+	// A b.ReportMetric column between ns/op and the -benchmem columns
+	// keeps the allocs/op gate.
+	if s := got["BenchmarkStorePutCold"]; s.ns != 81234 || !s.hasAllocs || s.allocs != 97 {
+		t.Errorf("benchmark with a custom metric column: %+v", s)
 	}
 }
 
