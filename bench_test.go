@@ -12,7 +12,6 @@ package nvmexplorer
 // engines are visible.
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -412,8 +411,8 @@ func BenchmarkTableIISweepColdStore(b *testing.B) {
 // BenchmarkTableIISweepDisk measures a cold Table II sweep writing through
 // a fresh disk-backed store each iteration. With NVMX_BENCH_JOURNAL=1 the
 // same run is wrapped in the write-ahead job journal (one job record up
-// front, one completion record per grid point, cleanup at the end) — the
-// shape every async job takes on a journaled server. Comparing the two
+// front, its removal at the end) — the shape every async job takes on a
+// journaled server. Comparing the two
 // settings with tools/benchcmp gates the journal's overhead on the hot
 // path (the EXPERIMENTS.md budget is <5%).
 func BenchmarkTableIISweepDisk(b *testing.B) {
@@ -428,23 +427,20 @@ func BenchmarkTableIISweepDisk(b *testing.B) {
 		}
 		s := tableIIStudy(st)
 		b.StartTimer()
+		var id string
 		if journal {
-			id := fmt.Sprintf("job-%d", i)
+			id = fmt.Sprintf("job-%d", i)
 			if err := st.JournalJob(store.JobRecord{
 				ID: id, Fingerprint: "bench", Name: s.Name, Format: "json",
 				Config: []byte(`{"name":"bench"}`)}); err != nil {
 				b.Fatal(err)
 			}
-			_, err = s.RunStream(context.Background(), func(pr PointResult) error {
-				st.JournalPoint(id, pr.Spec.Index)
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			st.JournalDone(id)
-		} else if _, err := s.Run(); err != nil {
+		}
+		if _, err := s.Run(); err != nil {
 			b.Fatal(err)
+		}
+		if journal {
+			st.JournalDone(id)
 		}
 	}
 	b.StopTimer()

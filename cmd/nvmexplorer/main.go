@@ -138,9 +138,9 @@ func usageError() error {
   nvmexplorer exp <id> [-out dir]            regenerate a paper experiment
   nvmexplorer fsck <store-dir> [-repair]     verify a study store: checksum every
                                              record (points, studies, job journal)
-                                             and the memo snapshot, and count the
-                                             shard and sync files older versions
-                                             left as legacy; -repair quarantines
+                                             and count the files older versions
+                                             left (shard, sync, progress and memo
+                                             snapshot) as legacy; -repair quarantines
                                              corrupt files into .corrupt/, upgrades
                                              v1 pre-checksum points and removes
                                              legacy files
@@ -228,13 +228,6 @@ func runSweepTo(w io.Writer, args []string) error {
 		return err
 	}
 	if st != nil {
-		// Persist the engine's memo cache too, so future *overlapping*
-		// studies (not just repeats) start warm. The store is an
-		// accelerator: a full or read-only volume must not discard the
-		// computed study, so a snapshot failure only warns.
-		if err := st.SaveMemo(); err != nil {
-			fmt.Fprintln(os.Stderr, "nvmexplorer: warning:", err)
-		}
 		// Record the study manifest so `nvmexplorer query` (and the
 		// service's GET /v1/studies/{fp}) can replay this study from the
 		// store.
@@ -426,7 +419,7 @@ func runServe(args []string) error {
 	grace := fs.Duration("grace", 30*time.Second,
 		"how long to let in-flight studies drain on SIGINT/SIGTERM before exiting")
 	storeDir := fs.String("store", "",
-		"persistent study-store target: a directory (evaluated design points survive restarts; the engine memo cache is snapshotted there on shutdown), or the base URL of a peer `nvmexplorer serve` whose /v1/store/* API backs this process")
+		"persistent study-store target: a directory (evaluated design points survive restarts), or the base URL of a peer `nvmexplorer serve` whose /v1/store/* API backs this process")
 	fabricWorkers := fs.String("fabric", "",
 		"comma-separated base URLs of fabric worker processes (e.g. http://w1:8080,http://w2:8080): this server becomes a coordinator that consistent-hashes each study's cold grid points across the live workers before running it; output stays byte-identical at any worker count")
 	jobWorkers := fs.Int("job-workers", 0, "async job worker-pool size (0 = -jobs)")
@@ -507,14 +500,6 @@ func runServe(args []string) error {
 	// Signal path: wait for the drain to finish before reporting.
 	shutdownErr := <-shutdownDone
 	srv.Close() // cancel any remaining async jobs, stop the worker pool
-	if st != nil {
-		// Snapshot the engine memo cache so the next process starts warm
-		// even for studies that only partially overlap the stored points.
-		if err := st.SaveMemo(); err != nil {
-			return fmt.Errorf("serve: saving memo snapshot: %w", err)
-		}
-		fmt.Fprintln(os.Stderr, "nvmexplorer: memo snapshot saved")
-	}
 	if shutdownErr != nil {
 		return fmt.Errorf("serve: shutdown: %w", shutdownErr)
 	}
@@ -529,7 +514,7 @@ func runServe(args []string) error {
 func runFsck(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("fsck", flag.ContinueOnError)
 	repair := fs.Bool("repair", false,
-		"quarantine corrupt files into .corrupt/, upgrade v1 pre-checksum point files (the live store reads them as misses), and remove orphan journal progress files and legacy shard and sync files; unknown-version records stay in place")
+		"quarantine corrupt files into .corrupt/, upgrade v1 pre-checksum point files (the live store reads them as misses), and remove the files older versions left (shard, sync, progress and memo snapshot); unknown-version records stay in place")
 	dir, err := parseMixed(fs, args)
 	if err != nil {
 		return fmt.Errorf("fsck needs exactly one store directory: %w", err)

@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/cell"
 	"repro/internal/eval"
@@ -275,6 +276,48 @@ func TestParetoFrontierSelection(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r.Frontier, []int{0, 1, 3, 5}) {
 		t.Errorf("stored frontier = %v", r.Frontier)
+	}
+}
+
+// TestParetoFrontierProperty: over random two-metric rows, the frontier is
+// ascending, no row dominates a member, and some row dominates every
+// non-member.
+func TestParetoFrontierProperty(t *testing.T) {
+	metrics := []string{"total_power_mw", "mem_time_per_sec"}
+	f := func(raw []uint16) bool {
+		r := &Results{Study: NewStudy("p")}
+		for i := 0; i+1 < len(raw); i += 2 {
+			r.Metrics = append(r.Metrics, eval.Metrics{
+				TotalPowerMW: float64(raw[i] % 100), MemoryTimePerSec: float64(raw[i+1] % 100)})
+		}
+		front, err := r.ParetoFrontier(metrics)
+		if err != nil {
+			return false
+		}
+		dominates := func(a, b eval.Metrics) bool {
+			return a.TotalPowerMW <= b.TotalPowerMW && a.MemoryTimePerSec <= b.MemoryTimePerSec &&
+				(a.TotalPowerMW < b.TotalPowerMW || a.MemoryTimePerSec < b.MemoryTimePerSec)
+		}
+		member := map[int]bool{}
+		for k, i := range front {
+			if k > 0 && front[k-1] >= i {
+				return false
+			}
+			member[i] = true
+		}
+		for i, m := range r.Metrics {
+			dominated := false
+			for _, p := range r.Metrics {
+				dominated = dominated || dominates(p, m)
+			}
+			if dominated == member[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 

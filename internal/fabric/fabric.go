@@ -170,13 +170,6 @@ type Pool struct {
 	bg       sync.WaitGroup
 }
 
-// NewPool builds a coordinator over worker base URLs with default
-// resilience options — the compatibility construction. client == nil uses
-// a default with the shard timeout.
-func NewPool(urls []string, client *http.Client) *Pool {
-	return NewPoolOptions(urls, Options{Client: client})
-}
-
 // NewPoolOptions builds a coordinator over worker base URLs (e.g.
 // "http://w1:8080"). Workers start unproven — breaker open with an
 // immediate retry window — and are handshaken on first use. A URL listed

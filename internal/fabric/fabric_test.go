@@ -127,7 +127,7 @@ func TestFabricPoolHandshakeGatesTheRing(t *testing.T) {
 	}))
 	defer stale.Close()
 
-	p := NewPool([]string{good.URL, stale.URL, "http://127.0.0.1:1"}, nil)
+	p := NewPoolOptions([]string{good.URL, stale.URL, "http://127.0.0.1:1"}, Options{})
 	if p.Workers() != 3 {
 		t.Fatalf("Workers() = %d, want 3", p.Workers())
 	}
@@ -152,7 +152,7 @@ func TestFabricPoolHandshakeGatesTheRing(t *testing.T) {
 }
 
 func TestFabricPrefillWithoutStoreOrWorkersIsANoOp(t *testing.T) {
-	p := NewPool(nil, nil)
+	p := NewPoolOptions(nil, Options{})
 	p.Prefill(context.Background(), &core.Study{}, []byte("{}"), nil, "")
 	if s := p.Snapshot(); s.Shards != 0 || s.RemoteHits != 0 || s.RemoteMisses != 0 {
 		t.Fatalf("no-op prefill moved counters: %+v", s)

@@ -183,7 +183,7 @@ func TestFabricReshardMovesFailedShardToSurvivor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool([]string{ts1.URL, ts2.URL}, nil)
+	p := NewPoolOptions([]string{ts1.URL, ts2.URL}, Options{})
 	p.Prefill(context.Background(), study, []byte(`{}`), st, "")
 
 	s := p.Snapshot()
@@ -251,7 +251,7 @@ func TestFabricRouteWalksWholeRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool(urls, nil)
+	p := NewPoolOptions(urls, Options{})
 	p.Prefill(context.Background(), study, []byte(`{}`), st, "")
 
 	s := p.Snapshot()

@@ -150,7 +150,7 @@ func TestFabricPrefillFansOutAndMerges(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := NewPool([]string{ts1.URL, ts2.URL}, nil)
+	p := NewPoolOptions([]string{ts1.URL, ts2.URL}, Options{})
 	p.Prefill(context.Background(), study, []byte(`{"synthetic":"cfg"}`), st, "")
 
 	// The prefill hands winners to the study and stores nothing: the
@@ -236,7 +236,7 @@ func TestFabricPrefillShardFailureFallsBackToLocal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := NewPool([]string{ts.URL}, nil)
+			p := NewPoolOptions([]string{ts.URL}, Options{})
 			p.Prefill(context.Background(), study, []byte(`{}`), st, "")
 
 			if st.Len() != 0 {
@@ -270,7 +270,7 @@ func TestFabricPoolDedupesWorkerURLs(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	p := NewPool([]string{ts.URL, ts.URL}, nil)
+	p := NewPoolOptions([]string{ts.URL, ts.URL}, Options{})
 	if p.Workers() != 1 {
 		t.Fatalf("Workers() = %d, want 1 for one URL listed twice", p.Workers())
 	}
@@ -326,7 +326,7 @@ func TestFabricPrefillRejectsMislabeledPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := NewPool([]string{ts.URL}, nil)
+			p := NewPoolOptions([]string{ts.URL}, Options{})
 			p.Prefill(context.Background(), study, []byte(`{}`), st, "")
 			if sw.served.Load() == 0 {
 				t.Fatal("the worker never served a shard")
@@ -382,7 +382,7 @@ func TestFabricPrefillShipsFailedConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool(urls, nil)
+	p := NewPoolOptions(urls, Options{})
 	p.Prefill(context.Background(), study, []byte(`{}`), st, "")
 	if s := p.Snapshot(); s.RemoteHits != int64(len(specs)) || s.RemoteMisses != 0 {
 		t.Fatalf("counters = %+v, want %d hits / 0 misses", s, len(specs))
@@ -416,7 +416,7 @@ func TestFabricPrefillDeadlineSparesWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool([]string{ts.URL}, nil)
+	p := NewPoolOptions([]string{ts.URL}, Options{})
 	spared := func(when string) {
 		t.Helper()
 		if s := p.Snapshot(); s.BreakerTrips != 0 || s.RemoteMisses != 0 || s.RemoteHits != 0 {

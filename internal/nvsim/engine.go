@@ -111,3 +111,22 @@ func CharacterizeTargets(cfg Config, targets []OptTarget) (results []Result, err
 	}
 	return results, errs
 }
+
+// ValidWinners reports whether winners could be CharacterizeTargets(cfg,
+// targets)'s all-successful answer: one result per target, in order, each
+// for cfg's cell, capacity and normalized word width, admitted by cfg's
+// constraints. It checks winners computed elsewhere (a fabric shard).
+func ValidWinners(cfg Config, targets []OptTarget, winners []Result) bool {
+	cfg.Target = 0
+	if cfg.normalize() != nil || len(winners) != len(targets) {
+		return false
+	}
+	for i, t := range targets {
+		r := &winners[i]
+		if r.Target != t || t < 0 || t >= numOptTargets || r.Cell != cfg.Cell ||
+			r.CapacityBytes != cfg.CapacityBytes || r.WordBits != cfg.WordBits || !cfg.admissible(*r) {
+			return false
+		}
+	}
+	return true
+}

@@ -319,3 +319,48 @@ func TestMemoConcurrentCharacterize(t *testing.T) {
 		t.Errorf("misses=%d, want 4 (singleflight should dedupe concurrent evaluations)", misses)
 	}
 }
+
+// TestValidWinners pins the check every adopted shard characterization
+// passes: only winners CharacterizeTargets could have returned for the
+// configuration and targets, in order, are accepted.
+func TestValidWinners(t *testing.T) {
+	d := cell.MustTentpole(cell.STT, cell.Optimistic)
+	all := OptTargets()
+	key := func(capBytes int64) Config { return Config{Cell: d, CapacityBytes: capBytes} }
+	winners := func(cfg Config) []Result {
+		rs, errs := CharacterizeTargets(cfg, all)
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rs
+	}
+	good, foreign := winners(key(1<<20)), winners(key(2<<20))
+	// The right arrays for a looser key, but filed under the wrong targets.
+	loose := key(1 << 20)
+	loose.MaxLeakageMW = 1e6
+	mislabeled := slices.Clone(good)
+	mislabeled[OptReadLatency], mislabeled[OptArea] = good[OptArea], good[OptReadLatency]
+
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		targets []OptTarget
+		winners []Result
+		want    bool
+	}{
+		{"good", key(1 << 20), all, good, true},
+		{"good, one target", key(1 << 20), []OptTarget{OptArea}, good[OptArea : OptArea+1], true},
+		{"good, looser key", loose, all, good, true},
+		{"zero-filled", key(1 << 20), all, make([]Result, len(all)), false},
+		{"another capacity", key(1 << 20), all, foreign, false},
+		{"swapped targets, looser key", loose, all, mislabeled, false},
+		{"short slice", key(1 << 20), all, good[:len(good)-1], false},
+		{"long slice", key(1 << 20), all[:len(all)-1], good, false},
+	} {
+		if got := ValidWinners(c.cfg, c.targets, c.winners); got != c.want {
+			t.Errorf("%s: ValidWinners = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -34,10 +34,6 @@ type memoEntry struct {
 	once sync.Once
 	best [numOptTargets]Result // indexed by OptTarget
 	err  error
-	// ready flips true once the once has completed, so the snapshot writer
-	// (snapshot.go) can tell a finished entry from one still computing
-	// without blocking on the once itself.
-	ready atomic.Bool
 }
 
 var memo = struct {
@@ -74,7 +70,6 @@ func memoized(cfg Config) *memoEntry {
 		memoMisses.Add(1)
 	}
 	e.once.Do(func() { e.err = bestPerTarget(&cfg, &e.best) })
-	e.ready.Store(true)
 	return e
 }
 

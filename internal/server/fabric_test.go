@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/nvsim"
@@ -73,8 +71,7 @@ func TestVersionHandshakeEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v.Protocol != store.ProtocolVersion || v.PointKey != core.PointKeyVersion ||
-		v.StoreRecord != store.RecordVersion || v.ShardWire != store.ShardWireVersion ||
-		v.MemoSnapshot != nvsim.SnapshotVersion {
+		v.StoreRecord != store.RecordVersion || v.ShardWire != store.ShardWireVersion {
 		t.Fatalf("version handshake body out of sync with this binary: %+v", v)
 	}
 }
@@ -242,71 +239,6 @@ func TestStoreAPIRecordRoundTrip(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("study PUT: status %d, want 204", resp.StatusCode)
-	}
-
-	// The memo snapshot round-trips too (the seed run populated it).
-	resp, err = http.Get(tsA.URL + "/v1/store/memo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	memo, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(memo) == 0 {
-		t.Fatalf("memo GET: status %d, %d bytes", resp.StatusCode, len(memo))
-	}
-	req, _ = http.NewRequest(http.MethodPut, tsB.URL+"/v1/store/memo", bytes.NewReader(memo))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("memo PUT: status %d, want 204", resp.StatusCode)
-	}
-}
-
-// TestMemoPutRefusesOtherSnapshotVersions: a memo snapshot of another
-// schema version (here v1's shape: every candidate per key) is refused
-// with version_mismatch, undecodable bytes with store_corrupt, and
-// neither touches the live memo.
-func TestMemoPutRefusesOtherSnapshotVersions(t *testing.T) {
-	nvsim.ResetMemo()
-	defer nvsim.ResetMemo()
-	_, ts := newStoreServer(t, t.TempDir())
-	type entryV1 struct {
-		Config nvsim.Config
-		Cands  []nvsim.Result
-	}
-	cfg := nvsim.Config{Cell: cell.MustTentpole(cell.STT, cell.Optimistic),
-		CapacityBytes: 1 << 20, WordBits: nvsim.DefaultWordBits}
-	cands, err := nvsim.CharacterizeAll(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v1 bytes.Buffer
-	if err := gob.NewEncoder(&v1).Encode(&struct {
-		Version string
-		Entries []entryV1
-	}{"nvmx-memo/v1", []entryV1{{cfg, cands}}}); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		body []byte
-		code string
-	}{{v1.Bytes(), "version_mismatch"}, {[]byte("not gob"), "store_corrupt"}} {
-		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/store/memo", bytes.NewReader(c.body))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || errCode(t, body) != c.code {
-			t.Fatalf("memo PUT: status %d code %q, want 400 %s", resp.StatusCode, errCode(t, body), c.code)
-		}
-	}
-	if nvsim.MemoLen() != 0 {
-		t.Fatal("a refused snapshot populated the memo")
 	}
 }
 
@@ -676,7 +608,7 @@ func TestOpenAPIAdvertisesFabricProtocol(t *testing.T) {
 		t.Fatalf("GET /v1/openapi.json: status %d", resp.StatusCode)
 	}
 	for _, needle := range []string{
-		"/v1/version", "/v1/store/points/{addr}", "/v1/store/memo",
+		"/v1/version", "/v1/store/points/{addr}",
 		"/v1/store/studies/{fingerprint}", "/v1/shard",
 		"store_unavailable", "shard_conflict", "version_mismatch", "store_corrupt",
 	} {
@@ -684,6 +616,9 @@ func TestOpenAPIAdvertisesFabricProtocol(t *testing.T) {
 			!bytes.Contains(body, []byte(needle)) {
 			t.Errorf("openapi.json does not mention %q", needle)
 		}
+	}
+	if bytes.Contains(body, []byte("/v1/store/memo")) {
+		t.Error("openapi.json still advertises /v1/store/memo")
 	}
 }
 

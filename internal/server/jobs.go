@@ -29,9 +29,9 @@ var errQueueFull = errors.New("job queue full")
 var testHookJobRunning func(*job)
 
 // testHookJobPoint, when non-nil, runs after each grid point of an async
-// job completes — after the point's journal record has landed. Crash-
-// recovery tests install a hook that parks the worker at a chosen point so
-// the process can be "killed" with the journal in a known state.
+// job is emitted, with the job's count of emitted points. Crash-recovery
+// tests install a hook that parks the worker at a chosen point so the
+// process can be "killed" mid-job, its record still in the journal.
 var testHookJobPoint func(j *job, completed int)
 
 // pointDelay stretches every async and shard grid point by
@@ -259,8 +259,7 @@ func (m *jobManager) resume() {
 			continue
 		}
 		m.resumed.Add(1)
-		log.Printf("server: resumed job %s (%q, %d/%d points journaled)",
-			rec.ID, rec.Name, rec.Completed, rec.Total)
+		log.Printf("server: resumed job %s (%q, %d points)", rec.ID, rec.Name, rec.Total)
 	}
 }
 
@@ -414,16 +413,14 @@ func (m *jobManager) run(j *job) {
 				h(j)
 			}
 		},
-		emit: func(pr core.PointResult) error {
+		emit: func(core.PointResult) error {
 			if err := delayPoints(j.ctx, 1); err != nil {
 				return err
 			}
+			// A job's durable progress is its points in the store: a
+			// resumed job re-probes the store and computes only the
+			// points it does not find.
 			n := j.completed.Add(1)
-			// Journal the completion after the point's rows exist: replay
-			// treats journaled points as "safe to serve from the store".
-			if st := m.srv.opts.Store; st != nil {
-				st.JournalPoint(j.id, pr.Spec.Index)
-			}
 			if h := testHookJobPoint; h != nil {
 				h(j, int(n))
 			}

@@ -308,7 +308,7 @@ func buildOpenAPI() []byte {
 			"/v1/version": map[string]any{
 				"get": map[string]any{
 					"summary":     "Protocol and schema versions for the peer handshake",
-					"description": "The wire-protocol generation plus every schema version that crosses the wire (point keys, store records, shard payloads, memo snapshots). Remote stores and fabric coordinators refuse peers whose versions disagree (version_mismatch).",
+					"description": "The wire-protocol generation plus every schema version that crosses the wire (point keys, store records, shard payloads). Remote stores and fabric coordinators refuse peers whose versions disagree (version_mismatch).",
 				},
 			},
 			"/v1/store/points/{addr}": map[string]any{
@@ -322,10 +322,6 @@ func buildOpenAPI() []byte {
 					"summary":     "Store one point record",
 					"description": "Body is the record's enveloped bytes. The record names its own key (which hashes to the address), so a mislabeled upload can only collide with itself. 400 store_corrupt on a torn or bit-flipped record, 400 version_mismatch on an unknown schema.",
 				},
-			},
-			"/v1/store/memo": map[string]any{
-				"get": map[string]any{"summary": "Snapshot of the live engine memo cache", "description": "404 while empty."},
-				"put": map[string]any{"summary": "Merge a memo snapshot into the live cache", "description": "Merge, not replace: entries this process computed keep their live values, so peers exchange snapshots in both directions safely. 400 version_mismatch on another snapshot schema version, 400 store_corrupt on undecodable bytes."},
 			},
 			"/v1/store/studies": map[string]any{
 				"get": map[string]any{"summary": "Stored study fingerprints", "description": "{\"fingerprints\": [...]} — the remote backend's manifest index."},

@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	iofs "io/fs"
 	"net/http"
@@ -23,10 +25,10 @@ import (
 )
 
 // TestCrashRecoveryResumesJournaledJob is the tentpole's acceptance gate: a
-// server killed without any shutdown path (no Close, no memo snapshot, no
-// journal cleanup — the moral equivalent of SIGKILL) leaves its async job's
-// journal on disk; a fresh server over the same store re-adopts the job
-// under the same ID, completes it entirely from stored points (zero engine
+// server killed without any shutdown path (no Close, no journal cleanup —
+// the moral equivalent of SIGKILL) leaves its async job's record on disk;
+// a fresh server over the same store re-adopts the job under the same ID,
+// completes it entirely from stored points (zero engine
 // characterizations), and serves bytes identical to the batch CLI.
 func TestCrashRecoveryResumesJournaledJob(t *testing.T) {
 	nvsim.ResetMemo()
@@ -34,8 +36,8 @@ func TestCrashRecoveryResumesJournaledJob(t *testing.T) {
 	cfg := testConfig("crash-recovery", "STT", 1<<21)
 	want := batchOutput(t, cfg, "json")
 
-	// Server A's worker parks once the final grid point's journal record has
-	// landed, so the "kill" happens at a known journal state.
+	// Server A's worker parks once the final grid point is emitted, so the
+	// "kill" happens with every point computed and the job unsettled.
 	park := make(chan struct{})
 	parked := make(chan struct{})
 	var once sync.Once
@@ -64,8 +66,8 @@ func TestCrashRecoveryResumesJournaledJob(t *testing.T) {
 		t.Fatalf("submit status %d", code)
 	}
 	<-parked
-	// Every point is journaled; wait for the async cache putter to land the
-	// point files too (they flush independently of the journal records).
+	// Every point is emitted; wait for the async cache putter to land the
+	// point files too (they flush independently of emission).
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		files, err := filepath.Glob(filepath.Join(dir, "points", "*", "*.gob"))
@@ -81,10 +83,10 @@ func TestCrashRecoveryResumesJournaledJob(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	// "SIGKILL": drop the frontend and abandon srvA mid-run. Close() is
-	// deliberately not called — the job never settles, no memo snapshot is
-	// written, and the journal stays exactly as the crash left it.
+	// deliberately not called — the job never settles, and the journal stays
+	// exactly as the crash left it.
 	tsA.Close()
-	if jobs := stA.IncompleteJobs(); len(jobs) != 1 || jobs[0].ID != acc.JobID || jobs[0].Completed != 2 {
+	if jobs := stA.IncompleteJobs(); len(jobs) != 1 || jobs[0].ID != acc.JobID || jobs[0].Total != 2 {
 		t.Fatalf("journal after crash: %+v", jobs)
 	}
 
@@ -441,9 +443,6 @@ type brokenFS struct{ store.FS }
 func (brokenFS) WriteFileAtomic(path string, data []byte) error {
 	return errors.New("injected: volume gone")
 }
-func (brokenFS) Append(path string, data []byte) error {
-	return errors.New("injected: volume gone")
-}
 func (brokenFS) ReadFile(path string) ([]byte, error) {
 	return nil, errors.New("injected: volume gone")
 }
@@ -559,99 +558,160 @@ func TestMemoryOnlyStoreDegradedPastBudget(t *testing.T) {
 	}
 }
 
+// parentJobRecord is store.JobRecord as older versions encoded it, with the
+// progress count that replay filled from jobs/<id>.progress.
+type parentJobRecord struct {
+	Version, ID, Fingerprint, Name, Format string
+	Config                                 []byte
+	ParetoSet                              bool
+	Pareto                                 []string
+	ModeSet                                bool
+	Mode                                   string
+	BudgetSet                              bool
+	Budget                                 int
+	SeedSet                                bool
+	Seed                                   int64
+	Total                                  int
+	Completed                              int
+}
+
+// writeParentJob writes rec as an older version framed it: the gob record
+// inside a CRC-32-checksummed, version-stamped envelope.
+func writeParentJob(t *testing.T, dir string, rec parentJobRecord) {
+	t.Helper()
+	var payload, env bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&env).Encode(&struct {
+		Version string
+		Sum     uint32
+		Payload []byte
+	}{rec.Version, crc32.ChecksumIEEE(payload.Bytes()), payload.Bytes()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "jobs", rec.ID+".job"), env.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLegacyShardAndSyncFilesAreIgnored: a store written by an older
-// version may hold fabric shard-assignment records (jobs/*.shards) and
-// anti-entropy sync records (sync/*.gob). The live store never opens
-// them — an incomplete job beside them resumes and finishes byte-identical
-// to the batch CLI, and nothing is quarantined. fsck counts them as legacy
-// without calling the store unclean, and fsck -repair removes them.
+// version may hold files this one never opens — fabric shard-assignment
+// records (jobs/*.shards), anti-entropy sync records (sync/*.gob), per-point
+// job progress (jobs/*.progress) and the engine memo snapshot (memo.gob) —
+// and job records whose gob type still carries a progress count. An
+// incomplete job beside them resumes and finishes byte-identical to the
+// batch CLI, and nothing is quarantined or touched. fsck counts the files
+// as legacy without calling the store unclean, and fsck -repair removes
+// them.
 func TestLegacyShardAndSyncFilesAreIgnored(t *testing.T) {
-	nvsim.ResetMemo()
-	dir := t.TempDir()
 	cfg := testConfig("legacy-store", "STT", 1<<20)
 	x, err := sweep.Expand([]byte(cfg), sweep.Overrides{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = st.JournalJob(store.JobRecord{ID: "job-1", Fingerprint: x.Fingerprint, Name: "legacy-store",
-		Format: "json", Config: []byte(cfg), Total: x.Points})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Neither file is decoded, so any bytes stand in for the old records.
-	legacy := []string{
-		filepath.Join(dir, "jobs", "job-1.shards"),
-		filepath.Join(dir, "sync", "00000000000000000001-deadbeef.gob"),
-	}
-	for _, path := range legacy {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte("written by an older version"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	want := batchOutput(t, cfg, "json")
+	for _, c := range []struct {
+		name  string
+		files []string // relative to the store directory
+		// parentJob writes the job record in the older shape.
+		parentJob bool
+	}{
+		{"shards and sync", []string{"jobs/job-1.shards", "sync/00000000000000000001-deadbeef.gob"}, false},
+		{"memo and progress", []string{"memo.gob", "jobs/job-1.progress"}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			nvsim.ResetMemo()
+			dir := t.TempDir()
+			if c.parentJob {
+				writeParentJob(t, dir, parentJobRecord{Version: "nvmx-journal/v1", ID: "job-1",
+					Fingerprint: x.Fingerprint, Name: "legacy-store", Format: "json",
+					Config: []byte(cfg), Total: x.Points})
+			} else {
+				st, err := store.Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = st.JournalJob(store.JobRecord{ID: "job-1", Fingerprint: x.Fingerprint, Name: "legacy-store",
+					Format: "json", Config: []byte(cfg), Total: x.Points})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			// No file is decoded, so any bytes stand in for the old records.
+			old := []byte("written by an older version")
+			legacy := make([]string, len(c.files))
+			for i, name := range c.files {
+				legacy[i] = filepath.Join(dir, name)
+				if err := os.MkdirAll(filepath.Dir(legacy[i]), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(legacy[i], old, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	st, err = store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Options{MaxConcurrentStudies: 2, StudyWorkers: 2, Store: st})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { ts.Close(); srv.Close() })
-	if n := srv.ResumedJobs(); n != 1 {
-		t.Fatalf("ResumedJobs = %d, want 1", n)
-	}
-	if js := waitState(t, ts, "job-1", JobDone); js.State != JobDone {
-		t.Fatalf("resumed job finished %s (%s), want done", js.State, js.Error)
-	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/job-1/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if want := batchOutput(t, cfg, "json"); resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
-		t.Fatalf("resumed result: status %d, matches batch CLI: %v", resp.StatusCode, bytes.Equal(got, want))
-	}
-	if q := st.Health().Quarantined; q != 0 {
-		t.Fatalf("the live store quarantined %d file(s)", q)
-	}
-	for _, path := range legacy {
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("legacy file disturbed by the live store: %v", err)
-		}
-	}
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := New(Options{MaxConcurrentStudies: 2, StudyWorkers: 2, Store: st})
+			ts := httptest.NewServer(srv.Handler())
+			t.Cleanup(func() { ts.Close(); srv.Close() })
+			if n := srv.ResumedJobs(); n != 1 {
+				t.Fatalf("ResumedJobs = %d, want 1", n)
+			}
+			if js := waitState(t, ts, "job-1", JobDone); js.State != JobDone {
+				t.Fatalf("resumed job finished %s (%s), want done", js.State, js.Error)
+			}
+			resp, err := http.Get(ts.URL + "/v1/jobs/job-1/result")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("resumed result: status %d, matches batch CLI: %v", resp.StatusCode, bytes.Equal(got, want))
+			}
+			if q := st.Health().Quarantined; q != 0 {
+				t.Fatalf("the live store quarantined %d file(s)", q)
+			}
+			for _, path := range legacy {
+				if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, old) {
+					t.Fatalf("legacy file %s disturbed by the live store: %v", path, err)
+				}
+			}
 
-	rep, err := store.Fsck(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Legacy != 2 || !rep.Clean() {
-		t.Fatalf("fsck: legacy=%d clean=%v, want 2/true: %+v", rep.Legacy, rep.Clean(), rep)
-	}
-	if !strings.Contains(rep.Summary(), "legacy: 2") {
-		t.Fatalf("summary does not report the legacy files:\n%s", rep.Summary())
-	}
-	if rep, err = store.Fsck(dir, true); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Removed != 2 {
-		t.Fatalf("fsck -repair removed %d file(s), want 2", rep.Removed)
-	}
-	for _, path := range legacy {
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("fsck -repair left %s in place (%v)", path, err)
-		}
-	}
-	if rep, err = store.Fsck(dir, false); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Legacy != 0 || !rep.Clean() {
-		t.Fatalf("fsck after repair: legacy=%d clean=%v, want 0/true", rep.Legacy, rep.Clean())
+			rep, err := store.Fsck(dir, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Legacy != 2 || !rep.Clean() {
+				t.Fatalf("fsck: legacy=%d clean=%v, want 2/true: %+v", rep.Legacy, rep.Clean(), rep)
+			}
+			if !strings.Contains(rep.Summary(), "legacy: 2") {
+				t.Fatalf("summary does not report the legacy files:\n%s", rep.Summary())
+			}
+			if rep, err = store.Fsck(dir, true); err != nil {
+				t.Fatal(err)
+			}
+			if rep.Removed != 2 {
+				t.Fatalf("fsck -repair removed %d file(s), want 2", rep.Removed)
+			}
+			for _, path := range legacy {
+				if _, err := os.Stat(path); !os.IsNotExist(err) {
+					t.Fatalf("fsck -repair left %s in place (%v)", path, err)
+				}
+			}
+			if rep, err = store.Fsck(dir, false); err != nil {
+				t.Fatal(err)
+			}
+			if rep.Legacy != 0 || !rep.Clean() {
+				t.Fatalf("fsck after repair: legacy=%d clean=%v, want 0/true", rep.Legacy, rep.Clean())
+			}
+		})
 	}
 }

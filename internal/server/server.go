@@ -3,7 +3,9 @@
 // always-on interactive front end (the Section II-C web dashboard). It
 // exposes the sweep/study pipeline so many clients can pose eNVM design
 // questions against one warm process — repeated and overlapping studies
-// are served from the engine's shared memo cache instead of recomputing.
+// are served from the engine's shared memo cache instead of recomputing,
+// and with -store every evaluated point persists, so a restarted process
+// replays stored points without characterizing them.
 //
 // Endpoints (all under /v1):
 //
@@ -26,8 +28,8 @@
 //	GET  /v1/openapi.json                   machine-readable API description
 //	GET  /v1/version                        protocol + schema versions for the peer handshake
 //	GET/PUT /v1/store/points/{addr}         the store wire protocol: point records by content
-//	GET/PUT /v1/store/memo                  address, the live memo snapshot, and study records,
-//	GET/PUT /v1/store/studies[/{fp}]        all in the store's own CRC-enveloped byte format
+//	GET/PUT /v1/store/studies[/{fp}]        address and study records, in the store's own
+//	                                        CRC-enveloped byte format
 //	POST /v1/shard                          characterize a slice of a study's design space
 //	                                        (the fabric worker protocol — see internal/fabric)
 //
@@ -233,8 +235,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/version", s.handleVersion)
 	mux.HandleFunc("GET /v1/store/points/{addr}", s.recordGet("addr", "no point record at %s", (*store.Store).ExportPoint))
 	mux.HandleFunc("PUT /v1/store/points/{addr}", s.recordPut((*store.Store).ImportPoint))
-	mux.HandleFunc("GET /v1/store/memo", s.handleMemoGet)
-	mux.HandleFunc("PUT /v1/store/memo", s.recordPut(importMemo))
 	mux.HandleFunc("GET /v1/store/studies", s.handleStoreStudies)
 	mux.HandleFunc("GET /v1/store/studies/{fingerprint}", s.recordGet("fingerprint", "no study record %s", (*store.Store).ExportStudy))
 	mux.HandleFunc("PUT /v1/store/studies/{fingerprint}", s.recordPut((*store.Store).ImportStudy))
@@ -628,8 +628,10 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 // statsSchemaVersion stamps the /v1/stats body. The schema is versioned
 // API surface now: block and field names within a schema version are
 // stable, and removals only happen across a version bump. v2 dropped the
-// fabric block's shard-resume and store-reconciliation counters.
-const statsSchemaVersion = "v2"
+// fabric block's shard-resume and store-reconciliation counters; v3
+// dropped store.memo_discards and store.dir (the legacy alias of
+// store.target).
+const statsSchemaVersion = "v3"
 
 // Stats is the /v1/stats body.
 type Stats struct {
@@ -648,16 +650,11 @@ type Stats struct {
 		// backends, a base URL for remote ones.
 		Backend string `json:"backend,omitempty"`
 		Target  string `json:"target,omitempty"`
-		// Dir is the legacy name for a local backend's directory, the
-		// same value as Target. Removing it changes the schema, so it stays
-		// until a stats schema v2.
-		Dir    string `json:"dir,omitempty"`
-		Hits   int64  `json:"hits"`
-		Misses int64  `json:"misses"`
-		// Self-healing telemetry: quarantined corrupt files, memo snapshots
-		// discarded at restore, disk operations failed past retries,
-		// individual retry attempts, and whether persistent failures demoted
-		// the store to memory-only.
+		Hits    int64  `json:"hits"`
+		Misses  int64  `json:"misses"`
+		// Self-healing telemetry: quarantined corrupt files, disk
+		// operations failed past retries, individual retry attempts, and
+		// whether persistent failures demoted the store to memory-only.
 		store.HealthStats
 	} `json:"store"`
 	// Fabric reports the distributed-study fabric: the coordinator's view
@@ -712,7 +709,6 @@ func (s *Server) Snapshot() Stats {
 		b := s.opts.Store.Backend()
 		st.Store.Backend = b.Kind()
 		st.Store.Target = b.Target()
-		st.Store.Dir = s.opts.Store.Dir() // legacy alias of Target
 		st.Store.Hits, st.Store.Misses = s.opts.Store.Stats()
 		st.Store.HealthStats = s.opts.Store.Health()
 	}
@@ -772,7 +768,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
   GET  /v1/openapi.json                     machine-readable API description
   GET  /v1/version                          protocol + schema versions (peer handshake)
   GET  /v1/store/points/{addr}              one point record by content address (PUT to store)
-  GET  /v1/store/memo                       live engine memo snapshot (PUT merges one in)
   GET  /v1/store/studies[/{fp}]             stored study records (PUT /{fp} to store)
   POST /v1/shard                            characterize a slice of a study's design space (fabric worker)
 `)

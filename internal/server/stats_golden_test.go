@@ -47,7 +47,7 @@ func statsKeyPaths(t *testing.T, body io.Reader) ([]string, map[string]any) {
 	return paths, leaves
 }
 
-// TestStatsKeysGolden pins the /v1/stats schema v2 layout: block names,
+// TestStatsKeysGolden pins the /v1/stats schema v3 layout: block names,
 // field names and their wire order, with every optional block (store,
 // fabric, query) attached. Adding, renaming, removing or reordering a key
 // fails here; such changes belong to a new schema version.
@@ -73,11 +73,9 @@ func TestStatsKeysGolden(t *testing.T) {
 		"store.enabled",
 		"store.backend",
 		"store.target",
-		"store.dir",
 		"store.hits",
 		"store.misses",
 		"store.quarantined",
-		"store.memo_discards",
 		"store.io_errors",
 		"store.retries",
 		"store.degraded",
@@ -124,8 +122,8 @@ func TestStatsKeysGolden(t *testing.T) {
 	if !reflect.DeepEqual(paths, want) {
 		t.Fatalf("/v1/stats key paths:\n got %q\nwant %q", paths, want)
 	}
-	if v := leaves["schema_version"]; v != "v2" {
-		t.Fatalf("schema_version = %v, want v2", v)
+	if v := leaves["schema_version"]; v != "v3" {
+		t.Fatalf("schema_version = %v, want v3", v)
 	}
 	for _, enabled := range []string{"store.enabled", "fabric.enabled", "query.enabled"} {
 		if leaves[enabled] != true {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/nvsim"
 	"repro/internal/store"
 	"repro/internal/sweep"
 )
@@ -28,8 +26,6 @@ import (
 //	GET  /v1/version                    protocol + schema versions (worker handshake)
 //	GET  /v1/store/points/{addr}        one point record by content address (404 = miss)
 //	PUT  /v1/store/points/{addr}        store one point record (the record names its own key)
-//	GET  /v1/store/memo                 the live engine memo cache, snapshotted
-//	PUT  /v1/store/memo                 merge a memo snapshot into the live cache
 //	GET  /v1/store/studies              stored study fingerprints
 //	GET  /v1/store/studies/{fp}         one study manifest record
 //	PUT  /v1/store/studies/{fp}         store one study manifest record
@@ -42,7 +38,7 @@ import (
 // remote peers retry, then count it toward their degradation threshold).
 
 // maxRecordBytes bounds one uploaded store record (a point record is a few
-// KB; a memo snapshot grows with distinct configurations).
+// KB; a study manifest carries its raw config).
 const maxRecordBytes = 16 << 20
 
 // buildRevision is the VCS revision stamped into the binary, when the
@@ -68,7 +64,6 @@ func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 		PointKey:      core.PointKeyVersion,
 		StoreRecord:   store.RecordVersion,
 		ShardWire:     store.ShardWireVersion,
-		MemoSnapshot:  nvsim.SnapshotVersion,
 		GoVersion:     runtime.Version(),
 		BuildRevision: buildRevision,
 	})
@@ -115,8 +110,8 @@ func (s *Server) recordGet(param, notFound string, export func(*store.Store, str
 	}
 }
 
-// recordPut verifies and stores one uploaded body: a point record, a study
-// manifest, or a memo snapshot. A record names its own identity (a point's
+// recordPut verifies and stores one uploaded body: a point record or a
+// study manifest. A record names its own identity (a point's
 // key hashes to its address), so the path value is advisory: a mislabeled
 // upload can only collide with itself.
 func (s *Server) recordPut(importRecord func(*store.Store, []byte) (string, error)) http.HandlerFunc {
@@ -138,44 +133,13 @@ func (s *Server) recordPut(importRecord func(*store.Store, []byte) (string, erro
 	}
 }
 
-// importError maps the store's and the memo snapshot's typed import
-// failures onto the envelope.
+// importError maps the store's typed import failures onto the envelope.
 func (s *Server) importError(w http.ResponseWriter, err error) {
-	if errors.Is(err, store.ErrUnknownVersion) || errors.Is(err, nvsim.ErrSnapshotVersion) {
+	if errors.Is(err, store.ErrUnknownVersion) {
 		apiError(w, http.StatusBadRequest, codeVersionMismatch, err)
 		return
 	}
 	apiError(w, http.StatusBadRequest, codeStoreCorrupt, err)
-}
-
-// handleMemoGet snapshots the live engine memo cache — the warm state a
-// joining worker pulls so overlapping studies start with the fleet's
-// accumulated characterizations.
-func (s *Server) handleMemoGet(w http.ResponseWriter, _ *http.Request) {
-	if _, ok := s.storeFor503(w); !ok {
-		return
-	}
-	if nvsim.MemoLen() == 0 {
-		apiError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("memo cache is empty"))
-		return
-	}
-	var buf bytes.Buffer
-	if err := nvsim.SnapshotMemo(&buf); err != nil {
-		apiError(w, http.StatusInternalServerError, codeInternal, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(buf.Bytes())
-}
-
-// importMemo merges an uploaded memo snapshot into the live cache.
-// Merge, not replace: entries this process already computed keep their
-// live values, so concurrent peers can exchange snapshots in both
-// directions without losing work. RestoreMemo refuses a snapshot whole
-// (undecodable, or another schema version) before inserting anything.
-func importMemo(_ *store.Store, data []byte) (string, error) {
-	_, err := nvsim.RestoreMemo(bytes.NewReader(data))
-	return "", err
 }
 
 // handleStoreStudies lists stored study fingerprints — the remote

@@ -33,8 +33,8 @@ import (
 // server reporting a different protocol (GET /v1/version handshake).
 const ProtocolVersion = "v1"
 
-// Backend is the persistence half of a Store: point records, the memo
-// snapshot, and study manifests. Implementations must be safe for
+// Backend is the persistence half of a Store: point records and study
+// manifests. Implementations must be safe for
 // concurrent use. All methods are miss-tolerant — a backend signals "can't
 // help" by returning false, never by failing the caller's study.
 type Backend interface {
@@ -52,14 +52,6 @@ type Backend interface {
 	// ExportPoint returns the raw envelope bytes of one record by content
 	// address — the form the /v1/store wire protocol ships.
 	ExportPoint(addrHex string) ([]byte, bool)
-
-	// LoadMemo returns the engine memo snapshot, if one is persisted.
-	LoadMemo() ([]byte, bool)
-	// DiscardMemo disposes of a snapshot that failed to restore
-	// (quarantine for the local backend, a counter elsewhere).
-	DiscardMemo()
-	// SaveMemo persists an engine memo snapshot.
-	SaveMemo(data []byte) error
 
 	// WriteStudy persists one study manifest's encoded record.
 	WriteStudy(fingerprint string, data []byte) error
@@ -81,12 +73,11 @@ type Backend interface {
 // retries, and whether the failure streak crossed the degradation
 // threshold. It is embedded by value and used via pointer.
 type health struct {
-	quarantined  atomic.Int64
-	memoDiscards atomic.Int64
-	ioErrors     atomic.Int64
-	retries      atomic.Int64
-	streak       atomic.Int64 // consecutive failed backend ops
-	degraded     atomic.Bool
+	quarantined atomic.Int64
+	ioErrors    atomic.Int64
+	retries     atomic.Int64
+	streak      atomic.Int64 // consecutive failed backend ops
+	degraded    atomic.Bool
 }
 
 // ok records a successful backend operation, resetting the failure streak.
@@ -106,11 +97,10 @@ func (h *health) fail(kind, op string, err error) {
 
 func (h *health) stats() HealthStats {
 	return HealthStats{
-		Quarantined:  h.quarantined.Load(),
-		MemoDiscards: h.memoDiscards.Load(),
-		IOErrors:     h.ioErrors.Load(),
-		Retries:      h.retries.Load(),
-		Degraded:     h.degraded.Load(),
+		Quarantined: h.quarantined.Load(),
+		IOErrors:    h.ioErrors.Load(),
+		Retries:     h.retries.Load(),
+		Degraded:    h.degraded.Load(),
 	}
 }
 
@@ -122,9 +112,6 @@ func (memBackend) Target() string                            { return "" }
 func (memBackend) ReadPoint(string) (core.CachedPoint, bool) { return core.CachedPoint{}, false }
 func (memBackend) WritePoint(string, core.CachedPoint) error { return nil }
 func (memBackend) ExportPoint(string) ([]byte, bool)         { return nil, false }
-func (memBackend) LoadMemo() ([]byte, bool)                  { return nil, false }
-func (memBackend) DiscardMemo()                              {}
-func (memBackend) SaveMemo([]byte) error                     { return nil }
 func (memBackend) WriteStudy(string, []byte) error           { return nil }
 func (memBackend) ReadStudy(string) (StudyRecord, bool)      { return StudyRecord{}, false }
 func (memBackend) StudyFingerprints() []string               { return nil }

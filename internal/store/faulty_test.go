@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -13,9 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cell"
 	"repro/internal/core"
-	"repro/internal/nvsim"
 )
 
 // The fault-injection filesystem. faultyFS wraps a real FS and fails or
@@ -77,13 +74,6 @@ func (f *faultyFS) WriteFileAtomic(path string, data []byte) error {
 		return f.inner.WriteFileAtomic(path, bad)
 	}
 	return f.inner.WriteFileAtomic(path, data)
-}
-
-func (f *faultyFS) Append(path string, data []byte) error {
-	if f.roll(f.failWrites, &f.injectedWrites) {
-		return fmt.Errorf("%w: append %s", errInjected, path)
-	}
-	return f.inner.Append(path, data)
 }
 
 func (f *faultyFS) Rename(oldpath, newpath string) error { return f.inner.Rename(oldpath, newpath) }
@@ -175,10 +165,6 @@ func TestStoreDegradesToMemoryOnlyAfterPersistentIOErrors(t *testing.T) {
 	}
 	if err := st.JournalJob(JobRecord{ID: "job-1"}); err != nil {
 		t.Fatalf("degraded JournalJob: %v", err)
-	}
-	st.JournalPoint("job-1", 0)
-	if err := st.SaveMemo(); err != nil {
-		t.Fatalf("degraded SaveMemo: %v", err)
 	}
 	if got := st.IncompleteJobs(); got != nil {
 		t.Fatalf("degraded IncompleteJobs = %v, want nil", got)
@@ -281,68 +267,5 @@ func TestStoreQuarantinesCorruptEntries(t *testing.T) {
 	ents, err := os.ReadDir(filepath.Join(dir, ".corrupt"))
 	if err != nil || len(ents) != 1 {
 		t.Fatalf("quarantine dir: %v entries, err %v", len(ents), err)
-	}
-}
-
-func TestStoreQuarantinesCorruptMemoAndStartsCold(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := Open(dir); err != nil {
-		t.Fatal(err)
-	}
-	memoPath := filepath.Join(dir, "memo.gob")
-	if err := os.WriteFile(memoPath, []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open with corrupt memo: %v", err)
-	}
-	if _, err := os.Stat(memoPath); !os.IsNotExist(err) {
-		t.Fatal("corrupt memo snapshot not quarantined")
-	}
-	if h := st.Health(); h.Quarantined != 1 || h.MemoDiscards != 1 {
-		t.Fatalf("health = %+v, want 1 quarantine and 1 memo discard", h)
-	}
-}
-
-// TestStoreLeavesUnknownVersionMemoInPlace: Open starts cold on a memo
-// snapshot of another schema version without quarantining or counting it,
-// and the next SaveMemo replaces it with a current one.
-func TestStoreLeavesUnknownVersionMemoInPlace(t *testing.T) {
-	nvsim.ResetMemo()
-	defer nvsim.ResetMemo()
-	dir := t.TempDir()
-	memoPath := filepath.Join(dir, "memo.gob")
-	if err := os.WriteFile(memoPath, v1MemoSnapshot(t), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	nvsim.ResetMemo()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open with a v1 memo: %v", err)
-	}
-	if h := st.Health(); h.Quarantined != 0 || h.MemoDiscards != 0 {
-		t.Fatalf("health = %+v, want no quarantine and no memo discard", h)
-	}
-	if nvsim.MemoLen() != 0 {
-		t.Fatal("a v1 snapshot populated the memo")
-	}
-	if _, err := os.Stat(memoPath); err != nil {
-		t.Fatalf("v1 memo snapshot not left in place: %v", err)
-	}
-
-	cfg := nvsim.Config{Cell: cell.MustTentpole(cell.RRAM, cell.Optimistic), CapacityBytes: 1 << 20}
-	if _, errs := nvsim.CharacterizeTargets(cfg, []nvsim.OptTarget{nvsim.OptReadEDP}); errs[0] != nil {
-		t.Fatal(errs[0])
-	}
-	if err := st.SaveMemo(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(memoPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := nvsim.CheckMemoSnapshot(bytes.NewReader(data)); err != nil || n != 1 {
-		t.Fatalf("after SaveMemo: %d entries, %v; want 1 current entry", n, err)
 	}
 }

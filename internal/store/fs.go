@@ -7,7 +7,7 @@ import (
 )
 
 // The filesystem seam. Every disk touch the store makes — point records,
-// memo snapshots, the job journal, quarantine moves — goes through the FS
+// study manifests, the job journal, quarantine moves — goes through the FS
 // interface, so fault-injection tests (and the chaos CI job) can wrap the
 // real filesystem with deterministic error and corruption rates instead of
 // needing a failing disk. Production code uses DiskFS.
@@ -27,8 +27,6 @@ type FS interface {
 	// temporary file in the same directory, then rename over path, so a
 	// crash mid-write never leaves a torn destination file.
 	WriteFileAtomic(path string, data []byte) error
-	// Append appends data to path, creating it if needed.
-	Append(path string, data []byte) error
 	// Rename moves a file (same volume; used for quarantine).
 	Rename(oldpath, newpath string) error
 	// Remove deletes a file; removing a missing file is not an error.
@@ -65,18 +63,6 @@ func (osFS) WriteFileAtomic(path string, data []byte) error {
 		return err
 	}
 	return nil
-}
-
-func (osFS) Append(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }

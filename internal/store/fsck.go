@@ -9,20 +9,17 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/nvsim"
 )
 
 // Offline store checking and repair, behind `nvmexplorer fsck`. Fsck walks
-// a store directory — point files, the memo snapshot, the job journal and
-// study manifests — verifying each file through its kind's codec exactly as
-// the live store does (version, checksum, file name), and in repair mode
-// quarantines what is broken and rewrites what is merely stale (legacy
-// pre-checksum point files are upgraded to the current checksummed
-// format). Files of record kinds this binary no longer writes are counted
-// as legacy and, in repair mode, removed. It never touches the live nvsim
-// memo: the memo snapshot is validated structurally, not loaded. Fsck is
-// local-only by construction — a remote store is somebody else's
-// directory; run fsck there.
+// a store directory — point files, job records and study manifests —
+// verifying each file through its kind's codec exactly as the live store
+// does (version, checksum, file name), and in repair mode quarantines what
+// is broken and rewrites what is merely stale (legacy pre-checksum point
+// files are upgraded to the current checksummed format). Files of record
+// kinds this binary no longer writes are counted as legacy and, in repair
+// mode, removed. Fsck is local-only by construction — a remote store is
+// somebody else's directory; run fsck there.
 
 // FsckReport is the result of one store scan.
 type FsckReport struct {
@@ -32,17 +29,10 @@ type FsckReport struct {
 	PointsCorrupt int `json:"points_corrupt"` // torn, bit-flipped, or misplaced
 	PointsUnknown int `json:"points_unknown"` // newer schema than this binary
 
-	// Memo snapshot.
-	MemoPresent bool `json:"memo_present"`
-	MemoCorrupt bool `json:"memo_corrupt"`
-	MemoUnknown bool `json:"memo_unknown"` // another schema version than this binary's
-	MemoEntries int  `json:"memo_entries"`
-
 	// Job journal.
 	JobsIncomplete int `json:"jobs_incomplete"`
 	JobsCorrupt    int `json:"jobs_corrupt"`
-	JobsUnknown    int `json:"jobs_unknown"`    // newer schema than this binary
-	OrphanProgress int `json:"orphan_progress"` // progress files with no job record
+	JobsUnknown    int `json:"jobs_unknown"` // newer schema than this binary
 
 	// Study manifests.
 	StudiesOK      int `json:"studies_ok"`
@@ -50,24 +40,30 @@ type FsckReport struct {
 	StudiesUnknown int `json:"studies_unknown"` // newer schema than this binary
 
 	// Legacy counts files of record kinds older versions wrote and this
-	// one never reads: fabric shard-assignment records (jobs/*.shards) and
-	// anti-entropy sync records (sync/*.gob).
+	// one never reads: fabric shard-assignment records (jobs/*.shards),
+	// anti-entropy sync records (sync/*.gob), per-point job progress
+	// files (jobs/*.progress) and the engine memo snapshot (memo.gob).
 	Legacy int `json:"legacy"`
 
 	// Repair actions taken (repair mode only).
 	Repaired    int `json:"repaired"`    // legacy points rewritten to the current format
 	Quarantined int `json:"quarantined"` // corrupt files moved to .corrupt/
-	Removed     int `json:"removed"`     // orphan progress and legacy files deleted
+	Removed     int `json:"removed"`     // legacy files deleted
 }
 
-// legacyFiles are the layouts of the record kinds counted in Legacy.
-var legacyFiles = []layout{{dir: "jobs", suffix: ".shards"}, {dir: "sync", suffix: ".gob"}}
+// legacyFiles are the layouts of the record kinds counted in Legacy. The
+// memo snapshot is the only .gob file older versions wrote at the root.
+var legacyFiles = []layout{
+	{dir: "jobs", suffix: ".shards"},
+	{dir: "sync", suffix: ".gob"},
+	{dir: "jobs", suffix: ".progress"},
+	{dir: "", suffix: ".gob"},
+}
 
 // Clean reports whether the scan found nothing wrong (legacy-format files
 // are stale, not wrong).
 func (r *FsckReport) Clean() bool {
-	return r.PointsCorrupt == 0 && !r.MemoCorrupt && r.JobsCorrupt == 0 && r.OrphanProgress == 0 &&
-		r.StudiesCorrupt == 0
+	return r.PointsCorrupt == 0 && r.JobsCorrupt == 0 && r.StudiesCorrupt == 0
 }
 
 // Summary renders the report for terminal output.
@@ -81,23 +77,12 @@ func (r *FsckReport) Summary() string {
 	}
 	fmt.Fprintf(&b, "points: %d ok, %d legacy, %d corrupt", r.PointsOK, r.PointsLegacy, r.PointsCorrupt)
 	unknown(r.PointsUnknown)
-	switch {
-	case !r.MemoPresent:
-		b.WriteString("memo: no snapshot\n")
-	case r.MemoCorrupt:
-		b.WriteString("memo: snapshot CORRUPT\n")
-	case r.MemoUnknown:
-		b.WriteString("memo: snapshot unknown-version (left in place)\n")
-	default:
-		fmt.Fprintf(&b, "memo: snapshot ok (%d entries)\n", r.MemoEntries)
-	}
-	fmt.Fprintf(&b, "journal: %d incomplete job(s), %d corrupt, %d orphan progress file(s)",
-		r.JobsIncomplete, r.JobsCorrupt, r.OrphanProgress)
+	fmt.Fprintf(&b, "journal: %d incomplete job(s), %d corrupt", r.JobsIncomplete, r.JobsCorrupt)
 	unknown(r.JobsUnknown)
 	fmt.Fprintf(&b, "studies: %d ok, %d corrupt", r.StudiesOK, r.StudiesCorrupt)
 	unknown(r.StudiesUnknown)
 	if r.Legacy > 0 {
-		fmt.Fprintf(&b, "legacy: %d shard or sync file(s) from an older version (-repair removes them)\n", r.Legacy)
+		fmt.Fprintf(&b, "legacy: %d file(s) from an older version (-repair removes them)\n", r.Legacy)
 	}
 	if r.Repaired+r.Quarantined+r.Removed > 0 {
 		fmt.Fprintf(&b, "repair: %d rewritten, %d quarantined, %d removed\n",
@@ -113,14 +98,12 @@ func Fsck(dir string, repair bool) (*FsckReport, error) {
 }
 
 // fsckKind is one registered record kind as fsck scans it: its files,
-// its checker, and the report counters it feeds. live, when set, collects
-// the names of records that are not corrupt (for the orphan pass); upgrade,
-// points only, turns a v1 pre-checksum file into current-format bytes.
+// its checker, and the report counters it feeds. upgrade, points only,
+// turns a v1 pre-checksum file into current-format bytes.
 type fsckKind struct {
 	layout
 	check                func(data []byte, name string) readStatus
 	ok, corrupt, unknown *int
-	live                 map[string]bool
 	upgrade              func(data []byte, name string) ([]byte, readStatus)
 }
 
@@ -137,21 +120,14 @@ func FsckFS(dir string, fsys FS, repair bool) (*FsckReport, error) {
 	}
 	lb := newLocalBackend(dir, fsys)
 	rep := &FsckReport{}
-	jobs := map[string]bool{}
 	for _, k := range []fsckKind{
-		{pointKind.layout, pointKind.check, &rep.PointsOK, &rep.PointsCorrupt, &rep.PointsUnknown, nil, upgradeV1Point},
-		{studyKind.layout, studyKind.check, &rep.StudiesOK, &rep.StudiesCorrupt, &rep.StudiesUnknown, nil, nil},
-		{jobKind.layout, jobKind.check, &rep.JobsIncomplete, &rep.JobsCorrupt, &rep.JobsUnknown, jobs, nil},
+		{pointKind.layout, pointKind.check, &rep.PointsOK, &rep.PointsCorrupt, &rep.PointsUnknown, upgradeV1Point},
+		{studyKind.layout, studyKind.check, &rep.StudiesOK, &rep.StudiesCorrupt, &rep.StudiesUnknown, nil},
+		{jobKind.layout, jobKind.check, &rep.JobsIncomplete, &rep.JobsCorrupt, &rep.JobsUnknown, nil},
 	} {
 		if err := lb.fsckScan(k, rep, repair); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-	}
-	if err := lb.fsckMemo(rep, repair); err != nil {
-		return nil, err
-	}
-	if err := lb.fsckOrphans(rep, jobs, repair); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
 	}
 	for _, l := range legacyFiles {
 		if err := lb.scanDir(l, func(path, _ string) { rep.Legacy++; lb.fsckRemove(rep, path, repair) }); err != nil {
@@ -191,14 +167,10 @@ func (lb *localBackend) fsckScan(k fsckKind, rep *FsckReport, repair bool) error
 			if repair {
 				lb.quarantine(path)
 			}
-			return
 		case readOK:
 			*k.ok++
 		default:
 			*k.unknown++
-		}
-		if k.live != nil {
-			k.live[name] = true
 		}
 	})
 	return errors.Join(err, readErr)
@@ -228,44 +200,6 @@ func upgradeV1Point(data []byte, name string) ([]byte, readStatus) {
 		return nil, readCorrupt
 	}
 	return out, readOK
-}
-
-func (lb *localBackend) fsckMemo(rep *FsckReport, repair bool) error {
-	data, err := lb.fs.ReadFile(lb.memoPath())
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("store: %w", err)
-	}
-	rep.MemoPresent = true
-	n, err := nvsim.CheckMemoSnapshot(bytes.NewReader(data))
-	switch {
-	case errors.Is(err, nvsim.ErrSnapshotVersion):
-		rep.MemoUnknown = true // the next SaveMemo overwrites it
-	case err != nil:
-		rep.MemoCorrupt = true
-		if repair {
-			lb.quarantine(lb.memoPath())
-		}
-	default:
-		rep.MemoEntries = n
-	}
-	return nil
-}
-
-// fsckOrphans finds the progress files no job record owns — what a
-// coordinator that died mid-cleanup leaves behind, or what a quarantined
-// job record strands. Nothing will ever resume them; repair removes them.
-// A job record of an unknown version still owns its progress file.
-func (lb *localBackend) fsckOrphans(rep *FsckReport, jobs map[string]bool, repair bool) error {
-	return lb.scanDir(progressFiles, func(path, name string) {
-		if jobs[name] {
-			return
-		}
-		rep.OrphanProgress++
-		lb.fsckRemove(rep, path, repair)
-	})
 }
 
 // fsckRemove deletes one file in repair mode, counting it as removed.

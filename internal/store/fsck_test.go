@@ -5,45 +5,15 @@ import (
 	"encoding/gob"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
-	"repro/internal/cell"
 	"repro/internal/core"
-	"repro/internal/nvsim"
 )
-
-// v1MemoSnapshot is a memo.gob as the v1 engine wrote it — every
-// admissible candidate per key under the old version string — that this
-// binary must read as an unknown version, not as corruption.
-func v1MemoSnapshot(t *testing.T) []byte {
-	t.Helper()
-	type entryV1 struct {
-		Config nvsim.Config
-		Cands  []nvsim.Result
-	}
-	type snapshotV1 struct {
-		Version string
-		Entries []entryV1
-	}
-	cfg := nvsim.Config{Cell: cell.MustTentpole(cell.STT, cell.Optimistic),
-		CapacityBytes: 1 << 20, WordBits: nvsim.DefaultWordBits}
-	cands, err := nvsim.CharacterizeAll(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	snap := snapshotV1{Version: "nvmx-memo/v1", Entries: []entryV1{{cfg, cands}}}
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // dirtyStore builds a store directory with one of everything fsck knows
 // about: a good v2 point, a legacy v1 point, a corrupt point, a misplaced
-// (wrong-address) point, a junk memo snapshot, one live job journal, one
-// corrupt job record, and one orphan progress file.
+// (wrong-address) point, one live job record, one corrupt job record, and
+// two files older versions wrote: a memo snapshot and a job progress file.
 func dirtyStore(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -89,20 +59,21 @@ func dirtyStore(t *testing.T) string {
 		t.Fatal(err)
 	}
 
-	// Junk memo snapshot.
-	if err := os.WriteFile(filepath.Join(dir, "memo.gob"), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Journal: one live job, one corrupt record, one orphan progress file.
+	// Journal: one live job, one corrupt record.
 	if err := st.JournalJob(JobRecord{ID: "job-1", Total: 4}); err != nil {
 		t.Fatal(err)
 	}
-	st.JournalPoint("job-1", 0)
 	if err := os.WriteFile(filepath.Join(st.jobsDir(), "job-2.job"), []byte("bad"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st.JournalPoint("job-9", 3) // no job-9.job: orphan
+
+	// Legacy: a memo snapshot and a progress file (one 4-byte record).
+	if err := os.WriteFile(filepath.Join(dir, "memo.gob"), []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(st.jobsDir(), "job-1.progress"), []byte{0, 0, 0, 0}, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	return dir
 }
 
@@ -124,12 +95,11 @@ func TestFsckScanReportsEverything(t *testing.T) {
 	if rep.PointsCorrupt != 2 { // the torn file and the misplaced copy
 		t.Errorf("PointsCorrupt = %d, want 2", rep.PointsCorrupt)
 	}
-	if !rep.MemoPresent || !rep.MemoCorrupt {
-		t.Errorf("memo: present=%v corrupt=%v, want both true", rep.MemoPresent, rep.MemoCorrupt)
+	if rep.JobsIncomplete != 1 || rep.JobsCorrupt != 1 {
+		t.Errorf("journal: incomplete=%d corrupt=%d, want 1/1", rep.JobsIncomplete, rep.JobsCorrupt)
 	}
-	if rep.JobsIncomplete != 1 || rep.JobsCorrupt != 1 || rep.OrphanProgress != 1 {
-		t.Errorf("journal: incomplete=%d corrupt=%d orphan=%d, want 1/1/1",
-			rep.JobsIncomplete, rep.JobsCorrupt, rep.OrphanProgress)
+	if rep.Legacy != 2 { // memo.gob and job-1.progress
+		t.Errorf("Legacy = %d, want 2", rep.Legacy)
 	}
 	// A scan is read-only: nothing quarantined, repaired, or removed.
 	if rep.Repaired+rep.Quarantined+rep.Removed != 0 {
@@ -149,11 +119,11 @@ func TestFsckRepairHealsTheStore(t *testing.T) {
 	if rep.Repaired != 1 { // the legacy file, rewritten as v2
 		t.Errorf("Repaired = %d, want 1", rep.Repaired)
 	}
-	if rep.Quarantined != 4 { // torn point, misplaced point, memo, corrupt job
-		t.Errorf("Quarantined = %d, want 4", rep.Quarantined)
+	if rep.Quarantined != 3 { // torn point, misplaced point, corrupt job
+		t.Errorf("Quarantined = %d, want 3", rep.Quarantined)
 	}
-	if rep.Removed != 1 { // the orphan progress file
-		t.Errorf("Removed = %d, want 1", rep.Removed)
+	if rep.Removed != 2 { // the memo snapshot and the progress file
+		t.Errorf("Removed = %d, want 2", rep.Removed)
 	}
 
 	// After repair the store is clean, and the upgraded legacy file now
@@ -165,8 +135,9 @@ func TestFsckRepairHealsTheStore(t *testing.T) {
 	if !rep2.Clean() {
 		t.Fatalf("store not clean after repair: %+v", rep2)
 	}
-	if rep2.PointsLegacy != 0 || rep2.PointsOK != 3 {
-		t.Errorf("after repair: ok=%d legacy=%d, want 3/0", rep2.PointsOK, rep2.PointsLegacy)
+	if rep2.PointsLegacy != 0 || rep2.PointsOK != 3 || rep2.Legacy != 0 {
+		t.Errorf("after repair: ok=%d legacy points=%d legacy files=%d, want 3/0/0",
+			rep2.PointsOK, rep2.PointsLegacy, rep2.Legacy)
 	}
 	st, err := Open(dir)
 	if err != nil {
@@ -176,37 +147,8 @@ func TestFsckRepairHealsTheStore(t *testing.T) {
 		t.Fatalf("upgraded legacy point: %+v, %v", cp, ok)
 	}
 	// The live journal survived repair untouched.
-	if jobs := st.IncompleteJobs(); len(jobs) != 1 || jobs[0].ID != "job-1" || jobs[0].Completed != 1 {
+	if jobs := st.IncompleteJobs(); len(jobs) != 1 || jobs[0].ID != "job-1" || jobs[0].Total != 4 {
 		t.Fatalf("journal after repair: %+v", jobs)
-	}
-}
-
-// TestFsckLeavesUnknownVersionMemo: an upgraded store's v1 memo snapshot
-// is reported as unknown-version, keeps the store clean, and survives
-// repair (the next SaveMemo overwrites it).
-func TestFsckLeavesUnknownVersionMemo(t *testing.T) {
-	dir := t.TempDir()
-	memoPath := filepath.Join(dir, "memo.gob")
-	if err := os.WriteFile(memoPath, v1MemoSnapshot(t), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, repair := range []bool{false, true} {
-		rep, err := Fsck(dir, repair)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.MemoPresent || !rep.MemoUnknown || rep.MemoCorrupt || !rep.Clean() {
-			t.Fatalf("repair=%v: %+v, want a clean report with an unknown-version memo", repair, rep)
-		}
-		if rep.Quarantined != 0 {
-			t.Fatalf("repair=%v quarantined %d file(s)", repair, rep.Quarantined)
-		}
-		if !strings.Contains(rep.Summary(), "memo: snapshot unknown-version (left in place)") {
-			t.Fatalf("summary:\n%s", rep.Summary())
-		}
-	}
-	if _, err := os.Stat(memoPath); err != nil {
-		t.Fatalf("unknown-version memo snapshot moved: %v", err)
 	}
 }
 

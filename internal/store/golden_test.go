@@ -94,7 +94,7 @@ func TestRecordBytesGolden(t *testing.T) {
 	want := map[string]string{
 		"point": "1fc89dfa842817bc42476564c25977108af3cc6373b7b75900b01e9ddfbe06c0",
 		"study": "61638d98966a4092b064372536ce0e783947ba3070a9bee372fbb9365dfb4b71",
-		"job":   "b132cedf68749eeb0941ccd524234313e1d823260eff89992aac49bfda48086d",
+		"job":   "042058be652465cb21dc7ee9bf0be1ba1b78c6de05c4d1838b8c61ae642c712d",
 		"wire":  "34572a15f06f7ba70f1c51af71be2546483351640b2cd9acd477a72449b4fc17",
 	}
 	for kind, sum := range want {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"sort"
 	"strconv"
 	"strings"
@@ -10,25 +9,19 @@ import (
 // The write-ahead job journal. An async study job is journaled to
 // DIR/jobs/<id>.job (a checksummed, atomically renamed gob record carrying
 // everything needed to rebuild the job: its raw config bytes, fingerprint,
-// format, and grid size) *before* it is enqueued, and each completed grid
-// point appends a fixed-width completion record to DIR/jobs/<id>.progress.
-// When the job reaches a terminal state its journal is removed.
+// format, and grid size) *before* it is enqueued. When the job reaches a
+// terminal state its record is removed.
 //
 // On restart, `serve -store` replays the journal (Store.IncompleteJobs),
 // re-adopts every job that never reached a terminal state, and re-runs it
 // through the normal pipeline — where every already-stored point is a store
-// hit, so a SIGKILL mid-study recomputes at most the points that were in
-// flight when the process died. The progress file is a plain sequence of
-// 4-byte little-endian point indices: appends are O(1) and crash-tolerant
-// (a torn tail shorter than one record is ignored), and unlike gob streams
-// the records need no shared encoder state.
+// hit, so a SIGKILL mid-study recomputes at most the points that were not
+// yet stored when the process died. The point store is the job's progress:
+// nothing else records which points finished.
 
 // journalVersion stamps every job record; unknown versions are skipped on
 // replay (they may belong to a newer binary sharing the directory).
 const journalVersion = "nvmx-journal/v1"
-
-// progressRecordSize is the width of one per-point completion record.
-const progressRecordSize = 4
 
 // JobRecord is the durable description of one async job.
 type JobRecord struct {
@@ -53,22 +46,14 @@ type JobRecord struct {
 	SeedSet   bool
 	Seed      int64
 	Total     int // grid points in the design space
-
-	// Completed is filled from the progress file on replay (how many points
-	// finished before the crash); it is not part of the job record on disk.
-	Completed int
 }
 
-// jobKind registers job records: DIR/jobs/<id>.job. progressFiles is
-// where each job's completion records accumulate, next to it.
-var (
-	jobKind = &kind[JobRecord]{
-		layout: layout{dir: "jobs", suffix: ".job"},
-		codec:  newCodec(journalVersion, jobID),
-		name:   jobID,
-	}
-	progressFiles = layout{dir: "jobs", suffix: ".progress"}
-)
+// jobKind registers job records: DIR/jobs/<id>.job.
+var jobKind = &kind[JobRecord]{
+	layout: layout{dir: "jobs", suffix: ".job"},
+	codec:  newCodec(journalVersion, jobID),
+	name:   jobID,
+}
 
 func jobID(rec *JobRecord) string { return rec.ID }
 
@@ -88,42 +73,22 @@ func (s *Store) JournalJob(rec JobRecord) error {
 		return nil
 	}
 	rec.Version = journalVersion
-	rec.Completed = 0
 	return writeRecord(s.local, jobKind, rec)
 }
 
-// JournalPoint appends one per-point completion record. Best-effort: a
-// lost append only means the point replays from the store after a crash.
-func (s *Store) JournalPoint(id string, index int) {
-	if !s.journalEnabled() {
-		return
-	}
-	lb := s.local
-	var buf [progressRecordSize]byte
-	binary.LittleEndian.PutUint32(buf[:], uint32(index))
-	if err := lb.fs.Append(lb.progressPath(id), buf[:]); err != nil {
-		lb.h.fail("disk", "append "+lb.progressPath(id), err)
-		return
-	}
-	lb.h.ok()
-}
-
-// JournalDone removes a job's journal once it reaches a terminal state
+// JournalDone removes a job's record once it reaches a terminal state
 // (done, failed, or deliberately canceled) — terminal jobs must not be
-// re-adopted on restart. Best-effort; a leftover journal only costs a
+// re-adopted on restart. Best-effort; a leftover record only costs a
 // redundant (store-warm) replay.
 func (s *Store) JournalDone(id string) {
 	if !s.journalEnabled() {
 		return
 	}
-	lb := s.local
-	_ = lb.fs.Remove(jobKind.path(lb.dir, id))
-	_ = lb.fs.Remove(lb.progressPath(id))
+	_ = s.local.fs.Remove(jobKind.path(s.local.dir, id))
 }
 
 // IncompleteJobs replays the journal: every job record left on disk, in
-// submission (ID-sequence) order, with Completed filled from its progress
-// file. Corrupt records — a job record copied to another job's file name
+// submission (ID-sequence) order. Corrupt records — a job record copied to another job's file name
 // included — are quarantined and skipped, and unknown versions are
 // skipped and left in place: a damaged journal must never block startup,
 // nor replay one job twice.
@@ -141,7 +106,6 @@ func (s *Store) IncompleteJobs() []JobRecord {
 		rec, status := jobKind.read(data, name)
 		switch status {
 		case readOK:
-			rec.Completed = s.progressCount(rec.ID)
 			recs = append(recs, rec)
 		case readCorrupt:
 			lb.quarantine(path)
@@ -155,16 +119,6 @@ func (s *Store) IncompleteJobs() []JobRecord {
 		return jobSeq(recs[i].ID) < jobSeq(recs[k].ID)
 	})
 	return recs
-}
-
-// progressCount reads a job's progress file and counts whole completion
-// records; a torn tail (crash mid-append) is ignored.
-func (s *Store) progressCount(id string) int {
-	data, status := s.local.readFileRetry(s.local.progressPath(id))
-	if status != readOK {
-		return 0
-	}
-	return len(data) / progressRecordSize
 }
 
 // jobSeq extracts the numeric sequence from a "job-N" ID for replay

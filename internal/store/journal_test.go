@@ -29,9 +29,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := st.JournalJob(rec); err != nil {
 		t.Fatal(err)
 	}
-	for _, idx := range []int{0, 5, 11} {
-		st.JournalPoint(rec.ID, idx)
-	}
 
 	got := st.IncompleteJobs()
 	if len(got) != 1 {
@@ -39,7 +36,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	want := rec
 	want.Version = journalVersion
-	want.Completed = 3
 	if !reflect.DeepEqual(got[0], want) {
 		t.Fatalf("replayed record mismatch:\n got %+v\nwant %+v", got[0], want)
 	}
@@ -50,6 +46,9 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalReplayOrderAndTornProgress: replay comes back in submission
+// order, and a progress file an older version left beside a job record —
+// here with a torn tail — is neither read nor removed.
 func TestJournalReplayOrderAndTornProgress(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -61,18 +60,10 @@ func TestJournalReplayOrderAndTornProgress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st.JournalPoint("job-2", 0)
-	st.JournalPoint("job-2", 1)
-	// A crash mid-append leaves a torn tail shorter than one record; it must
-	// not count and must not break the whole ones before it.
-	f, err := os.OpenFile(st.progressPath("job-2"), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	progress := filepath.Join(st.jobsDir(), "job-2.progress")
+	if err := os.WriteFile(progress, []byte{0, 0, 0, 0, 1, 0, 0, 0, 0xFF, 0x01}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0xFF, 0x01}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
 	got := st.IncompleteJobs()
 	ids := make([]string, len(got))
@@ -82,8 +73,12 @@ func TestJournalReplayOrderAndTornProgress(t *testing.T) {
 	if want := []string{"job-2", "job-7", "job-10"}; !reflect.DeepEqual(ids, want) {
 		t.Fatalf("replay order = %v, want %v", ids, want)
 	}
-	if got[0].Completed != 2 {
-		t.Fatalf("torn progress counted %d records, want 2", got[0].Completed)
+	if !reflect.DeepEqual(got[0], JobRecord{Version: journalVersion, ID: "job-2", Total: 4}) {
+		t.Fatalf("job-2 replayed as %+v", got[0])
+	}
+	st.JournalDone("job-2")
+	if _, err := os.Stat(progress); err != nil {
+		t.Fatalf("JournalDone touched the legacy progress file: %v", err)
 	}
 }
 
@@ -135,7 +130,6 @@ func TestJournalMemoryOnlyNoOps(t *testing.T) {
 	if err := st.JournalJob(JobRecord{ID: "job-1"}); err != nil {
 		t.Fatalf("memory-only JournalJob: %v", err)
 	}
-	st.JournalPoint("job-1", 0)
 	st.JournalDone("job-1")
 	if got := st.IncompleteJobs(); got != nil {
 		t.Fatalf("memory-only IncompleteJobs = %v, want nil", got)

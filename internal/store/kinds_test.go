@@ -51,7 +51,7 @@ var faultKinds = []faultKind{
 			}
 			return st.studyPath("fp-fault"), st.studyPath("fp-elsewhere")
 		},
-		served: func(st *Store) int { return len(st.ListStudies()) },
+		served: func(st *Store) int { return len(loadStudies(st)) },
 	},
 	{
 		report: "jobs", okKey: "jobs_incomplete",
@@ -59,7 +59,6 @@ var faultKinds = []faultKind{
 			if err := st.JournalJob(JobRecord{ID: "job-1", Total: 2}); err != nil {
 				t.Fatal(err)
 			}
-			st.JournalPoint("job-1", 0)
 			return filepath.Join(st.jobsDir(), "job-1.job"), filepath.Join(st.jobsDir(), "job-5.job")
 		},
 		served: func(st *Store) int { return len(st.IncompleteJobs()) },
@@ -158,9 +157,6 @@ func reportCounts(t *testing.T, rep *FsckReport) map[string]float64 {
 //	bitflip    miss, quarantined    corrupt, not clean  quarantined
 //	unknown    miss, left in place  unknown, clean      left in place
 //	misplaced  only the original    ok + corrupt        copy quarantined
-//
-// A job record's progress file stays owned by the job unless the record
-// itself is corrupt.
 func TestRecordKindsFaultTable(t *testing.T) {
 	for _, k := range faultKinds {
 		for _, f := range faults {
@@ -224,11 +220,7 @@ func TestRecordKindsFaultTable(t *testing.T) {
 				case "misplaced":
 					want[k.report+"_corrupt"] = 1
 				}
-				wantOrphans := 0.0
-				if k.report == "jobs" && corrupt {
-					wantOrphans = 1 // the corrupt job's progress file
-				}
-				want["orphan_progress"], want["legacy"] = wantOrphans, 0
+				want["legacy"] = 0
 				for key, v := range want {
 					if got[key] != v {
 						t.Errorf("fsck %s = %v, want %v", key, got[key], v)
@@ -247,9 +239,9 @@ func TestRecordKindsFaultTable(t *testing.T) {
 				if bad {
 					wantRepairQ = 1
 				}
-				if rep.Quarantined != wantRepairQ || rep.Removed != int(wantOrphans) || rep.Repaired != 0 {
-					t.Errorf("repair: quarantined=%d removed=%d repaired=%d, want %d/%v/0",
-						rep.Quarantined, rep.Removed, rep.Repaired, wantRepairQ, wantOrphans)
+				if rep.Quarantined != wantRepairQ || rep.Removed != 0 || rep.Repaired != 0 {
+					t.Errorf("repair: quarantined=%d removed=%d repaired=%d, want %d/0/0",
+						rep.Quarantined, rep.Removed, rep.Repaired, wantRepairQ)
 				}
 				if f.name == "unknown" && !exists(path) {
 					t.Error("unknown-version file not left in place by repair")

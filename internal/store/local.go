@@ -10,12 +10,12 @@ import (
 )
 
 // localBackend is the CRC-enveloped directory backend: one gob file per
-// point under DIR/points/ (sharded by the first hash byte), the memo
-// snapshot at DIR/memo.gob, study manifests under DIR/studies/, and the
-// job journal under DIR/jobs/. All writes are atomic (temp file + rename,
-// owned by the FS seam), corrupt files are quarantined into DIR/.corrupt/,
-// transient I/O errors retry with backoff, and a disk that keeps failing
-// degrades the backend to a no-op.
+// point under DIR/points/ (sharded by the first hash byte), study
+// manifests under DIR/studies/, and the job journal under DIR/jobs/. All
+// writes are atomic (temp file + rename, owned by the FS seam), corrupt
+// files are quarantined into DIR/.corrupt/, transient I/O errors retry
+// with backoff, and a disk that keeps failing degrades the backend to a
+// no-op.
 type localBackend struct {
 	dir string
 	fs  FS
@@ -32,15 +32,11 @@ func (lb *localBackend) Target() string { return lb.dir }
 // enabled reports whether the backend should touch the disk at all.
 func (lb *localBackend) enabled() bool { return !lb.h.degraded.Load() }
 
-func (lb *localBackend) memoPath() string { return filepath.Join(lb.dir, "memo.gob") }
-
 // pointPath shards point files by the first hash byte to keep directory
 // listings manageable under large campaigns.
 func (lb *localBackend) pointPath(sum string) string { return pointKind.path(lb.dir, sum) }
 
 func (lb *localBackend) jobsDir() string { return filepath.Join(lb.dir, "jobs") }
-
-func (lb *localBackend) progressPath(id string) string { return progressFiles.path(lb.dir, id) }
 
 // quarantine moves a corrupt or foreign file into DIR/.corrupt/ so it can
 // never crash (or slow) another run, while staying available for forensics.
@@ -119,26 +115,6 @@ func (lb *localBackend) ExportPoint(addrHex string) ([]byte, bool) {
 	}
 	data, status := lb.readFileRetry(lb.pointPath(addrHex))
 	return data, status == readOK
-}
-
-func (lb *localBackend) LoadMemo() ([]byte, bool) {
-	if !lb.enabled() {
-		return nil, false
-	}
-	data, err := lb.fs.ReadFile(lb.memoPath())
-	return data, err == nil
-}
-
-func (lb *localBackend) DiscardMemo() {
-	lb.h.memoDiscards.Add(1)
-	lb.quarantine(lb.memoPath())
-}
-
-func (lb *localBackend) SaveMemo(data []byte) error {
-	if !lb.enabled() {
-		return nil
-	}
-	return lb.writeFileRetry(lb.memoPath(), data)
 }
 
 func (lb *localBackend) WriteStudy(fingerprint string, data []byte) error {

@@ -55,9 +55,7 @@ func OpenRemote(base string, client *http.Client) (*Store, error) {
 	if err := rb.handshake(); err != nil {
 		return nil, err
 	}
-	s := newStore(rb)
-	s.restoreMemo()
-	return s, nil
+	return newStore(rb), nil
 }
 
 // VersionInfo is the GET /v1/version handshake body: the wire-protocol
@@ -68,7 +66,6 @@ type VersionInfo struct {
 	PointKey      string `json:"point_key_version"`
 	StoreRecord   string `json:"store_record_version"`
 	ShardWire     string `json:"shard_wire_version"`
-	MemoSnapshot  string `json:"memo_snapshot_version"`
 	GoVersion     string `json:"go_version,omitempty"`
 	BuildRevision string `json:"build_revision,omitempty"`
 }
@@ -227,26 +224,6 @@ func (rb *remoteBackend) ExportPoint(addrHex string) ([]byte, bool) {
 		rb.h.ok()
 	}
 	return data, ok
-}
-
-func (rb *remoteBackend) LoadMemo() ([]byte, bool) {
-	data, ok := rb.get("/v1/store/memo")
-	if !ok || len(data) == 0 {
-		return nil, false
-	}
-	rb.h.ok()
-	return data, true
-}
-
-// DiscardMemo only counts the discard: the bad snapshot is the peer's to
-// quarantine, so nothing here may claim a quarantine that never happened.
-func (rb *remoteBackend) DiscardMemo() { rb.h.memoDiscards.Add(1) }
-
-func (rb *remoteBackend) SaveMemo(data []byte) error {
-	if !rb.enabled() {
-		return nil
-	}
-	return rb.put("/v1/store/memo", data)
 }
 
 func (rb *remoteBackend) WriteStudy(fingerprint string, data []byte) error {

@@ -27,7 +27,6 @@ type stubPeer struct {
 	version VersionInfo
 	points  map[string][]byte
 	studies map[string][]byte
-	memo    []byte
 
 	fail     int  // store ops to fail with 500 before succeeding
 	failAll  bool // every store op answers 500
@@ -38,11 +37,10 @@ type stubPeer struct {
 func newStubPeer() *stubPeer {
 	return &stubPeer{
 		version: VersionInfo{
-			Protocol:     ProtocolVersion,
-			PointKey:     core.PointKeyVersion,
-			StoreRecord:  recordVersion,
-			ShardWire:    ShardWireVersion,
-			MemoSnapshot: nvsim.SnapshotVersion,
+			Protocol:    ProtocolVersion,
+			PointKey:    core.PointKeyVersion,
+			StoreRecord: recordVersion,
+			ShardWire:   ShardWireVersion,
 		},
 		points:  make(map[string][]byte),
 		studies: make(map[string][]byte),
@@ -102,23 +100,6 @@ func (p *stubPeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			p.points[a] = data
-			w.WriteHeader(http.StatusNoContent)
-		}
-	case r.URL.Path == "/v1/store/memo":
-		switch r.Method {
-		case http.MethodGet, http.MethodHead:
-			if len(p.memo) == 0 {
-				http.NotFound(w, r)
-				return
-			}
-			w.Write(p.memo)
-		case http.MethodPut:
-			data, err := io.ReadAll(r.Body)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			p.memo = data
 			w.WriteHeader(http.StatusNoContent)
 		}
 	case r.URL.Path == "/v1/store/studies":
@@ -322,66 +303,8 @@ func TestRemoteStudyManifestRoundTrip(t *testing.T) {
 	if fps := st2.StudyFingerprints(); len(fps) != 1 || fps[0] != "fp-remote" {
 		t.Fatalf("StudyFingerprints = %v, want [fp-remote]", fps)
 	}
-	if recs := st2.ListStudies(); len(recs) != 1 || recs[0].Fingerprint != "fp-remote" {
-		t.Fatalf("ListStudies = %+v, want the one manifest", recs)
-	}
 	if _, ok := st2.LoadStudy("fp-absent"); ok {
 		t.Fatal("missing manifest read as a hit")
-	}
-}
-
-func TestRemoteMemoSnapshotRoundTrip(t *testing.T) {
-	nvsim.ResetMemo()
-	peer := newStubPeer()
-	ts := httptest.NewServer(peer)
-	defer ts.Close()
-
-	st1, err := OpenRemote(ts.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runPoints(t, testStudy(), st1)
-	if err := st1.SaveMemo(); err != nil {
-		t.Fatal(err)
-	}
-	peer.mu.Lock()
-	saved := len(peer.memo)
-	peer.mu.Unlock()
-	if saved == 0 {
-		t.Fatal("SaveMemo wrote nothing to the peer")
-	}
-
-	// A fresh process restores the snapshot at open: the engine answers
-	// the same study without a single characterization.
-	nvsim.ResetMemo()
-	st2, err := OpenRemote(ts.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h := st2.Health(); h.Quarantined != 0 {
-		t.Fatalf("clean snapshot quarantined at open: %+v", h)
-	}
-	if hits, misses := nvsim.MemoStats(); hits != 0 || misses != 0 {
-		t.Fatalf("restore itself moved memo stats: hits=%d misses=%d", hits, misses)
-	}
-
-	// A mangled snapshot is discarded and counted as a memo discard, never
-	// fatal — and never as a quarantine: the snapshot stays on the peer,
-	// which is the only side that can actually quarantine it.
-	peer.mu.Lock()
-	peer.memo = []byte("mangled snapshot bytes")
-	peer.mu.Unlock()
-	nvsim.ResetMemo()
-	st3, err := OpenRemote(ts.URL, nil)
-	if err != nil {
-		t.Fatalf("corrupt peer snapshot blocked open: %v", err)
-	}
-	h := st3.Health()
-	if h.MemoDiscards == 0 {
-		t.Fatalf("corrupt snapshot not counted: %+v", h)
-	}
-	if h.Quarantined != 0 {
-		t.Fatalf("remote DiscardMemo claimed a quarantine it never performed: %+v", h)
 	}
 }
 

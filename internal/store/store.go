@@ -20,11 +20,12 @@
 // backend ships the same envelope bytes over the versioned /v1/store/*
 // HTTP API of another `nvmexplorer serve` process (remote.go). In front of
 // it, a read cache bounded by bytes (the mirror) keeps what reads fetched
-// and pins what the backend could not take. The store also snapshots the
-// nvsim memo cache (SaveMemo, reloaded by Open) so partially overlapping
-// studies skip re-characterization too, and — local backend only —
-// journals async jobs under DIR/jobs/ (journal.go) so a killed server
-// resumes them on restart.
+// and pins what the backend could not take. Points are all the store
+// keeps of the engine's work: a restarted process serves every stored
+// point without characterizing, and re-characterizes only the configs
+// of points it never stored. The local backend also journals async jobs
+// under DIR/jobs/ (journal.go) so a killed server resumes them on
+// restart.
 //
 // Storage corruption is an expected operating condition, not an error: a
 // torn, foreign, or bit-flipped record is quarantined (a file moves to
@@ -37,10 +38,8 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"log"
 	"path/filepath"
@@ -129,10 +128,10 @@ type Store struct {
 }
 
 // Open creates or reopens a store. The target selects the backend:
-// "" builds a memory-only store (no persistence, no memo snapshot, no
-// journal), an http:// or https:// URL builds a remote store speaking the
-// /v1/store/* API of another `nvmexplorer serve` process, and anything
-// else is a local directory on the real filesystem.
+// "" builds a memory-only store (no persistence, no journal), an http://
+// or https:// URL builds a remote store speaking the /v1/store/* API of
+// another `nvmexplorer serve` process, and anything else is a local
+// directory on the real filesystem.
 func Open(target string) (*Store, error) {
 	if IsRemoteTarget(target) {
 		return OpenRemote(target, nil)
@@ -148,11 +147,7 @@ func IsRemoteTarget(target string) bool {
 
 // OpenFS is Open with an explicit filesystem — the hook fault-injection
 // tests use to exercise the store's corruption and I/O-error handling
-// deterministically. The directory is created as needed and a memo
-// snapshot left by SaveMemo is reloaded into the characterization engine;
-// a missing snapshot only costs recomputation, one of an unknown schema
-// version is logged and left in place, and a corrupt one is quarantined
-// and logged, never fatal (a bad snapshot must not block startup).
+// deterministically. The directory is created as needed.
 func OpenFS(dir string, fsys FS) (*Store, error) {
 	if dir == "" {
 		return newStore(memBackend{}), nil
@@ -161,9 +156,7 @@ func OpenFS(dir string, fsys FS) (*Store, error) {
 	if err := fsys.MkdirAll(filepath.Join(dir, "points")); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := newStore(lb)
-	s.restoreMemo()
-	return s, nil
+	return newStore(lb), nil
 }
 
 // newStore assembles the process-local half of a store around a backend.
@@ -177,46 +170,15 @@ func newStore(b Backend) *Store {
 	return s
 }
 
-// restoreMemo loads the backend's memo snapshot into the characterization
-// engine. Neither failure is fatal — the snapshot is an accelerator — and
-// both start the memo cold: a snapshot of an unknown schema version is
-// left in place for the next SaveMemo to overwrite, a corrupt one is
-// discarded.
-func (s *Store) restoreMemo() {
-	data, ok := s.backend.LoadMemo()
-	if !ok {
-		return
-	}
-	_, err := nvsim.RestoreMemo(bytes.NewReader(data))
-	switch {
-	case errors.Is(err, nvsim.ErrSnapshotVersion):
-		log.Printf("store: memo snapshot left in place, starting cold: %v", err)
-	case err != nil:
-		s.backend.DiscardMemo()
-		log.Printf("store: corrupt memo snapshot discarded, starting cold: %v", err)
-	}
-}
-
 // Backend returns the store's persistence backend (stats, handshakes).
 func (s *Store) Backend() Backend { return s.backend }
-
-// Dir returns the backing directory ("" for memory-only and remote
-// stores).
-func (s *Store) Dir() string {
-	if s.local == nil {
-		return ""
-	}
-	return s.local.dir
-}
 
 // Legacy path helpers, kept for the tests and tools that inspect a local
 // store's layout directly. They are meaningless (and panic) on non-local
 // stores.
 func (s *Store) pointPath(sum string) string         { return s.local.pointPath(sum) }
-func (s *Store) memoPath() string                    { return s.local.memoPath() }
 func (s *Store) studyPath(fingerprint string) string { return studyKind.path(s.local.dir, fingerprint) }
 func (s *Store) jobsDir() string                     { return s.local.jobsDir() }
-func (s *Store) progressPath(id string) string       { return s.local.progressPath(id) }
 
 // addr content-addresses a canonical point key.
 func addr(key string) string {
@@ -376,23 +338,12 @@ func (s *Store) persistent() bool {
 // backend do not move it.
 func (s *Store) PointGeneration() int64 { return s.puts.Load() }
 
-// SaveMemo snapshots the engine's memo cache into the backend (an atomic
-// replace of DIR/memo.gob locally; a PUT /v1/store/memo remotely), so the
-// next Open warms the engine for partially overlapping studies.
-// Memory-only and degraded stores no-op.
-func (s *Store) SaveMemo() error {
-	if s.backend.Kind() == "memory" || s.backend.Degraded() {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := nvsim.SnapshotMemo(&buf); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := s.backend.SaveMemo(buf.Bytes()); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
+// SaveMemo does nothing and returns nil. The store persists points only:
+// an engine memo snapshot saved at most one characterization per config
+// that a partially overlapping study reused after a restart, and cost more
+// to restore than that recomputation. The method stays for callers
+// written against the snapshot.
+func (s *Store) SaveMemo() error { return nil }
 
 // Stats reports how many point lookups hit (served without touching the
 // characterization engine) versus missed since the store was opened.
@@ -418,11 +369,6 @@ type HealthStats struct {
 	// Quarantined counts corrupt or foreign records discarded (moved to
 	// DIR/.corrupt/ locally; dropped and counted remotely).
 	Quarantined int64 `json:"quarantined"`
-	// MemoDiscards counts memo snapshots that failed to restore and were
-	// disposed of. The local backend also quarantines the file (counted
-	// above); the remote backend only counts — the snapshot is the peer's
-	// to quarantine, so claiming one here would be dishonest.
-	MemoDiscards int64 `json:"memo_discards"`
 	// IOErrors counts backend operations that failed past their retries.
 	IOErrors int64 `json:"io_errors"`
 	// Retries counts individual retry attempts after transient failures.

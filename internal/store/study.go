@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 )
@@ -184,24 +183,4 @@ func (s *Store) StudyFingerprints() []string {
 	s.studiesMu.Unlock()
 	slices.Sort(fps)
 	return slices.Compact(fps)
-}
-
-// ListStudies returns every stored study manifest (StudyFingerprints, each
-// read by LoadStudy), sorted by name then fingerprint — deterministic
-// across processes.
-func (s *Store) ListStudies() []StudyRecord {
-	fps := s.StudyFingerprints()
-	out := make([]StudyRecord, 0, len(fps))
-	for _, fp := range fps {
-		if rec, ok := s.LoadStudy(fp); ok {
-			out = append(out, rec)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Fingerprint < out[j].Fingerprint
-	})
-	return out
 }

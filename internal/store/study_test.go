@@ -81,40 +81,48 @@ func TestStudyManifestMemoryOnly(t *testing.T) {
 	if _, ok := st.LoadStudy("missing"); ok {
 		t.Fatal("memory-only store invented a manifest")
 	}
-	if n := len(st.ListStudies()); n != 1 {
-		t.Fatalf("ListStudies len = %d, want 1", n)
+	if fps := st.StudyFingerprints(); !reflect.DeepEqual(fps, []string{"bb22"}) {
+		t.Fatalf("StudyFingerprints = %v, want [bb22]", fps)
 	}
 }
 
-func TestListStudiesSortedUnion(t *testing.T) {
+// loadStudies reads every listed manifest, the way the query index does.
+func loadStudies(st *Store) []StudyRecord {
+	var out []StudyRecord
+	for _, fp := range st.StudyFingerprints() {
+		if rec, ok := st.LoadStudy(fp); ok {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
+// TestStudyFingerprintsSortedUnion: the listing is sorted and merges the
+// directory with the manifests only this process holds, each once.
+func TestStudyFingerprintsSortedUnion(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Saved out of order; names collide to exercise the fingerprint tiebreak.
-	for _, r := range []StudyRecord{
-		testRecord("cc33", "zeta"),
-		testRecord("aa11", "alpha"),
-		testRecord("bb22", "alpha"),
-	} {
-		if err := st.SaveStudy(r); err != nil {
+	// Saved out of order.
+	for _, fp := range []string{"cc33", "aa11", "bb22"} {
+		if err := st.SaveStudy(testRecord(fp, "s-"+fp)); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// A second store sharing the directory sees them purely from disk.
+	// A second store sharing the directory sees them purely from disk; a
+	// manifest it failed to write stays listed beside them.
 	st2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for _, r := range st2.ListStudies() {
-		got = append(got, r.Name+"/"+r.Fingerprint)
-	}
-	want := []string{"alpha/aa11", "alpha/bb22", "zeta/cc33"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ListStudies order = %v, want %v", got, want)
+	st2.studiesMem["ab12"] = studyMirror{rec: &StudyRecord{Fingerprint: "ab12"}}
+	st2.studiesMem["bb22"] = studyMirror{rec: &StudyRecord{Fingerprint: "bb22"}}
+	want := []string{"aa11", "ab12", "bb22", "cc33"}
+	if got := st2.StudyFingerprints(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("StudyFingerprints = %v, want %v", got, want)
 	}
 }
 
@@ -343,8 +351,8 @@ func TestStudyGenerationCountsMirrorChanges(t *testing.T) {
 	if g := st.StudyGeneration(); g != 1 {
 		t.Fatalf("generation %d after one backend load, want 1", g)
 	}
-	st.ListStudies() // finds bb22
-	st.ListStudies()
+	loadStudies(st) // finds bb22
+	loadStudies(st)
 	if g := st.StudyGeneration(); g != 2 {
 		t.Fatalf("generation %d after listing one new manifest, want 2", g)
 	}
@@ -402,7 +410,7 @@ func TestDirectoryStoreKeepsManifestDigests(t *testing.T) {
 		if !ok || !bytes.Equal(got.Config, config) {
 			t.Fatalf("%s store: LoadStudy = %+v, %v", st.Backend().Kind(), got, ok)
 		}
-		if recs := st.ListStudies(); len(recs) != n {
+		if recs := loadStudies(st); len(recs) != n {
 			t.Fatalf("%s store lists %d studies, want %d", st.Backend().Kind(), len(recs), n)
 		}
 	}

@@ -3,7 +3,6 @@ package viz
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -176,29 +175,4 @@ func (s *Scatter) Render(width, height int) string {
 		fmt.Fprintf(&b, "  %c Pareto frontier\n", emphGlyph)
 	}
 	return b.String()
-}
-
-// ParetoFront extracts the Pareto-optimal subset of points minimizing both
-// axes (the dashboard's "identify design points of interest" helper).
-// Points are returned sorted by X.
-func ParetoFront(pts []Point) []Point {
-	if len(pts) == 0 {
-		return nil
-	}
-	sorted := append([]Point(nil), pts...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].X != sorted[j].X {
-			return sorted[i].X < sorted[j].X
-		}
-		return sorted[i].Y < sorted[j].Y
-	})
-	var front []Point
-	bestY := math.Inf(1)
-	for _, p := range sorted {
-		if p.Y < bestY {
-			front = append(front, p)
-			bestY = p.Y
-		}
-	}
-	return front
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestTableBasics(t *testing.T) {
@@ -129,51 +128,6 @@ func TestScatterAddMerges(t *testing.T) {
 	}
 	if len(sc.Series[0].Points) != 2 {
 		t.Error("same-name points should merge into one series")
-	}
-}
-
-func TestParetoFront(t *testing.T) {
-	pts := []Point{{X: 1, Y: 5}, {X: 2, Y: 3}, {X: 3, Y: 4}, {X: 4, Y: 1}, {X: 5, Y: 2}}
-	front := ParetoFront(pts)
-	want := []Point{{X: 1, Y: 5}, {X: 2, Y: 3}, {X: 4, Y: 1}}
-	if len(front) != len(want) {
-		t.Fatalf("front = %v", front)
-	}
-	for i := range want {
-		if front[i] != want[i] {
-			t.Errorf("front[%d] = %v, want %v", i, front[i], want[i])
-		}
-	}
-	if ParetoFront(nil) != nil {
-		t.Error("empty input should yield nil front")
-	}
-}
-
-// Property: every Pareto point is non-dominated and the front is sorted.
-func TestParetoProperty(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		var pts []Point
-		for i := 0; i+1 < len(raw); i += 2 {
-			pts = append(pts, Point{X: float64(raw[i] % 100), Y: float64(raw[i+1] % 100)})
-		}
-		front := ParetoFront(pts)
-		for i, f1 := range front {
-			if i > 0 && front[i-1].X > f1.X {
-				return false
-			}
-			for _, p := range pts {
-				if p.X < f1.X && p.Y < f1.Y {
-					return false // dominated point survived
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -254,8 +254,8 @@ type (
 	Store = store.Store
 )
 
-// OpenStore opens (or creates) a persistent study store rooted at dir and
-// warms the characterization engine from its memo snapshot; dir == ""
-// yields a memory-only store. Attach it with Study.Cache = store, and call
-// Store.SaveMemo before exiting to persist the engine cache too.
+// OpenStore opens (or creates) a persistent study store rooted at dir;
+// dir == "" yields a memory-only store. Attach it with Study.Cache = store:
+// every evaluated point is written through, so a later process replays
+// the stored points without characterizing them.
 func OpenStore(dir string) (*Store, error) { return store.Open(dir) }
