@@ -43,10 +43,16 @@ func benchExperiment(b *testing.B, id string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var res *exp.Result
+	// One engine, warmed before the timer, serves every iteration, as a
+	// long-lived server's would.
+	eng := nvsim.NewEngine()
+	res, err := e.Run(eng)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = e.Run()
+		res, err = e.Run(eng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,26 +92,32 @@ func BenchmarkExtECCProtection(b *testing.B) { benchExperiment(b, "ecc") }
 
 // --- substrate micro-benchmarks ---------------------------------------------
 
+// BenchmarkCharacterize2MBSTT is the warm path: every iteration is a hit
+// in an engine whose memo already holds the configuration.
 func BenchmarkCharacterize2MBSTT(b *testing.B) {
-	d := cell.MustTentpole(cell.STT, cell.Optimistic)
+	cfg := nvsim.Config{Cell: cell.MustTentpole(cell.STT, cell.Optimistic),
+		CapacityBytes: 2 << 20, Target: nvsim.OptReadEDP}
+	eng := nvsim.NewEngine()
+	if _, err := eng.Characterize(cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nvsim.Characterize(nvsim.Config{
-			Cell: d, CapacityBytes: 2 << 20, Target: nvsim.OptReadEDP}); err != nil {
+		if _, err := eng.Characterize(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkCharacterizeTargetsCold measures one full engine pass answering
-// every optimization target at once, with the memo cache cleared each
-// iteration — the evaluate-once/select-per-target win in isolation. Compare
+// every optimization target at once, on a fresh engine each iteration —
+// the evaluate-once/select-per-target win in isolation. Compare
 // against 8× BenchmarkCharacterize2MBSTTCold.
 func BenchmarkCharacterizeTargetsCold(b *testing.B) {
 	d := cell.MustTentpole(cell.STT, cell.Optimistic)
 	targets := nvsim.OptTargets()
 	for i := 0; i < b.N; i++ {
-		nvsim.ResetMemo()
-		rs, errs := nvsim.CharacterizeTargets(nvsim.Config{
+		rs, errs := nvsim.NewEngine().CharacterizeTargets(nvsim.Config{
 			Cell: d, CapacityBytes: 2 << 20}, targets)
 		for j := range errs {
 			if errs[j] != nil {
@@ -116,13 +128,12 @@ func BenchmarkCharacterizeTargetsCold(b *testing.B) {
 	}
 }
 
-// BenchmarkCharacterize2MBSTTCold is the single-target cold path: memo
-// cleared per iteration, so it measures a full enumerate+score+select pass.
+// BenchmarkCharacterize2MBSTTCold is the single-target cold path: a fresh
+// engine per iteration, so it measures a full enumerate+score+select pass.
 func BenchmarkCharacterize2MBSTTCold(b *testing.B) {
 	d := cell.MustTentpole(cell.STT, cell.Optimistic)
 	for i := 0; i < b.N; i++ {
-		nvsim.ResetMemo()
-		if _, err := nvsim.Characterize(nvsim.Config{
+		if _, err := nvsim.NewEngine().Characterize(nvsim.Config{
 			Cell: d, CapacityBytes: 2 << 20, Target: nvsim.OptReadEDP}); err != nil {
 			b.Fatal(err)
 		}
@@ -220,6 +231,10 @@ func BenchmarkStudyPipeline(b *testing.B) {
 		AddCapacity(2 << 20).
 		AddTarget(OptReadEDP).
 		AddPattern(GenericSweep(1, 10, 0.001, 0.1, 3)...)
+	study.Engine = NewEngine()
+	if _, err := study.Run(); err != nil { // warm the engine
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -252,7 +267,7 @@ func gridColdStudy() *Study {
 }
 
 // BenchmarkStudyGridCold measures a cold multi-axis grid per iteration:
-// the memo cache is wiped, so the timing covers the plan pass (unique-
+// the engine is fresh, so the timing covers the plan pass (unique-
 // config dedup + characterization) plus the batched evaluation/emission of
 // every grid point.
 func BenchmarkStudyGridCold(b *testing.B) {
@@ -261,14 +276,12 @@ func BenchmarkStudyGridCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		nvsim.ResetMemo()
+		study.Engine = NewEngine()
 		b.StartTimer()
 		if _, err := study.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	nvsim.ResetMemo()
 }
 
 // adaptiveBenchStudy is the adaptive planner's benchmark grid: 2 cells ×
@@ -302,14 +315,12 @@ func BenchmarkAdaptiveSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		nvsim.ResetMemo()
+		study.Engine = NewEngine()
 		b.StartTimer()
 		if _, err := study.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	nvsim.ResetMemo()
 }
 
 // BenchmarkExhaustivePrune measures the same grid walked exhaustively with
@@ -323,14 +334,12 @@ func BenchmarkExhaustivePrune(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		nvsim.ResetMemo()
+		study.Engine = NewEngine()
 		b.StartTimer()
 		if _, err := study.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	nvsim.ResetMemo()
 }
 
 // BenchmarkEvaluateBatch measures the zero-alloc analytical hot loop: one
@@ -388,24 +397,24 @@ func tableIIStudy(st *Store) *Study {
 	return s
 }
 
-// BenchmarkTableIISweepColdStore measures the no-reuse path: engine memo
-// and store wiped every iteration, so each run characterizes from scratch
+// BenchmarkTableIISweepColdStore measures the no-reuse path: a fresh engine
+// and store every iteration, so each run characterizes from scratch
 // (the denominator of the EXPERIMENTS.md cold-vs-warm record).
 func BenchmarkTableIISweepColdStore(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		nvsim.ResetMemo()
 		st, err := OpenStore("") // memory-only: no disk writes in the timing
 		if err != nil {
 			b.Fatal(err)
 		}
+		s := tableIIStudy(st)
+		s.Engine = NewEngine()
 		b.StartTimer()
-		if _, err := tableIIStudy(st).Run(); err != nil {
+		if _, err := s.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	nvsim.ResetMemo()
 }
 
 // BenchmarkTableIISweepDisk measures a cold Table II sweep writing through
@@ -420,12 +429,12 @@ func BenchmarkTableIISweepDisk(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		nvsim.ResetMemo()
 		st, err := OpenStore(b.TempDir())
 		if err != nil {
 			b.Fatal(err)
 		}
 		s := tableIIStudy(st)
+		s.Engine = NewEngine()
 		b.StartTimer()
 		var id string
 		if journal {
@@ -443,8 +452,6 @@ func BenchmarkTableIISweepDisk(b *testing.B) {
 			st.JournalDone(id)
 		}
 	}
-	b.StopTimer()
-	nvsim.ResetMemo()
 }
 
 // queryBenchConfig is the store-backed query benchmark's study: the case
@@ -468,7 +475,7 @@ const queryBenchConfig = `{
 
 // queryBenchIndex seeds a store with the benchmark study and builds a warm
 // index over it (the one-time cost BenchmarkQueryColdIndex measures).
-func queryBenchIndex(b *testing.B, dir string) *query.Index {
+func queryBenchIndex(b *testing.B, dir string) (*query.Index, *store.Store) {
 	b.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -497,7 +504,7 @@ func queryBenchIndex(b *testing.B, dir string) *query.Index {
 	}
 	ix := query.New(st)
 	ix.Refresh()
-	return ix
+	return ix, st
 }
 
 // BenchmarkQueryWarm measures one filtered, sorted top-k query against a
@@ -505,15 +512,14 @@ func queryBenchIndex(b *testing.B, dir string) *query.Index {
 // the store with zero engine work (asserted). This is the query layer's
 // regression gate.
 func BenchmarkQueryWarm(b *testing.B) {
-	nvsim.ResetMemo()
-	ix := queryBenchIndex(b, b.TempDir())
+	ix, st := queryBenchIndex(b, b.TempDir())
 	req := query.Request{
 		Technology: "RRAM",
 		Max:        map[string]float64{"total_power_mw": 1e6},
 		Sort:       "total_power_mw",
 		Top:        10,
 	}
-	nvsim.ResetMemo()
+	hits0, misses0 := st.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -526,18 +532,16 @@ func BenchmarkQueryWarm(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if h, m := nvsim.MemoStats(); h != 0 || m != 0 {
-		b.Fatalf("warm query characterized: memo hits=%d misses=%d", h, m)
+	if h, m := st.Stats(); h != hits0 || m != misses0 {
+		b.Fatalf("warm query probed the store: %d hits, %d misses", h-hits0, m-misses0)
 	}
-	nvsim.ResetMemo()
 }
 
 // BenchmarkQueryFrontierWarm measures a frontier-of-union selection over
 // every indexed row — the most expensive query shape (O(n²) dominance
 // scan), still engine-free.
 func BenchmarkQueryFrontierWarm(b *testing.B) {
-	nvsim.ResetMemo()
-	ix := queryBenchIndex(b, b.TempDir())
+	ix, _ := queryBenchIndex(b, b.TempDir())
 	req := query.Request{Frontier: []string{"total_power_mw", "read_latency_ns"}}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -546,8 +550,6 @@ func BenchmarkQueryFrontierWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	nvsim.ResetMemo()
 }
 
 // BenchmarkQueryColdIndex measures index construction from a warm disk
@@ -555,14 +557,12 @@ func BenchmarkQueryFrontierWarm(b *testing.B) {
 // point fetches, and the columnar shred — the one-time cost a process pays
 // before queries go warm (the EXPERIMENTS.md cold-vs-warm query record).
 func BenchmarkQueryColdIndex(b *testing.B) {
-	nvsim.ResetMemo()
 	dir := b.TempDir()
 	queryBenchIndex(b, dir) // prime the store on disk
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		nvsim.ResetMemo()
 		st, err := store.Open(dir)
 		if err != nil {
 			b.Fatal(err)
@@ -574,8 +574,6 @@ func BenchmarkQueryColdIndex(b *testing.B) {
 			b.Fatalf("cold index loaded %d studies", st.Studies)
 		}
 	}
-	b.StopTimer()
-	nvsim.ResetMemo()
 }
 
 // refreshBenchConfig is a small study, named per copy: the copies are
@@ -597,7 +595,6 @@ const refreshBenchConfig = `{
 // at -benchtime=20x that window stays well under the index's 1 s relisting
 // bound, so no op lists the store.
 func BenchmarkQueryRefreshUnchanged(b *testing.B) {
-	nvsim.ResetMemo()
 	st, err := store.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
@@ -636,8 +633,6 @@ func BenchmarkQueryRefreshUnchanged(b *testing.B) {
 			}
 		}
 	}
-	b.StopTimer()
-	nvsim.ResetMemo()
 }
 
 // BenchmarkTableIISweepWarmStore measures a repeated study against a warm
@@ -648,7 +643,6 @@ func BenchmarkQueryRefreshUnchanged(b *testing.B) {
 // the EXPERIMENTS.md cold-vs-warm speedup.
 func BenchmarkTableIISweepWarmStore(b *testing.B) {
 	b.ReportAllocs()
-	nvsim.ResetMemo()
 	dir := b.TempDir()
 	st, err := OpenStore(dir)
 	if err != nil {
@@ -660,21 +654,20 @@ func BenchmarkTableIISweepWarmStore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		nvsim.ResetMemo()
 		warm, err := OpenStore(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
+		s := tableIIStudy(warm)
+		s.Engine = NewEngine()
 		b.StartTimer()
-		if _, err := tableIIStudy(warm).Run(); err != nil {
+		if _, err := s.Run(); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if hits, misses := nvsim.MemoStats(); hits != 0 || misses != 0 {
-			b.Fatalf("warm iteration characterized: memo hits=%d misses=%d", hits, misses)
+		if es := s.Engine.Stats(); es.MemoHits != 0 || es.MemoMisses != 0 {
+			b.Fatalf("warm iteration characterized: memo hits=%d misses=%d", es.MemoHits, es.MemoMisses)
 		}
 		b.StartTimer()
 	}
-	b.StopTimer()
-	nvsim.ResetMemo()
 }

@@ -41,6 +41,10 @@ import (
 	"repro/internal/viz"
 )
 
+// newEngine builds the engine a command characterizes through; tests
+// replace it to observe that engine's work.
+var newEngine = nvsim.NewEngine
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "nvmexplorer:", err)
@@ -223,6 +227,7 @@ func runSweepTo(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
+	x.Study.Engine = newEngine() // adaptive rounds revisit configs
 	res, err := x.Study.Run()
 	if err != nil {
 		return err
@@ -542,7 +547,7 @@ func runExperiment(args []string) error {
 		return err
 	}
 	fmt.Printf("%s — %s\n\n", e.ID, e.Title)
-	res, err := e.Run()
+	res, err := e.Run(newEngine())
 	if err != nil {
 		return err
 	}

@@ -328,8 +328,8 @@ func TestRunStoreColdWarmByteIdentical(t *testing.T) {
 		t.Fatalf("run -store wrote a memo snapshot (stat: %v); the store keeps points only", err)
 	}
 
-	// Simulate a fresh process: wipe the engine cache, then re-run warm.
-	nvsim.ResetMemo()
+	// A fresh process re-runs warm on its own engine.
+	engines := captureEngines(t)
 	var warm bytes.Buffer
 	if err := runSweepTo(&warm, []string{cfgPath, "-format", "json", "-store", storeDir}); err != nil {
 		t.Fatal(err)
@@ -337,9 +337,26 @@ func TestRunStoreColdWarmByteIdentical(t *testing.T) {
 	if !bytes.Equal(warm.Bytes(), cold.Bytes()) {
 		t.Fatal("warm run differs from cold run")
 	}
-	if hits, misses := nvsim.MemoStats(); hits != 0 || misses != 0 {
-		t.Fatalf("warm run characterized: memo hits=%d misses=%d, want 0/0", hits, misses)
+	if len(*engines) != 1 {
+		t.Fatalf("warm run built %d engines, want 1", len(*engines))
 	}
+	if es := (*engines)[0].Stats(); es.MemoHits != 0 || es.MemoMisses != 0 {
+		t.Fatalf("warm run characterized: memo hits=%d misses=%d, want 0/0", es.MemoHits, es.MemoMisses)
+	}
+}
+
+// captureEngines records every engine a command builds until the test
+// ends.
+func captureEngines(t *testing.T) *[]*nvsim.Engine {
+	t.Helper()
+	var engines []*nvsim.Engine
+	newEngine = func() *nvsim.Engine {
+		e := nvsim.NewEngine()
+		engines = append(engines, e)
+		return e
+	}
+	t.Cleanup(func() { newEngine = nvsim.NewEngine })
+	return &engines
 }
 
 // TestQueryCommand exercises `nvmexplorer query`: a `run -store` seeds the
@@ -369,9 +386,9 @@ func TestQueryCommand(t *testing.T) {
 		t.Fatalf("run -store recorded %d manifests (err %v), want 1", len(manifests), err)
 	}
 
-	// Everything below must answer from the store: fresh engine cache, and
-	// any characterization is a failure.
-	nvsim.ResetMemo()
+	// Everything below must answer from the store: no query builds an
+	// engine, and the service's engine stays untouched.
+	engines := captureEngines(t)
 
 	var list bytes.Buffer
 	if err := runQuery(&list, []string{storeDir, "-list"}); err != nil {
@@ -434,8 +451,14 @@ func TestQueryCommand(t *testing.T) {
 		t.Errorf("CLI query (%d bytes) != GET /v1/query (%d bytes)", cli.Len(), len(srvBody))
 	}
 
-	if hits, misses := nvsim.MemoStats(); hits != 0 || misses != 0 {
-		t.Fatalf("query subcommand characterized: memo hits=%d misses=%d, want 0/0", hits, misses)
+	if len(*engines) != 0 {
+		t.Fatalf("query subcommand built %d engine(s), want none", len(*engines))
+	}
+	if m := srv.Snapshot().Memo; m.Hits != 0 || m.Misses != 0 {
+		t.Fatalf("GET /v1/query characterized: memo hits=%d misses=%d, want 0/0", m.Hits, m.Misses)
+	}
+	if _, misses := st.Stats(); misses != 0 {
+		t.Fatalf("GET /v1/query missed the store %d time(s)", misses)
 	}
 
 	// Error shapes: each bad request fails without touching the store's rows.

@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"repro/internal/exp"
+	"repro/internal/nvsim"
 	"repro/internal/viz"
 )
 
@@ -27,13 +28,14 @@ func main() {
 		ids = exp.IDs()
 	}
 	dash := &viz.Dashboard{Title: "NVMExplorer-Go dashboard"}
+	eng := nvsim.NewEngine() // experiments share the arrays they have in common
 	for _, id := range ids {
 		e, err := exp.Get(id)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "running %s — %s\n", e.ID, e.Title)
-		res, err := e.Run()
+		res, err := e.Run(eng)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", e.ID, err))
 		}

@@ -52,9 +52,9 @@ const (
 
 // Exploration summarizes how an adaptive run covered the design space. The
 // JSON-visible fields are pure functions of (configuration, seed, budget) —
-// they appear in study bodies, which must stay byte-identical run to run —
-// while the engine-economics telemetry (cache warmth) stays out of the body
-// and feeds /v1/stats.
+// they appear in study bodies, which must stay byte-identical run to run,
+// and the study service sums them into /v1/stats — while the
+// engine-economics telemetry (cache warmth) stays out of the body.
 type Exploration struct {
 	Mode             string `json:"mode"`
 	Budget           int    `json:"budget"`
@@ -129,11 +129,8 @@ func (s *Study) runAdaptive(ctx context.Context, emit func(PointResult) error) (
 			k := s.charConfig(&specs[i])
 			inf, seen := infeasible[k]
 			if !seen {
-				_, _, inf = nvsim.PrefilterTargets(k, s.Targets)
+				_, _, inf = s.Engine.PrefilterTargets(k, s.Targets)
 				infeasible[k] = inf
-				if inf {
-					prefilteredConfigs.Add(1)
-				}
 			}
 			if inf {
 				pruned[i] = true
@@ -242,7 +239,6 @@ func (s *Study) runAdaptive(ctx context.Context, emit func(PointResult) error) (
 			}
 			stats.cacheHits += st.cacheHits
 			stats.characterized += st.characterized
-			stats.prefiltered += st.prefiltered
 			for _, i := range cands {
 				evaluated[i] = true
 			}
@@ -352,9 +348,6 @@ func (s *Study) runAdaptive(ctx context.Context, emit func(PointResult) error) (
 		Characterizations: stats.characterized,
 		Indices:           order,
 	}
-	adaptiveStudies.Add(1)
-	adaptivePointsEvaluated.Add(int64(evalCount))
-	adaptivePointsPruned.Add(int64(len(specs) - evalCount))
 	if len(res.Arrays) == 0 {
 		return nil, res.noArraysError()
 	}

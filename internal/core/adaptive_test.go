@@ -158,15 +158,15 @@ func TestAdaptiveWarmStoreReplay(t *testing.T) {
 		t.Fatal("cold run reported zero characterizations")
 	}
 
-	nvsim.ResetMemo()
 	s2 := adaptiveRef(4, 10, 42)
 	s2.Cache = cache
+	s2.Engine = nvsim.NewEngine()
 	warm, err := s2.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := nvsim.MemoStats(); hits != 0 || misses != 0 {
-		t.Errorf("warm run touched the engine: memo hits=%d misses=%d", hits, misses)
+	if st := s2.Engine.Stats(); st.MemoHits != 0 || st.MemoMisses != 0 {
+		t.Errorf("warm run touched the engine: %+v", st)
 	}
 	we := warm.Exploration
 	if we.Characterizations != 0 || we.CacheHits != we.EvaluatedPoints {
@@ -184,9 +184,9 @@ func TestAdaptiveWarmStoreReplay(t *testing.T) {
 // bare cell matrix exceeds the area budget are pruned from the search
 // before characterization and counted in the exploration block.
 func TestAdaptivePrunesInfeasible(t *testing.T) {
-	ResetExplorationStats()
 	s := adaptiveRef(2, 0, 0)
 	s.MaxAreaMM2 = 2 // excludes the larger half of the capacity axis outright
+	s.Engine = nvsim.NewEngine()
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +195,8 @@ func TestAdaptivePrunesInfeasible(t *testing.T) {
 	if e.PrunedInfeasible == 0 {
 		t.Fatal("no points pruned by the constraint bound under a 2mm² budget")
 	}
-	if got := ReadExplorationStats(); got.PrefilteredConfigs == 0 || got.AdaptiveStudies != 1 {
-		t.Errorf("exploration counters = %+v, want prefiltered configs and one adaptive study", got)
+	if got := s.Engine.Stats(); got.Prefiltered == 0 || got.MemoMisses == 0 {
+		t.Errorf("engine counters = %+v, want prefiltered configs beside characterized ones", got)
 	}
 }
 

@@ -77,6 +77,12 @@ type Study struct {
 	// identical at any worker count.
 	Workers int
 
+	// Engine, when non-nil, characterizes the study's configs through its
+	// memo, so repeated and overlapping studies on one engine reuse each
+	// other's characterizations, and counts that work (nvsim.EngineStats).
+	// Nil characterizes every config afresh. Output is identical either way.
+	Engine *nvsim.Engine
+
 	// Cache, when non-nil, is consulted before each grid point is
 	// characterized (keyed by PointKey, see key.go) and filled with each
 	// computed point — the hook the persistent study store plugs into. A
@@ -271,7 +277,6 @@ func (r *Results) noArraysError() error {
 type runStats struct {
 	cacheHits     int // points replayed from the point cache
 	characterized int // unique configs scored by the engine (panics included)
-	prefiltered   int // unique configs skipped by the constraint bound
 }
 
 // runSpecs executes the two-phase plan over one batch of grid points,
@@ -290,17 +295,9 @@ func (s *Study) runSpecs(ctx context.Context, specs []PointSpec, res *Results, p
 	}
 	var stats runStats
 	for i := range plan.configs {
-		if !plan.configs[i].needed {
-			continue
-		}
-		if plan.configs[i].prefiltered {
-			stats.prefiltered++
-		} else {
+		if plan.configs[i].needed && !plan.configs[i].prefiltered {
 			stats.characterized++
 		}
-	}
-	if stats.prefiltered > 0 {
-		prefilteredConfigs.Add(int64(stats.prefiltered))
 	}
 	for i := range specs {
 		if plan.hit != nil && plan.hit[i] {

@@ -57,8 +57,8 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 // study with T targets must record exactly one memo miss per (cell,
 // capacity) pair, not T.
 func TestRunBatchesTargetsPerGridPoint(t *testing.T) {
-	nvsim.ResetMemo()
 	s := NewStudy("memo-batch")
+	s.Engine = nvsim.NewEngine()
 	s.AddTentpole(cell.STT, cell.Optimistic)
 	s.AddTentpole(cell.FeFET, cell.Optimistic)
 	s.AddCapacity(1 << 20)
@@ -66,19 +66,18 @@ func TestRunBatchesTargetsPerGridPoint(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := nvsim.MemoStats()
-	if misses != 2 {
-		t.Errorf("misses=%d, want 2 (one evaluation per grid point)", misses)
+	st := s.Engine.Stats()
+	if st.MemoMisses != 2 {
+		t.Errorf("misses=%d, want 2 (one evaluation per grid point)", st.MemoMisses)
 	}
-	if hits != 0 {
-		t.Errorf("hits=%d, want 0 on a fresh cache", hits)
+	if st.MemoHits != 0 {
+		t.Errorf("hits=%d, want 0 on a fresh cache", st.MemoHits)
 	}
 	// A repeated study is served entirely from the cache.
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses = nvsim.MemoStats()
-	if misses != 2 || hits != 2 {
-		t.Errorf("after re-run: hits=%d misses=%d, want 2/2", hits, misses)
+	if st = s.Engine.Stats(); st.MemoMisses != 2 || st.MemoHits != 2 {
+		t.Errorf("after re-run: hits=%d misses=%d, want 2/2", st.MemoHits, st.MemoMisses)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // phase dedupes the grid's unique characterization configs, probes the
 // point cache, and characterizes each needed config exactly once per run —
 // in parallel across the study's workers — into a local plan table: the
-// global memo/singleflight mutex is touched once per unique config instead
+// engine's memo/singleflight mutex is touched once per unique config instead
 // of once per point, and each target's winner is copied out once per
 // (config, target) instead of once per (point, target). The evaluation phase then walks the grid in
 // declaration order, replaying cached points and driving eval.EvaluateBatch
@@ -247,12 +247,12 @@ func (s *Study) plan(ctx context.Context, specs []PointSpec, cache PointCache) (
 			// and the engine pass is skipped entirely. The pre-filter
 			// reproduces the engine's exact per-target errors, so skip lines
 			// — and every other output byte — are unchanged.
-			if arrays, errs, pruned := nvsim.PrefilterTargets(cfg, s.Targets); pruned {
+			if arrays, errs, pruned := s.Engine.PrefilterTargets(cfg, s.Targets); pruned {
 				pc.arrays, pc.errs = arrays, errs
 				pc.prefiltered = true
 				return
 			}
-			pc.arrays, pc.errs = nvsim.CharacterizeTargets(cfg, s.Targets)
+			pc.arrays, pc.errs = s.Engine.CharacterizeTargets(cfg, s.Targets)
 		}()
 		if pc.failed != nil {
 			return

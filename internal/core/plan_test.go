@@ -36,15 +36,15 @@ func axisStudy(workers int) *Study {
 // whose points differ only in evaluation axes characterizes each unique
 // config exactly once per run — one memo lookup per config, not per point.
 func TestPlanDedupesUniqueConfigs(t *testing.T) {
-	nvsim.ResetMemo()
-	res, err := axisStudy(1).Run()
+	s := axisStudy(1)
+	s.Engine = nvsim.NewEngine()
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := nvsim.MemoStats()
-	if misses != 2 || hits != 0 {
+	if st := s.Engine.Stats(); st.MemoMisses != 2 || st.MemoHits != 0 {
 		t.Errorf("cold run: memo hits=%d misses=%d, want 0/2 (one per unique config, 12 grid points)",
-			hits, misses)
+			st.MemoHits, st.MemoMisses)
 	}
 	specs, err := axisStudy(1).Space()
 	if err != nil {
@@ -114,9 +114,9 @@ func TestPlanCacheInterplay(t *testing.T) {
 		t.Fatalf("cold run: gets=%d puts=%d, want 12/12", cache.gets, cache.puts)
 	}
 
-	nvsim.ResetMemo()
 	s2 := axisStudy(4)
 	s2.Cache = cache
+	s2.Engine = nvsim.NewEngine()
 	warm, err := s2.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -124,8 +124,8 @@ func TestPlanCacheInterplay(t *testing.T) {
 	if cache.gets != 24 || cache.puts != 12 {
 		t.Fatalf("warm run: gets=%d puts=%d, want 24/12 (no new stores)", cache.gets, cache.puts)
 	}
-	if hits, misses := nvsim.MemoStats(); hits != 0 || misses != 0 {
-		t.Fatalf("warm run characterized: memo hits=%d misses=%d, want 0/0", hits, misses)
+	if st := s2.Engine.Stats(); st.MemoHits != 0 || st.MemoMisses != 0 {
+		t.Fatalf("warm run characterized: %+v, want 0 memo hits / 0 misses", st)
 	}
 	if !reflect.DeepEqual(cold.Metrics, warm.Metrics) || !reflect.DeepEqual(cold.Arrays, warm.Arrays) {
 		t.Fatal("warm replay diverges from cold computation")
@@ -139,9 +139,8 @@ func TestPlanCacheInterplay(t *testing.T) {
 // constraint pre-filter proves it infeasible under the 0.9 mm² budget and
 // only the STT config is characterized.
 func TestPlanSharedSkips(t *testing.T) {
-	nvsim.ResetMemo()
-	ResetExplorationStats()
 	s := NewStudy("plan-skips")
+	s.Engine = nvsim.NewEngine()
 	s.AddTentpole(cell.SRAM, cell.Reference) // 146F² SRAM: excluded by the tight area budget
 	s.AddTentpole(cell.STT, cell.Optimistic)
 	s.AddCapacity(4 << 20)
@@ -159,10 +158,10 @@ func TestPlanSharedSkips(t *testing.T) {
 	if res.Skipped[0] != res.Skipped[1] {
 		t.Fatalf("points sharing a config must report identical skip lines: %v", res.Skipped)
 	}
-	if got := ReadExplorationStats().PrefilteredConfigs; got != 1 {
+	if got := s.Engine.Stats().Prefiltered; got != 1 {
 		t.Errorf("prefiltered configs = %d, want 1 (the SRAM config)", got)
 	}
-	if _, misses := nvsim.MemoStats(); misses != 1 {
+	if misses := s.Engine.Stats().MemoMisses; misses != 1 {
 		t.Errorf("memo misses = %d, want 1: the pre-filtered SRAM config must not reach the engine", misses)
 	}
 }
@@ -228,16 +227,15 @@ func TestCharacterizeShipsWinnersAndFailures(t *testing.T) {
 	if n := coord.Adopt(specs, all, cs); n != 4 {
 		t.Fatalf("adopted entries cover %d point(s), want the 2 SRAM and 2 STT points", n)
 	}
-	nvsim.ResetMemo()
-	ResetExplorationStats()
+	coord.Engine = nvsim.NewEngine()
 	got, err := coord.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := nvsim.MemoStats(); misses != 1 {
+	if misses := coord.Engine.Stats().MemoMisses; misses != 1 {
 		t.Errorf("memo misses = %d, want 1: only the FeFET config left to characterize", misses)
 	}
-	if n := ReadExplorationStats().PrefilteredConfigs; n != 0 {
+	if n := coord.Engine.Stats().Prefiltered; n != 0 {
 		t.Errorf("prefiltered configs = %d, want 0: the shipped errors stand in for the prefilter", n)
 	}
 	if !reflect.DeepEqual(got.Arrays, want.Arrays) || !reflect.DeepEqual(got.Metrics, want.Metrics) ||

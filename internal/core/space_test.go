@@ -376,8 +376,8 @@ func TestStudyRunParetoEndToEnd(t *testing.T) {
 // under the PointSpec refactor: a T-target study still records exactly one
 // engine evaluation per design point.
 func TestRunBatchesTargetsStillOnePassPerSpec(t *testing.T) {
-	nvsim.ResetMemo()
 	s := NewStudy("memo-spec")
+	s.Engine = nvsim.NewEngine()
 	s.AddTentpole(cell.RRAM, cell.Optimistic)
 	s.AddCapacity(1 << 20)
 	s.BitsPerCell = []int{1, 2}
@@ -385,7 +385,7 @@ func TestRunBatchesTargetsStillOnePassPerSpec(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := nvsim.MemoStats(); misses != 2 {
+	if misses := s.Engine.Stats().MemoMisses; misses != 2 {
 		t.Errorf("misses = %d, want 2 (one per (cell, bits) spec)", misses)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/cell"
-	"repro/internal/nvsim"
 	"repro/internal/traffic"
 )
 
@@ -111,8 +110,7 @@ func TestRunStreamMidRunCancel(t *testing.T) {
 // picking up new grid points, and RunStream must report context.Canceled
 // with the stream cut off gap-free at a prefix of the grid.
 func TestRunStreamCancelMidMerge(t *testing.T) {
-	nvsim.ResetMemo() // cold cache: each point costs real engine work
-	s := NewStudy("mid-merge")
+	s := NewStudy("mid-merge") // no engine, so no memo: each point costs real engine work
 	// Distinct custom-named cells defeat memoization across points so the
 	// remaining grid cannot race to completion before cancellation lands:
 	// at ~0.5ms per cold point, 128 points are far more work than any
@@ -154,7 +152,6 @@ func TestRunStreamCancelMidMerge(t *testing.T) {
 
 	// The sequential path has the same contract, with fully deterministic
 	// scheduling: the context is checked before every point.
-	nvsim.ResetMemo()
 	s.Workers = 1
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()

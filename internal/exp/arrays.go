@@ -9,16 +9,16 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "fig3", Title: "Fig 3: 4MB arrays under various optimization targets", Run: fig3})
-	register(Experiment{ID: "fig4", Title: "Fig 4: tentpole STT vs published 1MB array (validation)", Run: fig4})
-	register(Experiment{ID: "fig5", Title: "Fig 5: 2MB arrays provisioned to replace NVDLA's SRAM", Run: fig5})
-	register(Experiment{ID: "fig10", Title: "Fig 10: 16MB LLC array characteristics in isolation", Run: fig10})
-	register(Experiment{ID: "fig12", Title: "Fig 12: area efficiency vs latency across organizations", Run: fig12})
+	register(Experiment{ID: "fig3", Title: "Fig 3: 4MB arrays under various optimization targets", run: fig3})
+	register(Experiment{ID: "fig4", Title: "Fig 4: tentpole STT vs published 1MB array (validation)", run: fig4})
+	register(Experiment{ID: "fig5", Title: "Fig 5: 2MB arrays provisioned to replace NVDLA's SRAM", run: fig5})
+	register(Experiment{ID: "fig10", Title: "Fig 10: 16MB LLC array characteristics in isolation", run: fig10})
+	register(Experiment{ID: "fig12", Title: "Fig 12: area efficiency vs latency across organizations", run: fig12})
 }
 
 // arrayRows characterizes a cell set at one capacity across targets and
 // tabulates the array-level views the paper scatters.
-func arrayRows(title string, cells []cell.Definition, capBytes int64,
+func arrayRows(eng *nvsim.Engine, title string, cells []cell.Definition, capBytes int64,
 	targets []nvsim.OptTarget) (*Result, error) {
 	t := viz.NewTable(title,
 		"Cell", "Target", "ReadNS", "WriteNS", "ReadE/b[pJ]", "WriteE/b[pJ]",
@@ -28,7 +28,7 @@ func arrayRows(title string, cells []cell.Definition, capBytes int64,
 	writeSc := &viz.Scatter{Title: title + " (write)", XLabel: "write latency (ns)",
 		YLabel: "write energy per bit (pJ)", LogX: true, LogY: true}
 	for _, d := range cells {
-		rs, errs := nvsim.CharacterizeTargets(nvsim.Config{
+		rs, errs := eng.CharacterizeTargets(nvsim.Config{
 			Cell: d, CapacityBytes: capBytes}, targets)
 		for i, target := range targets {
 			if errs[i] != nil {
@@ -49,8 +49,8 @@ func arrayRows(title string, cells []cell.Definition, capBytes int64,
 
 // fig3: 4MB iso-capacity arrays, optimistic/pessimistic/reference cells per
 // technology, across optimization targets.
-func fig3() (*Result, error) {
-	return arrayRows("Fig 3: 4MB arrays across optimization targets",
+func fig3(eng *nvsim.Engine) (*Result, error) {
+	return arrayRows(eng, "Fig 3: 4MB arrays across optimization targets",
 		cell.CaseStudyCells(), 4<<20,
 		[]nvsim.OptTarget{nvsim.OptReadLatency, nvsim.OptReadEDP, nvsim.OptReadEnergy,
 			nvsim.OptWriteEDP, nvsim.OptArea, nvsim.OptLeakage})
@@ -58,13 +58,13 @@ func fig3() (*Result, error) {
 
 // fig4: the Section III-C validation exercise — optimistic and pessimistic
 // STT arrays against the published 1MB macro.
-func fig4() (*Result, error) {
+func fig4(eng *nvsim.Engine) (*Result, error) {
 	target := cell.ValidationTargets()[0]
 	t := viz.NewTable("Fig 4: tentpole STT vs published 1MB STT macro",
 		"Design", "ReadNS", "ReadE[pJ]", "AreaMM2", "Source")
 	for _, f := range []cell.Flavor{cell.Optimistic, cell.Pessimistic} {
 		d := cell.Normalize(cell.MustTentpole(cell.STT, f), target.NodeNM)
-		r, err := nvsim.Characterize(nvsim.Config{
+		r, err := eng.Characterize(nvsim.Config{
 			Cell: d, CapacityBytes: target.CapacityBytes, Target: nvsim.OptReadEDP})
 		if err != nil {
 			return nil, err
@@ -77,14 +77,14 @@ func fig4() (*Result, error) {
 }
 
 // fig5: 2MB arrays for the NVDLA buffer replacement, ReadEDP-optimized.
-func fig5() (*Result, error) {
-	return arrayRows("Fig 5: 2MB arrays (NVDLA buffer)", cell.CaseStudyCells(),
+func fig5(eng *nvsim.Engine) (*Result, error) {
+	return arrayRows(eng, "Fig 5: 2MB arrays (NVDLA buffer)", cell.CaseStudyCells(),
 		2<<20, []nvsim.OptTarget{nvsim.OptReadEDP})
 }
 
 // fig10: 16MB arrays for the LLC study, read- and write-EDP optimized.
-func fig10() (*Result, error) {
-	return arrayRows("Fig 10: 16MB LLC arrays", cell.CaseStudyCells(),
+func fig10(eng *nvsim.Engine) (*Result, error) {
+	return arrayRows(eng, "Fig 10: 16MB LLC arrays", cell.CaseStudyCells(),
 		16<<20, []nvsim.OptTarget{nvsim.OptReadEDP, nvsim.OptWriteEDP})
 }
 
@@ -92,7 +92,7 @@ func fig10() (*Result, error) {
 // internal organization of an 8MB array, lower area efficiency correlates
 // with lower read latency. The table reports decile summaries; the scatter
 // carries every organization.
-func fig12() (*Result, error) {
+func fig12(eng *nvsim.Engine) (*Result, error) {
 	sc := &viz.Scatter{Title: "Fig 12: area efficiency vs read latency (8MB)",
 		XLabel: "area efficiency", YLabel: "read latency (ns)", LogY: true}
 	t := viz.NewTable("Fig 12: organization deciles by read latency",

@@ -13,9 +13,9 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "fig6", Title: "Fig 6: DNN accelerator — continuous power and intermittent energy/inference", Run: fig6})
-	register(Experiment{ID: "fig7", Title: "Fig 7: total memory energy vs inferences per day", Run: fig7})
-	register(Experiment{ID: "table2", Title: "Table II: preferred eNVM per DNN use case", Run: table2})
+	register(Experiment{ID: "fig6", Title: "Fig 6: DNN accelerator — continuous power and intermittent energy/inference", run: fig6})
+	register(Experiment{ID: "fig7", Title: "Fig 7: total memory energy vs inferences per day", run: fig7})
+	register(Experiment{ID: "table2", Title: "Table II: preferred eNVM per DNN use case", run: table2})
 }
 
 // dnnCells is the candidate set the Section IV-A study compares.
@@ -47,7 +47,7 @@ func provision(bytes int64) int64 {
 // ResNet26 traffic, single vs multi-task, weights vs weights+activations.
 // (right): energy per inference under intermittent operation at 1
 // inference per second with monolithic per-task weight storage.
-func fig6() (*Result, error) {
+func fig6(eng *nvsim.Engine) (*Result, error) {
 	acc := traffic.NVDLA()
 	net := nn.ResNet26Edge()
 	left := viz.NewTable("Fig 6 (left): continuous operating power (mW), 2MB arrays @60FPS",
@@ -59,7 +59,7 @@ func fig6() (*Result, error) {
 	scenarios := []scenario{{1, traffic.WeightsOnly}, {1, traffic.WeightsAndActs},
 		{3, traffic.WeightsOnly}, {3, traffic.WeightsAndActs}}
 	for _, d := range dnnCells() {
-		arr, err := nvsim.Characterize(nvsim.Config{Cell: d, CapacityBytes: 2 << 20,
+		arr, err := eng.Characterize(nvsim.Config{Cell: d, CapacityBytes: 2 << 20,
 			Target: nvsim.OptReadEDP})
 		if err != nil {
 			return nil, err
@@ -92,7 +92,7 @@ func fig6() (*Result, error) {
 		for _, j := range jobs {
 			p := traffic.DNNTraffic(acc, &j.net, 0, j.tasks, traffic.WeightsOnly)
 			capBytes := provision(p.FootprintBytes)
-			arr, err := nvsim.Characterize(nvsim.Config{Cell: d, CapacityBytes: capBytes,
+			arr, err := eng.Characterize(nvsim.Config{Cell: d, CapacityBytes: capBytes,
 				Target: nvsim.OptReadEDP})
 			if err != nil {
 				return nil, err
@@ -110,7 +110,7 @@ func fig6() (*Result, error) {
 
 // fig7: total daily memory energy as a function of inferences per day for
 // image classification (left) and NLP (right), plus measured crossovers.
-func fig7() (*Result, error) {
+func fig7(eng *nvsim.Engine) (*Result, error) {
 	acc := traffic.NVDLA()
 	rates := []float64{1e2, 1e3, 1e4, 1e5, 1e6, 1e7}
 	res := &Result{}
@@ -130,7 +130,7 @@ func fig7() (*Result, error) {
 			YLabel: "memory energy per day (mJ)", LogX: true, LogY: true}
 		var arrays []nvsim.Result
 		for _, d := range dnnCells() {
-			arr, err := nvsim.Characterize(nvsim.Config{Cell: d, CapacityBytes: capBytes,
+			arr, err := eng.Characterize(nvsim.Config{Cell: d, CapacityBytes: capBytes,
 				Target: nvsim.OptReadEDP})
 			if err != nil {
 				return nil, err
@@ -177,7 +177,7 @@ func fig7() (*Result, error) {
 // optimization priority, computed from this framework's models. "Opt.
 // eNVM" picks among optimistic tentpoles; "Alt. eNVM" among pessimistic
 // and reference cells, mirroring the paper's two columns.
-func table2() (*Result, error) {
+func table2(eng *nvsim.Engine) (*Result, error) {
 	acc := traffic.NVDLA()
 	r26 := nn.ResNet26Edge()
 	albert := nn.ALBERTBase()
@@ -207,7 +207,7 @@ func table2() (*Result, error) {
 		bestName := "-"
 		bestV := math.Inf(1)
 		for _, d := range cells {
-			arr, err := nvsim.Characterize(nvsim.Config{Cell: d, CapacityBytes: capBytes,
+			arr, err := eng.Characterize(nvsim.Config{Cell: d, CapacityBytes: capBytes,
 				Target: nvsim.OptReadEDP})
 			if err != nil {
 				continue

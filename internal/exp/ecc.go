@@ -5,11 +5,12 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/fault"
+	"repro/internal/nvsim"
 	"repro/internal/viz"
 )
 
 func init() {
-	register(Experiment{ID: "ecc", Title: "Extension: SECDED ECC vs MLC FeFET cell size (MaxNVM-style mitigation)", Run: eccStudy})
+	register(Experiment{ID: "ecc", Title: "Extension: SECDED ECC vs MLC FeFET cell size (MaxNVM-style mitigation)", run: eccStudy})
 }
 
 // accuracyWithECC runs the fault pipeline with SECDED protection: protect
@@ -47,7 +48,7 @@ func accuracyWithECC(d cell.Definition, trials int) (float64, error) {
 // protection rescues accuracy that raw storage loses — extending the
 // Fig 13 density-vs-reliability study with the error-mitigation axis the
 // paper's reliability lineage (MaxNVM [112]) advocates.
-func eccStudy() (*Result, error) {
+func eccStudy(*nvsim.Engine) (*Result, error) {
 	q, test, err := classifier()
 	if err != nil {
 		return nil, err

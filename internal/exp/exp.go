@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/nvsim"
 	"repro/internal/viz"
 )
 
@@ -16,7 +17,16 @@ import (
 type Experiment struct {
 	ID    string // "fig3", "table2", ...
 	Title string
-	Run   func() (*Result, error)
+	run   func(*nvsim.Engine) (*Result, error)
+}
+
+// Run regenerates the experiment through the engine's memo, shared with
+// every experiment run on it; with no engine given it uses a fresh one.
+func (e Experiment) Run(engine ...*nvsim.Engine) (*Result, error) {
+	if len(engine) == 0 {
+		return e.run(nvsim.NewEngine())
+	}
+	return e.run(engine[0])
 }
 
 // Result is an experiment's output: its data table(s) and optional scatter

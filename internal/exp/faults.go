@@ -12,7 +12,7 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "fig13", Title: "Fig 13: SLC vs MLC density and inference accuracy under faults", Run: fig13})
+	register(Experiment{ID: "fig13", Title: "Fig 13: SLC vs MLC density and inference accuracy under faults", run: fig13})
 }
 
 // The trained classifier is shared across invocations (training is the
@@ -54,7 +54,7 @@ func accuracyFor(d cell.Definition, trials int) (float64, error) {
 // accuracy, and flag configurations failing the accuracy target — the
 // paper's finding that MLC RRAM is robust while MLC FeFET is acceptable
 // only at larger cell sizes.
-func fig13() (*Result, error) {
+func fig13(eng *nvsim.Engine) (*Result, error) {
 	q, test, err := classifier()
 	if err != nil {
 		return nil, err
@@ -79,7 +79,7 @@ func fig13() (*Result, error) {
 	}
 	for _, capBytes := range []int64{8 << 20, 16 << 20} {
 		for _, d := range cells {
-			arr, err := nvsim.Characterize(nvsim.Config{Cell: d, CapacityBytes: capBytes,
+			arr, err := eng.Characterize(nvsim.Config{Cell: d, CapacityBytes: capBytes,
 				Target: nvsim.OptReadEDP})
 			if err != nil {
 				return nil, err

@@ -1,11 +1,8 @@
 package exp
 
 import (
-	"fmt"
-
 	"repro/internal/cell"
 	"repro/internal/core"
-	"repro/internal/eval"
 	"repro/internal/graph"
 	"repro/internal/nvsim"
 	"repro/internal/traffic"
@@ -13,8 +10,8 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "fig8", Title: "Fig 8: graph processing — power, latency, lifetime", Run: fig8})
-	register(Experiment{ID: "fig11", Title: "Fig 11: back-gated FeFET co-design", Run: fig11})
+	register(Experiment{ID: "fig8", Title: "Fig 8: graph processing — power, latency, lifetime", run: fig8})
+	register(Experiment{ID: "fig11", Title: "Fig 11: back-gated FeFET co-design", run: fig11})
 }
 
 // graphKernelPatterns runs BFS on the two synthetic social graphs through
@@ -46,8 +43,9 @@ func graphKernelPatterns() ([]traffic.Pattern, error) {
 
 // graphStudy builds the Section IV-B study: 8MB arrays under the generic
 // graph traffic envelope plus the BFS kernel points.
-func graphStudy(extraCells ...cell.Definition) (*core.Results, error) {
+func graphStudy(eng *nvsim.Engine, extraCells ...cell.Definition) (*core.Results, error) {
 	s := core.NewStudy("graph processing (8MB)")
+	s.Engine = eng
 	s.AddCaseStudyCells()
 	for _, d := range extraCells {
 		s.AddCell(d)
@@ -69,8 +67,8 @@ func graphStudy(extraCells ...cell.Definition) (*core.Results, error) {
 
 // fig8: memory power vs read traffic, memory latency vs write traffic, and
 // projected lifetime for graph processing.
-func fig8() (*Result, error) {
-	res, err := graphStudy()
+func fig8(eng *nvsim.Engine) (*Result, error) {
+	res, err := graphStudy(eng)
 	if err != nil {
 		return nil, err
 	}
@@ -92,8 +90,8 @@ func fig8() (*Result, error) {
 // fig11: re-run the graph study with back-gated FeFETs (Section V-A) and
 // compare them against prior FeFETs and SRAM, including the 8MB array
 // characterization panel.
-func fig11() (*Result, error) {
-	res, err := graphStudy(cell.MustTentpole(cell.BGFeFET, cell.Reference))
+func fig11(eng *nvsim.Engine) (*Result, error) {
+	res, err := graphStudy(eng, cell.MustTentpole(cell.BGFeFET, cell.Reference))
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +120,7 @@ func fig11() (*Result, error) {
 		cell.MustTentpole(cell.BGFeFET, cell.Reference),
 		cell.MustTentpole(cell.SRAM, cell.Reference),
 	} {
-		r, err := nvsim.Characterize(nvsim.Config{Cell: d, CapacityBytes: 8 << 20,
+		r, err := eng.Characterize(nvsim.Config{Cell: d, CapacityBytes: 8 << 20,
 			Target: nvsim.OptReadEDP})
 		if err != nil {
 			return nil, err
@@ -132,31 +130,4 @@ func fig11() (*Result, error) {
 	}
 	return &Result{Tables: []*viz.Table{t, arrays},
 		Scatters: []*viz.Scatter{power, lat}}, nil
-}
-
-// GraphBaselineEDRAM reports the Graphicionado eDRAM scratchpad baseline
-// power under the BFS kernels, used by EXPERIMENTS.md to anchor the "2-10x
-// lower memory power" comparison of Section IV-B2.
-func GraphBaselineEDRAM() (*viz.Table, error) {
-	kernels, err := graphKernelPatterns()
-	if err != nil {
-		return nil, err
-	}
-	d := cell.MustTentpole(cell.EDRAM, cell.Reference)
-	arr, err := nvsim.Characterize(nvsim.Config{Cell: d, CapacityBytes: 8 << 20,
-		Target: nvsim.OptReadEDP})
-	if err != nil {
-		return nil, err
-	}
-	t := viz.NewTable("Graphicionado 8MB eDRAM scratchpad baseline",
-		"Pattern", "TotalMW", "MemTime/s")
-	for _, p := range kernels {
-		m, err := eval.Evaluate(arr, p, eval.Options{})
-		if err != nil {
-			return nil, err
-		}
-		t.MustAddRow(p.Name, m.TotalPowerMW, m.MemoryTimePerSec)
-	}
-	_ = fmt.Sprintf
-	return t, nil
 }

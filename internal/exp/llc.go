@@ -9,13 +9,14 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "fig9", Title: "Fig 9: SPEC CPU2017 traffic to a 16MB eNVM LLC", Run: fig9})
-	register(Experiment{ID: "fig14", Title: "Fig 14: write buffering changes the performance landscape", Run: fig14})
+	register(Experiment{ID: "fig9", Title: "Fig 9: SPEC CPU2017 traffic to a 16MB eNVM LLC", run: fig9})
+	register(Experiment{ID: "fig14", Title: "Fig 14: write buffering changes the performance landscape", run: fig14})
 }
 
 // llcStudy evaluates the case-study cells as a 16MB LLC under SPEC traffic.
-func llcStudy(opts eval.Options) (*core.Results, error) {
+func llcStudy(eng *nvsim.Engine, opts eval.Options) (*core.Results, error) {
 	s := core.NewStudy("SPEC2017 16MB LLC")
+	s.Engine = eng
 	s.AddCaseStudyCells()
 	s.AddCapacity(cache.StudyLLCBytes)
 	s.AddTarget(nvsim.OptReadEDP)
@@ -26,8 +27,8 @@ func llcStudy(opts eval.Options) (*core.Results, error) {
 
 // fig9: power, latency, and lifetime for SPEC benchmark traffic on eNVM
 // LLCs; solutions that cannot keep up are flagged rather than plotted.
-func fig9() (*Result, error) {
-	res, err := llcStudy(eval.Options{})
+func fig9(eng *nvsim.Engine) (*Result, error) {
+	res, err := llcStudy(eng, eval.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +52,7 @@ func fig9() (*Result, error) {
 // fig14: the Section V-D what-if — masking write latency behind a buffer
 // and/or reducing write traffic via coalescing, for SPEC2017 (aggregate)
 // and the Facebook-BFS graph kernel.
-func fig14() (*Result, error) {
+func fig14(eng *nvsim.Engine) (*Result, error) {
 	t := viz.NewTable("Fig 14: write buffering what-if",
 		"Workload", "Cell", "Config", "TotalMW", "MemTime/s", "LifetimeY")
 
@@ -71,7 +72,7 @@ func fig14() (*Result, error) {
 
 	// SPEC aggregate: the write-heaviest benchmark is the binding case.
 	for _, c := range cases {
-		res, err := llcStudy(c.opts)
+		res, err := llcStudy(eng, c.opts)
 		if err != nil {
 			return nil, err
 		}
@@ -95,6 +96,7 @@ func fig14() (*Result, error) {
 	fb := kernels[0]
 	for _, c := range cases {
 		s := core.NewStudy("fig14 graph")
+		s.Engine = eng
 		s.AddCaseStudyCells()
 		s.AddCapacity(8 << 20)
 		s.AddTarget(nvsim.OptReadEDP)

@@ -1,16 +1,19 @@
 package exp
 
-import "repro/internal/viz"
+import (
+	"repro/internal/nvsim"
+	"repro/internal/viz"
+)
 
 func init() {
-	register(Experiment{ID: "table3", Title: "Table III: related-work feature comparison", Run: table3})
+	register(Experiment{ID: "table3", Title: "Table III: related-work feature comparison", run: table3})
 }
 
 // table3 reproduces the related-work comparison matrix (Section VI): which
 // technologies, circuit features, and application-aware evaluations each
 // tool covers. The NVMExplorer column reflects what this reproduction
 // actually implements.
-func table3() (*Result, error) {
+func table3(*nvsim.Engine) (*Result, error) {
 	t := viz.NewTable("Table III: NVMExplorer vs related tools",
 		"Feature", "IRDS", "Mem.Trends", "NVSim", "DESTINY", "NeuroSim+",
 		"NVMain", "DeepNVM++", "NVMExplorer")

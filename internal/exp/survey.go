@@ -5,17 +5,18 @@ import (
 	"math"
 
 	"repro/internal/cell"
+	"repro/internal/nvsim"
 	"repro/internal/viz"
 )
 
 func init() {
-	register(Experiment{ID: "fig1", Title: "Fig 1: eNVM publications by technology, 2016-2020", Run: fig1})
-	register(Experiment{ID: "table1", Title: "Table I: memory cell technologies and key characteristic ranges", Run: table1})
+	register(Experiment{ID: "fig1", Title: "Fig 1: eNVM publications by technology, 2016-2020", run: fig1})
+	register(Experiment{ID: "table1", Title: "Table I: memory cell technologies and key characteristic ranges", run: table1})
 }
 
 // fig1 reproduces Figure 1: publication counts per technology per survey
 // year from the ISSCC/IEDM/VLSI database.
-func fig1() (*Result, error) {
+func fig1(*nvsim.Engine) (*Result, error) {
 	first, last := cell.SurveyYears()
 	cols := []string{"Technology"}
 	for y := first; y <= last; y++ {
@@ -60,7 +61,7 @@ func fig1() (*Result, error) {
 
 // table1 reproduces Table I from the survey database plus the canonical
 // fills, flagging ranges the survey leaves grey.
-func table1() (*Result, error) {
+func table1(*nvsim.Engine) (*Result, error) {
 	t := viz.NewTable("Table I: cell technologies and characteristic ranges",
 		"Tech", "Area[F2]", "Node[nm]", "MLC", "Read[ns]", "Write[ns]",
 		"ReadE[pJ]", "WriteE[pJ]", "Endurance", "Retention[s]")

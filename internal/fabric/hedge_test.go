@@ -21,7 +21,6 @@ import (
 // store to compare fabric results against.
 func localReference(t *testing.T) *store.Store {
 	t.Helper()
-	nvsim.ResetMemo()
 	local, err := store.Open("")
 	if err != nil {
 		t.Fatal(err)
@@ -44,12 +43,12 @@ func assertMatchesLocal(t *testing.T, study *core.Study, st *store.Store, local 
 	if st.Len() != 0 {
 		t.Fatalf("prefill stored %d point(s), want 0: the run stores each point", st.Len())
 	}
-	nvsim.ResetMemo()
 	study.Cache = st
+	study.Engine = nvsim.NewEngine()
 	if _, err := study.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := nvsim.MemoStats(); misses != 0 {
+	if misses := study.Engine.Stats().MemoMisses; misses != 0 {
 		t.Fatalf("run over the prefill characterized %d config(s) locally, want 0", misses)
 	}
 	specs, err := study.Space()
@@ -75,10 +74,9 @@ func assertMatchesLocal(t *testing.T, study *core.Study, st *store.Store, local 
 // A fleet answering well under the hedge threshold never hedges: the
 // second copy is pure waste when the primary is healthy.
 func TestFabricHedgeDoesNotFireUnderThreshold(t *testing.T) {
-	nvsim.ResetMemo()
-	ts1 := httptest.NewServer(newShardWorker(t))
+	ts1 := httptest.NewServer(newShardWorker())
 	defer ts1.Close()
-	ts2 := httptest.NewServer(newShardWorker(t))
+	ts2 := httptest.NewServer(newShardWorker())
 	defer ts2.Close()
 
 	st, err := store.Open("")
@@ -102,7 +100,6 @@ func TestFabricHedgeDoesNotFireUnderThreshold(t *testing.T) {
 // byte-identical to a local run. The cancelled straggler must not trip
 // its breaker — slowness is not failure.
 func TestFabricHedgeBeatsSlowShardAndMergesIdentically(t *testing.T) {
-	nvsim.ResetMemo()
 	// Whichever worker receives the fleet's first shard request straggles
 	// on it (and only it): its hedge lands on the other, fast worker. Keyed
 	// to the request rather than the worker so the test holds however the
@@ -116,9 +113,9 @@ func TestFabricHedgeBeatsSlowShardAndMergesIdentically(t *testing.T) {
 			sw.ServeHTTP(w, r)
 		})
 	}
-	ts1 := httptest.NewServer(wrap(1, newShardWorker(t)))
+	ts1 := httptest.NewServer(wrap(1, newShardWorker()))
 	defer ts1.Close()
-	ts2 := httptest.NewServer(wrap(2, newShardWorker(t)))
+	ts2 := httptest.NewServer(wrap(2, newShardWorker()))
 	defer ts2.Close()
 
 	st, err := store.Open("")
@@ -152,7 +149,6 @@ func TestFabricHedgeBeatsSlowShardAndMergesIdentically(t *testing.T) {
 // A failed shard's points re-hash across the surviving ring instead of
 // falling straight back to local compute.
 func TestFabricReshardMovesFailedShardToSurvivor(t *testing.T) {
-	nvsim.ResetMemo()
 	// Whichever worker receives the fleet's first shard request fails every
 	// shard from then on; the other worker stays healthy. Exactly one
 	// worker fails, however the ring assigned the study.
@@ -169,9 +165,9 @@ func TestFabricReshardMovesFailedShardToSurvivor(t *testing.T) {
 			sw.ServeHTTP(w, r)
 		})
 	}
-	ts1 := httptest.NewServer(wrap(1, newShardWorker(t)))
+	ts1 := httptest.NewServer(wrap(1, newShardWorker()))
 	defer ts1.Close()
-	ts2 := httptest.NewServer(wrap(2, newShardWorker(t)))
+	ts2 := httptest.NewServer(wrap(2, newShardWorker()))
 	defer ts2.Close()
 
 	st, err := store.Open("")
@@ -203,7 +199,6 @@ func TestFabricReshardMovesFailedShardToSurvivor(t *testing.T) {
 // failing, the shard reaches the third instead of falling back to local
 // compute.
 func TestFabricRouteWalksWholeRing(t *testing.T) {
-	nvsim.ResetMemo()
 	oneKey := func() *core.Study {
 		s := core.NewStudy("fabric-route-test")
 		s.AddTentpole(cell.STT, cell.Optimistic)
@@ -237,7 +232,7 @@ func TestFabricRouteWalksWholeRing(t *testing.T) {
 	}
 	var urls []string
 	for id := 1; id <= 3; id++ {
-		ts := httptest.NewServer(wrap(id, newShardWorkerFor(t, oneKey)))
+		ts := httptest.NewServer(wrap(id, newShardWorkerFor(oneKey)))
 		defer ts.Close()
 		urls = append(urls, ts.URL)
 	}

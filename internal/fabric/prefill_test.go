@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -35,35 +34,22 @@ func prefillStudy() *core.Study {
 }
 
 // shardWorker is an in-test worker process: it answers the /v1/version
-// handshake with this binary's versions and serves /v1/shard from
-// characterizations computed up front, so serving a shard touches neither
-// the engine nor the memo — the same contract as a real worker, without
-// routing through the HTTP server package (which would be an import cycle).
+// handshake with this binary's versions and characterizes each shard's
+// configs on its own engine, as a worker server does, without routing
+// through the HTTP server package (which would be an import cycle).
 type shardWorker struct {
-	byIndex [][]core.Characterization // each grid point's config, if it succeeded
-	served  atomic.Int64              // hedged shards hit one worker concurrently
+	build  func() *core.Study
+	engine *nvsim.Engine
+	served atomic.Int64 // hedged shards hit one worker concurrently
 	// mangle, when set, rewrites each shipped entry: a worker that lies.
 	mangle func(*core.Characterization)
 }
 
-func newShardWorker(t *testing.T) *shardWorker { return newShardWorkerFor(t, prefillStudy) }
+func newShardWorker() *shardWorker { return newShardWorkerFor(prefillStudy) }
 
 // newShardWorkerFor is newShardWorker serving the study build returns.
-func newShardWorkerFor(t *testing.T, build func() *core.Study) *shardWorker {
-	t.Helper()
-	s := build()
-	s.Workers = 1
-	specs, err := s.Space()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := &shardWorker{byIndex: make([][]core.Characterization, len(specs))}
-	for i := range specs {
-		if sw.byIndex[i], err = s.Characterize(context.Background(), []int{i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return sw
+func newShardWorkerFor(build func() *core.Study) *shardWorker {
+	return &shardWorker{build: build, engine: nvsim.NewEngine()}
 }
 
 func (sw *shardWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -81,19 +67,17 @@ func (sw *shardWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		var cs []core.Characterization
-		seen := map[nvsim.Config]bool{}
-		for _, i := range req.Indices {
-			for _, c := range sw.byIndex[i] {
-				if seen[c.Config] {
-					continue
-				}
-				seen[c.Config] = true
-				c.Arrays = slices.Clone(c.Arrays)
-				if sw.mangle != nil {
-					sw.mangle(&c)
-				}
-				cs = append(cs, c)
+		s := sw.build()
+		s.Workers = 1
+		s.Engine = sw.engine
+		cs, err := s.Characterize(r.Context(), req.Indices)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		if sw.mangle != nil {
+			for i := range cs {
+				sw.mangle(&cs[i])
 			}
 		}
 		data, err := store.EncodeShard(cs)
@@ -108,8 +92,9 @@ func (sw *shardWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runJSON runs a study single-threaded over st (a fresh memory store when
-// nil) and returns its JSON bytes and the store.
+// runJSON runs a study single-threaded on a fresh engine (s.Engine
+// afterwards) over st (a fresh memory store when nil) and returns its JSON
+// bytes and the store.
 func runJSON(t *testing.T, s *core.Study, st *store.Store) ([]byte, *store.Store) {
 	t.Helper()
 	if st == nil {
@@ -120,6 +105,7 @@ func runJSON(t *testing.T, s *core.Study, st *store.Store) ([]byte, *store.Store
 	}
 	s.Cache = st
 	s.Workers = 1
+	s.Engine = nvsim.NewEngine()
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -132,11 +118,10 @@ func runJSON(t *testing.T, s *core.Study, st *store.Store) ([]byte, *store.Store
 }
 
 func TestFabricPrefillFansOutAndMerges(t *testing.T) {
-	nvsim.ResetMemo()
-	w1 := newShardWorker(t)
+	w1 := newShardWorker()
 	ts1 := httptest.NewServer(w1)
 	defer ts1.Close()
-	w2 := newShardWorker(t)
+	w2 := newShardWorker()
 	ts2 := httptest.NewServer(w2)
 	defer ts2.Close()
 
@@ -166,13 +151,16 @@ func TestFabricPrefillFansOutAndMerges(t *testing.T) {
 		t.Fatalf("counters after full fan-out: %+v, want >0 shards and 2 live", s)
 	}
 
+	// The workers' engines did the study's engine work, each config once.
+	if m := w1.engine.Stats().MemoMisses + w2.engine.Stats().MemoMisses; m != int64(len(specs)) {
+		t.Fatalf("workers characterized %d config(s), want %d", m, len(specs))
+	}
 	// The run over the shipped winners does no engine work and must equal
 	// a local computation byte for byte: the fabric's whole promise is that
 	// distribution never changes results.
-	nvsim.ResetMemo()
 	got, _ := runJSON(t, study, st)
-	if hits, misses := nvsim.MemoStats(); hits != 0 || misses != 0 {
-		t.Fatalf("run over shipped winners touched the memo: %d hits / %d misses", hits, misses)
+	if es := study.Engine.Stats(); es.MemoHits != 0 || es.MemoMisses != 0 {
+		t.Fatalf("run over shipped winners touched the memo: %d hits / %d misses", es.MemoHits, es.MemoMisses)
 	}
 	if st.Len() != len(specs) {
 		t.Fatalf("run stored %d point(s), want %d", st.Len(), len(specs))
@@ -312,7 +300,7 @@ func TestFabricPrefillRejectsMislabeledPoints(t *testing.T) {
 	want, _ := runJSON(t, build(), nil)
 	for name, mangle := range cases {
 		t.Run(name, func(t *testing.T) {
-			sw := newShardWorkerFor(t, build)
+			sw := newShardWorkerFor(build)
 			sw.mangle = mangle
 			ts := httptest.NewServer(sw)
 			defer ts.Close()
@@ -339,9 +327,8 @@ func TestFabricPrefillRejectsMislabeledPoints(t *testing.T) {
 				t.Fatalf("a worker that answered was ejected: %+v", s)
 			}
 			// Every config was characterized locally: each one is a memo miss.
-			nvsim.ResetMemo()
 			got, _ := runJSON(t, study, nil)
-			if _, misses := nvsim.MemoStats(); misses != int64(len(specs)) {
+			if misses := study.Engine.Stats().MemoMisses; misses != int64(len(specs)) {
 				t.Fatalf("local characterizations = %d, want %d", misses, len(specs))
 			}
 			if !bytes.Equal(got, want) {
@@ -368,7 +355,7 @@ func TestFabricPrefillShipsFailedConfigs(t *testing.T) {
 	}
 	var urls []string
 	for range 2 {
-		ts := httptest.NewServer(newShardWorkerFor(t, build))
+		ts := httptest.NewServer(newShardWorkerFor(build))
 		defer ts.Close()
 		urls = append(urls, ts.URL)
 	}
@@ -388,10 +375,9 @@ func TestFabricPrefillShipsFailedConfigs(t *testing.T) {
 		t.Fatalf("counters = %+v, want %d hits / 0 misses", s, len(specs))
 	}
 
-	nvsim.ResetMemo()
 	got, _ := runJSON(t, study, st)
-	if hits, misses := nvsim.MemoStats(); hits != 0 || misses != 0 {
-		t.Fatalf("run over shipped outcomes touched the memo: %d hits / %d misses", hits, misses)
+	if es := study.Engine.Stats(); es.MemoHits != 0 || es.MemoMisses != 0 {
+		t.Fatalf("run over shipped outcomes touched the memo: %d hits / %d misses", es.MemoHits, es.MemoMisses)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("study over shipped outcomes differs from a local run")
@@ -403,8 +389,7 @@ func TestFabricPrefillShipsFailedConfigs(t *testing.T) {
 // its handshake or while its shards are in flight trips no breaker,
 // counts no miss, and leaves the fleet serving the next study.
 func TestFabricPrefillDeadlineSparesWorkers(t *testing.T) {
-	nvsim.ResetMemo()
-	sw := newShardWorker(t)
+	sw := newShardWorker()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/shard" {
 			time.Sleep(200 * time.Millisecond)

@@ -262,13 +262,16 @@ func CharacterizeAll(cfg Config) ([]Result, error) {
 // Characterize returns the best array organization for the configuration
 // under its optimization target — the single-result entry point matching
 // the NVSim contract. It is a thin wrapper over CharacterizeTargets.
-func Characterize(cfg Config) (Result, error) {
-	rs, errs := CharacterizeTargets(cfg, []OptTarget{cfg.Target})
+func (e *Engine) Characterize(cfg Config) (Result, error) {
+	rs, errs := e.CharacterizeTargets(cfg, []OptTarget{cfg.Target})
 	if errs[0] != nil {
 		return Result{}, errs[0]
 	}
 	return rs[0], nil
 }
+
+// Characterize is Engine.Characterize without a memo.
+func Characterize(cfg Config) (Result, error) { return (*Engine)(nil).Characterize(cfg) }
 
 // MustCharacterize panics on error; for experiment tables and tests where
 // the configuration is known-good.

@@ -8,6 +8,7 @@ import (
 )
 
 func TestTagBitsPerLine(t *testing.T) {
+	t.Parallel()
 	g := StudyCacheGeometry()
 	// 16MB, 64B lines, 16 ways: 16384 sets -> 14 set bits, 6 offset bits,
 	// 48-14-6 = 28 tag bits + 4 state = 32.
@@ -28,6 +29,7 @@ func TestTagBitsPerLine(t *testing.T) {
 }
 
 func TestCharacterizeCacheComposition(t *testing.T) {
+	t.Parallel()
 	cfg := CacheConfig{
 		Config: Config{
 			Cell:          cell.MustTentpole(cell.STT, cell.Optimistic),
@@ -57,6 +59,7 @@ func TestCharacterizeCacheComposition(t *testing.T) {
 }
 
 func TestCharacterizeCacheSRAMTags(t *testing.T) {
+	t.Parallel()
 	base := CacheConfig{
 		Config: Config{
 			Cell:          cell.MustTentpole(cell.FeFET, cell.Optimistic),
@@ -93,6 +96,7 @@ func TestCharacterizeCacheSRAMTags(t *testing.T) {
 }
 
 func TestCharacterizeCacheErrors(t *testing.T) {
+	t.Parallel()
 	bad := CacheConfig{
 		Config:   Config{Cell: cell.Definition{}, CapacityBytes: 1 << 20},
 		Geometry: StudyCacheGeometry(),

@@ -12,7 +12,7 @@ import (
 // organization space exactly once per (cell, capacity, word width,
 // constraints) and keeps every target's winner in the same pass.
 // Characterize in array.go is a thin wrapper; Study.Run batches all of a
-// study's targets through CharacterizeTargets; and the memo cache
+// study's targets through CharacterizeTargets; and an Engine's memo cache
 // (memo.go) keeps the per-target winners across repeated studies.
 
 // errNoOrganization and errConstraintsExclude are the engine's two
@@ -88,7 +88,7 @@ func bestPerTarget(cfg *Config, best *[numOptTargets]Result) error {
 // is kept along the way. results and errs are parallel to targets;
 // errs[i] is non-nil when that slot failed (a configuration-level error is
 // replicated into every slot, an invalid target fails only its own).
-func CharacterizeTargets(cfg Config, targets []OptTarget) (results []Result, errs []error) {
+func (e *Engine) CharacterizeTargets(cfg Config, targets []OptTarget) (results []Result, errs []error) {
 	results = make([]Result, len(targets))
 	errs = make([]error, len(targets))
 	cfg.Target = 0 // selection is per-target; normalize only vets the rest
@@ -98,18 +98,23 @@ func CharacterizeTargets(cfg Config, targets []OptTarget) (results []Result, err
 		}
 		return results, errs
 	}
-	e := memoized(cfg)
+	best, err := e.winners(cfg)
 	for i, t := range targets {
 		switch {
 		case t < 0 || t >= numOptTargets:
 			errs[i] = fmt.Errorf("nvsim: invalid optimization target %d", int(t))
-		case e.err != nil:
-			errs[i] = e.err
+		case err != nil:
+			errs[i] = err
 		default:
-			results[i] = e.best[t]
+			results[i] = best[t]
 		}
 	}
 	return results, errs
+}
+
+// CharacterizeTargets is Engine.CharacterizeTargets without a memo.
+func CharacterizeTargets(cfg Config, targets []OptTarget) (results []Result, errs []error) {
+	return (*Engine)(nil).CharacterizeTargets(cfg, targets)
 }
 
 // ValidWinners reports whether winners could be CharacterizeTargets(cfg,

@@ -54,11 +54,13 @@ func seedCharacterize(t *testing.T, cfg Config) Result {
 
 // matchSeed asserts the engine and the single-target wrapper select exactly
 // the array seedCharacterize selects for cfg, for every optimization
-// target, and returns the engine's per-target winners.
+// target, and returns the engine's per-target winners. The wrapper's calls
+// are served from the memo entry the batch call filled.
 func matchSeed(t *testing.T, cfg Config) []Result {
 	t.Helper()
 	targets := OptTargets()
-	rs, errs := CharacterizeTargets(cfg, targets)
+	e := NewEngine()
+	rs, errs := e.CharacterizeTargets(cfg, targets)
 	for i, target := range targets {
 		if errs[i] != nil {
 			t.Fatalf("%s@%d/%s: %v", cfg.Cell.Name, cfg.CapacityBytes, target, errs[i])
@@ -70,13 +72,16 @@ func matchSeed(t *testing.T, cfg Config) []Result {
 			t.Errorf("%s@%d/%s: engine selected %+v, seed selected %+v",
 				cfg.Cell.Name, cfg.CapacityBytes, target, rs[i], want)
 		}
-		got, err := Characterize(one)
+		got, err := e.Characterize(one)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
 			t.Errorf("%s@%d/%s: Characterize diverges from seed", cfg.Cell.Name, cfg.CapacityBytes, target)
 		}
+	}
+	if st := e.Stats(); st.MemoMisses != 1 || st.MemoHits != int64(len(targets)) {
+		t.Errorf("%s@%d: memo %+v, want 1 miss and %d hits", cfg.Cell.Name, cfg.CapacityBytes, st, len(targets))
 	}
 	return rs
 }
@@ -87,8 +92,7 @@ func matchSeed(t *testing.T, cfg Config) []Result {
 // narrow 64-bit word, a 2-bit MLC cell, and each constraint set tight
 // enough to exclude the unconstrained winner.
 func TestEngineMatchesSeedSelection(t *testing.T) {
-	ResetMemo()
-	defer ResetMemo()
+	t.Parallel()
 	for _, capBytes := range []int64{1 << 20, 4 << 20, 8 << 20} {
 		for _, d := range cell.CaseStudyCells() {
 			matchSeed(t, Config{Cell: d, CapacityBytes: capBytes})
@@ -130,15 +134,14 @@ func TestEngineMatchesSeedSelection(t *testing.T) {
 }
 
 // TestCharacterizeTargetsColdAllocs ratchets the cold path's garbage: one
-// engine pass answering every target keeps eight winners and builds no
-// candidate or organization slice.
+// engine pass answering every target on a fresh engine keeps eight winners
+// and builds no candidate or organization slice. It counts the process's
+// allocations, so it does not run in parallel.
 func TestCharacterizeTargetsColdAllocs(t *testing.T) {
-	defer ResetMemo()
 	cfg := Config{Cell: cell.MustTentpole(cell.STT, cell.Optimistic), CapacityBytes: 2 << 20}
 	targets := OptTargets()
 	cold := func() {
-		ResetMemo()
-		if _, errs := CharacterizeTargets(cfg, targets); errs[0] != nil {
+		if _, errs := NewEngine().CharacterizeTargets(cfg, targets); errs[0] != nil {
 			t.Fatal(errs[0])
 		}
 	}
@@ -160,6 +163,7 @@ func TestCharacterizeTargetsColdAllocs(t *testing.T) {
 // entry point returns the seed's whole stable-sorted candidate list, ties
 // included, under an unconstrained and a constrained configuration.
 func TestCharacterizeAllMatchesSeedRanking(t *testing.T) {
+	t.Parallel()
 	for _, cfg := range []Config{
 		{Cell: cell.MustTentpole(cell.PCM, cell.Optimistic), CapacityBytes: 4 << 20},
 		{Cell: cell.MustTentpole(cell.STT, cell.Pessimistic), CapacityBytes: 2 << 20, WordBits: 64, ForceBanks: 4},
@@ -180,6 +184,7 @@ func TestCharacterizeAllMatchesSeedRanking(t *testing.T) {
 // TestCharacterizeMatchesCharacterizeAllHead pins the wrapper contract:
 // Characterize returns exactly CharacterizeAll's best-ranked element.
 func TestCharacterizeMatchesCharacterizeAllHead(t *testing.T) {
+	t.Parallel()
 	d := cell.MustTentpole(cell.FeFET, cell.Optimistic)
 	for _, target := range OptTargets() {
 		cfg := Config{Cell: d, CapacityBytes: 2 << 20, Target: target}
@@ -201,9 +206,10 @@ func TestCharacterizeMatchesCharacterizeAllHead(t *testing.T) {
 // memo key and in selection: a ForceBanks-restricted request must not be
 // served from (or pollute) the unconstrained candidate set.
 func TestCharacterizeTargetsConstraints(t *testing.T) {
-	ResetMemo()
+	t.Parallel()
+	e := NewEngine()
 	d := cell.MustTentpole(cell.STT, cell.Optimistic)
-	free, err := Characterize(Config{Cell: d, CapacityBytes: 2 << 20, Target: OptReadLatency})
+	free, err := e.Characterize(Config{Cell: d, CapacityBytes: 2 << 20, Target: OptReadLatency})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +217,7 @@ func TestCharacterizeTargetsConstraints(t *testing.T) {
 	if free.Org.Banks == 1 {
 		forced = 2
 	}
-	constrained, err := Characterize(Config{Cell: d, CapacityBytes: 2 << 20,
+	constrained, err := e.Characterize(Config{Cell: d, CapacityBytes: 2 << 20,
 		Target: OptReadLatency, ForceBanks: forced})
 	if err != nil {
 		t.Fatal(err)
@@ -219,12 +225,15 @@ func TestCharacterizeTargetsConstraints(t *testing.T) {
 	if constrained.Org.Banks != forced {
 		t.Errorf("ForceBanks=%d ignored: got %d banks", forced, constrained.Org.Banks)
 	}
-	again, err := Characterize(Config{Cell: d, CapacityBytes: 2 << 20, Target: OptReadLatency})
+	again, err := e.Characterize(Config{Cell: d, CapacityBytes: 2 << 20, Target: OptReadLatency})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again != free {
 		t.Error("unconstrained result changed after a constrained request")
+	}
+	if st := e.Stats(); st.MemoMisses != 2 || st.MemoHits != 1 {
+		t.Errorf("memo %+v, want 2 misses (one per constraint set) and 1 hit", st)
 	}
 }
 
@@ -232,6 +241,7 @@ func TestCharacterizeTargetsConstraints(t *testing.T) {
 // target fails only its own slot, while a configuration-level failure fills
 // every slot.
 func TestCharacterizeTargetsPerSlotErrors(t *testing.T) {
+	t.Parallel()
 	d := cell.MustTentpole(cell.STT, cell.Optimistic)
 	rs, errs := CharacterizeTargets(Config{Cell: d, CapacityBytes: 2 << 20},
 		[]OptTarget{OptReadEDP, OptTarget(99)})
@@ -260,38 +270,69 @@ func TestCharacterizeTargetsPerSlotErrors(t *testing.T) {
 // re-characterizing the same configuration is served from the memo, across
 // targets and entry points.
 func TestMemoHitsOnRepeat(t *testing.T) {
-	ResetMemo()
+	t.Parallel()
+	e := NewEngine()
 	d := cell.MustTentpole(cell.RRAM, cell.Optimistic)
 	cfg := Config{Cell: d, CapacityBytes: 1 << 20, Target: OptReadEDP}
-	if _, err := Characterize(cfg); err != nil {
+	if _, err := e.Characterize(cfg); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := MemoStats()
-	if hits != 0 || misses != 1 {
-		t.Fatalf("after first call: hits=%d misses=%d, want 0/1", hits, misses)
+	if st := e.Stats(); st.MemoHits != 0 || st.MemoMisses != 1 {
+		t.Fatalf("after first call: %+v, want 0 hits / 1 miss", st)
 	}
 	// Same key again and a different target: hits. The full-set entry point
-	// bypasses the memo, so it neither hits nor misses.
-	if _, err := Characterize(cfg); err != nil {
+	// and the package-level wrapper bypass the memo, so they neither hit nor
+	// miss.
+	if _, err := e.Characterize(cfg); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Target = OptArea
-	if _, err := Characterize(cfg); err != nil {
+	if _, err := e.Characterize(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := CharacterizeAll(cfg); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses = MemoStats()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("after repeats: hits=%d misses=%d, want 2/1", hits, misses)
+	if _, err := Characterize(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.MemoHits != 2 || st.MemoMisses != 1 {
+		t.Fatalf("after repeats: %+v, want 2 hits / 1 miss", st)
+	}
+	if st := (*Engine)(nil).Stats(); st != (EngineStats{}) {
+		t.Fatalf("nil engine counted %+v", st)
+	}
+}
+
+// TestMemoCap: once the memo holds memoMaxEntries keys, a new
+// configuration is computed and counted as a miss on every call, and never
+// retained.
+func TestMemoCap(t *testing.T) {
+	t.Parallel()
+	e := NewEngine()
+	d := cell.MustTentpole(cell.STT, cell.Optimistic)
+	for i := range memoMaxEntries {
+		e.memo[Config{Cell: d, CapacityBytes: int64(i + 1)}] = &memoEntry{}
+	}
+	cfg := Config{Cell: d, CapacityBytes: 2 << 20}
+	for range 2 {
+		if _, err := e.Characterize(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(e.memo) != memoMaxEntries {
+		t.Errorf("memo grew to %d entries past its cap of %d", len(e.memo), memoMaxEntries)
+	}
+	if st := e.Stats(); st.MemoMisses != 2 || st.MemoHits != 0 {
+		t.Errorf("unretained key: %+v, want 2 misses", st)
 	}
 }
 
 // TestMemoConcurrentCharacterize hammers one key and several distinct keys
 // from many goroutines; run with -race to check the synchronization.
 func TestMemoConcurrentCharacterize(t *testing.T) {
-	ResetMemo()
+	t.Parallel()
+	e := NewEngine()
 	cells := cell.CaseStudyCells()
 	var wg sync.WaitGroup
 	results := make([]Result, 32)
@@ -300,7 +341,7 @@ func TestMemoConcurrentCharacterize(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			d := cells[i%4] // few distinct keys, heavy sharing
-			r, err := Characterize(Config{Cell: d, CapacityBytes: 2 << 20, Target: OptReadEDP})
+			r, err := e.Characterize(Config{Cell: d, CapacityBytes: 2 << 20, Target: OptReadEDP})
 			if err != nil {
 				t.Error(err)
 				return
@@ -314,9 +355,8 @@ func TestMemoConcurrentCharacterize(t *testing.T) {
 			t.Fatalf("goroutine %d saw a different result than goroutine %d", i, i%4)
 		}
 	}
-	_, misses := MemoStats()
-	if misses != 4 {
-		t.Errorf("misses=%d, want 4 (singleflight should dedupe concurrent evaluations)", misses)
+	if st := e.Stats(); st.MemoMisses != 4 || st.MemoHits != 28 {
+		t.Errorf("memo %+v, want 4 misses and 28 hits (singleflight should dedupe concurrent evaluations)", st)
 	}
 }
 
@@ -324,6 +364,7 @@ func TestMemoConcurrentCharacterize(t *testing.T) {
 // passes: only winners CharacterizeTargets could have returned for the
 // configuration and targets, in order, are accepted.
 func TestValidWinners(t *testing.T) {
+	t.Parallel()
 	d := cell.MustTentpole(cell.STT, cell.Optimistic)
 	all := OptTargets()
 	key := func(capBytes int64) Config { return Config{Cell: d, CapacityBytes: capBytes} }

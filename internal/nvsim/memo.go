@@ -5,18 +5,45 @@ import (
 	"sync/atomic"
 )
 
-// The memo cache. Experiments across a study session characterize the same
-// tentpole cells at the same handful of capacities dozens of times (Figs
-// 3/5/10 reuse the case-study cell set, Table II re-runs the same 2MB
-// arrays for every use case row). The engine's pass depends only on (cell,
-// capacity, word width, constraints) — never on the optimization target —
-// and it keeps every target's winner, so one entry of eight winners serves
-// every target and every repeat.
+// Engine holds the memo cache of per-target winners and counts the work
+// done through it. Experiments across a study session characterize the
+// same tentpole cells at the same handful of capacities dozens of times
+// (Figs 3/5/10 reuse the case-study cell set, Table II re-runs the same
+// 2MB arrays for every use case row). The engine's pass depends only on
+// (cell, capacity, word width, constraints) — never on the optimization
+// target — and it keeps every target's winner, so one entry of eight
+// winners serves every target and every repeat. Whoever repeats work owns
+// one engine: a server for all its requests, a CLI command for its run.
 //
 // Entries are computed under a per-key sync.Once, so concurrent workers
-// asking for the same key (parallel Study.Run fans out a grid of them)
-// block on one computation instead of duplicating it. Entries are shared
-// read-only; callers copy the winners out.
+// asking for the same key block on one computation instead of duplicating
+// it. Entries are shared read-only; callers copy the winners out. A nil
+// *Engine computes every call afresh, without a memo and without counting.
+type Engine struct {
+	mu                        sync.Mutex
+	memo                      map[Config]*memoEntry
+	hits, misses, prefiltered atomic.Int64
+}
+
+// NewEngine returns an engine with an empty memo.
+func NewEngine() *Engine { return &Engine{memo: make(map[Config]*memoEntry)} }
+
+// EngineStats counts memo hits (winners that existed or were being
+// computed), memo misses (winners computed), and configurations
+// PrefilterTargets proved infeasible.
+type EngineStats struct{ MemoHits, MemoMisses, Prefiltered int64 }
+
+// Stats reads the counters; a nil engine reports zeros.
+func (e *Engine) Stats() EngineStats {
+	if e == nil {
+		return EngineStats{}
+	}
+	return EngineStats{e.hits.Load(), e.misses.Load(), e.prefiltered.Load()}
+}
+
+// MemoStats reports 0, 0: each Engine counts its own memo (Engine.Stats).
+// It remains for callers written against the process-wide memo.
+func MemoStats() (hits, misses int64) { return 0, 0 }
 
 // memoKey fingerprints a normalized Config in exactly one place: the
 // Config with its target cleared. Every coordinate of a study's PointSpec
@@ -36,56 +63,37 @@ type memoEntry struct {
 	err  error
 }
 
-var memo = struct {
-	mu sync.Mutex
-	m  map[Config]*memoEntry
-}{m: map[Config]*memoEntry{}}
+// memoMaxEntries bounds one engine's memo as a guard for a long-lived
+// process sweeping arbitrary custom cells. At eight winners (~3.0 KB) per
+// key the cap holds about 3 MB; past it, new keys are computed without
+// being retained (existing entries keep hitting). The whole paper registry
+// uses 66 keys.
+const memoMaxEntries = 1024
 
-var memoHits, memoMisses atomic.Int64
-
-// memoMaxEntries bounds the cache as a guard for a long-lived process
-// sweeping arbitrary custom cells. At eight winners (~2.3 KB) per key the
-// cap holds about 9 MB; past it, new keys are computed without being
-// retained (existing entries keep hitting). Studies of the paper's scale
-// use a few dozen keys.
-const memoMaxEntries = 4096
-
-// memoized returns the per-target winners for a normalized configuration,
-// computing them at most once per key. The entry is shared: callers must
-// not mutate it.
-func memoized(cfg Config) *memoEntry {
+// winners returns the per-target winners for a normalized configuration:
+// from the memo, computing them at most once per key, or afresh on a nil
+// engine. The array is shared: callers must not mutate it.
+func (e *Engine) winners(cfg Config) (*[numOptTargets]Result, error) {
+	if e == nil {
+		var best [numOptTargets]Result
+		err := bestPerTarget(&cfg, &best)
+		return &best, err
+	}
 	key := cfg.memoKey()
-	memo.mu.Lock()
-	e, ok := memo.m[key]
+	e.mu.Lock()
+	entry, ok := e.memo[key]
 	if !ok {
-		e = &memoEntry{}
-		if len(memo.m) < memoMaxEntries { // else: compute without retaining
-			memo.m[key] = e
+		entry = &memoEntry{}
+		if len(e.memo) < memoMaxEntries { // else: compute without retaining
+			e.memo[key] = entry
 		}
 	}
-	memo.mu.Unlock()
+	e.mu.Unlock()
 	if ok {
-		memoHits.Add(1)
+		e.hits.Add(1)
 	} else {
-		memoMisses.Add(1)
+		e.misses.Add(1)
 	}
-	e.once.Do(func() { e.err = bestPerTarget(&cfg, &e.best) })
-	return e
-}
-
-// MemoStats reports how often characterizations were served from the cache
-// versus computed. A hit means the winners for the requested configuration
-// already existed (or were being computed by another goroutine).
-func MemoStats() (hits, misses int64) {
-	return memoHits.Load(), memoMisses.Load()
-}
-
-// ResetMemo empties the cache and zeroes the counters — for tests and for
-// benchmarks that want to measure the cold path.
-func ResetMemo() {
-	memo.mu.Lock()
-	memo.m = map[Config]*memoEntry{}
-	memo.mu.Unlock()
-	memoHits.Store(0)
-	memoMisses.Store(0)
+	entry.once.Do(func() { entry.err = bestPerTarget(&cfg, &entry.best) })
+	return &entry.best, entry.err
 }

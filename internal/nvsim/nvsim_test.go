@@ -10,6 +10,7 @@ import (
 )
 
 func TestNodeInterpolation(t *testing.T) {
+	t.Parallel()
 	// Anchor values come back exactly.
 	n22 := nodeAt(22)
 	if n22.Vdd != 0.85 || n22.FO4NS != 0.0100 {
@@ -30,6 +31,7 @@ func TestNodeInterpolation(t *testing.T) {
 }
 
 func TestNodeMonotonicity(t *testing.T) {
+	t.Parallel()
 	// FO4 grows and wire resistance shrinks as the node relaxes.
 	prev := nodeAt(8)
 	for nm := 9.0; nm <= 129; nm++ {
@@ -45,6 +47,7 @@ func TestNodeMonotonicity(t *testing.T) {
 }
 
 func TestEnumerate(t *testing.T) {
+	t.Parallel()
 	orgs := slices.Collect(organizations(2<<20*8, 1, 512))
 	if len(orgs) == 0 {
 		t.Fatal("no organizations for a 2MiB array")
@@ -61,6 +64,7 @@ func TestEnumerate(t *testing.T) {
 }
 
 func TestEnumerateMLCHalvesCells(t *testing.T) {
+	t.Parallel()
 	slc := slices.Collect(organizations(1<<20*8, 1, 512))
 	mlc := slices.Collect(organizations(1<<20*8, 2, 512))
 	if len(slc) == 0 || len(mlc) == 0 {
@@ -73,6 +77,7 @@ func TestEnumerateMLCHalvesCells(t *testing.T) {
 }
 
 func TestEnumerateRoundsUpNonPow2(t *testing.T) {
+	t.Parallel()
 	// The 3.6Mb validation macro is not a power of two.
 	bits := int64(3686400)
 	orgs := slices.Collect(organizations(bits, 1, 512))
@@ -85,6 +90,7 @@ func TestEnumerateRoundsUpNonPow2(t *testing.T) {
 }
 
 func TestEnumerateDegenerate(t *testing.T) {
+	t.Parallel()
 	if slices.Collect(organizations(0, 1, 512)) != nil {
 		t.Error("zero capacity should enumerate nothing")
 	}
@@ -94,6 +100,7 @@ func TestEnumerateDegenerate(t *testing.T) {
 }
 
 func TestNextPow2(t *testing.T) {
+	t.Parallel()
 	cases := map[int64]int64{1: 1, 2: 2, 3: 4, 1023: 1024, 1024: 1024, 1025: 2048}
 	for in, want := range cases {
 		if got := nextPow2(in); got != want {
@@ -103,6 +110,7 @@ func TestNextPow2(t *testing.T) {
 }
 
 func TestOrganizationAccessors(t *testing.T) {
+	t.Parallel()
 	o := Organization{Banks: 4, Subarrays: 8, Rows: 1024, Cols: 2048, MuxDegree: 4}
 	if o.BitsPerSubAccess(1) != 512 {
 		t.Errorf("bits per sub = %d, want 512", o.BitsPerSubAccess(1))
@@ -128,6 +136,7 @@ func characterize(t *testing.T, d cell.Definition, capBytes int64, target OptTar
 }
 
 func TestCharacterizeBasics(t *testing.T) {
+	t.Parallel()
 	r := characterize(t, cell.MustTentpole(cell.STT, cell.Optimistic), 2<<20, OptReadEDP)
 	if r.ReadLatencyNS <= 0 || r.WriteLatencyNS <= 0 ||
 		r.ReadEnergyPJ <= 0 || r.WriteEnergyPJ <= 0 ||
@@ -146,6 +155,7 @@ func TestCharacterizeBasics(t *testing.T) {
 }
 
 func TestCharacterizeErrors(t *testing.T) {
+	t.Parallel()
 	good := cell.MustTentpole(cell.STT, cell.Optimistic)
 	cases := []Config{
 		{Cell: cell.Definition{}, CapacityBytes: 1 << 20},       // invalid cell
@@ -163,6 +173,7 @@ func TestCharacterizeErrors(t *testing.T) {
 }
 
 func TestOptimizerPicksBestTarget(t *testing.T) {
+	t.Parallel()
 	// For every target, the chosen organization must be at least as good as
 	// every other enumerated organization under that target's metric.
 	d := cell.MustTentpole(cell.RRAM, cell.Optimistic)
@@ -181,6 +192,7 @@ func TestOptimizerPicksBestTarget(t *testing.T) {
 }
 
 func TestOptimizerTargetsDiffer(t *testing.T) {
+	t.Parallel()
 	// Optimizing for area must not yield more area than optimizing for read
 	// latency, and vice versa.
 	d := cell.MustTentpole(cell.PCM, cell.Optimistic)
@@ -195,6 +207,7 @@ func TestOptimizerTargetsDiffer(t *testing.T) {
 }
 
 func TestCapacityScaling(t *testing.T) {
+	t.Parallel()
 	// More capacity costs more area and leakage at fixed technology.
 	d := cell.MustTentpole(cell.STT, cell.Optimistic)
 	small := characterize(t, d, 1<<20, OptReadEDP)
@@ -211,6 +224,7 @@ func TestCapacityScaling(t *testing.T) {
 }
 
 func TestMLCDensityGain(t *testing.T) {
+	t.Parallel()
 	slc := cell.MustTentpole(cell.RRAM, cell.Optimistic)
 	mlc := cell.MustToMLC(slc, 2)
 	rs := characterize(t, slc, 8<<20, OptReadEDP)
@@ -222,6 +236,7 @@ func TestMLCDensityGain(t *testing.T) {
 }
 
 func TestFig5Shape2MB(t *testing.T) {
+	t.Parallel()
 	// Section IV-A1 / Figure 5 at 2MB (NVDLA buffer replacement):
 	//   - read energy tiers: STT, PCM, RRAM below SRAM; FeFET above
 	//   - optimistic FeFET is the densest array
@@ -286,6 +301,7 @@ func TestFig5Shape2MB(t *testing.T) {
 }
 
 func TestFig10Shape16MB(t *testing.T) {
+	t.Parallel()
 	// Section IV-C / Figure 10 at 16MB (LLC replacement): STT beats SRAM
 	// write latency; PCM and FeFET cannot; STT offers pareto-optimal reads.
 	const capBytes = 16 << 20
@@ -311,6 +327,7 @@ func TestFig10Shape16MB(t *testing.T) {
 }
 
 func TestFig4TentpoleValidation(t *testing.T) {
+	t.Parallel()
 	// Section III-C: optimistic and pessimistic STT arrays must bracket the
 	// published 1MB macro and stay within an order of magnitude of it.
 	target := cell.ValidationTargets()[0]
@@ -335,6 +352,7 @@ func TestFig4TentpoleValidation(t *testing.T) {
 }
 
 func TestBGFeFETShape(t *testing.T) {
+	t.Parallel()
 	// Section V-A: back-gated FeFETs trade a slight read-energy and density
 	// penalty for ~10x faster writes than the optimistic FeFET.
 	const capBytes = 8 << 20
@@ -353,6 +371,7 @@ func TestBGFeFETShape(t *testing.T) {
 }
 
 func TestFig12AreaEfficiencyLatencyCorrelation(t *testing.T) {
+	t.Parallel()
 	// Section V-B: organizations with lower area efficiency (less periphery
 	// amortization) tend to achieve lower read latency. Check that the
 	// fastest decile has lower mean efficiency than the slowest decile.
@@ -382,6 +401,7 @@ func TestFig12AreaEfficiencyLatencyCorrelation(t *testing.T) {
 }
 
 func TestForceBanks(t *testing.T) {
+	t.Parallel()
 	r, err := Characterize(Config{
 		Cell:          cell.MustTentpole(cell.STT, cell.Optimistic),
 		CapacityBytes: 2 << 20,
@@ -397,6 +417,7 @@ func TestForceBanks(t *testing.T) {
 }
 
 func TestParseOptTarget(t *testing.T) {
+	t.Parallel()
 	for _, target := range OptTargets() {
 		got, err := ParseOptTarget(target.String())
 		if err != nil || got != target {
@@ -414,6 +435,7 @@ func TestParseOptTarget(t *testing.T) {
 // Property: for any capacity and study cell, the optimizer's pick under
 // OptReadLatency is never slower than its pick under any other target.
 func TestReadLatencyOptimalityProperty(t *testing.T) {
+	t.Parallel()
 	cells := cell.CaseStudyCells()
 	f := func(capExp uint8, cellIdx uint8, targetIdx uint8) bool {
 		capBytes := int64(1) << (18 + capExp%6) // 256KiB..8MiB
@@ -433,6 +455,7 @@ func TestReadLatencyOptimalityProperty(t *testing.T) {
 
 // Property: all characterized metrics are finite and positive.
 func TestMetricsFiniteProperty(t *testing.T) {
+	t.Parallel()
 	cells := cell.CaseStudyCells()
 	f := func(capExp, cellIdx uint8) bool {
 		capBytes := int64(1) << (17 + capExp%9) // 128KiB..32MiB

@@ -33,14 +33,18 @@ func cellMatrixAreaMM2(cfg *Config) float64 {
 // pruned=true, and the caller may skip the engine. pruned=false means the
 // bound is inconclusive and the configuration must be characterized
 // normally; configurations the pre-filter cannot even normalize also return
-// false, so the engine reports their errors through its usual path.
-func PrefilterTargets(cfg Config, targets []OptTarget) (results []Result, errs []error, pruned bool) {
+// false, so the engine reports their errors through its usual path. Each
+// pruned configuration counts in the engine's Stats().Prefiltered.
+func (e *Engine) PrefilterTargets(cfg Config, targets []OptTarget) (results []Result, errs []error, pruned bool) {
 	cfg.Target = 0
 	if err := cfg.normalize(); err != nil {
 		return nil, nil, false
 	}
 	if cfg.MaxAreaMM2 <= 0 || cellMatrixAreaMM2(&cfg) <= cfg.MaxAreaMM2 {
 		return nil, nil, false
+	}
+	if e != nil {
+		e.prefiltered.Add(1)
 	}
 	// The bare cell matrix alone exceeds the budget: every organization is
 	// inadmissible. Distinguish the engine's two failure messages — an empty
@@ -61,4 +65,9 @@ func PrefilterTargets(cfg Config, targets []OptTarget) (results []Result, errs [
 		errs[i] = err
 	}
 	return results, errs, true
+}
+
+// PrefilterTargets is Engine.PrefilterTargets without counting.
+func PrefilterTargets(cfg Config, targets []OptTarget) (results []Result, errs []error, pruned bool) {
+	return (*Engine)(nil).PrefilterTargets(cfg, targets)
 }

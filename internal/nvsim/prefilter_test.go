@@ -14,13 +14,15 @@ import (
 // 1-byte array has no organization at all, which the engine reports with
 // its other message.
 func TestPrefilterMatchesEngineErrors(t *testing.T) {
+	t.Parallel()
 	d := cell.MustTentpole(cell.SRAM, cell.Reference)
 	targets := []OptTarget{OptReadEDP, OptArea, OptTarget(99)}
+	e := NewEngine()
 	for _, cfg := range []Config{
 		{Cell: d, CapacityBytes: 4 << 20, MaxAreaMM2: 0.9},
 		{Cell: d, CapacityBytes: 1, MaxAreaMM2: 1e-12},
 	} {
-		pr, perrs, pruned := PrefilterTargets(cfg, targets)
+		pr, perrs, pruned := e.PrefilterTargets(cfg, targets)
 		if !pruned {
 			t.Fatalf("pre-filter did not prune %s at %dB under %gmm² (bound %.3g)",
 				d.Name, cfg.CapacityBytes, cfg.MaxAreaMM2, cellMatrixAreaMM2(&cfg))
@@ -41,23 +43,31 @@ func TestPrefilterMatchesEngineErrors(t *testing.T) {
 			}
 		}
 	}
+	if st := e.Stats(); st.Prefiltered != 2 || st.MemoMisses != 0 {
+		t.Errorf("engine stats %+v, want 2 prefiltered configs and no engine pass", st)
+	}
 }
 
 // TestPrefilterInconclusive covers the cases the pre-filter must leave to
 // the engine: no area budget, a satisfiable budget, and configurations that
 // fail normalization.
 func TestPrefilterInconclusive(t *testing.T) {
+	t.Parallel()
 	d := cell.MustTentpole(cell.STT, cell.Optimistic)
-	if _, _, pruned := PrefilterTargets(Config{Cell: d, CapacityBytes: 1 << 20}, []OptTarget{OptReadEDP}); pruned {
+	e := NewEngine()
+	if _, _, pruned := e.PrefilterTargets(Config{Cell: d, CapacityBytes: 1 << 20}, []OptTarget{OptReadEDP}); pruned {
 		t.Error("pruned with no area budget")
 	}
-	if _, _, pruned := PrefilterTargets(Config{Cell: d, CapacityBytes: 1 << 20, MaxAreaMM2: 100}, []OptTarget{OptReadEDP}); pruned {
+	if _, _, pruned := e.PrefilterTargets(Config{Cell: d, CapacityBytes: 1 << 20, MaxAreaMM2: 100}, []OptTarget{OptReadEDP}); pruned {
 		t.Error("pruned under a generous area budget")
 	}
 	bad := d
 	bad.AreaF2 = -1
-	if _, _, pruned := PrefilterTargets(Config{Cell: bad, CapacityBytes: 1 << 20, MaxAreaMM2: 0.001}, []OptTarget{OptReadEDP}); pruned {
+	if _, _, pruned := e.PrefilterTargets(Config{Cell: bad, CapacityBytes: 1 << 20, MaxAreaMM2: 0.001}, []OptTarget{OptReadEDP}); pruned {
 		t.Error("pruned a configuration that fails normalization")
+	}
+	if n := e.Stats().Prefiltered; n != 0 {
+		t.Errorf("inconclusive checks counted %d prefiltered configs", n)
 	}
 
 	// The bound must never prune a configuration the engine can satisfy:

@@ -9,6 +9,7 @@ import (
 // TestProbe prints characterized arrays for manual calibration inspection.
 // Run with: go test ./internal/nvsim/ -run TestProbe -v
 func TestProbe(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("calibration probe")
 	}

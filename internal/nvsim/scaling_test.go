@@ -11,6 +11,7 @@ import (
 // specific calibration constants.
 
 func TestNodeScalingOfArrays(t *testing.T) {
+	t.Parallel()
 	// The same cell at a relaxed node must be physically larger and burn
 	// more access energy (higher Vdd, longer wires).
 	d22 := cell.MustTentpole(cell.STT, cell.Optimistic) // 22nm
@@ -29,6 +30,7 @@ func TestNodeScalingOfArrays(t *testing.T) {
 }
 
 func TestWordWidthScaling(t *testing.T) {
+	t.Parallel()
 	// Wider accesses cost proportionally more energy but similar latency.
 	d := cell.MustTentpole(cell.RRAM, cell.Optimistic)
 	narrow := MustCharacterize(Config{Cell: d, CapacityBytes: 4 << 20,
@@ -48,6 +50,7 @@ func TestWordWidthScaling(t *testing.T) {
 }
 
 func TestCellAreaScaling(t *testing.T) {
+	t.Parallel()
 	// Shrinking only the cell footprint shrinks the array and, through the
 	// wire model, speeds it up at iso-capacity.
 	big := cell.MustTentpole(cell.FeFET, cell.Optimistic)
@@ -69,6 +72,7 @@ func TestCellAreaScaling(t *testing.T) {
 }
 
 func TestSRAMLeakageDominatedByCells(t *testing.T) {
+	t.Parallel()
 	// SRAM's leakage must be dominated by the cell term: it should scale
 	// nearly linearly with capacity.
 	d := cell.MustTentpole(cell.SRAM, cell.Reference)
@@ -81,6 +85,7 @@ func TestSRAMLeakageDominatedByCells(t *testing.T) {
 }
 
 func TestReadEnergyIncludesCellTerm(t *testing.T) {
+	t.Parallel()
 	// Doubling the cell's intrinsic read energy must raise the array read
 	// energy by exactly wordBits x delta (the model is compositional).
 	base := cell.MustTentpole(cell.STT, cell.Optimistic)

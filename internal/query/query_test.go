@@ -96,10 +96,11 @@ func alphaNamed(name string) string {
 }
 
 // warmIndex seeds both test studies and builds an index, asserting that
-// index construction and all subsequent queries do zero engine work.
+// index construction and all subsequent queries find every point they read
+// in the store: the query path has no engine, so a miss is a point it
+// could not answer.
 func warmIndex(t *testing.T, dir string) (*Index, map[string]*core.Results) {
 	t.Helper()
-	nvsim.ResetMemo()
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -110,14 +111,13 @@ func warmIndex(t *testing.T, dir string) (*Index, map[string]*core.Results) {
 	refs[fpA], refs[fpG] = resA, resG
 	refs["alpha"], refs["grid"] = resA, resG
 
-	nvsim.ResetMemo() // freeze the engine: any touch after this is a bug
+	_, misses0 := st.Stats() // any miss after this is a bug
 	ix := New(st)
 	ix.Refresh()
 	t.Cleanup(func() {
-		if h, m := nvsim.MemoStats(); h != 0 || m != 0 {
-			t.Fatalf("query path touched the engine: memo hits=%d misses=%d", h, m)
+		if _, m := st.Stats(); m != misses0 {
+			t.Fatalf("query path missed the store %d time(s)", m-misses0)
 		}
-		nvsim.ResetMemo()
 	})
 	return ix, refs
 }
@@ -341,7 +341,6 @@ func TestQueryUnionRendersWithSharedWriters(t *testing.T) {
 
 func TestLoadReplaysStoredStudyByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	nvsim.ResetMemo()
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -352,8 +351,7 @@ func TestLoadReplaysStoredStudyByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fresh process: new store handle, cold engine, warm disk.
-	nvsim.ResetMemo()
+	// A fresh process: new store handle, warm disk.
 	st2, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -370,13 +368,12 @@ func TestLoadReplaysStoredStudyByteIdentical(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatal("replayed study body differs from the original run")
 	}
-	if h, m := nvsim.MemoStats(); h != 0 || m != 0 {
-		t.Fatalf("Load touched the engine: memo hits=%d misses=%d", h, m)
+	if h, m := st2.Stats(); h == 0 || m != 0 {
+		t.Fatalf("Load read store hits=%d misses=%d, want every point a hit", h, m)
 	}
 	if _, found, _ := ix.Load("unknown"); found {
 		t.Fatal("Load invented a study")
 	}
-	nvsim.ResetMemo()
 }
 
 func TestQueryEmptyStore(t *testing.T) {
@@ -399,7 +396,6 @@ func TestQueryEmptyStore(t *testing.T) {
 }
 
 func TestQueryMemoryOnlyStore(t *testing.T) {
-	nvsim.ResetMemo()
 	st, err := store.Open("") // degraded/memory-only shape: no disk at all
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +413,6 @@ func TestQueryMemoryOnlyStore(t *testing.T) {
 	if len(ref.Metrics) < 2 {
 		t.Fatal("reference study too small")
 	}
-	nvsim.ResetMemo()
 }
 
 func TestQueryIncompleteStudy(t *testing.T) {
@@ -471,7 +466,6 @@ func TestQueryIncompleteStudy(t *testing.T) {
 }
 
 func TestGenerationStableUntilContentChanges(t *testing.T) {
-	nvsim.ResetMemo()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -493,7 +487,6 @@ func TestGenerationStableUntilContentChanges(t *testing.T) {
 	if g := ix.Refresh(); g <= g1 {
 		t.Fatalf("new study did not bump generation (%d -> %d)", g1, g)
 	}
-	nvsim.ResetMemo()
 }
 
 // syntheticIndex builds an index over hand-made rows, bypassing the store,
@@ -626,7 +619,6 @@ func TestQueryTopKMatchesStableSort(t *testing.T) {
 // be a copy.
 func TestQueryResultsDoNotAliasIndex(t *testing.T) {
 	dir := t.TempDir()
-	nvsim.ResetMemo()
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -699,5 +691,4 @@ func TestQueryResultsDoNotAliasIndex(t *testing.T) {
 	if !reflect.DeepEqual(stored(), wantPoints) {
 		t.Fatal("modifying results changed the store's points")
 	}
-	nvsim.ResetMemo()
 }

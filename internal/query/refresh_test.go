@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/nvsim"
 	"repro/internal/store"
 )
 
@@ -45,7 +44,6 @@ func setRelistAfter(t *testing.T, d time.Duration) {
 
 func TestRefreshSkipsUnchangedStore(t *testing.T) {
 	setRelistAfter(t, time.Hour) // only the store generation may trigger a listing
-	nvsim.ResetMemo()
 	cfs := &countingFS{FS: store.DiskFS}
 	st, err := store.OpenFS(t.TempDir(), cfs)
 	if err != nil {
@@ -76,7 +74,6 @@ func TestRefreshSkipsUnchangedStore(t *testing.T) {
 	if _, err := ix.Query(Request{Studies: []string{fp}}); err != nil {
 		t.Fatalf("saved study not queryable after one Refresh: %v", err)
 	}
-	nvsim.ResetMemo()
 }
 
 // TestRefreshRetriesIncompleteOnlyWhenPointsMove checks that an incomplete
@@ -84,7 +81,6 @@ func TestRefreshSkipsUnchangedStore(t *testing.T) {
 // this process stores a point, or once the listing bound expires.
 func TestRefreshRetriesIncompleteOnlyWhenPointsMove(t *testing.T) {
 	setRelistAfter(t, time.Hour)
-	nvsim.ResetMemo()
 	cfs := &countingFS{FS: store.DiskFS}
 	st, err := store.OpenFS(t.TempDir(), cfs)
 	if err != nil {
@@ -132,12 +128,10 @@ func TestRefreshRetriesIncompleteOnlyWhenPointsMove(t *testing.T) {
 	if _, err := ix.Query(Request{Studies: []string{rec.Fingerprint}}); err != nil {
 		t.Fatalf("completed study not queryable after one Refresh: %v", err)
 	}
-	nvsim.ResetMemo()
 }
 
 func TestRefreshSeesOutOfProcessWriter(t *testing.T) {
 	setRelistAfter(t, time.Hour)
-	nvsim.ResetMemo()
 	dir := t.TempDir()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -174,14 +168,12 @@ func TestRefreshSeesOutOfProcessWriter(t *testing.T) {
 	if res, found, err := ix.Load(fp2); !found || err != nil || len(res.Metrics) == 0 {
 		t.Fatalf("Load of another process's study = found=%v err=%v", found, err)
 	}
-	nvsim.ResetMemo()
 }
 
 // TestConcurrentSaveRefreshQuery saves studies while readers refresh and
 // query (run it under -race): every answer is whole studies, generations
 // never go back, and every saved study is loaded at the end.
 func TestConcurrentSaveRefreshQuery(t *testing.T) {
-	nvsim.ResetMemo()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +230,6 @@ func TestConcurrentSaveRefreshQuery(t *testing.T) {
 	if got := ix.Stats().Studies; got != studies {
 		t.Fatalf("index holds %d studies, want %d", got, studies)
 	}
-	nvsim.ResetMemo()
 }
 
 // queryBytes is the mean heap allocation of one query, measured on one
@@ -264,7 +255,6 @@ func queryBytes(t *testing.T, ix *Index, req Request) uint64 {
 // TestTopKQueryBytesIndependentOfStudies checks that a top-k query's
 // allocation follows k, not the store: twice the studies, same bytes.
 func TestTopKQueryBytesIndependentOfStudies(t *testing.T) {
-	nvsim.ResetMemo()
 	st, err := store.Open("")
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +276,6 @@ func TestTopKQueryBytesIndependentOfStudies(t *testing.T) {
 	if large := queryBytes(t, ix, req); large > small+small/20 {
 		t.Fatalf("top-10 query: %d B over 32 studies, %d B over 16; want no growth", large, small)
 	}
-	nvsim.ResetMemo()
 }
 
 // TestRefreshReadsOnlyUnindexedManifests: a relisting Refresh, and a
@@ -294,7 +283,6 @@ func TestTopKQueryBytesIndependentOfStudies(t *testing.T) {
 // indexed ones again.
 func TestRefreshReadsOnlyUnindexedManifests(t *testing.T) {
 	setRelistAfter(t, 0) // every Refresh lists
-	nvsim.ResetMemo()
 	cfs := &countingFS{FS: store.DiskFS}
 	st, err := store.OpenFS(t.TempDir(), cfs)
 	if err != nil {
@@ -328,5 +316,4 @@ func TestRefreshReadsOnlyUnindexedManifests(t *testing.T) {
 	if _, err := ix.Query(Request{Studies: []string{fp}}); err != nil {
 		t.Fatalf("new study not queryable: %v", err)
 	}
-	nvsim.ResetMemo()
 }

@@ -140,6 +140,7 @@ func (s *Server) execute(ctx context.Context, e execution) (*core.Results, *fail
 	}
 	study, what := e.x.Study, "study"
 	study.Workers = clampWorkers(study.Workers, s.opts.StudyWorkers)
+	study.Engine = s.engine
 	var res *core.Results
 	var err error
 	if e.shard != nil {
@@ -170,6 +171,11 @@ func (s *Server) execute(ctx context.Context, e execution) (*core.Results, *fail
 	default:
 		s.failed.Add(1)
 		return nil, &failure{http.StatusUnprocessableEntity, codeStudyFailed, err}
+	}
+	if x := res.Exploration; x != nil {
+		s.adaptiveStudies.Add(1)
+		s.adaptiveEvaluated.Add(int64(x.EvaluatedPoints))
+		s.adaptivePruned.Add(int64(x.ExhaustivePoints - x.EvaluatedPoints))
 	}
 	// Record the study in the store's manifest set, making it addressable
 	// by GET /v1/studies/{fingerprint} and the query index. A manifest

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/nvsim"
 	"repro/internal/store"
 	"repro/internal/sweep"
 )
@@ -147,7 +146,6 @@ func TestStoreAPIErrorContract(t *testing.T) {
 }
 
 func TestStoreAPIRecordRoundTrip(t *testing.T) {
-	nvsim.ResetMemo()
 	dirA := t.TempDir()
 	_, tsA := newStoreServer(t, dirA)
 	cfg := testConfig("store-api-rt", "STT", 1<<21)
@@ -247,13 +245,11 @@ func TestStoreAPIRecordRoundTrip(t *testing.T) {
 // /v1/store/* API re-runs a study entirely from the peer's records — byte
 // identical, zero engine characterizations.
 func TestRemoteStoreWarmRunZeroCharacterizations(t *testing.T) {
-	nvsim.ResetMemo()
 	cfg := testConfig("remote-store-warm", "RRAM", 1<<21)
 	want := batchOutput(t, cfg, "json")
 
 	_, tsPeer := newStoreServer(t, t.TempDir())
 
-	nvsim.ResetMemo()
 	stB, err := store.OpenRemote(tsPeer.URL, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +264,6 @@ func TestRemoteStoreWarmRunZeroCharacterizations(t *testing.T) {
 
 	// A third process, cold engine, same remote store: every point must
 	// come off the peer.
-	nvsim.ResetMemo()
 	stC, err := store.OpenRemote(tsPeer.URL, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -283,8 +278,8 @@ func TestRemoteStoreWarmRunZeroCharacterizations(t *testing.T) {
 	if hits, misses := stC.Stats(); misses != 0 || hits == 0 {
 		t.Fatalf("warm remote-store run: store hits=%d misses=%d, want 0 misses", hits, misses)
 	}
-	if mh, mm := nvsim.MemoStats(); mh != 0 || mm != 0 {
-		t.Fatalf("warm remote-store run characterized: memo hits=%d misses=%d", mh, mm)
+	if es := srvC.engine.Stats(); es.MemoHits != 0 || es.MemoMisses != 0 {
+		t.Fatalf("warm remote-store run characterized: memo hits=%d misses=%d", es.MemoHits, es.MemoMisses)
 	}
 }
 
@@ -413,7 +408,6 @@ func TestFabricFleetLossDegradedToLocal(t *testing.T) {
 // store re-adopts the job, fans the points its store still lacks out to
 // the fleet, and produces bytes identical to the batch CLI.
 func TestFabricCoordinatorCrashRecoveryResumes(t *testing.T) {
-	nvsim.ResetMemo()
 	dir := t.TempDir()
 	cfg := testConfig("fabric-crash", "STT", 1<<21)
 	want := batchOutput(t, cfg, "json")
@@ -528,8 +522,8 @@ func TestShardsServedCounter(t *testing.T) {
 // on store directories, leaves one record per grid point in the
 // coordinator's store, while the worker's store holds no points and was
 // never probed. The coordinator's run characterizes nothing the workers
-// served: the memo (shared in-process by all three servers) records one
-// miss per config, the workers', and no hit.
+// served: its engine records no work, and the workers' engines together
+// record one miss per config and no hit.
 func TestColdShardCountsNoStoreHits(t *testing.T) {
 	cfg := `{
 	  "name": "shard-cold",
@@ -554,7 +548,7 @@ func TestColdShardCountsNoStoreHits(t *testing.T) {
 	wsrv := New(Options{MaxConcurrentStudies: 2, StudyWorkers: 2, Store: wst})
 	wts := httptest.NewServer(wsrv.Handler())
 	t.Cleanup(func() { wts.Close(); wsrv.Close() })
-	_, tsW2 := newWorker(t)
+	wsrv2, tsW2 := newWorker(t)
 	cdir := t.TempDir()
 	cst, err := store.Open(cdir)
 	if err != nil {
@@ -562,7 +556,6 @@ func TestColdShardCountsNoStoreHits(t *testing.T) {
 	}
 	srv, ts := newCoordinator(t, []string{wts.URL, tsW2.URL}, cst)
 
-	nvsim.ResetMemo()
 	code, body := post(t, ts, cfg, "json")
 	if code != http.StatusOK || !bytes.Equal(body, want) {
 		t.Fatalf("cold fabric study: status %d, matches batch: %v", code, bytes.Equal(body, want))
@@ -581,8 +574,12 @@ func TestColdShardCountsNoStoreHits(t *testing.T) {
 	if hits, misses := wst.Stats(); wst.Len() != 0 || hits != 0 || misses != 0 {
 		t.Fatalf("worker store: %d point(s), hits=%d misses=%d, want 0/0/0", wst.Len(), hits, misses)
 	}
-	if hits, misses := nvsim.MemoStats(); hits != 0 || misses != configs {
-		t.Fatalf("memo: hits=%d misses=%d, want 0 hits and %d misses (the workers')", hits, misses, configs)
+	if es := srv.engine.Stats(); es.MemoHits != 0 || es.MemoMisses != 0 {
+		t.Fatalf("coordinator memo: hits=%d misses=%d, want 0/0", es.MemoHits, es.MemoMisses)
+	}
+	w1, w2 := wsrv.engine.Stats(), wsrv2.engine.Stats()
+	if hits, misses := w1.MemoHits+w2.MemoHits, w1.MemoMisses+w2.MemoMisses; hits != 0 || misses != configs {
+		t.Fatalf("workers' memos: hits=%d misses=%d, want 0 hits and %d misses", hits, misses, configs)
 	}
 
 	// A warm re-read serves every point from disk and keeps it resident.

@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/nvsim"
 )
 
 // newJobServer builds a store-less server with a single async worker (so
@@ -107,7 +105,6 @@ func blockWorker(t *testing.T) (release func()) {
 }
 
 func TestAsyncJobLifecycle(t *testing.T) {
-	nvsim.ResetMemo()
 	_, ts := newJobServer(t, 8)
 	cfg := testConfig("async-lifecycle", "STT", 1<<21)
 	want := batchOutput(t, cfg, "json")
@@ -194,7 +191,6 @@ func TestAsyncJobLifecycle(t *testing.T) {
 // same job. The single worker is held busy by a blocker job so the target
 // stays queued for the whole submission burst.
 func TestAsyncDedupConcurrentSubmissions(t *testing.T) {
-	nvsim.ResetMemo()
 	release := blockWorker(t)
 	srv, ts := newJobServer(t, 8)
 	t.Cleanup(release)
@@ -259,7 +255,6 @@ func TestAsyncDedupConcurrentSubmissions(t *testing.T) {
 // materialization path is shared — and requires every response to match
 // the batch CLI bytes (run under -race in CI).
 func TestAsyncResultConcurrentRenders(t *testing.T) {
-	nvsim.ResetMemo()
 	_, ts := newJobServer(t, 8)
 	cfg := `{
 	  "name": "async-pareto",
@@ -341,7 +336,6 @@ func TestJobPruning(t *testing.T) {
 }
 
 func TestAsyncCancel(t *testing.T) {
-	nvsim.ResetMemo()
 	release := blockWorker(t)
 	_, ts := newJobServer(t, 8)
 	t.Cleanup(release)
@@ -385,7 +379,6 @@ func TestAsyncCancel(t *testing.T) {
 }
 
 func TestAsyncQueueFullAndFailure(t *testing.T) {
-	nvsim.ResetMemo()
 	release := blockWorker(t)
 	_, ts := newJobServer(t, 1)
 	t.Cleanup(release)

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/nvsim"
 	"repro/internal/store"
 	"repro/internal/sweep"
 )
@@ -87,9 +86,9 @@ func TestQueryEndpoints(t *testing.T) {
 	}
 	fp := studies[0].Fingerprint
 
-	// From here on the engine must stay cold: every read-side response
+	// From here on the engine must stay idle: every read-side response
 	// below replays from the store and the warm index.
-	nvsim.ResetMemo()
+	memo0 := srv.engine.Stats()
 
 	// GET /v1/studies/{fp} replays the POST body byte for byte and carries
 	// the same ETag, so revalidation works across the two endpoints.
@@ -153,8 +152,8 @@ func TestQueryEndpoints(t *testing.T) {
 	}
 
 	// The whole read side ran without a single characterization.
-	if hits, misses := nvsim.MemoStats(); hits != 0 || misses != 0 {
-		t.Fatalf("read side touched the engine: memo hits=%d misses=%d", hits, misses)
+	if es := srv.engine.Stats(); es != memo0 {
+		t.Fatalf("read side touched the engine: %+v, then %+v", memo0, es)
 	}
 
 	// Error paths: stable codes for each failure shape.
@@ -232,7 +231,6 @@ func TestQueryAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nvsim.ResetMemo()
 	srv2 := New(Options{MaxConcurrentStudies: 2, Store: st2})
 	defer srv2.Close()
 	ts2 := httptest.NewServer(srv2.Handler())
@@ -252,8 +250,8 @@ func TestQueryAcrossRestart(t *testing.T) {
 	if lines := strings.Split(strings.TrimSpace(string(body)), "\n"); len(lines) != 3 { // header + 2 rows
 		t.Fatalf("csv query returned %d lines, want 3", len(lines))
 	}
-	if hits, misses := nvsim.MemoStats(); hits != 0 || misses != 0 {
-		t.Fatalf("restarted read side touched the engine: hits=%d misses=%d", hits, misses)
+	if es := srv2.engine.Stats(); es.MemoHits != 0 || es.MemoMisses != 0 {
+		t.Fatalf("restarted read side touched the engine: hits=%d misses=%d", es.MemoHits, es.MemoMisses)
 	}
 }
 
@@ -302,7 +300,6 @@ func FuzzQueryRequest(f *testing.F) {
 		f.Add(seed.query, seed.accept)
 	}
 
-	nvsim.ResetMemo()
 	st, err := store.Open("")
 	if err != nil {
 		f.Fatal(err)

@@ -31,7 +31,6 @@ import (
 // completes it entirely from stored points (zero engine
 // characterizations), and serves bytes identical to the batch CLI.
 func TestCrashRecoveryResumesJournaledJob(t *testing.T) {
-	nvsim.ResetMemo()
 	dir := t.TempDir()
 	cfg := testConfig("crash-recovery", "STT", 1<<21)
 	want := batchOutput(t, cfg, "json")
@@ -53,7 +52,6 @@ func TestCrashRecoveryResumesJournaledJob(t *testing.T) {
 	}()
 	t.Cleanup(func() { testHookJobPoint = nil })
 
-	nvsim.ResetMemo()
 	stA, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -90,9 +88,8 @@ func TestCrashRecoveryResumesJournaledJob(t *testing.T) {
 		t.Fatalf("journal after crash: %+v", jobs)
 	}
 
-	// Reboot: wipe the engine, bring up a fresh server over the same store.
+	// Reboot: a fresh server, with its own cold engine, over the same store.
 	testHookJobPoint = nil
-	nvsim.ResetMemo()
 	srvB, tsB := newStoreServer(t, dir)
 	if n := srvB.ResumedJobs(); n != 1 {
 		t.Fatalf("ResumedJobs = %d, want 1", n)
@@ -116,8 +113,8 @@ func TestCrashRecoveryResumesJournaledJob(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
 		t.Fatalf("resumed result: status %d, bytes match: %v", resp.StatusCode, bytes.Equal(got, want))
 	}
-	if mh, mm := nvsim.MemoStats(); mh != 0 || mm != 0 {
-		t.Fatalf("resume characterized: memo hits=%d misses=%d, want 0/0", mh, mm)
+	if es := srvB.engine.Stats(); es.MemoHits != 0 || es.MemoMisses != 0 {
+		t.Fatalf("resume characterized: memo hits=%d misses=%d, want 0/0", es.MemoHits, es.MemoMisses)
 	}
 
 	// The finished job's journal is gone: the next boot resumes nothing.
@@ -147,7 +144,6 @@ func TestCrashRecoveryResumesJournaledJob(t *testing.T) {
 // *graceful* Close cancels running jobs but keeps their journals, so a
 // SIGTERM'd deployment resumes its interrupted work on the next boot.
 func TestGracefulShutdownKeepsJournal(t *testing.T) {
-	nvsim.ResetMemo()
 	release := blockWorker(t)
 	dir := t.TempDir()
 	stA, err := store.Open(dir)
@@ -196,7 +192,6 @@ func TestGracefulShutdownKeepsJournal(t *testing.T) {
 // clean 404 or the job's status — never a panic or a 500. Run under -race
 // in CI.
 func TestJobCancelEvictionRace(t *testing.T) {
-	nvsim.ResetMemo()
 	_, ts := newJobServer(t, 8)
 
 	// An unknown job is a 404, full stop.
@@ -246,7 +241,6 @@ func TestJobCancelEvictionRace(t *testing.T) {
 // TestSyncLoadShedding saturates the study semaphore and requires the sync
 // path to answer 429 with a Retry-After hint instead of queueing forever.
 func TestSyncLoadShedding(t *testing.T) {
-	nvsim.ResetMemo()
 	release := blockWorker(t)
 	srv := New(Options{MaxConcurrentStudies: 1, StudyWorkers: 1,
 		JobWorkers: 1, JobQueueDepth: 4, SyncWait: time.Millisecond})
@@ -280,7 +274,6 @@ func TestSyncLoadShedding(t *testing.T) {
 // TestStudyTimeout bounds a sync study's execution budget: a run that
 // exceeds Options.StudyTimeout answers 503, not a hung connection.
 func TestStudyTimeout(t *testing.T) {
-	nvsim.ResetMemo()
 	srv := New(Options{MaxConcurrentStudies: 2, StudyWorkers: 2,
 		StudyTimeout: time.Nanosecond})
 	ts := httptest.NewServer(srv.Handler())
@@ -327,7 +320,6 @@ func TestStudyTimeout(t *testing.T) {
 // store, and finishes as the identical study — same fingerprint, ETag, and
 // body bytes as the sync POST of the same request.
 func TestResumedJobReplaysOverrides(t *testing.T) {
-	nvsim.ResetMemo()
 	dir := t.TempDir()
 	cfg := `{"name": "resume-overrides",
 	  "cells": [{"technology": "STT", "flavor": "Opt"}, {"technology": "SRAM", "flavor": "Ref"},
@@ -377,7 +369,6 @@ func TestResumedJobReplaysOverrides(t *testing.T) {
 	}
 
 	testHookJobPoint = nil
-	nvsim.ResetMemo()
 	srvB, tsB := newStoreServer(t, dir)
 	if n := srvB.ResumedJobs(); n != 1 {
 		t.Fatalf("ResumedJobs = %d, want 1", n)
@@ -455,7 +446,6 @@ func (brokenFS) ReadDir(path string) ([]iofs.DirEntry, error) {
 // (still 200 — the service is correct, just not durable), /v1/stats carries
 // the failure counters, and studies keep completing.
 func TestHealthzReportsDegradedStore(t *testing.T) {
-	nvsim.ResetMemo()
 	st, err := store.OpenFS(t.TempDir(), brokenFS{FS: store.DiskFS})
 	if err != nil {
 		t.Fatal(err)
@@ -624,7 +614,6 @@ func TestLegacyShardAndSyncFilesAreIgnored(t *testing.T) {
 		{"memo and progress", []string{"memo.gob", "jobs/job-1.progress"}, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			nvsim.ResetMemo()
 			dir := t.TempDir()
 			if c.parentJob {
 				writeParentJob(t, dir, parentJobRecord{Version: "nvmx-journal/v1", ID: "job-1",

@@ -3,7 +3,7 @@
 // always-on interactive front end (the Section II-C web dashboard). It
 // exposes the sweep/study pipeline so many clients can pose eNVM design
 // questions against one warm process — repeated and overlapping studies
-// are served from the engine's shared memo cache instead of recomputing,
+// are served from the server's engine memo instead of recomputing,
 // and with -store every evaluated point persists, so a restarted process
 // replays stored points without characterizing them.
 //
@@ -147,6 +147,9 @@ type Server struct {
 	// fabric is the coordinator's worker pool; nil unless Options.Workers
 	// is set.
 	fabric *fabric.Pool
+	// engine characterizes every study, shard and dashboard this server
+	// runs: one memo shared across its requests.
+	engine *nvsim.Engine
 
 	inFlight     atomic.Int64
 	completed    atomic.Int64
@@ -155,6 +158,10 @@ type Server struct {
 	shed         atomic.Int64 // sync requests bounced with 429 under overload
 	shardsServed atomic.Int64 // POST /v1/shard requests answered (worker role)
 	draining     atomic.Bool  // set by Drain; flips /v1/healthz to 503
+
+	// Completed adaptive runs and their evaluated/unevaluated point totals,
+	// summed from each run's Results.Exploration.
+	adaptiveStudies, adaptiveEvaluated, adaptivePruned atomic.Int64
 }
 
 // New creates a Server and starts its async worker pool.
@@ -180,7 +187,7 @@ func New(opts Options) *Server {
 		// fleet (just not across restarts).
 		opts.Store, _ = store.Open("")
 	}
-	s := &Server{opts: opts, sem: make(chan struct{}, opts.MaxConcurrentStudies)}
+	s := &Server{opts: opts, sem: make(chan struct{}, opts.MaxConcurrentStudies), engine: nvsim.NewEngine()}
 	if len(opts.Workers) > 0 {
 		s.fabric = fabric.NewPoolOptions(opts.Workers, opts.Fabric)
 		s.fabric.Start(opts.Store)
@@ -606,7 +613,7 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	res, err := e.Run()
+	res, err := e.Run(s.engine)
 	if err != nil {
 		s.failed.Add(1)
 		apiError(w, http.StatusInternalServerError, codeInternal, err)
@@ -682,10 +689,15 @@ type Stats struct {
 		Enabled bool `json:"enabled"`
 		query.Stats
 	} `json:"query"`
-	// Exploration reports the adaptive planner and the constraint
-	// pre-filter: configs proven infeasible before characterization,
-	// adaptive studies run, and their evaluated/pruned point totals.
-	Exploration core.ExplorationStats `json:"exploration"`
+	// Exploration reports the configs the engine's constraint pre-filter
+	// proved infeasible before characterization, and the completed
+	// adaptive runs with the grid points they evaluated and never touched.
+	Exploration struct {
+		PrefilteredConfigs      int64 `json:"prefiltered_configs"`
+		AdaptiveStudies         int64 `json:"adaptive_studies"`
+		AdaptivePointsEvaluated int64 `json:"adaptive_points_evaluated"`
+		AdaptivePointsPruned    int64 `json:"adaptive_points_pruned"`
+	} `json:"exploration"`
 	// Async reports the background job subsystem.
 	Async struct {
 		Workers      int   `json:"workers"`
@@ -703,7 +715,8 @@ type Stats struct {
 func (s *Server) Snapshot() Stats {
 	var st Stats
 	st.SchemaVersion = statsSchemaVersion
-	st.Memo.Hits, st.Memo.Misses = nvsim.MemoStats()
+	es := s.engine.Stats()
+	st.Memo.Hits, st.Memo.Misses = es.MemoHits, es.MemoMisses
 	if s.opts.Store != nil {
 		st.Store.Enabled = true
 		b := s.opts.Store.Backend()
@@ -728,7 +741,10 @@ func (s *Server) Snapshot() Stats {
 		st.Query.Enabled = true
 		st.Query.Stats = s.idx.Stats()
 	}
-	st.Exploration = core.ReadExplorationStats()
+	st.Exploration.PrefilteredConfigs = es.Prefiltered
+	st.Exploration.AdaptiveStudies = s.adaptiveStudies.Load()
+	st.Exploration.AdaptivePointsEvaluated = s.adaptiveEvaluated.Load()
+	st.Exploration.AdaptivePointsPruned = s.adaptivePruned.Load()
 	st.Async.Workers = s.opts.JobWorkers
 	st.Async.QueueDepth = s.opts.JobQueueDepth
 	st.Async.Submitted = s.jobs.submitted.Load()

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/nvsim"
 	"repro/internal/sweep"
 )
 
@@ -80,7 +79,6 @@ func post(t *testing.T, ts *httptest.Server, cfgJSON, format string) (int, []byt
 // bytes the sequential batch CLI produces for the same config, across all
 // three formats.
 func TestConcurrentStudiesByteIdentical(t *testing.T) {
-	nvsim.ResetMemo()
 	srv := New(Options{MaxConcurrentStudies: 4, StudyWorkers: 4})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -124,9 +122,8 @@ func TestConcurrentStudiesByteIdentical(t *testing.T) {
 		t.Error(err)
 	}
 
-	// Repeated configs must have hit the shared process-wide memo cache.
-	hits, _ := nvsim.MemoStats()
-	if hits == 0 {
+	// Repeated configs must have hit the server's shared memo.
+	if hits := srv.engine.Stats().MemoHits; hits == 0 {
 		t.Error("no memo-cache hits across repeated concurrent studies")
 	}
 	st := srv.Snapshot()
@@ -320,9 +317,51 @@ func TestExperimentsAndDashboard(t *testing.T) {
 	}
 }
 
+// TestStatsCountOnlyCompletedAdaptiveRuns: /v1/stats sums the adaptive
+// totals from completed runs. An adaptive study whose every config the
+// area bound prunes fails (422 study_failed) and adds nothing to them, yet
+// its two pruned configs count as prefiltered.
+func TestStatsCountOnlyCompletedAdaptiveRuns(t *testing.T) {
+	srv := New(Options{MaxConcurrentStudies: 2})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	adaptive := func(name string, maxAreaMM2 float64) string {
+		return fmt.Sprintf(`{
+	  "name": %q,
+	  "cells": [{"technology": "STT", "flavor": "Opt"}],
+	  "capacities_bytes": [1048576, 2097152],
+	  "traffic": {"fixed": [{"name": "t", "reads_per_sec": 1e6, "writes_per_sec": 1e4}]},
+	  "pareto": {"metrics": ["read_latency_ns", "read_energy_pj"]},
+	  "mode": "adaptive",
+	  "max_area_mm2": %g
+	}`, name, maxAreaMM2)
+	}
+
+	code, body := post(t, ts, adaptive("adaptive-infeasible", 1e-9), "json")
+	if code != http.StatusUnprocessableEntity || errCode(t, body) != codeStudyFailed {
+		t.Fatalf("infeasible adaptive study: status %d: %s, want 422 %s", code, body, codeStudyFailed)
+	}
+	x := srv.Snapshot().Exploration
+	if x.AdaptiveStudies != 0 || x.AdaptivePointsEvaluated != 0 || x.AdaptivePointsPruned != 0 {
+		t.Errorf("a failed adaptive run counted: %+v", x)
+	}
+	if x.PrefilteredConfigs != 2 {
+		t.Errorf("prefiltered configs = %d, want 2", x.PrefilteredConfigs)
+	}
+
+	if code, body := post(t, ts, adaptive("adaptive-feasible", 1e3), "json"); code != http.StatusOK {
+		t.Fatalf("feasible adaptive study: status %d: %s", code, body)
+	}
+	x = srv.Snapshot().Exploration
+	if x.AdaptiveStudies != 1 || x.AdaptivePointsEvaluated == 0 ||
+		x.AdaptivePointsEvaluated+x.AdaptivePointsPruned != 2 || x.PrefilteredConfigs != 2 {
+		t.Errorf("after one completed 2-point adaptive run: %+v", x)
+	}
+}
+
 // TestStatsEndpoint checks the counters move and parse.
 func TestStatsEndpoint(t *testing.T) {
-	nvsim.ResetMemo()
 	ts := httptest.NewServer(New(Options{MaxConcurrentStudies: 3}).Handler())
 	defer ts.Close()
 	if status, _ := post(t, ts, testConfig("svc_stats", "CTT", 1<<20), "json"); status != http.StatusOK {

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/nvsim"
 	"repro/internal/store"
 )
 
@@ -38,12 +37,10 @@ func TestWarmStoreByteIdenticalZeroCharacterizations(t *testing.T) {
 
 	// Reference bytes from the sequential batch CLI path, before any store
 	// exists.
-	nvsim.ResetMemo()
 	wantJSON := batchOutput(t, cfg, "json")
 	wantCSV := batchOutput(t, cfg, "csv")
 
 	// Cold: first server over an empty store.
-	nvsim.ResetMemo()
 	srv1, ts1 := newStoreServer(t, dir)
 	code, coldJSON := post(t, ts1, cfg, "json")
 	if code != http.StatusOK {
@@ -57,8 +54,7 @@ func TestWarmStoreByteIdenticalZeroCharacterizations(t *testing.T) {
 	}
 
 	// Warm restart: a brand-new server + store over the same directory,
-	// with the engine wiped to prove nothing re-characterizes.
-	nvsim.ResetMemo()
+	// with its own cold engine, to prove nothing re-characterizes.
 	srv2, ts2 := newStoreServer(t, dir)
 	code, warmJSON := post(t, ts2, cfg, "json")
 	if code != http.StatusOK {
@@ -74,8 +70,8 @@ func TestWarmStoreByteIdenticalZeroCharacterizations(t *testing.T) {
 	if misses != 0 || hits == 0 {
 		t.Fatalf("warm run: store hits=%d misses=%d, want 0 misses", hits, misses)
 	}
-	if mh, mm := nvsim.MemoStats(); mh != 0 || mm != 0 {
-		t.Fatalf("warm run characterized: memo hits=%d misses=%d, want 0/0", mh, mm)
+	if es := srv2.engine.Stats(); es.MemoHits != 0 || es.MemoMisses != 0 {
+		t.Fatalf("warm run characterized: memo hits=%d misses=%d, want 0/0", es.MemoHits, es.MemoMisses)
 	}
 
 	// Other formats replay from the same stored points, still byte-exact.
@@ -86,8 +82,8 @@ func TestWarmStoreByteIdenticalZeroCharacterizations(t *testing.T) {
 	if !bytes.Equal(warmCSV, wantCSV) {
 		t.Fatal("warm CSV differs from batch CLI")
 	}
-	if mh, mm := nvsim.MemoStats(); mh != 0 || mm != 0 {
-		t.Fatalf("warm CSV characterized: memo hits=%d misses=%d", mh, mm)
+	if es := srv2.engine.Stats(); es.MemoHits != 0 || es.MemoMisses != 0 {
+		t.Fatalf("warm CSV characterized: memo hits=%d misses=%d", es.MemoHits, es.MemoMisses)
 	}
 }
 
@@ -162,7 +158,6 @@ func (c *studyWriteFS) WriteFileAtomic(path string, data []byte) error {
 // TestWarmPostWritesNoManifest checks that re-running a stored study
 // rewrites nothing under studies/: its manifest is already there.
 func TestWarmPostWritesNoManifest(t *testing.T) {
-	nvsim.ResetMemo()
 	cfs := &studyWriteFS{FS: store.DiskFS}
 	st, err := store.OpenFS(t.TempDir(), cfs)
 	if err != nil {

@@ -7,12 +7,9 @@ import (
 	"hash/crc32"
 	"reflect"
 	"testing"
-
-	"repro/internal/nvsim"
 )
 
 func TestExportImportPointRoundTrip(t *testing.T) {
-	nvsim.ResetMemo()
 	src, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -145,7 +145,6 @@ func firstKey(t testing.TB) string {
 }
 
 func TestRemoteStoreRoundTrip(t *testing.T) {
-	nvsim.ResetMemo()
 	peer := newStubPeer()
 	ts := httptest.NewServer(peer)
 	defer ts.Close()
@@ -161,17 +160,18 @@ func TestRemoteStoreRoundTrip(t *testing.T) {
 
 	// A second process over the same peer, cold engine: every point must
 	// replay from the remote store without touching the engine.
-	nvsim.ResetMemo()
 	st2, err := OpenRemote(ts.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := runPoints(t, testStudy(), st2)
+	s2 := testStudy()
+	s2.Engine = nvsim.NewEngine()
+	warm := runPoints(t, s2, st2)
 	if hits, misses := st2.Stats(); misses != 0 || hits == 0 {
 		t.Fatalf("remote warm run: hits=%d misses=%d, want 0 misses", hits, misses)
 	}
-	if mh, mm := nvsim.MemoStats(); mh != 0 || mm != 0 {
-		t.Fatalf("remote warm run touched the engine: memo hits=%d misses=%d", mh, mm)
+	if es := s2.Engine.Stats(); es.MemoHits != 0 || es.MemoMisses != 0 {
+		t.Fatalf("remote warm run touched the engine: memo hits=%d misses=%d", es.MemoHits, es.MemoMisses)
 	}
 	if !reflect.DeepEqual(cold.Metrics, warm.Metrics) {
 		t.Fatal("remote warm metrics differ from cold")
@@ -210,7 +210,6 @@ func TestOpenRemoteToleratesUnreachablePeer(t *testing.T) {
 }
 
 func TestRemoteQuarantinesTornResponse(t *testing.T) {
-	nvsim.ResetMemo()
 	peer := newStubPeer()
 	ts := httptest.NewServer(peer)
 	defer ts.Close()
@@ -241,7 +240,6 @@ func TestRemoteQuarantinesTornResponse(t *testing.T) {
 }
 
 func TestRemoteRetriesTransientFailures(t *testing.T) {
-	nvsim.ResetMemo()
 	peer := newStubPeer()
 	ts := httptest.NewServer(peer)
 	defer ts.Close()
@@ -309,7 +307,6 @@ func TestRemoteStudyManifestRoundTrip(t *testing.T) {
 }
 
 func TestRemoteExportPointPassesEnvelopeBytesThrough(t *testing.T) {
-	nvsim.ResetMemo()
 	peer := newStubPeer()
 	ts := httptest.NewServer(peer)
 	defer ts.Close()

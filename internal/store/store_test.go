@@ -40,7 +40,6 @@ func runPoints(t *testing.T, s *core.Study, c core.PointCache) *core.Results {
 }
 
 func TestStoreRoundTripAndPersistence(t *testing.T) {
-	nvsim.ResetMemo()
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
@@ -77,17 +76,18 @@ func TestStoreRoundTripAndPersistence(t *testing.T) {
 
 	// Fresh store over the same directory, cold engine: disk round-trip
 	// must be exact and must never touch the characterization engine.
-	nvsim.ResetMemo()
 	st2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reopened := runPoints(t, testStudy(), st2)
+	s2 := testStudy()
+	s2.Engine = nvsim.NewEngine()
+	reopened := runPoints(t, s2, st2)
 	if hits, misses = st2.Stats(); misses != 0 || hits == 0 {
 		t.Fatalf("reopened run: hits=%d misses=%d, want 0 misses", hits, misses)
 	}
-	if mh, mm := nvsim.MemoStats(); mh != 0 || mm != 0 {
-		t.Fatalf("reopened run touched the engine: memo hits=%d misses=%d", mh, mm)
+	if es := s2.Engine.Stats(); es.MemoHits != 0 || es.MemoMisses != 0 {
+		t.Fatalf("reopened run touched the engine: memo hits=%d misses=%d", es.MemoHits, es.MemoMisses)
 	}
 	if !reflect.DeepEqual(cold.Metrics, reopened.Metrics) {
 		t.Fatal("reopened metrics differ from cold")
@@ -174,11 +174,9 @@ func TestStoreKeyVerificationRejectsCollisions(t *testing.T) {
 
 // TestStoreLeavesUnknownVersionMemoInPlace: a memo snapshot older
 // versions wrote (DIR/memo.gob) is a file this version never reads: Open
-// leaves it untouched and the engine starts cold, and SaveMemo writes
+// leaves it untouched and serves nothing from it, and SaveMemo writes
 // nothing.
 func TestStoreLeavesUnknownVersionMemoInPlace(t *testing.T) {
-	nvsim.ResetMemo()
-	defer nvsim.ResetMemo()
 	dir := t.TempDir()
 	memoPath := filepath.Join(dir, "memo.gob")
 	snapshot := []byte("a memo snapshot an older version wrote")
@@ -189,12 +187,14 @@ func TestStoreLeavesUnknownVersionMemoInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := nvsim.Config{Cell: cell.MustTentpole(cell.RRAM, cell.Optimistic), CapacityBytes: 1 << 20}
-	if _, errs := nvsim.CharacterizeTargets(cfg, []nvsim.OptTarget{nvsim.OptReadEDP}); errs[0] != nil {
-		t.Fatal(errs[0])
+	s := testStudy()
+	s.Engine = nvsim.NewEngine()
+	runPoints(t, s, st)
+	if hits, misses := st.Stats(); hits != 0 || misses != 2 {
+		t.Fatalf("store hits=%d misses=%d after Open, want a cold 0/2", hits, misses)
 	}
-	if hits, misses := nvsim.MemoStats(); hits != 0 || misses != 1 {
-		t.Fatalf("memo hits=%d misses=%d after Open, want a cold 0/1", hits, misses)
+	if misses := s.Engine.Stats().MemoMisses; misses != 2 {
+		t.Fatalf("engine characterized %d config(s), want both", misses)
 	}
 	if err := st.SaveMemo(); err != nil {
 		t.Fatal(err)

@@ -129,15 +129,14 @@ func CharacterizeTargets(cfg ArrayConfig, targets []OptTarget) ([]ArrayResult, [
 	return nvsim.CharacterizeTargets(cfg, targets)
 }
 
-// CharacterizationCacheStats reports hits and misses of the engine's memo
-// cache, which reuses each configuration's per-target winners across
-// repeated studies.
-// The cache is process-global and bounded; entries live until
-// ResetCharacterizationCache is called.
-func CharacterizationCacheStats() (hits, misses int64) { return nvsim.MemoStats() }
+// Engine holds the characterization memo, which reuses each
+// configuration's per-target winners across the studies that share the
+// engine (Study.Engine), and counts its work (Engine.Stats). The memo is
+// bounded; its entries live as long as the engine.
+type Engine = nvsim.Engine
 
-// ResetCharacterizationCache empties the engine's memo cache.
-func ResetCharacterizationCache() { nvsim.ResetMemo() }
+// NewEngine returns an engine with an empty memo.
+func NewEngine() *Engine { return nvsim.NewEngine() }
 
 // Application traffic layer.
 type (

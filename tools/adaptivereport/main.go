@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cell"
@@ -67,8 +68,18 @@ func synthetic512() *core.Study {
 	return s
 }
 
-// run executes one study in the requested mode with a cold engine and
-// returns the results plus the unique configs characterized (memo misses).
+// must returns v, or ends the program on err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "adaptivereport:", err)
+		os.Exit(1)
+	}
+	return v
+}
+
+// run executes one study in the requested mode on a fresh engine and
+// returns the results plus the unique configs it characterized (memo
+// misses).
 func run(s *core.Study, adaptive bool, budget int) (*core.Results, int64) {
 	if adaptive {
 		s.Mode = core.ModeAdaptive
@@ -76,30 +87,17 @@ func run(s *core.Study, adaptive bool, budget int) (*core.Results, int64) {
 		s.Seed = 42
 	}
 	s.Workers = 4
-	nvsim.ResetMemo()
-	res, err := s.Run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adaptivereport:", err)
-		os.Exit(1)
-	}
-	_, misses := nvsim.MemoStats()
-	return res, misses
+	s.Engine = nvsim.NewEngine()
+	res := must(s.Run())
+	return res, s.Engine.Stats().MemoMisses
 }
 
 // recall computes the fraction of the exhaustive frontier an adaptive run
 // recovered, mapping adaptive frontier rows to grid indices through the
 // exploration record (one result row per grid point on these studies).
 func recall(ex, ad *core.Results) float64 {
-	exFront, err := ex.ParetoFrontier(ex.Study.Pareto)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adaptivereport:", err)
-		os.Exit(1)
-	}
-	adFront, err := ad.ParetoFrontier(ad.Study.Pareto)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adaptivereport:", err)
-		os.Exit(1)
-	}
+	exFront := must(ex.ParetoFrontier(ex.Study.Pareto))
+	adFront := must(ad.ParetoFrontier(ad.Study.Pareto))
 	want := make(map[int]bool, len(exFront))
 	for _, ri := range exFront {
 		want[ri] = true
@@ -113,12 +111,12 @@ func recall(ex, ad *core.Results) float64 {
 	return float64(hit) / float64(len(exFront))
 }
 
-func curve(mk func() *core.Study, budgets []int) {
+func curve(w io.Writer, mk func() *core.Study, budgets []int) {
 	ex, exChars := run(mk(), false, 0)
 	grid := len(ex.Metrics) + len(ex.Skipped)
-	fmt.Printf("%s: %d-point grid, %d exhaustive characterizations, %d-point frontier\n",
-		ex.Study.Name, grid, exChars, mustFrontier(ex))
-	fmt.Println("  budget | evaluated | % of grid | characterizations | frontier recall")
+	fmt.Fprintf(w, "%s: %d-point grid, %d exhaustive characterizations, %d-point frontier\n",
+		ex.Study.Name, grid, exChars, len(must(ex.ParetoFrontier(ex.Study.Pareto))))
+	fmt.Fprintln(w, "  budget | evaluated | % of grid | characterizations | frontier recall")
 	for _, b := range budgets {
 		ad, chars := run(mk(), true, b)
 		e := ad.Exploration
@@ -126,34 +124,28 @@ func curve(mk func() *core.Study, budgets []int) {
 		if b == 0 {
 			label = "  none"
 		}
-		fmt.Printf("  %s | %9d | %8.1f%% | %17d | %14.0f%%\n",
+		fmt.Fprintf(w, "  %s | %9d | %8.1f%% | %17d | %14.0f%%\n",
 			label, e.EvaluatedPoints, 100*float64(e.EvaluatedPoints)/float64(e.ExhaustivePoints),
 			chars, 100*recall(ex, ad))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func mustFrontier(res *core.Results) int {
-	front, err := res.ParetoFrontier(res.Study.Pareto)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adaptivereport:", err)
-		os.Exit(1)
-	}
-	return len(front)
-}
-
-func main() {
-	fmt.Println("Adaptive exploration planner — budget vs. frontier recall (seed 42)")
-	fmt.Println()
-	curve(tableIIRef, []int{6, 9, 12, 18, 0})
-	curve(wbFaultRef, []int{12, 24, 36, 48, 0})
+// report writes the whole record to w.
+func report(w io.Writer) {
+	fmt.Fprintln(w, "Adaptive exploration planner — budget vs. frontier recall (seed 42)")
+	fmt.Fprintln(w)
+	curve(w, tableIIRef, []int{6, 9, 12, 18, 0})
+	curve(w, wbFaultRef, []int{12, 24, 36, 48, 0})
 
 	ex, exChars := run(synthetic512(), false, 0)
 	ad, adChars := run(synthetic512(), true, 0)
-	fmt.Printf("%s: %d points / %d unique configs\n",
+	fmt.Fprintf(w, "%s: %d points / %d unique configs\n",
 		ex.Study.Name, len(ex.Metrics), exChars)
-	fmt.Printf("  exhaustive: %d characterizations\n", exChars)
-	fmt.Printf("  adaptive:   %d characterizations (%d of %d points evaluated, %.0f%% frontier recall)\n",
+	fmt.Fprintf(w, "  exhaustive: %d characterizations\n", exChars)
+	fmt.Fprintf(w, "  adaptive:   %d characterizations (%d of %d points evaluated, %.0f%% frontier recall)\n",
 		adChars, ad.Exploration.EvaluatedPoints, ad.Exploration.ExhaustivePoints, 100*recall(ex, ad))
-	fmt.Printf("  engine-work reduction: %.1fx\n", float64(exChars)/float64(adChars))
+	fmt.Fprintf(w, "  engine-work reduction: %.1fx\n", float64(exChars)/float64(adChars))
 }
+
+func main() { report(os.Stdout) }
