@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
+	"strings"
 
 	"repro/internal/cell"
 	"repro/internal/eval"
@@ -61,6 +62,19 @@ type CachedPoint struct {
 // hexadecimal notation); the store hashes it to address the entry.
 func (s *Study) PointKey(spec PointSpec) string {
 	b := make([]byte, 0, 512)
+	b = appendPointHead(b, &spec)
+	b = s.appendStudyKey(b)
+	b = s.appendPointTail(b, &spec)
+	return string(b)
+}
+
+// A point key is three sections: the head (key version, cell, capacity and
+// word width), the study-wide section (targets, constraints and every
+// traffic pattern, the bulk of a key on a large traffic sweep) and the tail
+// (the point's evaluation options). Code that keys many points of one
+// study serializes the study-wide section once (see pointKeyer).
+
+func appendPointHead(b []byte, spec *PointSpec) []byte {
 	b = append(b, pointKeyVersion...)
 	b = append(b, '\n')
 	b = appendCellKey(b, &spec.Cell)
@@ -68,7 +82,10 @@ func (s *Study) PointKey(spec PointSpec) string {
 	b = strconv.AppendInt(b, spec.CapacityBytes, 10)
 	b = append(b, ',')
 	b = strconv.AppendInt(b, int64(spec.WordBits), 10)
-	b = append(b, '\n')
+	return append(b, '\n')
+}
+
+func (s *Study) appendStudyKey(b []byte) []byte {
 	// Key the effective target list, so a pre-run Fingerprint matches the
 	// points the run will store.
 	for _, t := range s.targets() {
@@ -84,9 +101,46 @@ func (s *Study) PointKey(spec PointSpec) string {
 		b = appendPatternKey(b, &s.Patterns[i])
 		b = append(b, '\n')
 	}
+	return b
+}
+
+func (s *Study) appendPointTail(b []byte, spec *PointSpec) []byte {
 	opts := spec.options(s.Options)
-	b = opts.AppendKey(b)
-	return string(b)
+	return opts.AppendKey(b)
+}
+
+// pointKeyer keys many points of one study with its study-wide section
+// serialized once: the same bytes as PointKey.
+type pointKeyer struct {
+	s      *Study
+	shared string
+}
+
+func (s *Study) keyer() pointKeyer {
+	return pointKeyer{s: s, shared: string(s.appendStudyKey(nil))}
+}
+
+// append appends the point's key to b.
+func (k pointKeyer) append(b []byte, spec *PointSpec) []byte {
+	b = appendPointHead(b, spec)
+	b = append(b, k.shared...)
+	return k.s.appendPointTail(b, spec)
+}
+
+// key returns the point's key in a single allocation of its exact size:
+// the head and tail render into stack scratch, and the three sections are
+// copied once into the key.
+func (k pointKeyer) key(spec *PointSpec) string {
+	var head [512]byte
+	var tail [128]byte
+	h := appendPointHead(head[:0], spec)
+	t := k.s.appendPointTail(tail[:0], spec)
+	var key strings.Builder
+	key.Grow(len(h) + len(k.shared) + len(t))
+	key.Write(h)
+	key.WriteString(k.shared)
+	key.Write(t)
+	return key.String()
 }
 
 // Fingerprint returns the study-level identity: a hash covering the name,
@@ -131,9 +185,12 @@ func (s *Study) Fingerprint() (string, error) {
 		h.Write([]byte(strconv.FormatInt(s.Seed, 10)))
 		h.Write([]byte{'\n'})
 	}
+	k := s.keyer()
+	var key []byte
 	for i := range specs {
-		h.Write([]byte(s.PointKey(specs[i])))
-		h.Write([]byte{0})
+		key = k.append(key[:0], &specs[i])
+		key = append(key, 0)
+		h.Write(key)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -197,8 +197,9 @@ func (s *Study) plan(ctx context.Context, specs []PointSpec, cache PointCache) (
 		p.keys = make([]string, len(specs))
 		p.cached = make([]CachedPoint, len(specs))
 		p.hit = make([]bool, len(specs))
+		k := s.keyer()
 		parallelIndex(ctx, workers, len(specs), func(i int) {
-			p.keys[i] = s.PointKey(specs[i])
+			p.keys[i] = k.key(&specs[i])
 			p.cached[i], p.hit[i] = cache.Get(p.keys[i])
 		})
 		if err := ctx.Err(); err != nil {

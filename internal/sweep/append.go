@@ -4,10 +4,13 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
+	"unicode"
 	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/viz"
 )
 
 // Hand-rolled row encoding. Both JSON forms of a study render their rows
@@ -21,7 +24,8 @@ import (
 // same HTML-escaping rules, the same omitempty semantics, the same
 // indentation — asserted by append_test.go and points_test.go) over a
 // caller-owned buffer, so a RowEncoder emits rows with zero steady-state
-// allocations.
+// allocations. The CSV rows (appendCSVRow) render here too, cell by cell
+// as encoding/csv would write the viz table cells.
 
 const hexDigits = "0123456789abcdef"
 
@@ -151,12 +155,87 @@ func appendKey(b []byte, indent, tok string) []byte {
 
 // AppendJSON appends the row's compact JSON object — byte-identical to
 // json.Marshal of the same value — and returns the extended buffer.
-func (p *DesignPoint) AppendJSON(b []byte) []byte { return p.appendRow(b, &compactRow) }
+func (p *DesignPoint) AppendJSON(b []byte) []byte { return p.appendRow(b, &compactRow, nil) }
+
+// Field text memo. A study grid evaluates every array across all of its
+// traffic patterns back to back (pattern is the innermost axis of the
+// space), so a row's array fields — latencies, energies, leakage, area,
+// area efficiency, density — repeat bit for bit from the row before, and
+// shortest-float formatting dominated row rendering. A fieldText keeps, for
+// each float field, the last value's bits and its rendered text in a fixed
+// inline slot; a bit-equal value copies the text instead of formatting it.
+// Equal bits always render equal text (NaN payloads and signed zeros
+// included), so the memo never changes a byte.
+
+// Float field slots, in DesignPoint order.
+const (
+	fReadLatency = iota
+	fWriteLatency
+	fReadEnergy
+	fWriteEnergy
+	fLeakage
+	fArea
+	fAreaEfficiency
+	fDensity
+	fTotalPower
+	fDynamicPower
+	fMemTime
+	fTaskLatency
+	fLifetime
+	fRawBER
+	fEffectiveBER
+	numFloatFields
+)
+
+// floatText is one float field's memo slot. Both renderers produce at most
+// 25 bytes (a signed 17-digit mantissa with its exponent or leading zeros);
+// longer text is simply not remembered.
+type floatText struct {
+	bits uint64
+	n    uint8 // length of text; 0 while the slot is empty
+	text [31]byte
+}
+
+// fieldText is one row renderer's memo: a slot per float field. The zero
+// value is empty and ready to use.
+type fieldText [numFloatFields]floatText
+
+// json appends float field f with value v as the Float marshaler renders
+// it. A nil memo formats every value.
+func (t *fieldText) json(b []byte, f int, v Float) []byte {
+	if t == nil {
+		return appendFloatField(b, v)
+	}
+	return t[f].append(b, float64(v), false)
+}
+
+// cell appends float field f with value v as a viz table cell.
+func (t *fieldText) cell(b []byte, f int, v Float) []byte {
+	return t[f].append(b, float64(v), true)
+}
+
+func (s *floatText) append(b []byte, v float64, cell bool) []byte {
+	bits := math.Float64bits(v)
+	if s.n != 0 && s.bits == bits {
+		return append(b, s.text[:s.n]...)
+	}
+	start := len(b)
+	if cell {
+		b = viz.AppendCellFloat(b, v)
+	} else {
+		b = appendFloatField(b, Float(v))
+	}
+	if n := len(b) - start; n <= len(s.text) {
+		s.bits, s.n = bits, uint8(n)
+		copy(s.text[:], b[start:])
+	}
+	return b
+}
 
 // appendRow appends the row as one JSON object laid out by l: the single
 // definition of the DesignPoint schema's key order, value encodings and
-// omitempty rules.
-func (p *DesignPoint) appendRow(b []byte, l *rowLayout) []byte {
+// omitempty rules. Float fields render through t (nil: no memo).
+func (p *DesignPoint) appendRow(b []byte, l *rowLayout, t *fieldText) []byte {
 	b = appendKey(b, l.indent, `{"cell":`)
 	b = appendJSONString(b, p.Cell)
 	b = appendKey(b, l.indent, `,"technology":`)
@@ -170,33 +249,33 @@ func (p *DesignPoint) appendRow(b []byte, l *rowLayout) []byte {
 	b = appendKey(b, l.indent, `,"pattern":`)
 	b = appendJSONString(b, p.Pattern)
 	b = appendKey(b, l.indent, `,"read_latency_ns":`)
-	b = appendFloatField(b, p.ReadLatencyNS)
+	b = t.json(b, fReadLatency, p.ReadLatencyNS)
 	b = appendKey(b, l.indent, `,"write_latency_ns":`)
-	b = appendFloatField(b, p.WriteLatencyNS)
+	b = t.json(b, fWriteLatency, p.WriteLatencyNS)
 	b = appendKey(b, l.indent, `,"read_energy_pj":`)
-	b = appendFloatField(b, p.ReadEnergyPJ)
+	b = t.json(b, fReadEnergy, p.ReadEnergyPJ)
 	b = appendKey(b, l.indent, `,"write_energy_pj":`)
-	b = appendFloatField(b, p.WriteEnergyPJ)
+	b = t.json(b, fWriteEnergy, p.WriteEnergyPJ)
 	b = appendKey(b, l.indent, `,"leakage_power_mw":`)
-	b = appendFloatField(b, p.LeakagePowerMW)
+	b = t.json(b, fLeakage, p.LeakagePowerMW)
 	b = appendKey(b, l.indent, `,"area_mm2":`)
-	b = appendFloatField(b, p.AreaMM2)
+	b = t.json(b, fArea, p.AreaMM2)
 	b = appendKey(b, l.indent, `,"area_efficiency":`)
-	b = appendFloatField(b, p.AreaEfficiency)
+	b = t.json(b, fAreaEfficiency, p.AreaEfficiency)
 	b = appendKey(b, l.indent, `,"density_mb_per_mm2":`)
-	b = appendFloatField(b, p.DensityMbPerMM2)
+	b = t.json(b, fDensity, p.DensityMbPerMM2)
 	b = appendKey(b, l.indent, `,"total_power_mw":`)
-	b = appendFloatField(b, p.TotalPowerMW)
+	b = t.json(b, fTotalPower, p.TotalPowerMW)
 	b = appendKey(b, l.indent, `,"dynamic_power_mw":`)
-	b = appendFloatField(b, p.DynamicPowerMW)
+	b = t.json(b, fDynamicPower, p.DynamicPowerMW)
 	b = appendKey(b, l.indent, `,"mem_time_per_sec":`)
-	b = appendFloatField(b, p.MemTimePerSec)
+	b = t.json(b, fMemTime, p.MemTimePerSec)
 	b = appendKey(b, l.indent, `,"task_latency_s":`)
-	b = appendFloatField(b, p.TaskLatencyS)
+	b = t.json(b, fTaskLatency, p.TaskLatencyS)
 	b = appendKey(b, l.indent, `,"meets_task_rate":`)
 	b = appendBool(b, p.MeetsTaskRate)
 	b = appendKey(b, l.indent, `,"lifetime_years":`)
-	b = appendFloatField(b, p.LifetimeYears)
+	b = t.json(b, fLifetime, p.LifetimeYears)
 	if p.WordBits != 0 {
 		b = appendKey(b, l.indent, `,"word_bits":`)
 		b = strconv.AppendInt(b, int64(p.WordBits), 10)
@@ -212,9 +291,9 @@ func (p *DesignPoint) appendRow(b []byte, l *rowLayout) []byte {
 		b = appendKey(b, l.faultIndent, `,"seed":`)
 		b = strconv.AppendInt(b, f.Seed, 10)
 		b = appendKey(b, l.faultIndent, `,"raw_ber":`)
-		b = appendFloatField(b, f.RawBER)
+		b = t.json(b, fRawBER, f.RawBER)
 		b = appendKey(b, l.faultIndent, `,"effective_ber":`)
-		b = appendFloatField(b, f.EffectiveBER)
+		b = t.json(b, fEffectiveBER, f.EffectiveBER)
 		b = append(b, l.indent...)
 		b = append(b, '}')
 	}
@@ -226,17 +305,159 @@ func (p *DesignPoint) appendRow(b []byte, l *rowLayout) []byte {
 	return append(b, '}')
 }
 
-// RowEncoder writes DesignPoint rows as NDJSON lines over one reused
-// buffer. After the first few rows warm the buffer (and the write-buffer
-// label cache), Encode performs zero allocations per row — it is the emit
-// path of both the batch NDJSON writer and the study service's streamed
-// response. A RowEncoder must not be shared between goroutines.
+// csvColumns is a study's CSV column set: the legacy columns, then the
+// trailing columns of each extra axis the study declares (word bits, write
+// buffers, fault modes) and of a Pareto selection. Legacy studies keep the
+// exact historical column set.
+type csvColumns struct {
+	wordBits, writeBuffer, fault, pareto bool
+}
+
+func columnsOf(s *core.Study) csvColumns {
+	return csvColumns{
+		wordBits:    s.Declares(core.AxisWordBits),
+		writeBuffer: s.Declares(core.AxisWriteBuffer),
+		fault:       s.Declares(core.AxisFault) || s.Options.Fault != nil,
+		pareto:      len(s.Pareto) > 0,
+	}
+}
+
+// appendHeader appends the header line: the single definition of the CSV
+// column names and order, which appendCSVRow fills.
+func (c csvColumns) appendHeader(b []byte) []byte {
+	b = append(b, "Cell,BitsPerCell,CapacityBytes,OptTarget,Pattern,"+
+		"ReadLatencyNS,WriteLatencyNS,ReadEnergyPJ,WriteEnergyPJ,"+
+		"LeakagePowerMW,AreaMM2,AreaEfficiency,DensityMbPerMM2,"+
+		"TotalPowerMW,DynamicPowerMW,MemTimePerSec,TaskLatencyS,"+
+		"MeetsTaskRate,LifetimeYears"...)
+	if c.wordBits {
+		b = append(b, ",WordBits"...)
+	}
+	if c.writeBuffer {
+		b = append(b, ",WriteBuffer"...)
+	}
+	if c.fault {
+		b = append(b, ",FaultMode,RawBER,EffectiveBER"...)
+	}
+	if c.pareto {
+		b = append(b, ",Pareto"...)
+	}
+	return append(b, '\n')
+}
+
+// appendCSVRow appends the row as one CSV record of columns c, exactly as
+// encoding/csv writes it when every cell is formatted as a viz table cell:
+// floats by viz.AppendCellFloat (through t), integers and bools as %v, and
+// strings quoted by appendCSVField. A row evaluated without a fault mode
+// fills the fault columns with "none", 0, 0.
+func (p *DesignPoint) appendCSVRow(b []byte, c csvColumns, t *fieldText) []byte {
+	b = appendCSVField(b, p.Cell)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(p.BitsPerCell), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, p.CapacityBytes, 10)
+	b = append(b, ',')
+	b = appendCSVField(b, p.OptTarget)
+	b = append(b, ',')
+	b = appendCSVField(b, p.Pattern)
+	for f, v := range [...]Float{
+		fReadLatency: p.ReadLatencyNS, fWriteLatency: p.WriteLatencyNS,
+		fReadEnergy: p.ReadEnergyPJ, fWriteEnergy: p.WriteEnergyPJ,
+		fLeakage: p.LeakagePowerMW, fArea: p.AreaMM2,
+		fAreaEfficiency: p.AreaEfficiency, fDensity: p.DensityMbPerMM2,
+		fTotalPower: p.TotalPowerMW, fDynamicPower: p.DynamicPowerMW,
+		fMemTime: p.MemTimePerSec, fTaskLatency: p.TaskLatencyS,
+	} {
+		b = append(b, ',')
+		b = t.cell(b, f, v)
+	}
+	b = append(b, ',')
+	b = strconv.AppendBool(b, p.MeetsTaskRate)
+	b = append(b, ',')
+	b = t.cell(b, fLifetime, p.LifetimeYears)
+	if c.wordBits {
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(p.WordBits), 10)
+	}
+	if c.writeBuffer {
+		b = append(b, ',')
+		b = appendCSVField(b, p.WriteBuffer)
+	}
+	if c.fault {
+		if f := p.Fault; f != nil {
+			b = append(b, ',')
+			b = appendCSVField(b, f.Mode)
+			b = append(b, ',')
+			b = t.cell(b, fRawBER, f.RawBER)
+			b = append(b, ',')
+			b = t.cell(b, fEffectiveBER, f.EffectiveBER)
+		} else {
+			b = append(b, ",none,0,0"...)
+		}
+	}
+	if c.pareto {
+		b = append(b, ',')
+		b = strconv.AppendBool(b, p.Pareto)
+	}
+	return append(b, '\n')
+}
+
+// appendCSVField appends s as one field the way encoding/csv's Writer
+// writes it with its defaults (comma separator, LF line ends): quoted when
+// it is `\.`, holds a comma, quote, CR or LF, or begins with a Unicode
+// space, with every inner quote doubled.
+func appendCSVField(b []byte, s string) []byte {
+	if !csvNeedsQuotes(s) {
+		return append(b, s...)
+	}
+	b = append(b, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
+		}
+		b = append(b, s[:i+1]...)
+		b = append(b, '"')
+		s = s[i+1:]
+	}
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+func csvNeedsQuotes(s string) bool {
+	if s == "" {
+		return false
+	}
+	if s == `\.` {
+		return true
+	}
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ',', '"', '\r', '\n':
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
+}
+
+// RowEncoder renders DesignPoint rows over one reused buffer — as NDJSON
+// lines (Encode), indented JSON body rows (WriteJSON) and CSV records
+// (the CSV writers) — with a float-field text memo per rendering. After
+// the first few rows warm the buffer (and the write-buffer label cache),
+// Encode performs zero allocations per row — it is the emit path of both
+// the batch NDJSON writer and the study service's streamed response. A
+// RowEncoder must not be shared between goroutines.
 type RowEncoder struct {
 	buf []byte
 	dp  DesignPoint
 	fp  FaultPoint
 
 	wbLabels wbLabelCache
+
+	// jsonText and cellText memoize float-field text for the JSON rows
+	// and the CSV rows, whose float formats differ.
+	jsonText, cellText fieldText
 }
 
 // wbLabelCache memoizes WriteBufferConfig.Label by configuration pointer:
@@ -261,10 +482,20 @@ func (c *wbLabelCache) label(wb *eval.WriteBufferConfig) string {
 // bytes are exactly json.Encoder.Encode(PointOf(m, s)).
 func (e *RowEncoder) Encode(w io.Writer, m *eval.Metrics, s *core.Study) error {
 	e.fill(m, s)
-	e.buf = e.dp.AppendJSON(e.buf[:0])
+	e.buf = e.appendJSON(e.buf[:0], &compactRow)
 	e.buf = append(e.buf, '\n')
 	_, err := w.Write(e.buf)
 	return err
+}
+
+// appendJSON appends the scratch row as a JSON object laid out by l.
+func (e *RowEncoder) appendJSON(b []byte, l *rowLayout) []byte {
+	return e.dp.appendRow(b, l, &e.jsonText)
+}
+
+// appendCSV appends the scratch row as a CSV record of columns c.
+func (e *RowEncoder) appendCSV(b []byte, c csvColumns) []byte {
+	return e.dp.appendCSVRow(b, c, &e.cellText)
 }
 
 // fill populates the encoder's scratch row from one evaluation, mirroring

@@ -223,17 +223,19 @@ func TestNDJSONRowAllocs(t *testing.T) {
 // queryBenchGrid runs the query-bench grid: four cells at two capacities
 // and two targets under a 16×16 generic traffic sweep, 4,096 rows — the
 // largest study the warm-replay benchmark renders.
+const queryBenchConfig = `{
+	"name": "query-bench",
+	"cells": [{"technology": "STT", "flavor": "Opt"}, {"technology": "RRAM", "flavor": "Opt"},
+		{"technology": "PCM", "flavor": "Opt"}, {"technology": "FeFET", "flavor": "Opt"}],
+	"capacities_bytes": [2097152, 4194304],
+	"opt_targets": ["ReadEDP", "Area"],
+	"traffic": {"generic": {"read_gbs_lo": 0.1, "read_gbs_hi": 10,
+		"write_gbs_lo": 0.001, "write_gbs_hi": 1, "points": 16}}
+}`
+
 func queryBenchGrid(tb testing.TB) *core.Results {
 	tb.Helper()
-	cfg, err := Parse(strings.NewReader(`{
-		"name": "query-bench",
-		"cells": [{"technology": "STT", "flavor": "Opt"}, {"technology": "RRAM", "flavor": "Opt"},
-			{"technology": "PCM", "flavor": "Opt"}, {"technology": "FeFET", "flavor": "Opt"}],
-		"capacities_bytes": [2097152, 4194304],
-		"opt_targets": ["ReadEDP", "Area"],
-		"traffic": {"generic": {"read_gbs_lo": 0.1, "read_gbs_hi": 10,
-			"write_gbs_lo": 0.001, "write_gbs_hi": 1, "points": 16}}
-	}`))
+	cfg, err := Parse(strings.NewReader(queryBenchConfig))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -306,30 +308,6 @@ func TestWriteNDJSONStreamedParity(t *testing.T) {
 	}
 }
 
-// TestAppendCellFloatMatchesFmt pins viz-style cell floats indirectly: the
-// CSV tables built from a study must be identical whether rows render via
-// the typed builder (production) or the legacy fmt-based AddRow. Covered
-// here by round-tripping the encoder study through both writers.
-func TestWriteCSVStableUnderBuilder(t *testing.T) {
-	res := encoderStudy(t)
-	var a, b bytes.Buffer
-	if err := WriteCombinedCSV(&a, res); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCombinedCSV(&b, res); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("CSV rendering is not deterministic")
-	}
-	if !strings.Contains(a.String(), "WordBits,WriteBuffer,FaultMode") {
-		t.Fatalf("axis columns missing from CSV header:\n%s", a.String())
-	}
-	if !strings.Contains(a.String(), "mask(1.5ns)") {
-		t.Fatal("write-buffer label missing from CSV rows")
-	}
-}
-
 // The grid benchmarks report the emit cost of each study format over the
 // 4,096-row query-bench grid.
 
@@ -347,3 +325,16 @@ func benchmarkWriteGrid(b *testing.B, write func(io.Writer, *core.Results) error
 func BenchmarkWriteJSONGrid(b *testing.B)   { benchmarkWriteGrid(b, WriteJSON) }
 func BenchmarkWriteNDJSONGrid(b *testing.B) { benchmarkWriteGrid(b, WriteNDJSON) }
 func BenchmarkWriteCSVGrid(b *testing.B)    { benchmarkWriteGrid(b, WriteCombinedCSV) }
+
+// BenchmarkExpandGrid reports the cost of expanding the query-bench study:
+// parse, validation, space enumeration and the fingerprint over every
+// point key.
+func BenchmarkExpandGrid(b *testing.B) {
+	body := []byte(queryBenchConfig)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Expand(body, Overrides{}, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

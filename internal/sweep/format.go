@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
@@ -144,12 +146,27 @@ func (f Format) Write(w io.Writer, res *core.Results) error {
 
 // ResultTables exposes the per-technology tables of a completed study (the
 // combined-CSV partitioning) for terminal rendering — the CLI query
-// subcommand's table output. The frontier is materialized first so Pareto
-// columns appear exactly as they would in the CSV form.
+// subcommand's table output. Each table is its CSV rendering read back, so
+// the columns and cells are exactly the CSV form's, Pareto column included.
 func ResultTables(res *core.Results) (map[string]*viz.Table, []string, error) {
-	if err := res.EnsureFrontier(); err != nil {
+	t, err := newCSVTables(res)
+	if err != nil {
 		return nil, nil, err
 	}
-	tables, order := techTables(res)
+	tables := make(map[string]*viz.Table, len(t.techs))
+	order := make([]string, 0, len(t.techs))
+	var b []byte
+	for i, tech := range t.techs {
+		b, _ = t.appendTable(b[:0], i, nil)
+		records, err := csv.NewReader(bytes.NewReader(b)).ReadAll()
+		if err != nil {
+			return nil, nil, fmt.Errorf("sweep: reading back %s table: %w", tech, err)
+		}
+		name := tech.String()
+		table := viz.NewTable(name, records[0]...)
+		table.Rows = records[1:]
+		tables[name] = table
+		order = append(order, name)
+	}
 	return tables, order, nil
 }

@@ -6,10 +6,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
+	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/viz"
 )
 
 // DesignPoint is one evaluated (array, traffic) pair flattened into the
@@ -198,15 +199,33 @@ func Result(res *core.Results) StudyResult {
 	return out
 }
 
-// jsonChunk is the buffer size at which WriteJSON hands rendered bytes to
-// its writer.
+// jsonChunk is the buffer size at which the buffered study writers
+// (WriteJSON and the CSV writers) hand rendered bytes to their writer.
 const jsonChunk = 32 << 10
+
+// frontierSet is a bitmap over row indices marking the rows on res's
+// frontier; nil when the frontier is empty.
+func frontierSet(res *core.Results) []uint64 {
+	if len(res.Frontier) == 0 {
+		return nil
+	}
+	set := make([]uint64, (len(res.Metrics)+63)/64)
+	for _, i := range res.Frontier {
+		set[i/64] |= 1 << (i % 64)
+	}
+	return set
+}
+
+func inSet(set []uint64, i int) bool {
+	return set != nil && set[i/64]&(1<<(i%64)) != 0
+}
 
 // WriteJSON writes the study's JSON body (indented, trailing newline) to w:
 // exactly the bytes encoding/json's Encoder with SetIndent("", "  ")
 // produces for Result(res). Rows render in one pass through the same
 // appenders as the NDJSON stream, straight from res.Metrics into a reused
-// scratch row and a buffer flushed to w about every 32 KB; only the rare
+// scratch row (with its float-field memo) and a buffer flushed to w about
+// every 32 KB; only the rare
 // trailing blocks (skipped, failed points, frontier, exploration) go through
 // encoding/json. The encoding is deterministic, so any two runs of the same
 // configuration produce byte-identical output regardless of worker count or
@@ -216,12 +235,9 @@ func WriteJSON(w io.Writer, res *core.Results) error {
 		return err
 	}
 	withFrontier := len(res.Study.Pareto) > 0 && res.Frontier != nil
-	var onFrontier []uint64 // bitmap over row indices
+	var onFrontier []uint64
 	if withFrontier {
-		onFrontier = make([]uint64, (len(res.Metrics)+63)/64)
-		for _, i := range res.Frontier {
-			onFrontier[i/64] |= 1 << (i % 64)
-		}
+		onFrontier = frontierSet(res)
 	}
 
 	b := make([]byte, 0, jsonChunk+2048)
@@ -231,12 +247,12 @@ func WriteJSON(w io.Writer, res *core.Results) error {
 	var enc RowEncoder
 	for i := range res.Metrics {
 		enc.fill(&res.Metrics[i], res.Study)
-		enc.dp.Pareto = withFrontier && onFrontier[i/64]&(1<<(i%64)) != 0
+		enc.dp.Pareto = inSet(onFrontier, i)
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = append(b, "\n    "...)
-		b = enc.dp.appendRow(b, &indentedRow)
+		b = enc.appendJSON(b, &indentedRow)
 		if len(b) >= jsonChunk {
 			if _, err := w.Write(b); err != nil {
 				return err
@@ -370,21 +386,23 @@ func WriteNDJSONFrontier(w io.Writer, res *core.Results) error {
 // emit as files into a single stream, in first-appearance technology order
 // with a blank line between tables.
 func WriteCombinedCSV(w io.Writer, res *core.Results) error {
-	if err := res.EnsureFrontier(); err != nil {
+	t, err := newCSVTables(res)
+	if err != nil {
 		return err
 	}
-	tables, order := techTables(res)
-	for i, techName := range order {
+	b := make([]byte, 0, jsonChunk+2048)
+	for i := range t.techs {
 		if i > 0 {
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return err
-			}
+			b = append(b, '\n')
 		}
-		if err := tables[techName].WriteCSV(w); err != nil {
-			return fmt.Errorf("sweep: writing %s table: %w", techName, err)
+		if b, err = t.appendTable(b, i, w); err != nil {
+			return err
 		}
 	}
-	return nil
+	if len(b) > 0 {
+		_, err = w.Write(b)
+	}
+	return err
 }
 
 // WriteDashboardHTML renders the completed study as the self-contained
@@ -398,78 +416,54 @@ func WriteDashboardHTML(w io.Writer, res *core.Results) error {
 	return res.Dashboard().WriteHTML(w)
 }
 
-// techTables partitions the metrics into one table per technology,
-// preserving first-appearance order — shared by WriteCSVs (files) and
-// WriteCombinedCSV (single stream). Studies that declare extra axes (word
-// bits, write buffers, fault modes) or a Pareto selection gain the matching
-// trailing columns; legacy studies keep the exact historical column set.
-func techTables(res *core.Results) (map[string]*viz.Table, []string) {
-	s := res.Study
-	withWord := s.Declares(core.AxisWordBits)
-	withWB := s.Declares(core.AxisWriteBuffer)
-	withFault := s.Declares(core.AxisFault) || s.Options.Fault != nil
-	withPareto := len(s.Pareto) > 0
-	columns := []string{
-		"Cell", "BitsPerCell", "CapacityBytes", "OptTarget", "Pattern",
-		"ReadLatencyNS", "WriteLatencyNS", "ReadEnergyPJ", "WriteEnergyPJ",
-		"LeakagePowerMW", "AreaMM2", "AreaEfficiency", "DensityMbPerMM2",
-		"TotalPowerMW", "DynamicPowerMW", "MemTimePerSec", "TaskLatencyS",
-		"MeetsTaskRate", "LifetimeYears"}
-	if withWord {
-		columns = append(columns, "WordBits")
-	}
-	if withWB {
-		columns = append(columns, "WriteBuffer")
-	}
-	if withFault {
-		columns = append(columns, "FaultMode", "RawBER", "EffectiveBER")
-	}
-	if withPareto {
-		columns = append(columns, "Pareto")
-	}
-	frontier := map[int]bool{}
-	for _, i := range res.Frontier {
-		frontier[i] = true
-	}
+// csvTables renders a completed study as CSV: one table per technology, in
+// first-appearance order, each holding that technology's rows in Results
+// order. It is the one CSV rendering, shared by WriteCombinedCSV (one
+// stream), WriteCSVs (one file per table) and ResultTables (terminal
+// tables).
+type csvTables struct {
+	res        *core.Results
+	cols       csvColumns
+	techs      []cell.Technology
+	onFrontier []uint64
+	enc        RowEncoder
+}
 
-	perTech := map[string]*viz.Table{}
-	var order []string
-	var wbLabels wbLabelCache
-	for mi := range res.Metrics {
-		m := &res.Metrics[mi]
-		techName := m.Array.Cell.Tech.String()
-		t, ok := perTech[techName]
-		if !ok {
-			t = viz.NewTable(techName, columns...)
-			perTech[techName] = t
-			order = append(order, techName)
-		}
-		a := &m.Array
-		row := t.Row().
-			Str(a.Cell.Name).Int(int64(a.Cell.BitsPerCell)).
-			Int(a.CapacityBytes).Str(a.Target.String()).Str(m.Pattern.Name).
-			Float(a.ReadLatencyNS).Float(a.WriteLatencyNS).Float(a.ReadEnergyPJ).
-			Float(a.WriteEnergyPJ).Float(a.LeakagePowerMW).Float(a.AreaMM2).
-			Float(a.AreaEfficiency).Float(a.DensityMbPerMM2()).
-			Float(m.TotalPowerMW).Float(m.DynamicPowerMW).Float(m.MemoryTimePerSec).
-			Float(m.TaskLatencyS).Bool(m.MeetsTaskRate).Float(m.LifetimeYears)
-		if withWord {
-			row.Int(int64(a.WordBits))
-		}
-		if withWB {
-			row.Str(wbLabels.label(m.WriteBuffer))
-		}
-		if withFault {
-			if f := m.Fault; f != nil {
-				row.Str(f.Mode.String()).Float(f.RawBER).Float(f.EffectiveBER)
-			} else {
-				row.Str("none").Float(0).Float(0)
-			}
-		}
-		if withPareto {
-			row.Bool(frontier[mi])
-		}
-		row.MustAdd()
+func newCSVTables(res *core.Results) (*csvTables, error) {
+	if err := res.EnsureFrontier(); err != nil {
+		return nil, err
 	}
-	return perTech, order
+	t := &csvTables{res: res, cols: columnsOf(res.Study)}
+	if t.cols.pareto {
+		t.onFrontier = frontierSet(res)
+	}
+	for i := range res.Metrics {
+		if tech := res.Metrics[i].Array.Cell.Tech; !slices.Contains(t.techs, tech) {
+			t.techs = append(t.techs, tech)
+		}
+	}
+	return t, nil
+}
+
+// appendTable appends table i — header, then rows — to b, handing b to w
+// and starting over whenever it passes jsonChunk bytes (a nil w: never).
+func (t *csvTables) appendTable(b []byte, i int, w io.Writer) ([]byte, error) {
+	b = t.cols.appendHeader(b)
+	tech := t.techs[i]
+	for mi := range t.res.Metrics {
+		m := &t.res.Metrics[mi]
+		if m.Array.Cell.Tech != tech {
+			continue
+		}
+		t.enc.fill(m, t.res.Study)
+		t.enc.dp.Pareto = inSet(t.onFrontier, mi)
+		b = t.enc.appendCSV(b, t.cols)
+		if w != nil && len(b) >= jsonChunk {
+			if _, err := w.Write(b); err != nil {
+				return b, fmt.Errorf("sweep: writing %s table: %w", tech, err)
+			}
+			b = b[:0]
+		}
+	}
+	return b, nil
 }

@@ -47,22 +47,27 @@ func WriteCSVs(res *core.Results, dir string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
-	if err := res.EnsureFrontier(); err != nil {
+	t, err := newCSVTables(res)
+	if err != nil {
 		return nil, err
 	}
-	perTech, order := techTables(res)
+	bpc := "1BPC"
+	if strings.Contains(res.Study.Name, "mlc") {
+		bpc = "combinedBPC"
+	}
 	var paths []string
-	for _, techName := range order {
-		bpc := "1BPC"
-		if strings.Contains(res.Study.Name, "mlc") {
-			bpc = "combinedBPC"
-		}
-		path := filepath.Join(dir, fmt.Sprintf("%s_%s-combined.csv", techName, bpc))
+	b := make([]byte, 0, jsonChunk+2048)
+	for i, tech := range t.techs {
+		path := filepath.Join(dir, fmt.Sprintf("%s_%s-combined.csv", tech, bpc))
 		f, err := os.Create(path)
 		if err != nil {
 			return paths, fmt.Errorf("sweep: %w", err)
 		}
-		if err := perTech[techName].WriteCSV(f); err != nil {
+		b, err = t.appendTable(b[:0], i, f)
+		if err == nil {
+			_, err = f.Write(b)
+		}
+		if err != nil {
 			f.Close()
 			return paths, fmt.Errorf("sweep: writing %s: %w", path, err)
 		}

@@ -67,13 +67,14 @@ func formatCell(v any) string {
 	}
 }
 
-func formatFloat(x float64) string { return string(appendCellFloat(nil, x)) }
+func formatFloat(x float64) string { return string(AppendCellFloat(nil, x)) }
 
-// appendCellFloat renders a float the way table cells always have — "0",
+// AppendCellFloat renders a float the way table cells always have — "0",
 // "NaN", and %.3g/%.4g by magnitude — via strconv.AppendFloat instead of
 // fmt, producing identical bytes without fmt's interface boxing and
-// verb-parsing overhead.
-func appendCellFloat(b []byte, x float64) []byte {
+// verb-parsing overhead. Writers that render table cells without a Table
+// (the study CSV emitter) append through it, so cells have one format.
+func AppendCellFloat(b []byte, x float64) []byte {
 	switch {
 	case x == 0:
 		return append(b, '0')
@@ -124,7 +125,7 @@ func (r *RowBuilder) Int(v int64) *RowBuilder {
 
 // Float appends a float cell with the table's compact float rendering.
 func (r *RowBuilder) Float(x float64) *RowBuilder {
-	r.buf = appendCellFloat(r.buf, x)
+	r.buf = AppendCellFloat(r.buf, x)
 	return r.mark()
 }
 
