@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the study service with a persistent store:
+#   0. `serve -store http://…` is refused: a store is a directory
 #   1. start `nvmexplorer serve -store`, poll /v1/healthz until ready
 #   2. POST a sync study (capturing its ETag) and revalidate via 304
 #   3. POST the same study async, poll the job to completion, and check
 #      its result matches the sync bytes
 #   4. SIGTERM the server (graceful drain), restart it on the same store
 #   5. assert the warm response is byte-identical to the cold one and to
-#      the batch CLI, served entirely from the store (zero characterizations)
+#      the batch CLI, served entirely from the store (zero characterizations);
+#      the removed /v1/store/* record routes answer the 404 envelope
 #   5b. exercise the read side: GET /v1/studies lists the stored study,
 #      GET /v1/studies/{fp} replays the cold bytes, /v1/query answers top-k
 #      and frontier queries (406 on an unproducible Accept), and the
@@ -60,6 +62,18 @@ wait_healthy() {
   echo "server at $base never became healthy" >&2
   return 1
 }
+
+echo "== a URL store target is refused"
+if timeout 10 "$WORK/nvmexplorer" serve -addr "127.0.0.1:$PORT" \
+     -store http://127.0.0.1:1 2> "$WORK/url-store.err"; then
+  echo "serve -store http://… started" >&2
+  exit 1
+fi
+if ! grep -q "remote stores were removed" "$WORK/url-store.err"; then
+  echo "serve -store http://… failed without the removal error:" >&2
+  cat "$WORK/url-store.err" >&2
+  exit 1
+fi
 
 echo "== start server on a cold store"
 "$WORK/nvmexplorer" serve -addr "127.0.0.1:$PORT" -store "$STORE" &
@@ -133,6 +147,14 @@ echo "$STATS" | jq -e '.memo_cache.misses == 0' >/dev/null || {
 echo "== warm response matches the batch CLI"
 "$WORK/nvmexplorer" run "$WORK/study.json" -format json > "$WORK/cli.json"
 cmp "$WORK/warm.json" "$WORK/cli.json"
+
+echo "== no store record routes: /v1/store/* answers the 404 envelope"
+CODE=$(curl -s -o "$WORK/store-route.json" -w '%{http_code}' \
+  "$BASE/v1/store/points/$(printf 'ab%.0s' $(seq 1 32))")
+if [ "$CODE" != "404" ] || ! jq -e '.error.code == "not_found"' "$WORK/store-route.json" >/dev/null; then
+  echo "GET /v1/store/points answered $CODE: $(cat "$WORK/store-route.json")" >&2
+  exit 1
+fi
 
 echo "== read side: stored study replay + /v1/query, zero engine work"
 FP=$(curl -fsS "$BASE/v1/studies" | jq -r '.[] | select(.name=="ci_smoke") | .fingerprint')

@@ -110,7 +110,7 @@ func usageError() error {
                                              with zero engine work; -list prints the
                                              stored studies instead of querying
   nvmexplorer serve [-addr :8080] [-jobs N] [-workers N] [-grace 30s]
-                    [-store dir|url] [-fabric url,url,...]
+                    [-store dir] [-fabric url,url,...]
                     [-job-workers N] [-queue N]
                     [-sync-wait 0] [-study-timeout 0]
                                              serve studies over HTTP: POST /v1/studies
@@ -119,15 +119,12 @@ func usageError() error {
                                              GET /v1/cells, /v1/experiments,
                                              /v1/experiments/{id}/dashboard.html,
                                              /v1/stats, /v1/healthz, /v1/version,
-                                             /v1/store/* (the store wire protocol),
                                              POST /v1/shard (fabric worker); -jobs
                                              bounds concurrent studies, -workers
                                              sizes each study's worker pool, -store
-                                             persists evaluated points (and async
-                                             jobs: a killed server resumes them on
-                                             restart) — a http(s):// target backs
-                                             this process by a peer's /v1/store/*
-                                             API instead of a directory, -fabric
+                                             persists evaluated points in a
+                                             directory (and async jobs: a killed
+                                             server resumes them on restart), -fabric
                                              makes this server a coordinator that
                                              shards each study's cold points across
                                              worker processes (byte-identical output
@@ -424,7 +421,7 @@ func runServe(args []string) error {
 	grace := fs.Duration("grace", 30*time.Second,
 		"how long to let in-flight studies drain on SIGINT/SIGTERM before exiting")
 	storeDir := fs.String("store", "",
-		"persistent study-store target: a directory (evaluated design points survive restarts), or the base URL of a peer `nvmexplorer serve` whose /v1/store/* API backs this process")
+		"persistent study-store directory: evaluated design points (and async jobs) survive restarts; unset keeps them in memory only")
 	fabricWorkers := fs.String("fabric", "",
 		"comma-separated base URLs of fabric worker processes (e.g. http://w1:8080,http://w2:8080): this server becomes a coordinator that consistent-hashes each study's cold grid points across the live workers before running it; output stays byte-identical at any worker count")
 	jobWorkers := fs.Int("job-workers", 0, "async job worker-pool size (0 = -jobs)")

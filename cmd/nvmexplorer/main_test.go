@@ -345,6 +345,48 @@ func TestRunStoreColdWarmByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRunStoreURLFails: `run -store http://…` exits with the store's
+// removal error instead of running into a directory named "http:".
+func TestRunStoreURLFails(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "study.json")
+	cfgJSON := `{
+	  "name": "cli_store_url",
+	  "cells": [{"technology": "STT", "flavor": "Opt"}],
+	  "capacities_bytes": [1048576],
+	  "traffic": {"fixed": [{"name": "t", "reads_per_sec": 1e6}]}
+	}`
+	if err := os.WriteFile(cfgPath, []byte(cfgJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	chdir(t, dir)
+	err := run([]string{"run", cfgPath, "-format", "json", "-store", "http://127.0.0.1:1"})
+	if err == nil || !strings.Contains(err.Error(), "remote stores were removed") {
+		t.Fatalf("run -store http://…: err = %v, want the removal error", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "http:")); !os.IsNotExist(err) {
+		t.Fatalf("run -store http://… created a directory (stat: %v)", err)
+	}
+}
+
+// chdir switches the working directory to dir until the test ends. The
+// test must not run in parallel: the working directory is process-wide.
+func chdir(t *testing.T, dir string) {
+	t.Helper()
+	old, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(old); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // captureEngines records every engine a command builds until the test
 // ends.
 func captureEngines(t *testing.T) *[]*nvsim.Engine {

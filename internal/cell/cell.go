@@ -62,14 +62,6 @@ func ENVMs() []Technology {
 	return ts
 }
 
-// StudyTechnologies lists the technologies evaluated in the paper's case
-// studies (Sections IV and V): those with validated array-level data. SOT is
-// configurable but excluded for insufficient array-level validation data
-// (Section III-C), as are FeRAM and CTT in most figures.
-func StudyTechnologies() []Technology {
-	return []Technology{SRAM, PCM, STT, RRAM, FeFET}
-}
-
 var techNames = [...]string{
 	SRAM: "SRAM", PCM: "PCM", STT: "STT", SOT: "SOT", RRAM: "RRAM",
 	CTT: "CTT", FeRAM: "FeRAM", FeFET: "FeFET", BGFeFET: "BG-FeFET",

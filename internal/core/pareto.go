@@ -69,10 +69,6 @@ func MetricValue(name string, m *eval.Metrics) (float64, bool) {
 	return def.get(m), true
 }
 
-// MetricMaximized reports the optimization sense of a named metric (true
-// for lifetime and density, which maximize). Unknown names read as false.
-func MetricMaximized(name string) bool { return paretoMetrics[name].maximize }
-
 // ValidateParetoMetrics checks a frontier selection: only known metric
 // names, no duplicates. An empty selection is valid (no frontier).
 func ValidateParetoMetrics(names []string) error {

@@ -312,19 +312,3 @@ func EvaluateBatch(array nvsim.Result, patterns []traffic.Pattern, opts Options,
 	}
 	return dst, nil
 }
-
-// EvaluateSweep runs the analytical model over many (array, pattern)
-// combinations, returning one Metrics per pair in deterministic order.
-func EvaluateSweep(arrays []nvsim.Result, patterns []traffic.Pattern, opts Options) ([]Metrics, error) {
-	out := make([]Metrics, 0, len(arrays)*len(patterns))
-	for _, a := range arrays {
-		for _, p := range patterns {
-			m, err := Evaluate(a, p, opts)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, m)
-		}
-	}
-	return out, nil
-}

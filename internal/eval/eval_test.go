@@ -255,21 +255,6 @@ func TestFig6IntermittentAtOneIPS(t *testing.T) {
 	}
 }
 
-func TestEvaluateSweep(t *testing.T) {
-	arrays := []nvsim.Result{
-		study(t, cell.STT, cell.Optimistic, 1<<20),
-		study(t, cell.RRAM, cell.Optimistic, 1<<20),
-	}
-	pats := traffic.GenericSweep(1, 10, 0.01, 0.1, 3)
-	ms, err := EvaluateSweep(arrays, pats, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != len(arrays)*len(pats) {
-		t.Fatalf("sweep size %d, want %d", len(ms), len(arrays)*len(pats))
-	}
-}
-
 // Property: power and long-pole latency are monotone in traffic.
 func TestEvaluateMonotoneProperty(t *testing.T) {
 	arr := study(t, cell.PCM, cell.Optimistic, 1<<20)

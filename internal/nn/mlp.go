@@ -91,15 +91,6 @@ func (m *MLP) Predict(x []float32) int {
 // Layers lists the dense layers in order.
 func (m *MLP) Layers() []*Dense { return []*Dense{m.L1, m.L2, m.L3} }
 
-// ParamCount totals the trainable parameters (weights + biases).
-func (m *MLP) ParamCount() int {
-	n := 0
-	for _, l := range m.Layers() {
-		n += len(l.W) + len(l.B)
-	}
-	return n
-}
-
 // --- int8 quantization ------------------------------------------------------
 
 // QuantizedLayer holds a layer's weights in the int8 storage format the

@@ -63,16 +63,9 @@ const (
 	// codeInternal: an unexpected server-side failure.
 	codeInternal = "internal"
 
-	// The store/worker wire protocol's codes (the /v1/store/* and /v1/shard
-	// endpoints — see storeapi.go).
+	// The fabric worker protocol's codes (the /v1/shard endpoint — see
+	// storeapi.go).
 
-	// codeStoreUnavailable: the store API needs an attached, non-degraded
-	// study store (503; remote peers count it toward their degradation
-	// threshold like any transient failure).
-	codeStoreUnavailable = "store_unavailable"
-	// codeStoreCorrupt: an uploaded record failed its envelope checks
-	// (torn, bit-flipped, or disagreeing with its address).
-	codeStoreCorrupt = "store_corrupt"
 	// codeShardConflict: a shard request's study fingerprint does not match
 	// the study its config rebuilds to, or names indices outside its design
 	// space — the coordinator and worker disagree about what the work is.

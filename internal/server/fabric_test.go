@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -75,44 +74,23 @@ func TestVersionHandshakeEndpoint(t *testing.T) {
 	}
 }
 
-func TestStoreAPIErrorContract(t *testing.T) {
-	// A server with no store refuses the store API with the stable
-	// store_unavailable code, so peers can tell "no store" from "no such
-	// record".
-	_, tsNoStore := newWorker(t)
-	resp, err := http.Get(tsNoStore.URL + "/v1/store/points/deadbeef")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || errCode(t, body) != "store_unavailable" {
-		t.Fatalf("store API without a store: status %d code %q", resp.StatusCode, errCode(t, body))
-	}
-
+// TestShardAPIErrorContract: the worker protocol answers with stable
+// error codes, and no store record route survives — /v1/store/* reads and
+// uploads both land on the API's 404 envelope.
+func TestShardAPIErrorContract(t *testing.T) {
 	_, ts := newStoreServer(t, t.TempDir())
-
-	// Missing records are clean 404 misses.
-	resp, err = http.Get(ts.URL + "/v1/store/points/" + store.Addr("nope"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("missing point: status %d, want 404", resp.StatusCode)
-	}
-
-	// A garbage record upload is refused with store_corrupt — never stored.
-	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/store/points/"+store.Addr("x"),
-		strings.NewReader("not a point record"))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || errCode(t, body) != "store_corrupt" {
-		t.Fatalf("garbage point upload: status %d code %q", resp.StatusCode, errCode(t, body))
+	addr := strings.Repeat("ab", 32)
+	for _, method := range []string{http.MethodGet, http.MethodPut} {
+		req, _ := http.NewRequest(method, ts.URL+"/v1/store/points/"+addr, strings.NewReader("record"))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || errCode(t, body) != "not_found" {
+			t.Fatalf("%s /v1/store/points: status %d code %q, want 404 not_found", method, resp.StatusCode, errCode(t, body))
+		}
 	}
 
 	// Shard requests from a different protocol generation are refused.
@@ -142,144 +120,6 @@ func TestStoreAPIErrorContract(t *testing.T) {
 	code, body = shard(store.ProtocolVersion, "not-the-fingerprint")
 	if code != http.StatusConflict || errCode(t, body) != "shard_conflict" {
 		t.Fatalf("conflicting shard: status %d code %q", code, errCode(t, body))
-	}
-}
-
-func TestStoreAPIRecordRoundTrip(t *testing.T) {
-	dirA := t.TempDir()
-	_, tsA := newStoreServer(t, dirA)
-	cfg := testConfig("store-api-rt", "STT", 1<<21)
-	if code, body := post(t, tsA, cfg, "json"); code != http.StatusOK {
-		t.Fatalf("seed study: status %d: %s", code, body)
-	}
-	var files []string
-	deadline := time.Now().Add(30 * time.Second)
-	for len(files) == 0 {
-		var err error
-		files, err = filepath.Glob(filepath.Join(dirA, "points", "*", "*.gob"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no point files landed on disk")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	rec, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrHex := strings.TrimSuffix(filepath.Base(files[0]), ".gob")
-
-	// The record's exact bytes survive a PUT to a second store and a GET
-	// back: the wire carries store envelopes verbatim.
-	_, tsB := newStoreServer(t, t.TempDir())
-	req, _ := http.NewRequest(http.MethodPut, tsB.URL+"/v1/store/points/"+addrHex, bytes.NewReader(rec))
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("point PUT: status %d, want 204", resp.StatusCode)
-	}
-	resp, err = http.Get(tsB.URL + "/v1/store/points/" + addrHex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, rec) {
-		t.Fatalf("point GET: status %d, %d bytes, want the %d uploaded bytes",
-			resp.StatusCode, len(got), len(rec))
-	}
-	// HEAD on the same route is the free existence probe.
-	resp, err = http.Head(tsB.URL + "/v1/store/points/" + addrHex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("point HEAD: status %d, want 200", resp.StatusCode)
-	}
-
-	// Study manifests replicate the same way.
-	resp, err = http.Get(tsA.URL + "/v1/store/studies")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var list struct {
-		Fingerprints []string `json:"fingerprints"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(list.Fingerprints) == 0 {
-		t.Fatal("seed server lists no study fingerprints")
-	}
-	fp := list.Fingerprints[0]
-	resp, err = http.Get(tsA.URL + "/v1/store/studies/" + fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	manifest, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("study GET: status %d", resp.StatusCode)
-	}
-	req, _ = http.NewRequest(http.MethodPut, tsB.URL+"/v1/store/studies/"+fp, bytes.NewReader(manifest))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("study PUT: status %d, want 204", resp.StatusCode)
-	}
-}
-
-// TestRemoteStoreWarmRunZeroCharacterizations is the remote half of the
-// store acceptance gate: a server whose -store target is another server's
-// /v1/store/* API re-runs a study entirely from the peer's records — byte
-// identical, zero engine characterizations.
-func TestRemoteStoreWarmRunZeroCharacterizations(t *testing.T) {
-	cfg := testConfig("remote-store-warm", "RRAM", 1<<21)
-	want := batchOutput(t, cfg, "json")
-
-	_, tsPeer := newStoreServer(t, t.TempDir())
-
-	stB, err := store.OpenRemote(tsPeer.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvB := New(Options{MaxConcurrentStudies: 2, StudyWorkers: 2, Store: stB})
-	tsB := httptest.NewServer(srvB.Handler())
-	t.Cleanup(func() { tsB.Close(); srvB.Close() })
-	code, cold := post(t, tsB, cfg, "json")
-	if code != http.StatusOK || !bytes.Equal(cold, want) {
-		t.Fatalf("cold remote-store run: status %d, matches batch: %v", code, bytes.Equal(cold, want))
-	}
-
-	// A third process, cold engine, same remote store: every point must
-	// come off the peer.
-	stC, err := store.OpenRemote(tsPeer.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvC := New(Options{MaxConcurrentStudies: 2, StudyWorkers: 2, Store: stC})
-	tsC := httptest.NewServer(srvC.Handler())
-	t.Cleanup(func() { tsC.Close(); srvC.Close() })
-	code, warm := post(t, tsC, cfg, "json")
-	if code != http.StatusOK || !bytes.Equal(warm, want) {
-		t.Fatalf("warm remote-store run: status %d, matches batch: %v", code, bytes.Equal(warm, want))
-	}
-	if hits, misses := stC.Stats(); misses != 0 || hits == 0 {
-		t.Fatalf("warm remote-store run: store hits=%d misses=%d, want 0 misses", hits, misses)
-	}
-	if es := srvC.engine.Stats(); es.MemoHits != 0 || es.MemoMisses != 0 {
-		t.Fatalf("warm remote-store run characterized: memo hits=%d misses=%d", es.MemoHits, es.MemoMisses)
 	}
 }
 
@@ -591,8 +431,9 @@ func TestColdShardCountsNoStoreHits(t *testing.T) {
 	}
 }
 
-// TestOpenAPIAdvertisesFabricProtocol: the wire contract — new paths and
-// stable error codes — is published in the machine-readable API document.
+// TestOpenAPIAdvertisesFabricProtocol: the wire contract — its paths and
+// stable error codes — is published in the machine-readable API document,
+// and no store record route is.
 func TestOpenAPIAdvertisesFabricProtocol(t *testing.T) {
 	_, ts := newWorker(t)
 	resp, err := http.Get(ts.URL + "/v1/openapi.json")
@@ -605,17 +446,17 @@ func TestOpenAPIAdvertisesFabricProtocol(t *testing.T) {
 		t.Fatalf("GET /v1/openapi.json: status %d", resp.StatusCode)
 	}
 	for _, needle := range []string{
-		"/v1/version", "/v1/store/points/{addr}",
-		"/v1/store/studies/{fingerprint}", "/v1/shard",
-		"store_unavailable", "shard_conflict", "version_mismatch", "store_corrupt",
+		"/v1/version", "/v1/shard", "shard_conflict", "version_mismatch",
 	} {
 		if !bytes.Contains(body, []byte(fmt.Sprintf("%q", needle))) &&
 			!bytes.Contains(body, []byte(needle)) {
 			t.Errorf("openapi.json does not mention %q", needle)
 		}
 	}
-	if bytes.Contains(body, []byte("/v1/store/memo")) {
-		t.Error("openapi.json still advertises /v1/store/memo")
+	for _, gone := range []string{"/v1/store/", "store_unavailable", "store_corrupt"} {
+		if bytes.Contains(body, []byte(gone)) {
+			t.Errorf("openapi.json still advertises %q", gone)
+		}
 	}
 }
 

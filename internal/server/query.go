@@ -241,7 +241,6 @@ func buildOpenAPI() []byte {
 							codeJobFailed, codeQueueFull, codeDraining,
 							codeSaturated, codeStudyTimeout, codeStudyFailed,
 							codeInternal,
-							codeStoreUnavailable, codeStoreCorrupt,
 							codeShardConflict, codeVersionMismatch,
 						},
 					},
@@ -308,27 +307,8 @@ func buildOpenAPI() []byte {
 			"/v1/version": map[string]any{
 				"get": map[string]any{
 					"summary":     "Protocol and schema versions for the peer handshake",
-					"description": "The wire-protocol generation plus every schema version that crosses the wire (point keys, store records, shard payloads). Remote stores and fabric coordinators refuse peers whose versions disagree (version_mismatch).",
+					"description": "The wire-protocol generation plus every schema version that crosses the wire (point keys, store records, shard payloads). Fabric coordinators refuse workers whose versions disagree (version_mismatch).",
 				},
-			},
-			"/v1/store/points/{addr}": map[string]any{
-				"get": map[string]any{
-					"summary":     "One point record by content address",
-					"description": "The record's CRC-enveloped bytes exactly as stored (application/octet-stream); 404 is a clean miss, 503 store_unavailable without a healthy store. HEAD probes existence.",
-					"parameters": []any{map[string]any{"name": "addr", "in": "path", "required": true,
-						"description": "sha256 content address (hex) of the point's canonical key", "schema": map[string]any{"type": "string"}}},
-				},
-				"put": map[string]any{
-					"summary":     "Store one point record",
-					"description": "Body is the record's enveloped bytes. The record names its own key (which hashes to the address), so a mislabeled upload can only collide with itself. 400 store_corrupt on a torn or bit-flipped record, 400 version_mismatch on an unknown schema.",
-				},
-			},
-			"/v1/store/studies": map[string]any{
-				"get": map[string]any{"summary": "Stored study fingerprints", "description": "{\"fingerprints\": [...]} — the remote backend's manifest index."},
-			},
-			"/v1/store/studies/{fingerprint}": map[string]any{
-				"get": map[string]any{"summary": "One study manifest record (enveloped bytes)"},
-				"put": map[string]any{"summary": "Store one study manifest record"},
 			},
 			"/v1/shard": map[string]any{
 				"post": map[string]any{

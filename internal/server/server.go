@@ -27,9 +27,6 @@
 //	GET  /v1/healthz                        liveness/readiness (503 while draining)
 //	GET  /v1/openapi.json                   machine-readable API description
 //	GET  /v1/version                        protocol + schema versions for the peer handshake
-//	GET/PUT /v1/store/points/{addr}         the store wire protocol: point records by content
-//	GET/PUT /v1/store/studies[/{fp}]        address and study records, in the store's own
-//	                                        CRC-enveloped byte format
 //	POST /v1/shard                          characterize a slice of a study's design space
 //	                                        (the fabric worker protocol — see internal/fabric)
 //
@@ -237,14 +234,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/openapi.json", s.handleOpenAPI)
-	// The store/worker wire protocol (see storeapi.go). GET registrations
-	// also answer HEAD, which is the protocol's "has" probe.
+	// The fabric worker protocol (see storeapi.go).
 	mux.HandleFunc("GET /v1/version", s.handleVersion)
-	mux.HandleFunc("GET /v1/store/points/{addr}", s.recordGet("addr", "no point record at %s", (*store.Store).ExportPoint))
-	mux.HandleFunc("PUT /v1/store/points/{addr}", s.recordPut((*store.Store).ImportPoint))
-	mux.HandleFunc("GET /v1/store/studies", s.handleStoreStudies)
-	mux.HandleFunc("GET /v1/store/studies/{fingerprint}", s.recordGet("fingerprint", "no study record %s", (*store.Store).ExportStudy))
-	mux.HandleFunc("PUT /v1/store/studies/{fingerprint}", s.recordPut((*store.Store).ImportStudy))
 	mux.HandleFunc("POST /v1/shard", s.handleShard)
 	mux.HandleFunc("GET /{$}", s.handleIndex)
 	// Everything else gets the API's 404 envelope instead of the mux's
@@ -652,9 +643,8 @@ type Stats struct {
 	// hit is a design point served without touching the engine at all.
 	Store struct {
 		Enabled bool `json:"enabled"`
-		// Backend is the store's backend kind ("local", "remote", or
-		// "memory"); Target is its location — a directory for local
-		// backends, a base URL for remote ones.
+		// Backend is "local" for a directory store and "memory" for a
+		// memory-only one; Target is the directory ("" in memory).
 		Backend string `json:"backend,omitempty"`
 		Target  string `json:"target,omitempty"`
 		Hits    int64  `json:"hits"`
@@ -719,9 +709,10 @@ func (s *Server) Snapshot() Stats {
 	st.Memo.Hits, st.Memo.Misses = es.MemoHits, es.MemoMisses
 	if s.opts.Store != nil {
 		st.Store.Enabled = true
-		b := s.opts.Store.Backend()
-		st.Store.Backend = b.Kind()
-		st.Store.Target = b.Target()
+		st.Store.Backend, st.Store.Target = "memory", s.opts.Store.Dir()
+		if st.Store.Target != "" {
+			st.Store.Backend = "local"
+		}
 		st.Store.Hits, st.Store.Misses = s.opts.Store.Stats()
 		st.Store.HealthStats = s.opts.Store.Health()
 	}
@@ -783,8 +774,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
   GET  /v1/healthz                          liveness/readiness (503 while draining)
   GET  /v1/openapi.json                     machine-readable API description
   GET  /v1/version                          protocol + schema versions (peer handshake)
-  GET  /v1/store/points/{addr}              one point record by content address (PUT to store)
-  GET  /v1/store/studies[/{fp}]             stored study records (PUT /{fp} to store)
   POST /v1/shard                            characterize a slice of a study's design space (fabric worker)
 `)
 }

@@ -388,6 +388,22 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatsStoreBackend: /v1/stats names a directory store "local" with
+// its directory as target, and the memory store a coordinator builds
+// without -store "memory" with no target.
+func TestStatsStoreBackend(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := newStoreServer(t, dir)
+	if st := srv.Snapshot().Store; !st.Enabled || st.Backend != "local" || st.Target != dir {
+		t.Errorf("directory store: enabled %v, backend %q, target %q; want true, local, %q", st.Enabled, st.Backend, st.Target, dir)
+	}
+	_, worker := newWorker(t)
+	coord, _ := newCoordinator(t, []string{worker.URL}, nil)
+	if st := coord.Snapshot().Store; !st.Enabled || st.Backend != "memory" || st.Target != "" {
+		t.Errorf("memory store: enabled %v, backend %q, target %q; want true, memory, none", st.Enabled, st.Backend, st.Target)
+	}
+}
+
 // TestHealthz checks the liveness endpoint and the drain transition.
 func TestHealthz(t *testing.T) {
 	srv := New(Options{})

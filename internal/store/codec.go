@@ -19,7 +19,7 @@ import (
 //	version                      sharing the directory may own it)
 //	decodes, wrong file name     corrupt: a miss, quarantined
 //
-// The live read paths (ReadPoint, ImportPoint) do not read the v1
+// The live read path (ReadPoint) does not read the v1
 // pre-checksum point format: such a file is an unknown version. Only fsck
 // decodes it, so `fsck -repair` upgrades old stores in place.
 
@@ -157,7 +157,7 @@ func writeRecord[T any](lb *localBackend, k *kind[T], rec T) error {
 func writeEncoded(lb *localBackend, l layout, name string, data []byte) error {
 	path := l.path(lb.dir, name)
 	if err := lb.fs.MkdirAll(filepath.Dir(path)); err != nil {
-		lb.h.fail("disk", "mkdir "+filepath.Dir(path), err)
+		lb.h.fail("mkdir "+filepath.Dir(path), err)
 		return err
 	}
 	return lb.writeFileRetry(path, data)

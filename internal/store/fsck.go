@@ -18,8 +18,7 @@ import (
 // is broken and rewrites what is merely stale (legacy pre-checksum point
 // files are upgraded to the current checksummed format). Files of record
 // kinds this binary no longer writes are counted as legacy and, in repair
-// mode, removed. Fsck is local-only by construction — a remote store is
-// somebody else's directory; run fsck there.
+// mode, removed.
 
 // FsckReport is the result of one store scan.
 type FsckReport struct {
@@ -112,8 +111,8 @@ func FsckFS(dir string, fsys FS, repair bool) (*FsckReport, error) {
 	if dir == "" {
 		return nil, errors.New("store: fsck needs a store directory")
 	}
-	if IsRemoteTarget(dir) {
-		return nil, fmt.Errorf("store: fsck is local-only; run it against %s's own directory", dir)
+	if err := checkDir(dir); err != nil {
+		return nil, err
 	}
 	if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("store: %s: no such store", dir)

@@ -57,13 +57,10 @@ var jobKind = &kind[JobRecord]{
 
 func jobID(rec *JobRecord) string { return rec.ID }
 
-// journalEnabled reports whether this store journals at all. The journal
-// is a coordinator-local crash-recovery concern, so only a healthy local
-// (directory) backend has one; memory-only, remote, and degraded stores
+// journalEnabled reports whether this store journals at all: only a
+// healthy directory store has a journal; memory-only and degraded stores
 // no-op — jobs still run, they just don't survive a crash of this process.
-func (s *Store) journalEnabled() bool {
-	return s.local != nil && s.local.enabled()
-}
+func (s *Store) journalEnabled() bool { return s.local.enabled() }
 
 // JournalJob durably records a job before it runs. Called write-ahead: the
 // record must be on disk before the job is queued, so a crash at any later
@@ -112,7 +109,7 @@ func (s *Store) IncompleteJobs() []JobRecord {
 		}
 	})
 	if err != nil {
-		lb.h.fail("disk", "readdir "+lb.jobsDir(), err)
+		lb.h.fail("readdir "+lb.jobsDir(), err)
 		return nil
 	}
 	sort.Slice(recs, func(i, k int) bool {

@@ -278,9 +278,6 @@ func TestLegacyPointIsAMissUntilRepair(t *testing.T) {
 	if _, ok := st.Get("legacy"); ok {
 		t.Fatal("live read served a v1 point")
 	}
-	if _, err := st.ImportPoint(buf.Bytes()); err != ErrUnknownVersion {
-		t.Fatalf("ImportPoint(v1) = %v, want ErrUnknownVersion", err)
-	}
 	if !exists(path) || st.Health().Quarantined != 0 {
 		t.Fatal("v1 point not left in place")
 	}

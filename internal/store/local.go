@@ -2,8 +2,10 @@ package store
 
 import (
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -15,7 +17,8 @@ import (
 // writes are atomic (temp file + rename, owned by the FS seam), corrupt
 // files are quarantined into DIR/.corrupt/, transient I/O errors retry
 // with backoff, and a disk that keeps failing degrades the backend to a
-// no-op.
+// no-op. A nil *localBackend is the memory-only store's: it persists
+// nothing and reports no failures.
 type localBackend struct {
 	dir string
 	fs  FS
@@ -26,11 +29,35 @@ func newLocalBackend(dir string, fsys FS) *localBackend {
 	return &localBackend{dir: dir, fs: fsys}
 }
 
-func (lb *localBackend) Kind() string   { return "local" }
-func (lb *localBackend) Target() string { return lb.dir }
+// enabled reports whether the backend should touch the disk at all: false
+// for a memory-only (nil) or degraded backend.
+func (lb *localBackend) enabled() bool { return lb != nil && !lb.h.degraded.Load() }
 
-// enabled reports whether the backend should touch the disk at all.
-func (lb *localBackend) enabled() bool { return !lb.h.degraded.Load() }
+// health is the backend's self-healing telemetry: how many records were
+// discarded as corrupt, how many operations failed past their retries,
+// and whether the failure streak crossed the degradation threshold.
+type health struct {
+	quarantined atomic.Int64
+	ioErrors    atomic.Int64
+	retries     atomic.Int64
+	streak      atomic.Int64 // consecutive failed disk ops
+	degraded    atomic.Bool
+}
+
+// ok records a successful disk operation, resetting the failure streak.
+func (h *health) ok() { h.streak.Store(0) }
+
+// fail records an operation that failed past its retries. Once the streak
+// reaches degradeAfter, the backend degrades to a no-op for the rest of
+// the process — the disk is treated as gone, and studies keep completing
+// from memory.
+func (h *health) fail(op string, err error) {
+	h.ioErrors.Add(1)
+	if h.streak.Add(1) == degradeAfter && !h.degraded.Swap(true) {
+		log.Printf("store: %d consecutive disk failures (last: %s: %v); degrading to memory-only mode",
+			degradeAfter, op, err)
+	}
+}
 
 // pointPath shards point files by the first hash byte to keep directory
 // listings manageable under large campaigns.
@@ -71,7 +98,7 @@ func (lb *localBackend) readFileRetry(path string) ([]byte, readStatus) {
 			return nil, readMissing
 		}
 	}
-	lb.h.fail("disk", "read "+path, err)
+	lb.h.fail("read "+path, err)
 	return nil, readIOError
 }
 
@@ -89,7 +116,7 @@ func (lb *localBackend) writeFileRetry(path string, data []byte) error {
 			return nil
 		}
 	}
-	lb.h.fail("disk", "write "+path, err)
+	lb.h.fail("write "+path, err)
 	return err
 }
 
@@ -104,17 +131,6 @@ func (lb *localBackend) WritePoint(key string, pt core.CachedPoint) error {
 		return nil
 	}
 	return writeRecord(lb, pointKind, pointPayload{Key: key, Point: pt})
-}
-
-// ExportPoint returns the raw envelope bytes of one record by content
-// address. No verification happens here — the wire protocol's consumer
-// decodes and checksums, exactly as a local read would.
-func (lb *localBackend) ExportPoint(addrHex string) ([]byte, bool) {
-	if !lb.enabled() || len(addrHex) < 2 {
-		return nil, false
-	}
-	data, status := lb.readFileRetry(lb.pointPath(addrHex))
-	return data, status == readOK
 }
 
 func (lb *localBackend) WriteStudy(fingerprint string, data []byte) error {
@@ -142,5 +158,20 @@ func (lb *localBackend) StudyFingerprints() []string {
 	return fps
 }
 
-func (lb *localBackend) Health() HealthStats { return lb.h.stats() }
-func (lb *localBackend) Degraded() bool      { return lb.h.degraded.Load() }
+// Health returns the backend's self-healing counters; a memory-only (nil)
+// backend has none.
+func (lb *localBackend) Health() HealthStats {
+	if lb == nil {
+		return HealthStats{}
+	}
+	return HealthStats{
+		Quarantined: lb.h.quarantined.Load(),
+		IOErrors:    lb.h.ioErrors.Load(),
+		Retries:     lb.h.retries.Load(),
+		Degraded:    lb.h.degraded.Load(),
+	}
+}
+
+// Degraded reports whether persistent failures demoted the backend to a
+// no-op.
+func (lb *localBackend) Degraded() bool { return lb != nil && lb.h.degraded.Load() }

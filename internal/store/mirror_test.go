@@ -3,7 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
-	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -75,46 +75,37 @@ func isResident(st *Store, key string) bool {
 	return ok
 }
 
-// TestPutKeepsNothingOnPersistentStore: on a local or remote backend a Put
-// writes through and keeps nothing resident; the first read fills the
-// mirror.
+// TestPutKeepsNothingOnPersistentStore: on a directory store a Put writes
+// through and keeps nothing resident; the first read fills the mirror.
 func TestPutKeepsNothingOnPersistentStore(t *testing.T) {
-	ts := httptest.NewServer(newStubPeer())
-	defer ts.Close()
-	local, err := Open(t.TempDir())
+	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := OpenRemote(ts.URL, nil)
-	if err != nil {
-		t.Fatal(err)
+	const n = 8
+	for i := 0; i < n; i++ {
+		st.Put(mirrorPoint(i, 2))
 	}
-	for _, st := range []*Store{local, remote} {
-		const n = 8
-		for i := 0; i < n; i++ {
-			st.Put(mirrorPoint(i, 2))
-		}
-		if st.Len() != 0 || residentBytes(st) != 0 {
-			t.Fatalf("%s store: %d point(s), %d bytes resident after puts, want none",
-				st.Backend().Kind(), st.Len(), residentBytes(st))
-		}
-		for i := 0; i < n; i++ {
-			key, want := mirrorPoint(i, 2)
-			if got, ok := st.Get(key); !ok || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s store: Get(%s) = %v, %v", st.Backend().Kind(), key, got, ok)
-			}
-		}
-		if st.Len() != n {
-			t.Fatalf("%s store: %d point(s) resident after reads, want %d", st.Backend().Kind(), st.Len(), n)
-		}
-		checkMirror(t, st)
+	if st.Len() != 0 || residentBytes(st) != 0 {
+		t.Fatalf("%d point(s), %d bytes resident after puts, want none", st.Len(), residentBytes(st))
 	}
+	for i := 0; i < n; i++ {
+		key, want := mirrorPoint(i, 2)
+		if got, ok := st.Get(key); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Get(%s) = %v, %v", key, got, ok)
+		}
+	}
+	if st.Len() != n {
+		t.Fatalf("%d point(s) resident after reads, want %d", st.Len(), n)
+	}
+	checkMirror(t, st)
 }
 
 // TestMirrorEvictsByBytes streams reads of more points than the budget
-// holds through a local store: residency never exceeds the budget, a point
-// re-read between every two others survives the clock, and an evicted
-// point is served again from the backend with identical bytes.
+// holds through a directory store: residency never exceeds the budget, a
+// point re-read between every two others survives the clock, and an
+// evicted point's file still holds its record's exact encoding and serves
+// the point again.
 func TestMirrorEvictsByBytes(t *testing.T) {
 	key0, pt0 := mirrorPoint(0, 4)
 	shrinkMirror(t, 4*pointCost(key0, pt0)) // four points' worth
@@ -128,11 +119,9 @@ func TestMirrorEvictsByBytes(t *testing.T) {
 	}
 	hotKey, _ := mirrorPoint(hot, 4)
 
-	// Point 0 enters the mirror first; its re-encoded resident bytes are
-	// what the backend must hand back once it is evicted.
+	// Point 0 enters the mirror first.
 	st.Get(key0)
-	resident, ok := st.ExportPoint(Addr(key0))
-	if !ok || !isResident(st, key0) {
+	if !isResident(st, key0) {
 		t.Fatal("a read point is not resident")
 	}
 	st.Get(hotKey)
@@ -152,9 +141,12 @@ func TestMirrorEvictsByBytes(t *testing.T) {
 			n, st.Len(), isResident(st, key0))
 	}
 
-	data, ok := st.ExportPoint(Addr(key0))
-	if !ok || !bytes.Equal(data, resident) {
-		t.Fatal("an evicted point's backend bytes differ from its resident encoding")
+	want, err := pointKind.codec.encode(pointPayload{Key: key0, Point: pt0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(st.pointPath(addr(key0))); err != nil || !bytes.Equal(data, want) {
+		t.Fatalf("an evicted point's file differs from its record encoding (read error: %v)", err)
 	}
 	if got, ok := st.Get(key0); !ok || !reflect.DeepEqual(got, pt0) {
 		t.Fatalf("evicted point re-read: %v, %v", got, ok)
@@ -234,9 +226,6 @@ func TestMemoryOnlyStoreKeepsPointsUntilDegraded(t *testing.T) {
 			t.Fatalf("a pinned point was lost past the budget: Get(%s) = %v, %v", key, got, ok)
 		}
 	}
-	if data, ok := st.ExportPoint(Addr(key0)); !ok || len(data) == 0 {
-		t.Fatal("a memory-only point is not exportable")
-	}
 	checkMirror(t, st)
 }
 
@@ -308,6 +297,17 @@ func TestMirrorConcurrentGetPutProbeEvict(t *testing.T) {
 	}
 	wg.Wait()
 	checkMirror(t, st)
+}
+
+// firstKey returns one concrete point key of the test study.
+func firstKey(t testing.TB) string {
+	t.Helper()
+	s := testStudy()
+	specs, err := s.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.PointKey(specs[0])
 }
 
 // benchPoint keeps the compiler from dropping a benchmarked Get.

@@ -18,9 +18,26 @@ import (
 // truncated physics. Nothing of a shard is journaled: a resumed
 // coordinator re-fans out whatever its store still lacks.
 
+// ProtocolVersion is the wire-protocol generation of the /v1 worker HTTP
+// API. A fabric coordinator refuses a worker reporting a different
+// protocol (GET /v1/version handshake).
+const ProtocolVersion = "v1"
+
 // ShardWireVersion stamps shard response payloads; the /v1/version
 // handshake refuses a worker speaking another.
 const ShardWireVersion = "nvmx-shard/v2"
+
+// VersionInfo is the GET /v1/version handshake body: the wire-protocol
+// generation plus every schema version that crosses the wire, so a worker
+// and coordinator can refuse to exchange records they'd misread.
+type VersionInfo struct {
+	Protocol      string `json:"protocol"`
+	PointKey      string `json:"point_key_version"`
+	StoreRecord   string `json:"store_record_version"`
+	ShardWire     string `json:"shard_wire_version"`
+	GoVersion     string `json:"go_version,omitempty"`
+	BuildRevision string `json:"build_revision,omitempty"`
+}
 
 // shardWire frames shard response payloads.
 var shardWire = newCodec[[]core.Characterization](ShardWireVersion, nil)

@@ -2,8 +2,7 @@
 // store: the durable layer under the characterization pipeline that lets
 // repeated and partially overlapping studies reuse prior work across
 // process restarts (`nvmexplorer run -store DIR`, `nvmexplorer serve
-// -store DIR`) and, with a remote backend, across machines
-// (`-store http://coordinator:8080`).
+// -store DIR`).
 //
 // The store holds one entry per evaluated design point, addressed by the
 // SHA-256 of the point's canonical key (core.Study.PointKey): the cell
@@ -13,28 +12,27 @@
 // later — replays it verbatim, so a fully warm study performs zero engine
 // characterizations and returns bytes identical to a cold run.
 //
-// Entries live in a pluggable Backend (backend.go): the local backend
-// writes one gob file per point under DIR/points/, atomically (temp file +
-// rename) and wrapped in a CRC-32-checksummed envelope so a crash never
-// leaves a torn entry and a bit flip never replays a wrong one; the remote
-// backend ships the same envelope bytes over the versioned /v1/store/*
-// HTTP API of another `nvmexplorer serve` process (remote.go). In front of
-// it, a read cache bounded by bytes (the mirror) keeps what reads fetched
-// and pins what the backend could not take. Points are all the store
-// keeps of the engine's work: a restarted process serves every stored
-// point without characterizing, and re-characterizes only the configs
-// of points it never stored. The local backend also journals async jobs
-// under DIR/jobs/ (journal.go) so a killed server resumes them on
-// restart.
+// A Store is a directory or nothing. With a directory (local.go), it
+// writes one gob file per point under DIR/points/, atomically (temp file
+// + rename) and wrapped in a CRC-32-checksummed envelope so a crash never
+// leaves a torn entry and a bit flip never replays a wrong one. Without
+// one (Open("")), it is memory-only: nothing persists, and every point
+// and manifest lives in memory for the life of the process. In front of
+// the directory, a read cache bounded by bytes (the mirror) keeps what
+// reads fetched and pins what the directory could not take. Points are
+// all the store keeps of the engine's work: a restarted process serves
+// every stored point without characterizing, and re-characterizes only
+// the configs of points it never stored. A directory store also journals
+// async jobs under DIR/jobs/ (journal.go) so a killed server resumes them
+// on restart.
 //
 // Storage corruption is an expected operating condition, not an error: a
-// torn, foreign, or bit-flipped record is quarantined (a file moves to
-// DIR/.corrupt/; a torn HTTP body is dropped and counted) and read as a
-// miss — the point recomputes and the next Put repairs it — transient
-// failures are retried with backoff, and a backend that keeps failing
-// degrades the store to memory-only mode instead of failing studies.
-// `nvmexplorer fsck` (fsck.go) scans, reports, and repairs a store
-// directory offline.
+// torn, foreign, or bit-flipped record is quarantined (moved to
+// DIR/.corrupt/) and read as a miss — the point recomputes and the next
+// Put repairs it — transient failures are retried with backoff, and a
+// disk that keeps failing degrades the store to memory-only mode instead
+// of failing studies. `nvmexplorer fsck` (fsck.go) scans, reports, and
+// repairs a store directory offline.
 package store
 
 import (
@@ -72,11 +70,11 @@ const RecordVersion = recordVersion
 // variable so tests can shrink it; a store reads it once, at Open.
 var mirrorBudget int64 = 64 << 20
 
-// Backend-failure policy: transient failures retry up to ioAttempts with
+// Disk-failure policy: transient failures retry up to ioAttempts with
 // exponential backoff starting at ioBackoff; after degradeAfter consecutive
 // failed operations (each already past its retries) the store degrades to
-// memory-only mode for the rest of the process — the disk (or remote peer)
-// is treated as gone, and studies keep completing from memory.
+// memory-only mode for the rest of the process — the disk is treated as
+// gone, and studies keep completing from memory.
 const (
 	ioAttempts   = 3
 	degradeAfter = 8
@@ -104,10 +102,7 @@ var pointKind = &kind[pointPayload]{
 // Store is a persistent point cache. It implements core.PointCache and is
 // safe for concurrent use. The zero value is not usable; call Open.
 type Store struct {
-	backend Backend
-	// local is the backend downcast when it is the directory backend —
-	// the job journal (journal.go) and the legacy path helpers are
-	// local-only concerns; nil for memory-only and remote stores.
+	// local is the directory backend; nil for a memory-only store.
 	local *localBackend
 
 	mu   sync.Mutex
@@ -127,30 +122,20 @@ type Store struct {
 	hits, misses atomic.Int64
 }
 
-// Open creates or reopens a store. The target selects the backend:
-// "" builds a memory-only store (no persistence, no journal), an http://
-// or https:// URL builds a remote store speaking the /v1/store/* API of
-// another `nvmexplorer serve` process, and anything else is a local
-// directory on the real filesystem.
-func Open(target string) (*Store, error) {
-	if IsRemoteTarget(target) {
-		return OpenRemote(target, nil)
-	}
-	return OpenFS(target, DiskFS)
-}
-
-// IsRemoteTarget reports whether a store target names a remote server
-// rather than a local directory.
-func IsRemoteTarget(target string) bool {
-	return strings.HasPrefix(target, "http://") || strings.HasPrefix(target, "https://")
-}
+// Open creates or reopens a store: "" builds a memory-only store (no
+// persistence, no journal), anything else is a directory on the real
+// filesystem.
+func Open(target string) (*Store, error) { return OpenFS(target, DiskFS) }
 
 // OpenFS is Open with an explicit filesystem — the hook fault-injection
 // tests use to exercise the store's corruption and I/O-error handling
 // deterministically. The directory is created as needed.
 func OpenFS(dir string, fsys FS) (*Store, error) {
 	if dir == "" {
-		return newStore(memBackend{}), nil
+		return newStore(nil), nil
+	}
+	if err := checkDir(dir); err != nil {
+		return nil, err
 	}
 	lb := newLocalBackend(dir, fsys)
 	if err := fsys.MkdirAll(filepath.Join(dir, "points")); err != nil {
@@ -159,23 +144,35 @@ func OpenFS(dir string, fsys FS) (*Store, error) {
 	return newStore(lb), nil
 }
 
-// newStore assembles the process-local half of a store around a backend.
-func newStore(b Backend) *Store {
-	s := &Store{
-		backend:    b,
+// checkDir refuses a URL where a store directory belongs, instead of
+// creating a directory named after its scheme.
+func checkDir(dir string) error {
+	if strings.Contains(dir, "://") {
+		return fmt.Errorf("store: %q is a URL; remote stores were removed, so a store must be a directory", dir)
+	}
+	return nil
+}
+
+// newStore assembles the process-local half of a store around its
+// directory backend (nil: memory-only).
+func newStore(lb *localBackend) *Store {
+	return &Store{
+		local:      lb,
 		mem:        mirror{budget: mirrorBudget, at: make(map[[sha256.Size]byte]int)},
 		studiesMem: make(map[string]studyMirror),
 	}
-	s.local, _ = b.(*localBackend)
-	return s
 }
 
-// Backend returns the store's persistence backend (stats, handshakes).
-func (s *Store) Backend() Backend { return s.backend }
+// Dir returns the store's directory, or "" for a memory-only store.
+func (s *Store) Dir() string {
+	if s.local == nil {
+		return ""
+	}
+	return s.local.dir
+}
 
-// Legacy path helpers, kept for the tests and tools that inspect a local
-// store's layout directly. They are meaningless (and panic) on non-local
-// stores.
+// Legacy path helpers, kept for the tests and tools that inspect a
+// store's layout directly. They panic on a memory-only store.
 func (s *Store) pointPath(sum string) string         { return s.local.pointPath(sum) }
 func (s *Store) studyPath(fingerprint string) string { return studyKind.path(s.local.dir, fingerprint) }
 func (s *Store) jobsDir() string                     { return s.local.jobsDir() }
@@ -185,10 +182,6 @@ func addr(key string) string {
 	sum := pointSum(key)
 	return hex.EncodeToString(sum[:])
 }
-
-// Addr exposes the content addressing to the fabric and the HTTP store
-// API: the SHA-256 hex address of a canonical point key.
-func Addr(key string) string { return addr(key) }
 
 // pointSum is the binary content address of a canonical point key (the
 // mirror's index; addr is its hex form), computed without copying the key.
@@ -297,8 +290,8 @@ func (s *Store) lookup(key string) (cp core.CachedPoint, ok bool) {
 		cp = s.mem.slots[i].pt
 	}
 	s.mu.Unlock()
-	if !ok {
-		if cp, ok = s.backend.ReadPoint(key); ok {
+	if !ok && s.local != nil {
+		if cp, ok = s.local.ReadPoint(key); ok {
 			s.mu.Lock()
 			s.mem.add(sum, key, cp, false)
 			s.mu.Unlock()
@@ -309,12 +302,12 @@ func (s *Store) lookup(key string) (cp core.CachedPoint, ok bool) {
 
 // Put implements core.PointCache: write-through to the backend, keeping
 // nothing resident. Backend errors are retried, then swallowed — a
-// read-only volume or an unreachable peer must not fail the study. A point
-// the backend does not hold (a failed write, a memory-only or degraded
-// store) is pinned in the mirror; one that does not fit there is dropped,
-// and the store reports degraded.
+// read-only volume must not fail the study. A point the backend does not
+// hold (a failed write, a memory-only or degraded store) is pinned in the
+// mirror; one that does not fit there is dropped, and the store reports
+// degraded.
 func (s *Store) Put(key string, pt core.CachedPoint) {
-	if err := s.backend.WritePoint(key, pt); err != nil || !s.persistent() {
+	if err := s.local.WritePoint(key, pt); err != nil || !s.persistent() {
 		s.mu.Lock()
 		kept := s.mem.add(pointSum(key), key, pt, true)
 		s.mu.Unlock()
@@ -328,9 +321,7 @@ func (s *Store) Put(key string, pt core.CachedPoint) {
 
 // persistent reports whether the backend keeps what it is handed: false
 // for a memory-only or degraded store, whose records live only in memory.
-func (s *Store) persistent() bool {
-	return s.backend.Kind() != "memory" && !s.backend.Degraded()
-}
+func (s *Store) persistent() bool { return s.local.enabled() }
 
 // PointGeneration counts Put calls. It moves whenever this process stores
 // a point, so a reader that found a study's points missing knows when a
@@ -351,25 +342,18 @@ func (s *Store) Stats() (hits, misses int64) {
 	return s.hits.Load(), s.misses.Load()
 }
 
-// ResetStats zeroes the hit/miss counters (tests and benchmarks).
-func (s *Store) ResetStats() {
-	s.hits.Store(0)
-	s.misses.Store(0)
-}
-
 // Degraded reports whether persistent backend failures demoted the store
 // to memory-only mode, or the store has dropped a point it could not
 // persist (its memory budget is full). It never flips back within a
-// process: an operator repairs the volume (or the peer) and restarts, or
-// runs fsck.
-func (s *Store) Degraded() bool { return s.backend.Degraded() || s.full.Load() }
+// process: an operator repairs the volume and restarts, or runs fsck.
+func (s *Store) Degraded() bool { return s.local.Degraded() || s.full.Load() }
 
 // HealthStats is the store's self-healing telemetry, served on /v1/stats.
 type HealthStats struct {
 	// Quarantined counts corrupt or foreign records discarded (moved to
-	// DIR/.corrupt/ locally; dropped and counted remotely).
+	// DIR/.corrupt/).
 	Quarantined int64 `json:"quarantined"`
-	// IOErrors counts backend operations that failed past their retries.
+	// IOErrors counts disk operations that failed past their retries.
 	IOErrors int64 `json:"io_errors"`
 	// Retries counts individual retry attempts after transient failures.
 	Retries int64 `json:"retries"`
@@ -379,7 +363,7 @@ type HealthStats struct {
 
 // Health returns the current self-healing counters.
 func (s *Store) Health() HealthStats {
-	h := s.backend.Health()
+	h := s.local.Health()
 	h.Degraded = s.Degraded()
 	return h
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cell"
@@ -62,10 +63,11 @@ func TestStoreRoundTripAndPersistence(t *testing.T) {
 	}
 
 	// Same store, same study: every point replays from the store.
-	st.ResetStats()
+	coldHits, coldMisses := hits, misses
 	warm := runPoints(t, testStudy(), st)
-	if hits, misses = st.Stats(); misses != 0 || hits == 0 {
-		t.Fatalf("warm run: hits=%d misses=%d, want 0 misses", hits, misses)
+	if hits, misses = st.Stats(); misses != coldMisses || hits == coldHits {
+		t.Fatalf("warm run: hits %d -> %d, misses %d -> %d, want new hits and no new misses",
+			coldHits, hits, coldMisses, misses)
 	}
 	if st.Len() != len(files) {
 		t.Fatalf("warm run: %d resident, want %d", st.Len(), len(files))
@@ -109,6 +111,45 @@ func TestStoreMemoryOnly(t *testing.T) {
 	if _, ok := st.Get("absent"); ok {
 		t.Fatal("Get(absent) hit")
 	}
+	if st.Dir() != "" || st.Health() != (HealthStats{}) {
+		t.Fatalf("memory-only store: dir %q, health %+v", st.Dir(), st.Health())
+	}
+}
+
+// TestOpenRefusesURLTarget: a URL is not a store. Open and Fsck refuse it
+// with an error naming the removal, and nothing lands on disk — not even a
+// directory named after the scheme.
+func TestOpenRefusesURLTarget(t *testing.T) {
+	cwd := t.TempDir()
+	chdir(t, cwd)
+	const target = "http://127.0.0.1:1"
+	if st, err := Open(target); err == nil || !strings.Contains(err.Error(), "remote stores were removed") {
+		t.Fatalf("Open(%q) = %v, %v; want the removal error", target, st, err)
+	}
+	if _, err := Fsck(target, true); err == nil || !strings.Contains(err.Error(), "remote stores were removed") {
+		t.Fatalf("Fsck(%q) = %v; want the removal error", target, err)
+	}
+	if ents, err := os.ReadDir(cwd); err != nil || len(ents) != 0 {
+		t.Fatalf("a refused URL target left %d entries on disk (%v)", len(ents), err)
+	}
+}
+
+// chdir switches the working directory to dir until the test ends. The
+// test must not run in parallel: the working directory is process-wide.
+func chdir(t *testing.T, dir string) {
+	t.Helper()
+	old, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(old); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestStoreCorruptEntryReadsAsMiss(t *testing.T) {

@@ -116,7 +116,7 @@ func (s *Store) SaveStudy(rec StudyRecord) error {
 	s.studiesMu.Unlock()
 	data, err := studyKind.codec.frame(payload)
 	if err == nil {
-		err = s.backend.WriteStudy(rec.Fingerprint, data)
+		err = s.local.WriteStudy(rec.Fingerprint, data)
 	}
 	if err == nil {
 		s.studiesMu.Lock()
@@ -150,7 +150,7 @@ func (s *Store) LoadStudy(fingerprint string) (StudyRecord, bool) {
 	if m.rec != nil {
 		return *m.rec, true
 	}
-	rec, ok := s.backend.ReadStudy(fingerprint)
+	rec, ok := s.local.ReadStudy(fingerprint)
 	if !ok || had {
 		return rec, ok
 	}
@@ -171,9 +171,8 @@ func (s *Store) LoadStudy(fingerprint string) (StudyRecord, bool) {
 // without reading a manifest: the backend's listing plus the manifests
 // only this process holds, so studies saved by this process stay listed
 // after a failed write or with the store degraded to memory-only mode.
-// It is also the /v1/store/studies index body.
 func (s *Store) StudyFingerprints() []string {
-	fps := s.backend.StudyFingerprints()
+	fps := s.local.StudyFingerprints()
 	s.studiesMu.Lock()
 	for fp, m := range s.studiesMem {
 		if m.rec != nil {

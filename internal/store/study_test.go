@@ -408,10 +408,10 @@ func TestDirectoryStoreKeepsManifestDigests(t *testing.T) {
 	for _, st := range []*Store{dir, mem} {
 		got, ok := st.LoadStudy(fmt.Sprintf("%064x", n-1))
 		if !ok || !bytes.Equal(got.Config, config) {
-			t.Fatalf("%s store: LoadStudy = %+v, %v", st.Backend().Kind(), got, ok)
+			t.Fatalf("store %q: LoadStudy = %+v, %v", st.Dir(), got, ok)
 		}
 		if recs := loadStudies(st); len(recs) != n {
-			t.Fatalf("%s store lists %d studies, want %d", st.Backend().Kind(), len(recs), n)
+			t.Fatalf("store %q lists %d studies, want %d", st.Dir(), len(recs), n)
 		}
 	}
 	if records, _ := residentStudies(dir); records != 0 {

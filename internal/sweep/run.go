@@ -26,20 +26,6 @@ func RunContext(ctx context.Context, cfg *Config, emit func(core.PointResult) er
 	return study.RunStream(ctx, emit)
 }
 
-// RunFile loads a JSON configuration file and executes it.
-func RunFile(path string) (*core.Results, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: %w", err)
-	}
-	defer f.Close()
-	cfg, err := Parse(f)
-	if err != nil {
-		return nil, err
-	}
-	return Run(cfg)
-}
-
 // WriteCSVs writes one combined CSV per technology into dir, matching the
 // artifact's output/results/[eNVM]_1BPC-combined.csv convention, and
 // returns the file paths written.

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 const dnnConfig = `{
@@ -192,13 +194,27 @@ func TestGenericTrafficAndWriteBuffer(t *testing.T) {
 	}
 }
 
+// runFile loads a JSON configuration file and executes it.
+func runFile(path string) (*core.Results, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	cfg, err := Parse(f)
+	if err != nil {
+		return nil, err
+	}
+	return Run(cfg)
+}
+
 func TestRunFileAndWriteCSVs(t *testing.T) {
 	dir := t.TempDir()
 	cfgPath := filepath.Join(dir, "study.json")
 	if err := os.WriteFile(cfgPath, []byte(dnnConfig), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFile(cfgPath)
+	res, err := runFile(cfgPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +249,7 @@ func TestRunFileAndWriteCSVs(t *testing.T) {
 	if !sawSTT {
 		t.Error("missing STT CSV")
 	}
-	if _, err := RunFile(filepath.Join(dir, "missing.json")); err == nil {
+	if _, err := runFile(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing config file should error")
 	}
 }

@@ -40,12 +40,6 @@ const SecondsPerDay = 86400.0
 // memory-lifetime model.
 const SecondsPerYear = 365 * SecondsPerDay
 
-// PJPerMJ converts picojoules to millijoules (1 mJ = 1e9 pJ).
-const PJPerMJ = 1e9
-
-// MWPerW converts watts to milliwatts.
-const MWPerW = 1e3
-
 // siPrefix holds one engineering prefix step.
 type siPrefix struct {
 	exp    float64
