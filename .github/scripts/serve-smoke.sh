@@ -34,9 +34,20 @@ STORE="$WORK/store"
 SERVER_PID=""
 W1_PID=""
 W2_PID=""
-trap 'for pid in "$SERVER_PID" "$W1_PID" "$W2_PID"; do
-        [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
-      done' EXIT
+# On any exit: stop the servers, wait for them, remove the work directory,
+# and exit with the script's own status.
+cleanup() {
+  local status=$?
+  for pid in "$SERVER_PID" "$W1_PID" "$W2_PID"; do
+    [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
+  done
+  for pid in "$SERVER_PID" "$W1_PID" "$W2_PID"; do
+    [ -n "$pid" ] && wait "$pid" 2>/dev/null || true
+  done
+  rm -rf "$WORK"
+  exit "$status"
+}
+trap cleanup EXIT
 
 go build -o "$WORK/nvmexplorer" ./cmd/nvmexplorer
 

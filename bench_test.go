@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync"
 	"testing"
 
@@ -455,9 +454,9 @@ func BenchmarkTableIISweepDisk(b *testing.B) {
 }
 
 // queryBenchConfig is the store-backed query benchmark's study: the case
-// study cells at two capacities and two targets under a 16-point traffic
-// sweep — 1024 result rows once evaluated, enough for stable sort/filter
-// timings.
+// study cells at two capacities (an 8-point grid) and two targets under a
+// 16×16 read/write traffic sweep — 4 × 2 × 2 × 256 = 4,096 result rows once
+// evaluated, enough for stable sort/filter timings.
 const queryBenchConfig = `{
   "name": "query-bench",
   "cells": [
@@ -481,25 +480,23 @@ func queryBenchIndex(b *testing.B, dir string) (*query.Index, *store.Store) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg, err := sweep.Parse(strings.NewReader(queryBenchConfig))
+	// Expanded and recorded the way the server and `run -store` do.
+	x, err := sweep.Expand([]byte(queryBenchConfig), sweep.Overrides{}, st)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg.Cache = st
-	s, err := cfg.Study()
+	res, err := x.Study.Run()
 	if err != nil {
 		b.Fatal(err)
 	}
-	fp, err := s.Fingerprint()
-	if err != nil {
-		b.Fatal(err)
+	if x.Points != 8 || len(res.Metrics) != 4096 {
+		b.Fatalf("query bench grid: %d points, %d rows; want 8 and 4096", x.Points, len(res.Metrics))
 	}
-	res, err := s.Run()
-	if err != nil {
-		b.Fatal(err)
+	rec, ok := x.Manifest(res)
+	if !ok {
+		b.Fatalf("query bench study failed points: %v", res.FailedPoints)
 	}
-	if err := st.SaveStudy(store.StudyRecord{Fingerprint: fp, Name: s.Name,
-		Config: []byte(queryBenchConfig), Points: len(res.Arrays)}); err != nil {
+	if err := st.SaveStudy(rec); err != nil {
 		b.Fatal(err)
 	}
 	ix := query.New(st)

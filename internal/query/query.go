@@ -21,8 +21,8 @@
 // row.
 //
 // Refresh relists the store only when something may have changed: when
-// the store's manifest generation moved (a study saved or loaded in this
-// process), when a manifest is incomplete and this process has stored a
+// the store's manifest generation moved (a study saved in this process),
+// when a manifest is incomplete and this process has stored a
 // point since, or once the last listing is older than relistAfter (1 s),
 // which bounds how long a study written by another process sharing the
 // store directory stays invisible to queries.
@@ -188,7 +188,12 @@ func (ix *Index) Refresh() int64 {
 		return gen
 	}
 	ix.mu.RUnlock()
+	return ix.relist(sgen, pgen, now)
+}
 
+// relist lists the store and loads every manifest the index lacks; sgen,
+// pgen and now are the store generations and time read before listing.
+func (ix *Index) relist(sgen, pgen int64, now time.Time) int64 {
 	fps := ix.st.StudyFingerprints()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -429,7 +434,9 @@ func (ix *Index) Load(fingerprint string) (*core.Results, bool, error) {
 		if _, found := ix.st.LoadStudy(fingerprint); !found {
 			return nil, false, nil
 		}
-		ix.Refresh()
+		// The store holds a study the index lacks (another process may
+		// have written it): list now rather than wait for relistAfter.
+		ix.relist(ix.st.StudyGeneration(), ix.st.PointGeneration(), time.Now())
 		ix.mu.RLock()
 		e, ok = ix.entries[fingerprint]
 		ix.mu.RUnlock()

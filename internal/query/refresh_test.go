@@ -290,6 +290,7 @@ func TestRefreshReadsOnlyUnindexedManifests(t *testing.T) {
 	}
 	seedStudy(t, st, alphaConfig)
 	seedStudy(t, st, gridConfig)
+	cfs.studyReads.Store(0) // a save reads its manifest's file to skip an equal write
 	ix := New(st)
 	ix.Refresh()
 	if n := cfs.studyReads.Load(); n != 2 {
@@ -309,6 +310,7 @@ func TestRefreshReadsOnlyUnindexedManifests(t *testing.T) {
 		t.Fatalf("listing an indexed store read %d manifests, want 0", n)
 	}
 	fp, _ := seedStudy(t, st, alphaNamed("alpha-2"))
+	cfs.studyReads.Store(0)
 	ix.Refresh()
 	if n := cfs.studyReads.Load(); n != 1 {
 		t.Fatalf("a Refresh after one new study read %d manifests, want 1", n)

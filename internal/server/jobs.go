@@ -7,8 +7,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -282,7 +280,7 @@ func (m *jobManager) adopt(rec store.JobRecord) (*job, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if seq := jobIDSeq(rec.ID); seq > m.seq {
+	if seq := store.JobSeq(rec.ID); seq > m.seq {
 		m.seq = seq // new submissions must not collide with resumed IDs
 	}
 	j := newJob(rec.ID, x, string(format))
@@ -290,16 +288,6 @@ func (m *jobManager) adopt(rec store.JobRecord) (*job, error) {
 		return nil, nil
 	}
 	return j, nil
-}
-
-// jobIDSeq extracts the numeric sequence from a "job-N" ID (0 when
-// malformed).
-func jobIDSeq(id string) int {
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
-	if err != nil {
-		return 0
-	}
-	return n
 }
 
 // pruneLocked evicts the oldest terminal jobs beyond maxFinishedJobs.

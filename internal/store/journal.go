@@ -113,14 +113,15 @@ func (s *Store) IncompleteJobs() []JobRecord {
 		return nil
 	}
 	sort.Slice(recs, func(i, k int) bool {
-		return jobSeq(recs[i].ID) < jobSeq(recs[k].ID)
+		return JobSeq(recs[i].ID) < JobSeq(recs[k].ID)
 	})
 	return recs
 }
 
-// jobSeq extracts the numeric sequence from a "job-N" ID for replay
-// ordering; malformed IDs sort first.
-func jobSeq(id string) int {
+// JobSeq extracts the numeric sequence from a "job-N" ID (0 when
+// malformed): journal replay sorts by it, so malformed IDs sort first, and
+// a resuming server numbers new jobs past it.
+func JobSeq(id string) int {
 	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
 	if err != nil {
 		return 0

@@ -140,3 +140,11 @@ func TestJournalMemoryOnlyNoOps(t *testing.T) {
 		t.Fatal("memory-only Get missed a fresh Put")
 	}
 }
+
+func TestJobSeq(t *testing.T) {
+	for id, want := range map[string]int{"job-1": 1, "job-42": 42, "job-": 0, "job-x": 0, "42": 42, "": 0} {
+		if got := JobSeq(id); got != want {
+			t.Errorf("JobSeq(%q) = %d, want %d", id, got, want)
+		}
+	}
+}

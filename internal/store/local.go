@@ -133,27 +133,13 @@ func (lb *localBackend) WritePoint(key string, pt core.CachedPoint) error {
 	return writeRecord(lb, pointKind, pointPayload{Key: key, Point: pt})
 }
 
-func (lb *localBackend) WriteStudy(fingerprint string, data []byte) error {
-	if !lb.enabled() {
-		return nil
-	}
-	return writeEncoded(lb, studyKind.layout, fingerprint, data)
-}
-
-func (lb *localBackend) ReadStudy(fingerprint string) (StudyRecord, bool) {
-	if !lb.enabled() {
-		return StudyRecord{}, false
-	}
-	return readRecord(lb, studyKind, fingerprint, fingerprint)
-}
-
 func (lb *localBackend) StudyFingerprints() []string {
 	if !lb.enabled() {
 		return nil
 	}
 	var fps []string
-	// An unreadable directory lists no manifests; the in-memory mirror
-	// still answers.
+	// An unreadable directory lists no manifests; the resident ones still
+	// answer.
 	_ = lb.scanDir(studyKind.layout, func(_, name string) { fps = append(fps, name) })
 	return fps
 }

@@ -19,12 +19,14 @@
 // one (Open("")), it is memory-only: nothing persists, and every point
 // and manifest lives in memory for the life of the process. In front of
 // the directory, a read cache bounded by bytes (the mirror) keeps what
-// reads fetched and pins what the directory could not take. Points are
-// all the store keeps of the engine's work: a restarted process serves
-// every stored point without characterizing, and re-characterizes only
-// the configs of points it never stored. A directory store also journals
-// async jobs under DIR/jobs/ (journal.go) so a killed server resumes them
-// on restart.
+// reads fetched and pins what the directory could not take. Study
+// manifests (study.go) live in DIR/studies/: a directory store keeps in
+// memory only the manifests it could not write, and decides whether a
+// save is equal to the stored one from the file. Points are all the store
+// keeps of the engine's work: a restarted process serves every stored
+// point without characterizing, and re-characterizes only the configs of
+// points it never stored. A directory store also journals async jobs
+// under DIR/jobs/ (journal.go) so a killed server resumes them on restart.
 //
 // Storage corruption is an expected operating condition, not an error: a
 // torn, foreign, or bit-flipped record is quarantined (moved to
@@ -109,11 +111,12 @@ type Store struct {
 	mem  mirror
 	full atomic.Bool // a point was dropped: pinned points fill the budget
 
-	// Study manifests (study.go): fingerprint → digest, and the record
-	// while the backend does not hold it; and the map's change count
+	// Study manifests (study.go): fingerprint → the encoded record, only
+	// for manifests the directory does not hold (a memory-only or degraded
+	// store, a failed write); and the count of new or changed saves
 	// (StudyGeneration).
 	studiesMu  sync.Mutex
-	studiesMem map[string]studyMirror
+	studiesMem map[string][]byte
 	studyGen   atomic.Int64
 
 	// puts counts Put calls (PointGeneration).
@@ -159,7 +162,7 @@ func newStore(lb *localBackend) *Store {
 	return &Store{
 		local:      lb,
 		mem:        mirror{budget: mirrorBudget, at: make(map[[sha256.Size]byte]int)},
-		studiesMem: make(map[string]studyMirror),
+		studiesMem: make(map[string][]byte),
 	}
 }
 

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -20,11 +20,14 @@ import (
 // byte-identically, and the internal/query index enumerates manifests to
 // build its in-memory columnar view. They are written after a study
 // completes with no failed points (a partially failed study is not fully
-// stored, so it is not addressable) and live in the backend — on disk
-// under DIR/studies/<fingerprint>.gob, in the same checksummed envelope as
-// every other store file — or, when the backend cannot hold them (a
-// memory-only or degraded store, a failed write), in memory, so such a
-// store still answers queries within one process.
+// stored, so it is not addressable) and live on disk under
+// DIR/studies/<fingerprint>.gob, in the same checksummed envelope as every
+// other store file. The store keeps in memory only the manifests the
+// directory does not hold — a memory-only or degraded store's, or one
+// whose write failed — as the exact bytes the file would contain, so such
+// a store still answers queries within one process, and a directory store
+// keeps nothing per saved study: whether a save is equal to what is stored
+// is decided from the file itself.
 
 // studyVersion stamps every manifest file; unknown versions are skipped on
 // list (they may belong to a newer binary sharing the directory).
@@ -59,125 +62,87 @@ var studyKind = &kind[StudyRecord]{
 
 func studyFingerprint(rec *StudyRecord) string { return rec.Fingerprint }
 
-// studyMirror is what the store keeps of one manifest: the digest of its
-// encoded record (studyDigest), which is all an equal save needs to skip the write, and
-// the record itself only while the backend does not hold it — a write in
-// flight or failed, or a memory-only or degraded store. On a persistent
-// backend a saved manifest costs its fingerprint and digest, not its
-// configuration bytes.
-type studyMirror struct {
-	sum [sha256.Size]byte
-	rec *StudyRecord // nil once a persistent backend holds the record
-	// pending: the backend does not hold the record yet (its write is in
-	// flight or failed), so an equal save writes it again.
-	pending bool
-}
-
-// studyDigest encodes a manifest's gob payload and digests its value
-// message. Within one process a record always encodes to the same value
-// message (the type definitions before it carry this process's type ids),
-// so equal digests mean equal records.
-func studyDigest(rec *StudyRecord) ([]byte, [sha256.Size]byte, error) {
-	payload, err := studyKind.codec.gob.encode(rec)
-	if err != nil {
-		return nil, [sha256.Size]byte{}, err
-	}
-	n, _ := typeDefs(payload)
-	return payload, sha256.Sum256(payload[n:]), nil
-}
-
 // SaveStudy records a completed study's manifest, writing it through to
-// the backend. Saving a record equal to one the backend already holds
-// writes nothing and leaves StudyGeneration alone, so a warm re-run costs
-// no disk write; a record whose backend write failed stays resident and is
-// written again on the next save. Backend errors degrade durability, never
-// the caller: the resident record still answers queries for the rest of
-// the process.
+// the directory. A save whose encoded record equals what the store holds
+// — the directory's file, or the resident bytes of one the directory does
+// not hold — writes nothing and leaves StudyGeneration alone, so a warm
+// re-run costs one file read and no disk write. A record whose write
+// failed stays resident, as the exact bytes its file would hold, and is
+// written again on the next save. Directory errors degrade durability,
+// never the caller: the resident record still answers queries for the
+// rest of the process.
 func (s *Store) SaveStudy(rec StudyRecord) error {
 	if rec.Fingerprint == "" {
 		return fmt.Errorf("store: study record needs a fingerprint")
 	}
 	rec.Version = studyVersion
-	payload, sum, err := studyDigest(&rec)
+	data, err := studyKind.codec.encode(rec)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	fp := rec.Fingerprint
 	s.studiesMu.Lock()
-	old, had := s.studiesMem[rec.Fingerprint]
-	same := had && old.sum == sum
-	if same && !old.pending {
-		s.studiesMu.Unlock()
+	held, resident := s.studiesMem[fp]
+	s.studiesMu.Unlock()
+	if !resident && s.persistent() {
+		held, _ = s.local.readFileRetry(studyKind.path(s.local.dir, fp))
+	}
+	changed := !bytes.Equal(held, data)
+	if !changed && (!resident || !s.persistent()) {
 		return nil
 	}
-	if !same {
-		s.studyGen.Add(1)
+	if s.persistent() {
+		err = writeEncoded(s.local, studyKind.layout, fp, data)
 	}
-	s.studiesMem[rec.Fingerprint] = studyMirror{sum: sum, rec: &rec, pending: true}
+	s.studiesMu.Lock()
+	if err == nil && s.persistent() {
+		delete(s.studiesMem, fp)
+	} else {
+		s.studiesMem[fp] = data
+	}
 	s.studiesMu.Unlock()
-	data, err := studyKind.codec.frame(payload)
-	if err == nil {
-		err = s.local.WriteStudy(rec.Fingerprint, data)
-	}
-	if err == nil {
-		s.studiesMu.Lock()
-		if m := s.studiesMem[rec.Fingerprint]; m.sum == sum {
-			m.pending = false
-			if s.persistent() {
-				m.rec = nil
-			}
-			s.studiesMem[rec.Fingerprint] = m
-		}
-		s.studiesMu.Unlock()
+	// Only now can a reader find the record, so a listing that sees the
+	// generation move finds it.
+	if changed {
+		s.studyGen.Add(1)
 	}
 	return err
 }
 
-// StudyGeneration counts changes to the set of manifests this process
-// knows: it moves when SaveStudy records a new fingerprint or a changed
-// record, or LoadStudy first reads a fingerprint from the backend. It
-// never moves back, so an unchanged generation means this process has
-// seen no new manifest — though another process sharing the backend may
-// have written one, which only StudyFingerprints finds.
+// StudyGeneration counts SaveStudy calls that stored a new or changed
+// manifest (a file whose bytes differ counts as changed). Reads never
+// move it, and it never moves back, so an unchanged generation means this
+// process has saved no new manifest — though another process sharing the
+// directory may have written one, which only StudyFingerprints finds.
 func (s *Store) StudyGeneration() int64 { return s.studyGen.Load() }
 
 // LoadStudy returns the manifest of one stored study by fingerprint: the
-// resident record if the backend does not hold it, else the backend's.
-// Corrupt records are discarded and read as misses, like point records.
+// resident record if the directory does not hold it, else the
+// directory's. Corrupt records are discarded and read as misses, like
+// point records.
 func (s *Store) LoadStudy(fingerprint string) (StudyRecord, bool) {
 	s.studiesMu.Lock()
-	m, had := s.studiesMem[fingerprint]
+	data, resident := s.studiesMem[fingerprint]
 	s.studiesMu.Unlock()
-	if m.rec != nil {
-		return *m.rec, true
+	if resident {
+		rec, status := studyKind.read(data, fingerprint)
+		return rec, status == readOK
 	}
-	rec, ok := s.local.ReadStudy(fingerprint)
-	if !ok || had {
-		return rec, ok
+	if !s.persistent() {
+		return StudyRecord{}, false
 	}
-	// A manifest another process (or an earlier run) wrote: remember its
-	// digest, so an equal save skips the write.
-	if _, sum, err := studyDigest(&rec); err == nil {
-		s.studiesMu.Lock()
-		if _, ok := s.studiesMem[fingerprint]; !ok {
-			s.studiesMem[fingerprint] = studyMirror{sum: sum}
-			s.studyGen.Add(1)
-		}
-		s.studiesMu.Unlock()
-	}
-	return rec, true
+	return readRecord(s.local, studyKind, fingerprint, fingerprint)
 }
 
 // StudyFingerprints lists every stored study's fingerprint, sorted and
-// without reading a manifest: the backend's listing plus the manifests
+// without reading a manifest: the directory's listing plus the manifests
 // only this process holds, so studies saved by this process stay listed
 // after a failed write or with the store degraded to memory-only mode.
 func (s *Store) StudyFingerprints() []string {
 	fps := s.local.StudyFingerprints()
 	s.studiesMu.Lock()
-	for fp, m := range s.studiesMem {
-		if m.rec != nil {
-			fps = append(fps, fp)
-		}
+	for fp := range s.studiesMem {
+		fps = append(fps, fp)
 	}
 	s.studiesMu.Unlock()
 	slices.Sort(fps)

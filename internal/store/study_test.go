@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -97,6 +96,17 @@ func loadStudies(st *Store) []StudyRecord {
 	return out
 }
 
+// encodeStudy returns the bytes a manifest file of rec holds.
+func encodeStudy(t *testing.T, rec StudyRecord) []byte {
+	t.Helper()
+	rec.Version = studyVersion
+	data, err := studyKind.codec.encode(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestStudyFingerprintsSortedUnion: the listing is sorted and merges the
 // directory with the manifests only this process holds, each once.
 func TestStudyFingerprintsSortedUnion(t *testing.T) {
@@ -118,8 +128,8 @@ func TestStudyFingerprintsSortedUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2.studiesMem["ab12"] = studyMirror{rec: &StudyRecord{Fingerprint: "ab12"}}
-	st2.studiesMem["bb22"] = studyMirror{rec: &StudyRecord{Fingerprint: "bb22"}}
+	st2.studiesMem["ab12"] = encodeStudy(t, StudyRecord{Fingerprint: "ab12"})
+	st2.studiesMem["bb22"] = encodeStudy(t, StudyRecord{Fingerprint: "bb22"})
 	want := []string{"aa11", "ab12", "bb22", "cc33"}
 	if got := st2.StudyFingerprints(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("StudyFingerprints = %v, want %v", got, want)
@@ -327,7 +337,41 @@ func TestSaveStudyRetriesFailedWrite(t *testing.T) {
 	}
 }
 
-func TestStudyGenerationCountsMirrorChanges(t *testing.T) {
+// TestReopenedStoreSkipsEqualManifest: a fresh store over a directory
+// that already holds a manifest decides an equal save from the file, so a
+// restarted server's first warm save writes nothing and moves no
+// generation.
+func TestReopenedStoreSkipsEqualManifest(t *testing.T) {
+	dir := t.TempDir()
+	writer, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := testRecord("aa11", "alpha")
+	rec.Exploration = &core.Exploration{Mode: "adaptive", Indices: []int{0, 2}, Characterizations: 3}
+	if err := writer.SaveStudy(rec); err != nil {
+		t.Fatal(err)
+	}
+	wfs := &writeCountFS{FS: DiskFS}
+	st, err := OpenFS(dir, wfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveStudy(rec); err != nil {
+		t.Fatal(err)
+	}
+	if n := wfs.studyWrites(); n != 0 {
+		t.Fatalf("an equal save over a stored manifest wrote %d times, want 0", n)
+	}
+	if g := st.StudyGeneration(); g != 0 {
+		t.Fatalf("an equal save moved the generation to %d, want 0", g)
+	}
+}
+
+// TestStudyGenerationCountsNewOrChangedSaves: reading manifests, stored or
+// missing, moves no generation; a save moves it only when it stores a new
+// or changed record.
+func TestStudyGenerationCountsNewOrChangedSaves(t *testing.T) {
 	dir := t.TempDir()
 	writer, err := Open(dir)
 	if err != nil {
@@ -342,43 +386,49 @@ func TestStudyGenerationCountsMirrorChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := st.StudyGeneration(); g != 0 {
-		t.Fatalf("fresh store generation %d, want 0", g)
-	}
-	st.LoadStudy("aa11") // cached from the backend
-	st.LoadStudy("aa11") // a mirror hit
+	st.LoadStudy("aa11")
+	st.LoadStudy("aa11")
 	st.LoadStudy("cc33") // a miss
-	if g := st.StudyGeneration(); g != 1 {
-		t.Fatalf("generation %d after one backend load, want 1", g)
+	if recs := loadStudies(st); len(recs) != 2 {
+		t.Fatalf("listed %d manifests, want 2", len(recs))
 	}
-	loadStudies(st) // finds bb22
-	loadStudies(st)
-	if g := st.StudyGeneration(); g != 2 {
-		t.Fatalf("generation %d after listing one new manifest, want 2", g)
+	if g := st.StudyGeneration(); g != 0 {
+		t.Fatalf("generation %d after reads only, want 0", g)
 	}
+	save := func(rec StudyRecord, wantGen int64) {
+		t.Helper()
+		if err := st.SaveStudy(rec); err != nil {
+			t.Fatal(err)
+		}
+		if g := st.StudyGeneration(); g != wantGen {
+			t.Fatalf("generation %d after saving %s, want %d", g, rec.Fingerprint, wantGen)
+		}
+	}
+	save(testRecord("aa11", "x"), 0) // equal to the file
+	save(testRecord("cc33", "x"), 1) // new
+	changed := testRecord("aa11", "x")
+	changed.Points++
+	save(changed, 2)
+	save(changed, 2)
 }
 
-// residentStudies reports what a store keeps of its manifests: how many
-// records are resident, and the bytes of fingerprints, digests and
-// resident records' variable parts.
+// residentStudies reports how many manifests a store keeps in memory and
+// their bytes.
 func residentStudies(st *Store) (records, size int) {
 	st.studiesMu.Lock()
 	defer st.studiesMu.Unlock()
-	for fp, m := range st.studiesMem {
-		size += len(fp) + sha256.Size
-		if m.rec != nil {
-			records++
-			size += len(m.rec.Fingerprint) + len(m.rec.Name) + len(m.rec.Config)
-		}
+	for fp, data := range st.studiesMem {
+		records++
+		size += len(fp) + len(data)
 	}
 	return records, size
 }
 
-// TestDirectoryStoreKeepsManifestDigests: a directory store keeps a saved
-// manifest's fingerprint and digest, not the record, so a stream of cold
-// studies does not grow the heap by a configuration each; the record reads
-// back from disk. A memory-only store is its own data and keeps them all.
-func TestDirectoryStoreKeepsManifestDigests(t *testing.T) {
+// TestDirectoryStoreKeepsNoManifestResident: a directory store keeps
+// nothing in memory for a saved manifest, so a stream of cold studies does
+// not grow the heap; every record reads back from disk. A memory-only
+// store is its own data and keeps them all.
+func TestDirectoryStoreKeepsNoManifestResident(t *testing.T) {
 	const n = 64
 	config := bytes.Repeat([]byte("c"), 1500) // about a cold co-design config
 	dir, err := Open(t.TempDir())
@@ -389,32 +439,84 @@ func TestDirectoryStoreKeepsManifestDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fp := func(i int) string { return fmt.Sprintf("%064x", i) }
 	for i := 0; i < n; i++ {
-		rec := StudyRecord{Fingerprint: fmt.Sprintf("%064x", i), Name: "cold", Config: config, Points: 8}
+		rec := StudyRecord{Fingerprint: fp(i), Name: "cold", Config: config, Points: 8}
 		for _, st := range []*Store{dir, mem} {
 			if err := st.SaveStudy(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	records, size := residentStudies(dir)
-	if records != 0 || size > n*(64+sha256.Size) {
-		t.Fatalf("directory store keeps %d records, %d bytes for %d manifests; want 0 records, at most %d bytes",
-			records, size, n, n*(64+sha256.Size))
+	if records, size := residentStudies(dir); records != 0 {
+		t.Fatalf("directory store keeps %d manifests (%d bytes) resident after %d saves, want 0", records, size, n)
 	}
-	if records, _ := residentStudies(mem); records != n {
-		t.Fatalf("memory-only store keeps %d of %d records", records, n)
+	if records, size := residentStudies(mem); records != n || size < n*len(config) {
+		t.Fatalf("memory-only store keeps %d manifests (%d bytes) of %d", records, size, n)
 	}
 	for _, st := range []*Store{dir, mem} {
-		got, ok := st.LoadStudy(fmt.Sprintf("%064x", n-1))
-		if !ok || !bytes.Equal(got.Config, config) {
-			t.Fatalf("store %q: LoadStudy = %+v, %v", st.Dir(), got, ok)
+		fps := st.StudyFingerprints()
+		if len(fps) != n {
+			t.Fatalf("store %q lists %d studies, want %d", st.Dir(), len(fps), n)
 		}
-		if recs := loadStudies(st); len(recs) != n {
-			t.Fatalf("store %q lists %d studies, want %d", st.Dir(), len(recs), n)
+		for i, got := range fps {
+			if got != fp(i) {
+				t.Fatalf("store %q lists %s at %d, want %s", st.Dir(), got, i, fp(i))
+			}
+			rec, ok := st.LoadStudy(got)
+			if !ok || rec.Fingerprint != got || !bytes.Equal(rec.Config, config) || rec.Points != 8 {
+				t.Fatalf("store %q: LoadStudy(%s) = %+v, %v", st.Dir(), got, rec, ok)
+			}
 		}
 	}
 	if records, _ := residentStudies(dir); records != 0 {
-		t.Fatalf("reads made %d directory-store records resident", records)
+		t.Fatalf("reads made %d directory-store manifests resident", records)
+	}
+}
+
+// TestConcurrentSaveLoadStudies saves, loads and lists manifests from
+// several goroutines at once, overlapping fingerprints (run it under
+// -race): every manifest ends listed and readable, and a directory store
+// keeps none resident.
+func TestConcurrentSaveLoadStudies(t *testing.T) {
+	const workers, studies = 4, 16
+	dir, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*Store{dir, mem} {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < studies; i++ {
+					fp := fmt.Sprintf("%02x", (i+w)%studies)
+					if err := st.SaveStudy(testRecord(fp, "s-"+fp)); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, ok := st.LoadStudy(fp); !ok {
+						t.Errorf("store %q: LoadStudy(%s) missed after its save", st.Dir(), fp)
+						return
+					}
+					st.StudyFingerprints()
+				}
+			}()
+		}
+		wg.Wait()
+		if recs := loadStudies(st); len(recs) != studies {
+			t.Fatalf("store %q reads back %d studies, want %d", st.Dir(), len(recs), studies)
+		}
+		if g := st.StudyGeneration(); g < studies {
+			t.Fatalf("store %q generation %d after %d new studies", st.Dir(), g, studies)
+		}
+	}
+	if records, _ := residentStudies(dir); records != 0 {
+		t.Fatalf("directory store keeps %d manifests resident", records)
 	}
 }
