@@ -113,19 +113,10 @@ func usageError() error {
                     [-store dir] [-fabric url,url,...]
                     [-job-workers N] [-queue N]
                     [-sync-wait 0] [-study-timeout 0]
-                                             serve studies over HTTP: POST /v1/studies
-                                             (sync, or ?async=1 for 202+job ID),
-                                             GET /v1/studies, /v1/studies/{fp},
-                                             /v1/query (stored studies),
-                                             GET /v1/jobs, /v1/jobs/{id}[/result],
-                                             DELETE /v1/jobs/{id} (cancel),
-                                             GET /v1/cells, /v1/experiments,
-                                             /v1/experiments/{id}/dashboard.html,
-                                             /v1/stats, /v1/healthz, /v1/version,
-                                             /v1/openapi.json,
-                                             POST /v1/shard (fabric worker); -jobs
-                                             bounds concurrent studies, -workers
-                                             sizes each study's worker pool, -store
+                                             serve studies over HTTP (GET / lists
+                                             the /v1 routes); -jobs bounds
+                                             concurrent studies, -workers sizes
+                                             each study's worker pool, -store
                                              persists evaluated points in a
                                              directory (and async jobs: a killed
                                              server resumes them on restart), -fabric

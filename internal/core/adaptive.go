@@ -39,7 +39,7 @@ import (
 // two runs — at any worker count, cold or store-warm — produce byte-
 // identical output. The budget therefore counts evaluated points whether or
 // not they were replayed from the point cache; what a warm cache changes is
-// the engine work (Exploration.Characterizations drops to zero), never the
+// the engine work (a store-warm run characterizes nothing), never the
 // bytes. Points keep their full-enumeration PointSpec (index, fault seed,
 // cache key), so adaptive and exhaustive runs share the store's point
 // entries both ways.
@@ -53,8 +53,8 @@ const (
 // Exploration summarizes how an adaptive run covered the design space. The
 // JSON-visible fields are pure functions of (configuration, seed, budget) —
 // they appear in study bodies, which must stay byte-identical run to run,
-// and the study service sums them into /v1/stats — while the
-// engine-economics telemetry (cache warmth) stays out of the body.
+// and the study service sums them into /v1/stats. Engine work is counted by
+// the engine (nvsim.Engine.Stats), not here.
 type Exploration struct {
 	Mode             string `json:"mode"`
 	Budget           int    `json:"budget"`
@@ -67,11 +67,6 @@ type Exploration struct {
 	PrunedInfeasible int `json:"pruned_infeasible"`
 	PrunedBudget     int `json:"pruned_budget"`
 	Rounds           int `json:"rounds"`
-
-	// Run telemetry, not part of the study body: how the evaluated points
-	// were obtained on this particular run.
-	CacheHits         int `json:"-"`
-	Characterizations int `json:"-"`
 
 	// Indices lists the evaluated points' enumeration indices, ascending.
 	// Study manifests persist it so the store/query layers can replay
@@ -190,7 +185,6 @@ func (s *Study) runAdaptive(ctx context.Context, emit func(PointResult) error) (
 	evaluated := make([]bool, len(specs))
 	evalCount := 0
 	rounds := 0
-	var stats runStats
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: study %q canceled: %w", s.Name, err)
@@ -233,12 +227,9 @@ func (s *Study) runAdaptive(ctx context.Context, emit func(PointResult) error) (
 			for j, i := range cands {
 				batch[j] = specs[i]
 			}
-			st, err := s.runSpecs(ctx, batch, scratch, putter, collect)
-			if err != nil {
+			if err := s.runSpecs(ctx, batch, scratch, putter, collect); err != nil {
 				return nil, err
 			}
-			stats.cacheHits += st.cacheHits
-			stats.characterized += st.characterized
 			for _, i := range cands {
 				evaluated[i] = true
 			}
@@ -336,17 +327,15 @@ func (s *Study) runAdaptive(ctx context.Context, emit func(PointResult) error) (
 		})
 	}
 	res.Exploration = &Exploration{
-		Mode:              ModeAdaptive,
-		Budget:            s.Budget,
-		Seed:              s.Seed,
-		ExhaustivePoints:  len(specs),
-		EvaluatedPoints:   evalCount,
-		PrunedInfeasible:  prunedCount,
-		PrunedBudget:      len(specs) - evalCount - prunedCount,
-		Rounds:            rounds,
-		CacheHits:         stats.cacheHits,
-		Characterizations: stats.characterized,
-		Indices:           order,
+		Mode:             ModeAdaptive,
+		Budget:           s.Budget,
+		Seed:             s.Seed,
+		ExhaustivePoints: len(specs),
+		EvaluatedPoints:  evalCount,
+		PrunedInfeasible: prunedCount,
+		PrunedBudget:     len(specs) - evalCount - prunedCount,
+		Rounds:           rounds,
+		Indices:          order,
 	}
 	if len(res.Arrays) == 0 {
 		return nil, res.noArraysError()

@@ -144,23 +144,25 @@ func TestAdaptiveBudgetHalving(t *testing.T) {
 // TestAdaptiveWarmStoreReplay checks the cache interplay: a store-warm
 // adaptive run does zero engine work, replays the identical evaluated
 // subset (budget counts cached points too — that is what keeps warm and
-// cold runs byte-identical), and reports the shift through the telemetry
-// fields.
+// cold runs byte-identical), and stores no new points: every evaluated
+// point was a cache hit.
 func TestAdaptiveWarmStoreReplay(t *testing.T) {
 	cache := &countingCache{m: map[string]CachedPoint{}}
 	s := adaptiveRef(4, 10, 42)
 	s.Cache = cache
+	s.Engine = nvsim.NewEngine()
 	cold, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Exploration.Characterizations == 0 {
-		t.Fatal("cold run reported zero characterizations")
+	if s.Engine.Stats().MemoMisses == 0 {
+		t.Fatal("cold run characterized nothing")
 	}
 
 	s2 := adaptiveRef(4, 10, 42)
 	s2.Cache = cache
 	s2.Engine = nvsim.NewEngine()
+	coldPuts := cache.puts
 	warm, err := s2.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -168,10 +170,9 @@ func TestAdaptiveWarmStoreReplay(t *testing.T) {
 	if st := s2.Engine.Stats(); st.MemoHits != 0 || st.MemoMisses != 0 {
 		t.Errorf("warm run touched the engine: %+v", st)
 	}
-	we := warm.Exploration
-	if we.Characterizations != 0 || we.CacheHits != we.EvaluatedPoints {
-		t.Errorf("warm telemetry = %d characterizations / %d cache hits, want 0 / %d",
-			we.Characterizations, we.CacheHits, we.EvaluatedPoints)
+	if n := cache.puts - coldPuts; n != 0 {
+		t.Errorf("warm run stored %d new points, want 0: every one of its %d evaluated points should hit",
+			n, warm.Exploration.EvaluatedPoints)
 	}
 	if !reflect.DeepEqual(cold.Metrics, warm.Metrics) ||
 		!reflect.DeepEqual(cold.Arrays, warm.Arrays) ||

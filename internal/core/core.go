@@ -245,7 +245,7 @@ func (s *Study) RunStream(ctx context.Context, emit func(PointResult) error) (*R
 	res := &Results{Study: s}
 	putter := startCachePutter(s.Cache)
 	defer putter.wait()
-	if _, err := s.runSpecs(ctx, specs, res, putter, emit); err != nil {
+	if err := s.runSpecs(ctx, specs, res, putter, emit); err != nil {
 		return nil, err
 	}
 	if len(res.Arrays) == 0 {
@@ -273,12 +273,6 @@ func (r *Results) noArraysError() error {
 		r.Study.Name, len(r.Skipped))
 }
 
-// runStats summarizes one runSpecs pass's engine economics.
-type runStats struct {
-	cacheHits     int // points replayed from the point cache
-	characterized int // unique configs scored by the engine (panics included)
-}
-
 // runSpecs executes the two-phase plan over one batch of grid points,
 // appending rows to res in batch order and handing each completed point to
 // emit. It is the body both execution modes share: RunStream's exhaustive
@@ -286,23 +280,12 @@ type runStats struct {
 // (adaptive.go) calls it once per refinement round over the round's
 // selected specs. Specs keep their original enumeration Index, so emitted
 // coordinates, fault seeds, and cache keys are identical either way.
-func (s *Study) runSpecs(ctx context.Context, specs []PointSpec, res *Results, putter *cachePutter, emit func(PointResult) error) (runStats, error) {
+func (s *Study) runSpecs(ctx context.Context, specs []PointSpec, res *Results, putter *cachePutter, emit func(PointResult) error) error {
 	// Phase 1: the plan pass. All engine work happens here, deduped to one
 	// characterization per unique config; only cancellation can fail it.
 	plan, err := s.plan(ctx, specs, s.Cache)
 	if err != nil {
-		return runStats{}, err
-	}
-	var stats runStats
-	for i := range plan.configs {
-		if plan.configs[i].needed && !plan.configs[i].prefiltered {
-			stats.characterized++
-		}
-	}
-	for i := range specs {
-		if plan.hit != nil && plan.hit[i] {
-			stats.cacheHits++
-		}
+		return err
 	}
 
 	// Phase 2: the evaluation pass. Points are evaluated and emitted in
@@ -318,7 +301,7 @@ func (s *Study) runSpecs(ctx context.Context, specs []PointSpec, res *Results, p
 	res.Metrics = slices.Grow(res.Metrics, totalMetrics)
 	for i := range specs {
 		if err := ctx.Err(); err != nil {
-			return stats, fmt.Errorf("core: study %q canceled: %w", s.Name, err)
+			return fmt.Errorf("core: study %q canceled: %w", s.Name, err)
 		}
 		aStart, mStart := len(res.Arrays), len(res.Metrics)
 		var skipped []string
@@ -383,7 +366,7 @@ func (s *Study) runSpecs(ctx context.Context, specs []PointSpec, res *Results, p
 				}
 			}()
 			if evalErr != nil {
-				return stats, evalErr
+				return evalErr
 			}
 		}
 		res.Skipped = append(res.Skipped, skipped...)
@@ -394,11 +377,11 @@ func (s *Study) runSpecs(ctx context.Context, specs []PointSpec, res *Results, p
 				Metrics: res.Metrics[mStart:len(res.Metrics):len(res.Metrics)],
 				Skipped: skipped,
 			}); err != nil {
-				return stats, err
+				return err
 			}
 		}
 	}
-	return stats, nil
+	return nil
 }
 
 // Feasible returns the evaluations that meet their task rate and avoid

@@ -53,11 +53,6 @@ type planConfig struct {
 	// poisons only the points sharing this config — they are reported in
 	// Results.FailedPoints — while the rest of the grid completes.
 	failed error
-	// prefiltered is set when the cheap constraint bound proved the config
-	// infeasible and the engine pass was skipped (nvsim.PrefilterTargets).
-	// The per-target errors — and therefore every output byte — are
-	// identical to what the engine would have reported.
-	prefiltered bool
 }
 
 // execPlan is the planned form of one study run.
@@ -250,7 +245,6 @@ func (s *Study) plan(ctx context.Context, specs []PointSpec, cache PointCache) (
 			// — and every other output byte — are unchanged.
 			if arrays, errs, pruned := s.Engine.PrefilterTargets(cfg, s.Targets); pruned {
 				pc.arrays, pc.errs = arrays, errs
-				pc.prefiltered = true
 				return
 			}
 			pc.arrays, pc.errs = s.Engine.CharacterizeTargets(cfg, s.Targets)

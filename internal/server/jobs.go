@@ -94,14 +94,11 @@ func (st JobState) terminal() bool {
 type job struct {
 	id        string
 	x         *sweep.Expansion
-	studyName string
 	format    string // format requested at submission; result default
-	total     int    // grid points in the study's design space
 	completed atomic.Int64
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	done   chan struct{} // closed when the job reaches a terminal state
 
 	mu    sync.Mutex
 	state JobState
@@ -109,7 +106,7 @@ type job struct {
 	err   error
 }
 
-// setState transitions the job; terminal states close done exactly once.
+// setState transitions the job; a terminal state is final.
 func (j *job) setState(st JobState, res *core.Results, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -117,9 +114,6 @@ func (j *job) setState(st JobState, res *core.Results, err error) {
 		return
 	}
 	j.state, j.res, j.err = st, res, err
-	if st.terminal() {
-		close(j.done)
-	}
 }
 
 // snapshot reads the job's externally visible state in one shot.
@@ -174,8 +168,8 @@ func newJobManager(srv *Server, workers, queueDepth int) *jobManager {
 func newJob(id string, x *sweep.Expansion, format string) *job {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &job{
-		id: id, x: x, studyName: x.Study.Name, format: format, total: x.Points,
-		ctx: ctx, cancel: cancel, done: make(chan struct{}), state: JobQueued,
+		id: id, x: x, format: format,
+		ctx: ctx, cancel: cancel, state: JobQueued,
 	}
 }
 
@@ -216,8 +210,8 @@ func (m *jobManager) submit(req studyRequest) (*job, bool, error) {
 	if st != nil {
 		ov := req.ov
 		if err := st.JournalJob(store.JobRecord{
-			ID: j.id, Fingerprint: j.x.Fingerprint, Name: j.studyName, Format: j.format,
-			Config: req.raw, Total: j.total,
+			ID: j.id, Fingerprint: j.x.Fingerprint, Name: j.x.Study.Name, Format: j.format,
+			Config: req.raw, Total: j.x.Points,
 			ParetoSet: ov.ParetoSet, Pareto: ov.Pareto, ModeSet: ov.ModeSet, Mode: ov.Mode,
 			BudgetSet: ov.BudgetSet, Budget: ov.Budget, SeedSet: ov.SeedSet, Seed: ov.Seed,
 		}); err != nil {
@@ -479,13 +473,13 @@ type JobStatus struct {
 // status renders a job's externally visible state.
 func (j *job) status() JobStatus {
 	st, _, err := j.snapshot()
-	s := JobStatus{ID: j.id, Study: j.studyName, State: st, Format: j.format}
+	s := JobStatus{ID: j.id, Study: j.x.Study.Name, State: st, Format: j.format}
 	s.Progress.Completed = int(j.completed.Load())
-	s.Progress.Total = j.total
+	s.Progress.Total = j.x.Points
 	switch st {
 	case JobDone:
 		s.Result = "/v1/jobs/" + j.id + "/result"
-		s.Progress.Completed = j.total
+		s.Progress.Completed = j.x.Points
 	case JobFailed:
 		if err != nil {
 			s.Error = err.Error()

@@ -96,7 +96,7 @@ func blockWorker(t *testing.T) (release func()) {
 	ch := make(chan struct{})
 	var once sync.Once
 	testHookJobRunning = func(j *job) {
-		if strings.HasPrefix(j.studyName, "blocker") {
+		if strings.HasPrefix(j.x.Study.Name, "blocker") {
 			<-ch
 		}
 	}
@@ -303,7 +303,7 @@ func TestAsyncResultConcurrentRenders(t *testing.T) {
 func TestJobPruning(t *testing.T) {
 	m := &jobManager{jobs: map[string]*job{}, inflight: map[string]*job{}}
 	mkJob := func(id string, st JobState) *job {
-		j := &job{id: id, state: st, done: make(chan struct{})}
+		j := &job{id: id, state: st}
 		m.jobs[id] = j
 		m.order = append(m.order, j)
 		return j

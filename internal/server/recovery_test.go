@@ -41,7 +41,7 @@ func TestCrashRecoveryResumesJournaledJob(t *testing.T) {
 	parked := make(chan struct{})
 	var once sync.Once
 	testHookJobPoint = func(j *job, completed int) {
-		if completed == j.total {
+		if completed == j.x.Points {
 			once.Do(func() { close(parked) })
 			<-park
 		}

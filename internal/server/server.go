@@ -7,28 +7,8 @@
 // and with -store every evaluated point persists, so a restarted process
 // replays stored points without characterizing them.
 //
-// Endpoints (all under /v1):
-//
-//	POST /v1/studies                        run a sweep.Config; ?format=json|ndjson|csv|html
-//	                                        and ?pareto=metric,metric for frontier selection;
-//	                                        ?async=1 queues the study and answers 202+job ID
-//	GET  /v1/studies                        list stored studies (requires -store)
-//	GET  /v1/studies/{fingerprint}          re-render one stored study, zero engine work
-//	GET  /v1/query                          filter/rank/Pareto-select rows across stored
-//	                                        studies from the warm query index
-//	GET  /v1/jobs                           every async job, submission order
-//	GET  /v1/jobs/{id}                      one job: state + completed/total progress
-//	GET  /v1/jobs/{id}/result               a done job's study body (?format= as above)
-//	DELETE /v1/jobs/{id}                    cancel a queued or running job
-//	GET  /v1/cells                          the canonical tentpole cell database
-//	GET  /v1/experiments                    the paper-experiment registry
-//	GET  /v1/experiments/{id}/dashboard.html  one experiment rendered as an HTML dashboard
-//	GET  /v1/stats                          memo-cache, study-store, fabric, job, and query counters
-//	GET  /v1/healthz                        liveness/readiness (503 while draining)
-//	GET  /v1/openapi.json                   machine-readable API description
-//	GET  /v1/version                        protocol + schema versions for the peer handshake
-//	POST /v1/shard                          characterize a slice of a study's design space
-//	                                        (the fabric worker protocol — see internal/fabric)
+// The endpoints, all under /v1, are listed once, in routes (routes.go):
+// GET / prints them and GET /v1/openapi.json describes them.
 //
 // Responses for a given configuration are byte-identical to the batch CLI
 // (`nvmexplorer run -format json|ndjson|csv`): both sides render through
@@ -215,33 +195,6 @@ func (s *Server) Close() {
 	if s.fabric != nil {
 		s.fabric.Stop()
 	}
-}
-
-// Handler returns the service's HTTP routes.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/studies", s.handleStudies)
-	mux.HandleFunc("GET /v1/studies", s.handleStudiesList)
-	mux.HandleFunc("GET /v1/studies/{fingerprint}", s.handleStudyGet)
-	mux.HandleFunc("GET /v1/query", s.handleQuery)
-	mux.HandleFunc("GET /v1/jobs", s.handleJobs)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	mux.HandleFunc("GET /v1/cells", s.handleCells)
-	mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
-	mux.HandleFunc("GET /v1/experiments/{id}/dashboard.html", s.handleDashboard)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/openapi.json", s.handleOpenAPI)
-	// The fabric worker protocol (see storeapi.go).
-	mux.HandleFunc("GET /v1/version", s.handleVersion)
-	mux.HandleFunc("POST /v1/shard", s.handleShard)
-	mux.HandleFunc("GET /{$}", s.handleIndex)
-	// Everything else gets the API's 404 envelope instead of the mux's
-	// plain-text default (method mismatches land here too).
-	mux.HandleFunc("/", s.handleNotFound)
-	return mux
 }
 
 // Drain marks the server as shutting down: /v1/healthz starts answering
@@ -747,35 +700,6 @@ func (s *Server) Snapshot() Stats {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, s.Snapshot())
-}
-
-func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, `NVMExplorer-Go study service
-  POST /v1/studies                          run a sweep.Config (?format=json|ndjson|csv|html,
-                                            ?pareto=metric,metric for frontier selection,
-                                            ?mode=adaptive&budget=N&seed=S for Pareto-guided
-                                            exploration under a point budget,
-                                            ?async=1 to queue a job; ETag/If-None-Match honored)
-  GET  /v1/studies                          list stored studies (requires -store)
-  GET  /v1/studies/{fingerprint}            re-render one stored study, zero engine work
-  GET  /v1/query                            filter/rank/Pareto-select rows across stored studies
-                                            (study=, cell=, technology=, pattern=, target=,
-                                            capacity=, min_<metric>=, max_<metric>=, sort=,
-                                            order=, top=, frontier=; ?format= as above)
-  GET  /v1/jobs                             every async job, submission order
-  GET  /v1/jobs/{id}                        one job: state + completed/total progress
-  GET  /v1/jobs/{id}/result                 a done job's study body (?format= as above)
-  DELETE /v1/jobs/{id}                      cancel a queued or running job
-  GET  /v1/cells                            canonical tentpole cell database
-  GET  /v1/experiments                      paper-experiment registry
-  GET  /v1/experiments/{id}/dashboard.html  live HTML dashboard for one experiment
-  GET  /v1/stats                            memo-cache, study-store, fabric, job, and query counters
-  GET  /v1/healthz                          liveness/readiness (503 while draining)
-  GET  /v1/openapi.json                     machine-readable API description
-  GET  /v1/version                          protocol + schema versions (peer handshake)
-  POST /v1/shard                            characterize a slice of a study's design space (fabric worker)
-`)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

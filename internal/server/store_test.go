@@ -156,27 +156,49 @@ func (c *studyWriteFS) WriteFileAtomic(path string, data []byte) error {
 }
 
 // TestWarmPostWritesNoManifest checks that re-running a stored study
-// rewrites nothing under studies/: its manifest is already there.
+// rewrites nothing under studies/ and moves no study generation: its
+// manifest is already there. That holds for an adaptive study too, whose
+// manifest holds only values fixed by (config, seed, budget), though its
+// warm re-run finds every evaluated point in the store.
 func TestWarmPostWritesNoManifest(t *testing.T) {
-	cfs := &studyWriteFS{FS: store.DiskFS}
-	st, err := store.OpenFS(t.TempDir(), cfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Options{MaxConcurrentStudies: 2, Store: st})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { ts.Close(); srv.Close() })
-	cfg := testConfig("warm-manifest", "STT", 1<<20)
-	if code, body := post(t, ts, cfg, "json"); code != http.StatusOK {
-		t.Fatalf("cold POST status %d: %s", code, body)
-	}
-	if n := cfs.writes.Load(); n != 1 {
-		t.Fatalf("cold POST wrote %d manifests, want 1", n)
-	}
-	if code, body := post(t, ts, cfg, "json"); code != http.StatusOK {
-		t.Fatalf("warm POST status %d: %s", code, body)
-	}
-	if n := cfs.writes.Load(); n != 1 {
-		t.Fatalf("warm POST wrote %d more manifests, want 0", n-1)
+	adaptive := `{
+	  "name": "warm-adaptive-manifest",
+	  "cells": [{"technology": "STT", "flavor": "Opt"}, {"technology": "FeFET", "flavor": "Opt"}],
+	  "capacities_bytes": [65536, 131072, 262144, 524288, 1048576, 2097152],
+	  "traffic": {"fixed": [{"name": "t", "reads_per_sec": 1e6, "writes_per_sec": 1e5}]},
+	  "pareto": {"metrics": ["read_latency_ns", "read_energy_pj"]},
+	  "mode": "adaptive",
+	  "budget": 6,
+	  "seed": 42
+	}`
+	for _, cfg := range []string{testConfig("warm-manifest", "STT", 1<<20), adaptive} {
+		cfs := &studyWriteFS{FS: store.DiskFS}
+		st, err := store.OpenFS(t.TempDir(), cfs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(Options{MaxConcurrentStudies: 2, Store: st})
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() { ts.Close(); srv.Close() })
+		code, cold := post(t, ts, cfg, "json")
+		if code != http.StatusOK {
+			t.Fatalf("cold POST status %d: %s", code, cold)
+		}
+		if n, g := cfs.writes.Load(), st.StudyGeneration(); n != 1 || g != 1 {
+			t.Fatalf("cold POST wrote %d manifests at study generation %d, want 1 and 1", n, g)
+		}
+		code, warm := post(t, ts, cfg, "json")
+		if code != http.StatusOK {
+			t.Fatalf("warm POST status %d: %s", code, warm)
+		}
+		if !bytes.Equal(warm, cold) {
+			t.Fatal("warm response differs from the cold one")
+		}
+		if n := cfs.writes.Load(); n != 1 {
+			t.Fatalf("warm POST wrote %d more manifests, want 0", n-1)
+		}
+		if g := st.StudyGeneration(); g != 1 {
+			t.Fatalf("warm POST moved the study generation to %d, want 1", g)
+		}
 	}
 }

@@ -15,14 +15,11 @@ import (
 	"repro/internal/sweep"
 )
 
-// The fabric worker protocol: the version handshake and the
-// shard-execution endpoint the fabric coordinator fans studies out
-// through. A shard's answer is a CRC-enveloped gob (store.EncodeShard), so
-// a torn response reads as detected corruption, never as silently
-// truncated physics.
-//
-//	GET  /v1/version                    protocol + schema versions (worker handshake)
-//	POST /v1/shard                      characterize a slice of a study's design space
+// The fabric worker protocol: the version handshake (GET /v1/version) and
+// the shard-execution endpoint (POST /v1/shard) the fabric coordinator
+// fans studies out through. A shard's answer is a CRC-enveloped gob
+// (store.EncodeShard), so a torn response reads as detected corruption,
+// never as silently truncated physics.
 
 // buildRevision is the VCS revision stamped into the binary, when the
 // toolchain recorded one.

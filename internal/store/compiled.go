@@ -23,8 +23,10 @@ import (
 //     and looked up by their bytes; a decoder primed by exactly those bytes
 //     decodes the value message. Records from another process, or another
 //     first-use order, carry other type ids and so other prefix bytes:
-//     each primes its own decoders, up to maxPrefixes per type (import
-//     bodies are untrusted, so the set is bounded). A record that does not
+//     each primes its own decoders, up to maxPrefixes per type. Foreign
+//     prefixes come from other processes sharing the store directory and
+//     from worker shard responses, which this process does not control, so
+//     the set is bounded. A record that does not
 //     split, a prefix past the bound or a primed decode that fails is
 //     decoded by a fresh decoder over the whole record, as a one-shot
 //     decode, and the failed decoder is dropped.

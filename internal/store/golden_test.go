@@ -93,7 +93,7 @@ func TestRecordBytesGolden(t *testing.T) {
 	}
 	want := map[string]string{
 		"point": "1fc89dfa842817bc42476564c25977108af3cc6373b7b75900b01e9ddfbe06c0",
-		"study": "61638d98966a4092b064372536ce0e783947ba3070a9bee372fbb9365dfb4b71",
+		"study": "44c967d358f2802a1d405e703100d15eb6aaa9d60b36f2de38634b9969b560af",
 		"job":   "042058be652465cb21dc7ee9bf0be1ba1b78c6de05c4d1838b8c61ae642c712d",
 		"wire":  "34572a15f06f7ba70f1c51af71be2546483351640b2cd9acd477a72449b4fc17",
 	}

@@ -9,7 +9,7 @@ import (
 
 // The fabric shard protocol's wire form: a coordinator POSTs /v1/shard to
 // a worker naming the spec indices it wants characterized; the worker
-// answers with an envelope-framed gob of core.Characterizations — each
+// answers with an envelope-framed gob of []core.Characterization — each
 // distinct characterization config of the shard that succeeded for every
 // study target, with its per-target winners, or failed for every target,
 // with its per-target errors. The coordinator evaluates and stores every

@@ -287,7 +287,7 @@ func TestSaveStudySkipsEqualRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := testRecord("aa11", "alpha")
-	rec.Exploration = &core.Exploration{Mode: "adaptive", Indices: []int{0, 2}, Characterizations: 3}
+	rec.Exploration = &core.Exploration{Mode: "adaptive", Indices: []int{0, 2}}
 	save := func(r StudyRecord, wantWrites int, wantGen int64) {
 		t.Helper()
 		if err := st.SaveStudy(r); err != nil {
@@ -348,7 +348,7 @@ func TestReopenedStoreSkipsEqualManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := testRecord("aa11", "alpha")
-	rec.Exploration = &core.Exploration{Mode: "adaptive", Indices: []int{0, 2}, Characterizations: 3}
+	rec.Exploration = &core.Exploration{Mode: "adaptive", Indices: []int{0, 2}}
 	if err := writer.SaveStudy(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -365,6 +365,59 @@ func TestReopenedStoreSkipsEqualManifest(t *testing.T) {
 	}
 	if g := st.StudyGeneration(); g != 0 {
 		t.Fatalf("an equal save moved the generation to %d, want 0", g)
+	}
+}
+
+// TestLoadsManifestWithRunTelemetry: adaptive manifests once carried two
+// run-telemetry fields (cache hits and characterizations) beside the
+// exploration record. testdata/adaptive-telemetry-manifest.gob is such a
+// manifest, written by `nvmexplorer run -store` for a budget-12 adaptive
+// study whose first six points a budget-6 run had already stored. It must
+// still load, with the same name, grid size and exploration record minus
+// those fields. Its gob type definitions differ from today's encoding, so
+// the first equal save rewrites the file once; later saves write nothing.
+func TestLoadsManifestWithRunTelemetry(t *testing.T) {
+	const fp = "564265a0a6fa9961341f5bda1148c09f037514ad9f088e801b9786355918e7ca"
+	data, err := os.ReadFile(filepath.Join("testdata", "adaptive-telemetry-manifest.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "studies"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "studies", fp+".gob"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wfs := &writeCountFS{FS: DiskFS}
+	st, err := OpenFS(dir, wfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, ok := st.LoadStudy(fp)
+	if !ok {
+		t.Fatal("manifest with run telemetry did not load")
+	}
+	want := core.Exploration{
+		Mode: "adaptive", Budget: 12, Seed: 42,
+		ExhaustivePoints: 16, EvaluatedPoints: 10, PrunedBudget: 6, Rounds: 3,
+		Indices: []int{0, 1, 2, 4, 7, 8, 9, 10, 12, 15},
+	}
+	if rec.Name != "adaptive-fixture" || rec.Points != 16 || rec.Exploration == nil ||
+		!reflect.DeepEqual(*rec.Exploration, want) {
+		t.Fatalf("loaded %q / %d points / %+v, want %q / 16 points / %+v",
+			rec.Name, rec.Points, rec.Exploration, "adaptive-fixture", want)
+	}
+	for save := 1; save <= 3; save++ {
+		if err := st.SaveStudy(rec); err != nil {
+			t.Fatal(err)
+		}
+		if n := wfs.studyWrites(); n != 1 {
+			t.Fatalf("save %d: %d manifest writes in all, want 1", save, n)
+		}
+		if g := st.StudyGeneration(); g != 1 {
+			t.Fatalf("save %d: study generation %d, want 1", save, g)
+		}
 	}
 }
 

@@ -107,41 +107,3 @@ func MbPerMM2(capacityBytes int64, areaMM2 float64) float64 {
 	}
 	return float64(capacityBytes) * 8 / 1e6 / areaMM2
 }
-
-// Clamp bounds v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// ApproxEqual reports whether a and b agree within relative tolerance tol
-// (and an absolute floor of tol for values near zero).
-func ApproxEqual(a, b, tol float64) bool {
-	diff := math.Abs(a - b)
-	if diff <= tol {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= tol*scale
-}
-
-// GeoMean returns the geometric mean of vs, ignoring non-positive entries.
-// It returns 0 when no positive entries are present.
-func GeoMean(vs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, v := range vs {
-		if v > 0 {
-			sum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}

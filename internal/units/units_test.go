@@ -70,7 +70,7 @@ func TestTimeEnergyPowerFormatting(t *testing.T) {
 func TestMbPerMM2(t *testing.T) {
 	// 2 MiB in 1 mm²: 2*2^20*8 bits = 16.777 Mb.
 	got := MbPerMM2(2*MiB, 1.0)
-	if !ApproxEqual(got, 16.777216, 1e-6) {
+	if math.Abs(got-16.777216) > 1e-6 {
 		t.Errorf("MbPerMM2 = %v", got)
 	}
 	if MbPerMM2(MiB, 0) != 0 {
@@ -78,51 +78,6 @@ func TestMbPerMM2(t *testing.T) {
 	}
 	if MbPerMM2(MiB, -1) != 0 {
 		t.Error("negative area should yield zero density")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Error("Clamp misbehaves")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); !ApproxEqual(got, 10, 1e-9) {
-		t.Errorf("GeoMean([1,100]) = %v", got)
-	}
-	if got := GeoMean([]float64{4, 0, -2}); !ApproxEqual(got, 4, 1e-9) {
-		t.Errorf("GeoMean should ignore non-positive entries, got %v", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil) should be 0")
-	}
-}
-
-func TestApproxEqual(t *testing.T) {
-	if !ApproxEqual(100, 101, 0.02) {
-		t.Error("1% apart should match at 2% tolerance")
-	}
-	if ApproxEqual(100, 110, 0.02) {
-		t.Error("10% apart should not match at 2% tolerance")
-	}
-	if !ApproxEqual(0, 1e-12, 1e-9) {
-		t.Error("tiny absolute differences near zero should match")
-	}
-}
-
-// Property: clamping is idempotent and always lands inside the interval.
-func TestClampProperty(t *testing.T) {
-	f := func(v, a, b float64) bool {
-		if math.IsNaN(v) || math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		lo, hi := math.Min(a, b), math.Max(a, b)
-		c := Clamp(v, lo, hi)
-		return c >= lo && c <= hi && Clamp(c, lo, hi) == c
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
