@@ -481,7 +481,7 @@ func queryBenchIndex(b *testing.B, dir string) (*query.Index, *store.Store) {
 		b.Fatal(err)
 	}
 	// Expanded and recorded the way the server and `run -store` do.
-	x, err := sweep.Expand([]byte(queryBenchConfig), sweep.Overrides{}, st)
+	x, err := sweep.Expand([]byte(queryBenchConfig), nil, st)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -598,7 +598,7 @@ func BenchmarkQueryRefreshUnchanged(b *testing.B) {
 	}
 	for k := 0; k < 128; k++ {
 		body := fmt.Sprintf(refreshBenchConfig, fmt.Sprintf("refresh-%03d", k))
-		x, err := sweep.Expand([]byte(body), sweep.Overrides{}, st)
+		x, err := sweep.Expand([]byte(body), nil, st)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -205,17 +205,13 @@ func runSweepTo(w io.Writer, args []string) error {
 	}
 	given := map[string]string{}
 	fs.Visit(func(f *flag.Flag) { given[f.Name] = f.Value.String() })
-	ov, err := sweep.ParseOverrides(func(name string) string { return given[name] })
-	if err != nil {
-		return fmt.Errorf("run: %w", err)
-	}
 	var st *store.Store
 	if *storeDir != "" {
 		if st, err = store.Open(*storeDir); err != nil {
 			return err
 		}
 	}
-	x, err := sweep.Expand(raw, ov, st)
+	x, err := sweep.Expand(raw, func(name string) string { return given[name] }, st)
 	if err != nil {
 		return err
 	}

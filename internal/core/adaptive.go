@@ -12,7 +12,7 @@ import (
 // The adaptive exploration planner. Exhaustive runs evaluate the full axis
 // cross product, whose cost explodes combinatorially as axes multiply; most
 // of those points can never reach the Pareto frontier the study asked for.
-// Adaptive mode turns the PR 5 plan/evaluate split into a search:
+// Adaptive mode turns the plan/evaluate split (plan.go) into a search:
 //
 //  1. Constraint pruning. Before any engine work, every unique
 //     characterization config is tested against the cheap area bound

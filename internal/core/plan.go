@@ -24,8 +24,8 @@ import (
 // (config, target) instead of once per (point, target). The evaluation phase then walks the grid in
 // declaration order, replaying cached points and driving eval.EvaluateBatch
 // over the plan table into preallocated result buffers, emitting each point
-// as it completes. Output is byte-identical to the previous point-at-a-time
-// execution at any worker count.
+// as it completes. Output is byte-identical to evaluating each point on its
+// own, at any worker count.
 
 // testHookCharacterize, when non-nil, runs just before each config's
 // characterization, inside the plan phase's panic guard. Fault-isolation

@@ -19,11 +19,9 @@ import (
 // up unchanged.
 //
 // Axis nesting order is fixed and load bearing: bits-per-cell (outermost),
-// cell, capacity, word bits, write buffer, fault mode (innermost). With the
-// optional axes left empty this degenerates to exactly the (cell, capacity)
-// order the original Study.Run enumerated — after the bits-per-cell
-// expansion that sweep configurations used to perform by pre-cloning cells
-// — so legacy configurations produce byte-identical output.
+// cell, capacity, word bits, write buffer, fault mode (innermost). It fixes
+// the order of every study's output rows and the grid indices an adaptive
+// manifest records, so changing it changes stored and served bytes.
 
 // Axis identifies one design-space dimension.
 type Axis int

@@ -6,11 +6,10 @@ import (
 	"time"
 )
 
-// Per-worker circuit breaker. The bare alive flag the pool used to carry
-// collapsed two different facts — "this worker failed once" and "this
-// worker is worth trying again" — into one bit, so a flapping worker was
-// re-probed at full price on every prefill. The breaker separates them
-// with the classic three states:
+// Per-worker circuit breaker. "This worker failed once" and "this worker
+// is worth trying again" are different facts; one alive bit would collapse
+// them and re-probe a flapping worker at full price on every prefill. The
+// breaker separates them with the classic three states:
 //
 //	closed    the worker is usable: shards route to it.
 //	open      the worker recently failed: nothing routes to it until

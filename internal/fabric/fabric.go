@@ -86,7 +86,7 @@ const (
 // Options tunes a Pool's resilience machinery. The zero value of every
 // field selects a sensible default; zero HedgeAfter disables hedging and
 // zero Rehandshake disables the background re-handshake ticker (Prefill
-// still re-handshakes inline, as it always has).
+// still re-handshakes inline).
 type Options struct {
 	// Client issues every worker request. nil uses a default with the
 	// shard timeout; tests inject fault-wrapped clients.

@@ -17,7 +17,7 @@ import (
 // calibration) — per-cell geometry, sense-amp timing, per-bit energies,
 // activation voltages — exactly once per characterization, and setOrg
 // derives the per-candidate wire/area terms. Every hoisted value is the
-// same subexpression the inline formulas used to evaluate, so candidate
+// same subexpression an unhoisted formula would evaluate, so candidate
 // scores are bit-identical to scoring each organization from scratch.
 
 // log2i returns ceil(log2(n)) for n >= 1. Powers of two (every enumerated

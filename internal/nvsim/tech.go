@@ -62,8 +62,7 @@ var nodeTable = []techNode{
 // node22 is the 22nm reference node several calibration constants are
 // quoted against. The interpolation is deterministic, so computing it once
 // at init keeps every later use bit-identical while taking the exp/log
-// work out of the per-candidate scoring loop (it used to be re-derived via
-// nodeAt(22) on every sense-amp and precharge term).
+// work out of the per-candidate scoring loop.
 var node22 = nodeAt(22)
 
 // nodeAt returns technology parameters for an arbitrary feature size by

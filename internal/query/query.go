@@ -2,23 +2,23 @@
 // without running the characterization engine — the read side of
 // NVMExplorer-Go. The paper's exploration loop asks questions like "which
 // eNVM config wins for my read-dominated workload under this power
-// budget?" over *already-computed* sweeps; PRs 4/6 made those sweeps
+// budget?" over *already-computed* sweeps; the store keeps those sweeps
 // durable and content-addressed, and this package makes them queryable:
 // an in-memory columnar index over every stored study, with axis and
 // metric-range filters, top-k ranking by any named metric, and
 // frontier-of-union Pareto selection across studies.
 //
 // The index is built from study manifests (store.StudyRecord): each
-// manifest's effective configuration is re-expanded into a core.Study,
-// its fingerprint verified, and every grid point fetched from the store
-// by its canonical key (core.Study.PointKey) — the same replay path a
-// warm re-run takes, minus the engine entirely. The index keeps the points
-// the store hands out (it shares them, never copies or writes them) and
-// shreds their values into per-metric float columns, so a warm query is a
-// column scan plus a ranking: microseconds and zero characterizations. A
-// top-k query keeps its k best rows in a bounded heap, so it allocates in
-// proportion to k, not to the store; other shapes allocate per matching
-// row.
+// manifest's effective configuration is rebuilt into a core.Study
+// (sweep.Rebuild, which verifies its fingerprint), and every grid point is
+// fetched from the store by its canonical key (core.Study.PointKey) — the
+// same replay path a warm re-run takes, minus the engine entirely. The
+// index keeps the points the store hands out (it shares them, never copies
+// or writes them) and shreds their values into per-metric float columns,
+// so a warm query is a column scan plus a ranking: microseconds and zero
+// characterizations. A top-k query keeps its k best rows in a bounded
+// heap, so it allocates in proportion to k, not to the store; other shapes
+// allocate per matching row.
 //
 // Refresh relists the store only when something may have changed: when
 // the store's manifest generation moved (a study saved in this process),
@@ -256,12 +256,9 @@ func (ix *Index) reorder() {
 // run — the study object exists only to enumerate point keys and carry
 // axis declarations into rendering.
 func (ix *Index) load(rec store.StudyRecord) (*entry, error) {
-	x, err := sweep.Expand(rec.Config, sweep.Overrides{}, nil)
+	x, err := sweep.Rebuild(rec.Config, rec.Fingerprint, nil)
 	if err != nil {
 		return nil, fmt.Errorf("manifest %s: %w", rec.Fingerprint, err)
-	}
-	if x.Fingerprint != rec.Fingerprint {
-		return nil, fmt.Errorf("manifest %s: config re-expands to fingerprint %s", rec.Fingerprint, x.Fingerprint)
 	}
 	specs, err := x.Study.Space()
 	if err != nil {
@@ -269,7 +266,7 @@ func (ix *Index) load(rec store.StudyRecord) (*entry, error) {
 	}
 	// An adaptive manifest stores only the evaluated subset of the grid;
 	// replay exactly the recorded indices. Exhaustive manifests (Exploration
-	// nil) replay the full space, as before.
+	// nil) replay the full space.
 	indices := make([]int, 0, len(specs))
 	if xp := rec.Exploration; xp != nil && xp.Indices != nil {
 		for _, idx := range xp.Indices {

@@ -375,7 +375,7 @@ func TestColdShardCountsNoStoreHits(t *testing.T) {
 	               "write_gbs_lo": 0.01, "write_gbs_hi": 0.1, "points": 2}}
 	}`
 	want := batchOutput(t, cfg, "json")
-	x, err := sweep.Expand([]byte(cfg), sweep.Overrides{}, nil)
+	x, err := sweep.Expand([]byte(cfg), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestOpenAPIAdvertisesFabricProtocol(t *testing.T) {
 func FuzzShardRequest(f *testing.F) {
 	for _, tech := range []string{"STT", "RRAM"} {
 		cfg := testConfig("fuzz-shard-"+tech, tech, 1<<20)
-		x, err := sweep.Expand([]byte(cfg), sweep.Overrides{}, nil)
+		x, err := sweep.Expand([]byte(cfg), nil, nil)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -190,10 +190,9 @@ func (m *jobManager) enqueueLocked(j *job) bool {
 
 // submit registers a study as a job, deduplicating against identical
 // in-flight configurations. The returned bool reports whether an existing
-// job was reused. The raw config and overrides are journaled write-ahead
-// (before the job can run) so a crashed process can re-expand the
-// identical study on restart. The only error is a full queue (callers
-// answer 503).
+// job was reused. The job's effective config is journaled write-ahead
+// (before the job can run) so a crashed process can rebuild the identical
+// study on restart. The only error is a full queue (callers answer 503).
 func (m *jobManager) submit(req studyRequest) (*job, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -208,12 +207,9 @@ func (m *jobManager) submit(req studyRequest) (*job, bool, error) {
 	// write failure downgrades durability, never availability.
 	st := m.srv.opts.Store
 	if st != nil {
-		ov := req.ov
 		if err := st.JournalJob(store.JobRecord{
 			ID: j.id, Fingerprint: j.x.Fingerprint, Name: j.x.Study.Name, Format: j.format,
-			Config: req.raw, Total: j.x.Points,
-			ParetoSet: ov.ParetoSet, Pareto: ov.Pareto, ModeSet: ov.ModeSet, Mode: ov.Mode,
-			BudgetSet: ov.BudgetSet, Budget: ov.Budget, SeedSet: ov.SeedSet, Seed: ov.Seed,
+			Config: j.x.Config, Total: j.x.Points,
 		}); err != nil {
 			log.Printf("server: journaling %s: %v (job will not survive a restart)", j.id, err)
 		}
@@ -232,8 +228,9 @@ func (m *jobManager) submit(req studyRequest) (*job, bool, error) {
 
 // resume replays the store's job journal at startup, re-adopting every job
 // that never reached a terminal state. Unreplayable records (schema drift,
-// a config that no longer parses) are dropped with their journal; a full
-// queue leaves the journal intact for the next restart.
+// a config that no longer parses or rebuilds to another study) are dropped
+// with their journal; a full queue leaves the journal intact for the next
+// restart.
 func (m *jobManager) resume() {
 	st := m.srv.opts.Store
 	if st == nil {
@@ -255,16 +252,13 @@ func (m *jobManager) resume() {
 	}
 }
 
-// adopt re-expands one journaled job, its overrides re-applied (so a
-// resumed adaptive job rebuilds the identical study: same fingerprint, same
-// evaluated subset), and queues it under its original ID. Returns
-// (nil, nil) when the queue is full — leave the journal, retry on the next
-// boot.
+// adopt rebuilds one journaled job from its effective config — the
+// identical study the request expanded to (same fingerprint, and for an
+// adaptive job the same evaluated subset) — and queues it under its
+// original ID. Returns (nil, nil) when the queue is full — leave the
+// journal, retry on the next boot.
 func (m *jobManager) adopt(rec store.JobRecord) (*job, error) {
-	x, err := sweep.Expand(rec.Config, sweep.Overrides{
-		ParetoSet: rec.ParetoSet, Pareto: rec.Pareto, ModeSet: rec.ModeSet, Mode: rec.Mode,
-		BudgetSet: rec.BudgetSet, Budget: rec.Budget, SeedSet: rec.SeedSet, Seed: rec.Seed,
-	}, m.srv.opts.Store)
+	x, err := sweep.Rebuild(rec.Config, rec.Fingerprint, m.srv.opts.Store)
 	if err != nil {
 		return nil, err
 	}

@@ -327,6 +327,13 @@ func TestResumedJobReplaysOverrides(t *testing.T) {
 	  "capacities_bytes": [65536, 131072, 262144, 524288, 1048576, 2097152],
 	  "traffic": {"fixed": [{"name": "p", "reads_per_sec": 1e6, "writes_per_sec": 1e5}]}}`
 	const query = "format=json&pareto=read_latency_ns,read_energy_pj&mode=adaptive&budget=5&seed=7"
+	// The study the request expands to: the job's fingerprint.
+	opts := map[string]string{"pareto": "read_latency_ns,read_energy_pj", "mode": "adaptive",
+		"budget": "5", "seed": "7"}
+	x, err := sweep.Expand([]byte(cfg), func(name string) string { return opts[name] }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Server A's worker parks after the first evaluated point, so the
 	// "kill" lands with the job provably mid-run.
@@ -364,8 +371,11 @@ func TestResumedJobReplaysOverrides(t *testing.T) {
 	<-parked
 	tsA.Close() // the "kill": srvA is abandoned mid-job, its journal left as is
 	jobs := stA.IncompleteJobs()
-	if len(jobs) != 1 || !jobs[0].ParetoSet || !jobs[0].ModeSet || !jobs[0].BudgetSet || !jobs[0].SeedSet {
-		t.Fatalf("journal after the kill does not carry every override: %+v", jobs)
+	if len(jobs) != 1 {
+		t.Fatalf("journal after the kill holds %d jobs, want 1", len(jobs))
+	}
+	if _, err := sweep.Rebuild(jobs[0].Config, x.Fingerprint, nil); err != nil {
+		t.Fatalf("the journaled config does not rebuild the job's study: %v\n%s", err, jobs[0].Config)
 	}
 
 	testHookJobPoint = nil
@@ -405,17 +415,6 @@ func TestResumedJobReplaysOverrides(t *testing.T) {
 	}
 	// Same fingerprint: the resumed job recorded the manifest the request
 	// expands to.
-	ov, err := sweep.ParseOverrides(func(name string) string {
-		return map[string]string{"pareto": "read_latency_ns,read_energy_pj", "mode": "adaptive",
-			"budget": "5", "seed": "7"}[name]
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := sweep.Expand([]byte(cfg), ov, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if want := etagFor(x.Fingerprint, "json"); gotETag != want {
 		t.Fatalf("resumed job ETag %s, want %s for fingerprint %s", gotETag, want, x.Fingerprint)
 	}
@@ -425,6 +424,81 @@ func TestResumedJobReplaysOverrides(t *testing.T) {
 	}
 	if _, ok := stD.LoadStudy(x.Fingerprint); !ok {
 		t.Fatalf("no manifest for fingerprint %s after the resumed job", x.Fingerprint)
+	}
+}
+
+// TestMalformedOptionsRejected: an unparseable ?budget= or ?seed= answers
+// 400 invalid_config, sync and async alike, and an async submission so
+// rejected journals nothing.
+func TestMalformedOptionsRejected(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newStoreServer(t, dir)
+	cfg := testConfig("malformed-options", "STT", 1<<20)
+	for _, opt := range []string{"budget=abc", "seed=1.5"} {
+		for _, async := range []string{"", "&async=1"} {
+			resp, err := http.Post(ts.URL+"/v1/studies?format=json&"+opt+async, "application/json",
+				strings.NewReader(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || errCode(t, body) != codeInvalidConfig {
+				t.Errorf("?%s%s: status %d: %s; want 400 %s",
+					opt, async, resp.StatusCode, body, codeInvalidConfig)
+			}
+		}
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jobs := st.IncompleteJobs(); len(jobs) != 0 {
+		t.Fatalf("rejected submissions were journaled: %+v", jobs)
+	}
+}
+
+// TestJournaledJobRebuildingToAnotherStudyIsDropped: a journaled job whose
+// config rebuilds to a study other than its fingerprint is not resumed —
+// neither a record naming another study outright nor one an older version
+// wrote, whose raw body leaves its options in separate fields. The new
+// server resumes nothing, removes both records and lists no job.
+func TestJournaledJobRebuildingToAnotherStudyIsDropped(t *testing.T) {
+	dir := t.TempDir()
+	cfgA := testConfig("rebuild-a", "STT", 1<<20)
+	other, err := sweep.Expand([]byte(testConfig("rebuild-b", "RRAM", 1<<20)), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paretoA, err := sweep.Expand([]byte(cfgA), func(name string) string {
+		return map[string]string{"pareto": "read_latency_ns,area_mm2"}[name]
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.JournalJob(store.JobRecord{ID: "job-1", Fingerprint: other.Fingerprint,
+		Name: "rebuild-a", Format: "json", Config: []byte(cfgA), Total: other.Points}); err != nil {
+		t.Fatal(err)
+	}
+	writeParentJob(t, dir, parentJobRecord{Version: "nvmx-journal/v1", ID: "job-2",
+		Fingerprint: paretoA.Fingerprint, Name: "rebuild-a", Format: "json", Config: []byte(cfgA),
+		ParetoSet: true, Pareto: []string{"read_latency_ns", "area_mm2"}, Total: paretoA.Points})
+
+	srv, ts := newStoreServer(t, dir)
+	if n := srv.ResumedJobs(); n != 0 {
+		t.Fatalf("ResumedJobs = %d, want 0", n)
+	}
+	if jobs := st.IncompleteJobs(); len(jobs) != 0 {
+		t.Fatalf("journal still holds %+v", jobs)
+	}
+	code, _, body := get(t, ts.URL+"/v1/jobs", nil)
+	var rows []JobStatus
+	if code != http.StatusOK || json.Unmarshal(body, &rows) != nil || len(rows) != 0 {
+		t.Fatalf("GET /v1/jobs: status %d: %s; want no job", code, body)
 	}
 }
 
@@ -548,8 +622,9 @@ func TestMemoryOnlyStoreDegradedPastBudget(t *testing.T) {
 	}
 }
 
-// parentJobRecord is store.JobRecord as older versions encoded it, with the
-// progress count that replay filled from jobs/<id>.progress.
+// parentJobRecord is store.JobRecord as older versions encoded it: the raw
+// request body beside separate option fields, and the progress count that
+// replay filled from jobs/<id>.progress.
 type parentJobRecord struct {
 	Version, ID, Fingerprint, Name, Format string
 	Config                                 []byte
@@ -599,7 +674,7 @@ func writeParentJob(t *testing.T, dir string, rec parentJobRecord) {
 // them.
 func TestLegacyShardAndSyncFilesAreIgnored(t *testing.T) {
 	cfg := testConfig("legacy-store", "STT", 1<<20)
-	x, err := sweep.Expand([]byte(cfg), sweep.Overrides{}, nil)
+	x, err := sweep.Expand([]byte(cfg), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,11 @@
 // (sweep.Expand, shared with the CLI and the query index) → slot →
 // prefill → run → manifest → render. Sync JSON/CSV/HTML and NDJSON
 // requests, async jobs (fresh or resumed from the journal), and fabric
-// shards differ only in their callbacks. A failure is classified once:
+// shards differ only in their callbacks. An async job journals its
+// effective config (the body with ?pareto=, ?mode=, ?budget= and ?seed=
+// applied), and a resumed job or a shard rebuilds its study from such a
+// config through sweep.Rebuild, which refuses one that expands to another
+// fingerprint. A failure is classified once:
 // client gone (nothing written), over budget (503 study_timeout; an NDJSON
 // stream already answering 200 ends with a study_timeout error row), or
 // failed (422 study_failed).
@@ -270,10 +274,6 @@ func (s *Server) writeResult(w http.ResponseWriter, etag string, format sweep.Fo
 type studyRequest struct {
 	x      *sweep.Expansion
 	format sweep.Format
-	// raw and ov are the request as received: async submissions journal
-	// them, so a resumed job re-expands the identical study after a restart.
-	raw []byte
-	ov  sweep.Overrides
 }
 
 // readStudy expands a request body and its ?pareto=, ?mode=, ?budget= and
@@ -285,12 +285,7 @@ func (s *Server) readStudy(w http.ResponseWriter, r *http.Request) (studyRequest
 		return studyRequest{}, false
 	}
 	q := r.URL.Query()
-	ov, err := sweep.ParseOverrides(q.Get)
-	if err != nil {
-		apiError(w, http.StatusBadRequest, codeInvalidConfig, err)
-		return studyRequest{}, false
-	}
-	x, err := sweep.Expand(raw, ov, s.opts.Store)
+	x, err := sweep.Expand(raw, q.Get, s.opts.Store)
 	format, ferr := sweep.Negotiate(r.Header.Get("Accept"), q.Get("format"))
 	switch {
 	case err != nil && !errors.As(err, new(*sweep.SpaceError)):
@@ -300,7 +295,7 @@ func (s *Server) readStudy(w http.ResponseWriter, r *http.Request) (studyRequest
 	case err != nil:
 		configError(w, err)
 	default:
-		return studyRequest{x: x, format: format, raw: raw, ov: ov}, true
+		return studyRequest{x: x, format: format}, true
 	}
 	return studyRequest{}, false
 }
@@ -388,8 +383,8 @@ type asyncAccepted struct {
 
 // submitAsync queues a study as a background job and answers 202 with the
 // job's ID — or the ID of an identical in-flight job (singleflight dedup).
-// The raw config bytes and overrides are journaled write-ahead, so the job
-// survives a crash.
+// The job's effective config is journaled write-ahead, so the job survives
+// a crash.
 func (s *Server) submitAsync(w http.ResponseWriter, req studyRequest) {
 	if s.draining.Load() {
 		apiError(w, http.StatusServiceUnavailable, codeDraining, fmt.Errorf("draining"))

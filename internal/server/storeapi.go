@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -50,13 +51,14 @@ func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 
 // handleShard characterizes one slice of a study's design space — the
 // worker half of the fabric protocol. The request carries the effective
-// sweep configuration; this worker re-expands the study from it and must
-// arrive at the coordinator's fingerprint, or the two processes disagree
-// about what the work is (409 shard_conflict). Shards run through the
-// study lifecycle (execute) with the sync path's concurrency budget, load
-// shedding, and execution timeout. Their configs go through this worker's
-// memo, never its store, and their winners or errors return as one
-// CRC-enveloped payload (core.Study.Characterize says which configs ship).
+// sweep configuration; this worker rebuilds the study from it
+// (sweep.Rebuild) and must arrive at the coordinator's fingerprint, or the
+// two processes disagree about what the work is (409 shard_conflict).
+// Shards run through the study lifecycle (execute) with the sync path's
+// concurrency budget, load shedding, and execution timeout. Their configs
+// go through this worker's memo, never its store, and their winners or
+// errors return as one CRC-enveloped payload (core.Study.Characterize says
+// which configs ship).
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 2*maxConfigBytes))
 	if err != nil {
@@ -73,14 +75,13 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("shard speaks protocol %q, this worker speaks %q", req.Protocol, store.ProtocolVersion))
 		return
 	}
-	x, err := sweep.Expand(req.Config, sweep.Overrides{}, nil)
-	if err != nil {
-		configError(w, err)
+	x, err := sweep.Rebuild(req.Config, req.Fingerprint, nil)
+	if errors.Is(err, sweep.ErrRebuilt) {
+		apiError(w, http.StatusConflict, codeShardConflict, err)
 		return
 	}
-	if x.Fingerprint != req.Fingerprint {
-		apiError(w, http.StatusConflict, codeShardConflict,
-			fmt.Errorf("config rebuilds to study %s, coordinator expects %s", x.Fingerprint, req.Fingerprint))
+	if err != nil {
+		configError(w, err)
 		return
 	}
 	for _, i := range req.Indices {

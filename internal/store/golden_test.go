@@ -22,8 +22,7 @@ var (
 	goldenStudy    = StudyRecord{Fingerprint: "fp-golden", Name: "golden study", Config: []byte(`{"name":"golden"}`), Points: 12}
 	goldenJob      = JobRecord{
 		ID: "job-42", Fingerprint: "fp-golden", Name: "golden job", Format: "ndjson",
-		Config: []byte(`{"name":"golden"}`), ParetoSet: true, Pareto: []string{"area_mm2"},
-		ModeSet: true, Mode: "adaptive", BudgetSet: true, Budget: 8, SeedSet: true, Seed: 3, Total: 12,
+		Config: []byte(`{"name":"golden"}`), Total: 12,
 	}
 	goldenWire = []core.Characterization{
 		{Config: nvsim.Config{CapacityBytes: 1 << 20, WordBits: 64, MaxAreaMM2: 2},
@@ -94,7 +93,7 @@ func TestRecordBytesGolden(t *testing.T) {
 	want := map[string]string{
 		"point": "1fc89dfa842817bc42476564c25977108af3cc6373b7b75900b01e9ddfbe06c0",
 		"study": "44c967d358f2802a1d405e703100d15eb6aaa9d60b36f2de38634b9969b560af",
-		"job":   "042058be652465cb21dc7ee9bf0be1ba1b78c6de05c4d1838b8c61ae642c712d",
+		"job":   "f7118bdcbade3d1bef69a25eb491cea0c03b587615999ef714d730db7265e806",
 		"wire":  "34572a15f06f7ba70f1c51af71be2546483351640b2cd9acd477a72449b4fc17",
 	}
 	for kind, sum := range want {

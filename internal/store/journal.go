@@ -8,9 +8,14 @@ import (
 
 // The write-ahead job journal. An async study job is journaled to
 // DIR/jobs/<id>.job (a checksummed, atomically renamed gob record carrying
-// everything needed to rebuild the job: its raw config bytes, fingerprint,
-// format, and grid size) *before* it is enqueued. When the job reaches a
-// terminal state its record is removed.
+// everything needed to rebuild the job: its effective config — the request
+// body with every request-level option already applied, as a study
+// manifest records it — fingerprint, format, and grid size) *before* it is
+// enqueued. When the job reaches a terminal state its record is removed.
+//
+// A record whose config no longer rebuilds to its fingerprint is dropped on
+// replay; that includes records from older versions, which journaled the
+// raw request body beside separate option fields.
 //
 // On restart, `serve -store` replays the journal (Store.IncompleteJobs),
 // re-adopts every job that never reached a terminal state, and re-runs it
@@ -30,22 +35,8 @@ type JobRecord struct {
 	Fingerprint string
 	Name        string
 	Format      string
-	Config      []byte // raw study configuration, as submitted
-	// ParetoSet records that the request carried a ?pareto= override (an
-	// empty Pareto then means "selection explicitly disabled").
-	ParetoSet bool
-	Pareto    []string // the override's metric list
-	// Mode/Budget/Seed record the request's exploration overrides, each with
-	// a Set flag so replay distinguishes "absent" from an explicit zero —
-	// the same pattern as ParetoSet. Old journals decode with all flags
-	// false, replaying as plain exhaustive jobs.
-	ModeSet   bool
-	Mode      string
-	BudgetSet bool
-	Budget    int
-	SeedSet   bool
-	Seed      int64
-	Total     int // grid points in the design space
+	Config      []byte // effective study configuration (sweep.Expansion.Config)
+	Total       int    // grid points in the design space
 }
 
 // jobKind registers job records: DIR/jobs/<id>.job.

@@ -21,9 +21,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		Fingerprint: "abc123",
 		Name:        "crash test",
 		Format:      "ndjson",
-		Config:      []byte(`{"name":"crash test"}`),
-		ParetoSet:   true,
-		Pareto:      []string{"read_latency_ns", "area_mm2"},
+		Config:      []byte(`{"name":"crash test","pareto":{"metrics":["read_latency_ns","area_mm2"]}}`),
 		Total:       12,
 	}
 	if err := st.JournalJob(rec); err != nil {

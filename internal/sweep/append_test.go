@@ -333,7 +333,7 @@ func BenchmarkExpandGrid(b *testing.B) {
 	body := []byte(queryBenchConfig)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Expand(body, Overrides{}, nil); err != nil {
+		if _, err := Expand(body, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

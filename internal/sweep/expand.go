@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -11,70 +12,40 @@ import (
 	"repro/internal/store"
 )
 
-// Overrides are the request-level options layered over a parsed
-// configuration: the CLI's -pareto/-mode/-budget/-seed flags and the study
-// service's matching query parameters. Each has a Set flag that tells an
-// explicit zero from an absent option; store.JobRecord journals them field
-// for field.
-type Overrides struct {
-	ParetoSet bool
-	Pareto    []string
-	ModeSet   bool
-	Mode      string
-	BudgetSet bool
-	Budget    int
-	SeedSet   bool
-	Seed      int64
-}
-
-// ParseOverrides reads the options by name ("pareto", "mode", "budget",
-// "seed") through get; an empty value is an absent option. Only syntax is
-// checked here: Expand rejects an unknown mode or a budget without a pareto
-// selection, so every surface rejects identically.
-func ParseOverrides(get func(name string) string) (Overrides, error) {
-	var o Overrides
+// override writes the request-level options onto a parsed configuration:
+// the CLI's -pareto/-mode/-budget/-seed flags and the study service's
+// matching query parameters, read by name through get. An empty value is an
+// absent option. Only syntax is checked here: Config.Study rejects an
+// unknown mode or a budget without a pareto selection, so every surface
+// rejects identically.
+func (cfg *Config) override(get func(name string) string) error {
 	if v := get("pareto"); v != "" { // a comma-separated metric list
-		o.ParetoSet = true
+		var metrics []string
 		for _, m := range strings.Split(v, ",") {
 			if m = strings.TrimSpace(m); m != "" {
-				o.Pareto = append(o.Pareto, m)
+				metrics = append(metrics, m)
 			}
 		}
+		cfg.Pareto = &ParetoConfig{Metrics: metrics}
 	}
 	if v := get("mode"); v != "" {
-		o.ModeSet, o.Mode = true, v
+		cfg.Mode = v
 	}
 	if v := get("budget"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			return o, fmt.Errorf("invalid budget %q: %v", v, err)
+			return fmt.Errorf("invalid budget %q: %v", v, err)
 		}
-		o.BudgetSet, o.Budget = true, n
+		cfg.Budget = n
 	}
 	if v := get("seed"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			return o, fmt.Errorf("invalid seed %q: %v", v, err)
+			return fmt.Errorf("invalid seed %q: %v", v, err)
 		}
-		o.SeedSet, o.Seed = true, n
+		cfg.Seed = n
 	}
-	return o, nil
-}
-
-// apply writes the set overrides onto a parsed configuration.
-func (o Overrides) apply(cfg *Config) {
-	if o.ParetoSet {
-		cfg.Pareto = &ParetoConfig{Metrics: o.Pareto}
-	}
-	if o.ModeSet {
-		cfg.Mode = o.Mode
-	}
-	if o.BudgetSet {
-		cfg.Budget = o.Budget
-	}
-	if o.SeedSet {
-		cfg.Seed = o.Seed
-	}
+	return nil
 }
 
 // Expansion is one study description made runnable.
@@ -82,9 +53,9 @@ type Expansion struct {
 	Study       *core.Study
 	Fingerprint string // core.Study.Fingerprint
 	Points      int    // the design space's grid size
-	// Config is the effective configuration (overrides applied) as JSON:
-	// what a manifest records and a fabric worker rebuilds from. It
-	// re-expands with no overrides to the same fingerprint.
+	// Config is the effective configuration (options applied) as JSON:
+	// what a manifest records, a job journals and a fabric worker rebuilds
+	// from. Rebuild expands it back to the same fingerprint.
 	Config []byte
 }
 
@@ -96,16 +67,21 @@ func (e *SpaceError) Error() string { return e.Err.Error() }
 func (e *SpaceError) Unwrap() error { return e.Err }
 
 // Expand is the one path from a study description to a runnable study:
-// parse raw, apply the overrides, attach cache as the per-point result
-// cache (nil for none), expand, and enumerate. The CLI, the study service
-// (sync, async, journal resume, fabric shards) and the query index all
-// expand through it.
-func Expand(raw []byte, ov Overrides, cache *store.Store) (*Expansion, error) {
+// parse raw, apply the options ("pareto", "mode", "budget", "seed") read
+// through get (nil for none), attach cache as the per-point result cache
+// (nil for none), expand, and enumerate. The CLI, the study service (sync,
+// async, journal resume, fabric shards) and the query index all expand
+// through it.
+func Expand(raw []byte, get func(name string) string, cache *store.Store) (*Expansion, error) {
 	cfg, err := Parse(bytes.NewReader(raw))
 	if err != nil {
 		return nil, err
 	}
-	ov.apply(cfg)
+	if get != nil {
+		if err := cfg.override(get); err != nil {
+			return nil, err
+		}
+	}
 	eff, err := json.Marshal(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
@@ -126,6 +102,25 @@ func Expand(raw []byte, ov Overrides, cache *store.Store) (*Expansion, error) {
 		return nil, &SpaceError{err}
 	}
 	return &Expansion{Study: study, Fingerprint: fp, Points: len(specs), Config: eff}, nil
+}
+
+// ErrRebuilt reports a stored config that expands to another study than
+// the fingerprint it was stored under.
+var ErrRebuilt = errors.New("config rebuilds to another study")
+
+// Rebuild expands a stored effective config (a manifest's, a journaled
+// job's, a shard request's) with no options applied and checks that it is
+// still the study stored under fingerprint; an error wrapping ErrRebuilt
+// says it is not.
+func Rebuild(config []byte, fingerprint string, cache *store.Store) (*Expansion, error) {
+	x, err := Expand(config, nil, cache)
+	if err != nil {
+		return nil, err
+	}
+	if x.Fingerprint != fingerprint {
+		return nil, fmt.Errorf("%w: %s, want %s", ErrRebuilt, x.Fingerprint, fingerprint)
+	}
+	return x, nil
 }
 
 // Manifest is the store record that makes a completed run of x queryable.

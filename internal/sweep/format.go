@@ -19,8 +19,8 @@ import (
 // table defines which names and media types exist, what the precedence is
 // (?format= beats Accept), and what the two failure modes are (a bad
 // explicit format vs. an Accept header naming only types we cannot
-// produce). Before this, the same switch lived in four places and each
-// copy silently defaulted to JSON on Accept types it didn't recognize.
+// produce). An Accept header naming no known type is refused, never
+// silently answered as JSON.
 
 // Format is one renderable study output format.
 type Format string

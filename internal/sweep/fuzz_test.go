@@ -13,13 +13,14 @@ import (
 	"repro/internal/viz"
 )
 
-// FuzzExpand feeds study descriptions — what a POST body, a journaled job
-// or a shard request carries — through Parse and Expand. Every input must
-// either fail as a parse or validation error (Parse or Config.Study
-// rejects it) or as a *SpaceError, or expand to a study whose effective
-// config re-expands, with no overrides, to the same fingerprint, grid size
-// and config bytes: the invariant the query index and the shard handler
-// rely on.
+// FuzzExpand feeds study descriptions — what a POST body or a shard
+// request carries — with the request-level options ("pareto", "mode",
+// "budget", "seed") through Parse and Expand. Every input must either fail
+// as a parse, option or validation error (Parse, the options or
+// Config.Study reject it) or as a *SpaceError, or expand to a study whose
+// effective config passes Rebuild under its fingerprint with the same grid
+// size and config bytes: the invariant the job journal, the query index and
+// the shard handler rely on.
 func FuzzExpand(f *testing.F) {
 	for _, seed := range []string{
 		multiAxisConfig,
@@ -35,9 +36,13 @@ func FuzzExpand(f *testing.F) {
 		`{"name":`,
 		`not json`,
 	} {
-		f.Add([]byte(seed))
+		f.Add([]byte(seed), "", "", "", "")
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte(multiAxisConfig), "read_latency_ns, area_mm2", "adaptive", "3", "7")
+	f.Add([]byte(dnnConfig), "read_energy_pj", "exhaustive", "", "-2")
+	f.Add([]byte(legacyConfig), ",", "adaptive", "0", "")
+	f.Add([]byte(multiAxisConfig), "", "", "abc", "1.5")
+	f.Fuzz(func(t *testing.T, data []byte, pareto, mode, budget, seed string) {
 		// The design space has no size limit yet, and generic traffic makes
 		// points² patterns: a mutated points count would spend this target's
 		// time and memory building patterns. Such inputs are skipped until
@@ -52,27 +57,32 @@ func FuzzExpand(f *testing.F) {
 			t.Skip("generic traffic grid larger than this target explores")
 		}
 
-		x, err := Expand(data, Overrides{}, nil)
+		opts := map[string]string{"pareto": pareto, "mode": mode, "budget": budget, "seed": seed}
+		get := func(name string) string { return opts[name] }
+		x, err := Expand(data, get, nil)
 		if err != nil {
 			if errors.As(err, new(*SpaceError)) {
 				return
 			}
 			cfg, perr := Parse(bytes.NewReader(data))
 			if perr == nil {
+				perr = cfg.override(get)
+			}
+			if perr == nil {
 				_, perr = cfg.Study()
 			}
 			if perr == nil {
-				t.Fatalf("Expand failed past parsing and validation without a SpaceError: %v", err)
+				t.Fatalf("Expand failed past parsing, options and validation without a SpaceError: %v", err)
 			}
 			return
 		}
-		again, err := Expand(x.Config, Overrides{}, nil)
+		again, err := Rebuild(x.Config, x.Fingerprint, nil)
 		if err != nil {
-			t.Fatalf("the effective config does not re-expand: %v\n%s", err, x.Config)
+			t.Fatalf("the effective config does not rebuild its study: %v\n%s", err, x.Config)
 		}
-		if again.Fingerprint != x.Fingerprint || again.Points != x.Points || !bytes.Equal(again.Config, x.Config) {
-			t.Fatalf("re-expansion drifted: fingerprint %s -> %s, points %d -> %d, config\n%s\n->\n%s",
-				x.Fingerprint, again.Fingerprint, x.Points, again.Points, x.Config, again.Config)
+		if again.Points != x.Points || !bytes.Equal(again.Config, x.Config) {
+			t.Fatalf("rebuild drifted: points %d -> %d, config\n%s\n->\n%s",
+				x.Points, again.Points, x.Config, again.Config)
 		}
 	})
 }
